@@ -14,8 +14,7 @@
 
 namespace dmtl {
 
-// Configuration shared by every session shape. (The pre-facade name
-// StreamingOptions aliases this in src/streaming/session.h.)
+// Configuration shared by every session shape.
 struct SessionOptions {
   // Engine knobs (threads, memos, chain acceleration, budgets...).
   // min_time / max_time / provenance are managed by the session and must be
@@ -62,14 +61,15 @@ class EngineSession {
   static Result<std::unique_ptr<EngineSession>> Create(
       const Program& program, const SessionOptions& options);
 
-  // Rebuilds a session warm from a checkpoint (see src/storage/snapshot.h):
-  // window position, database, input-log tail, open step channels, and
-  // provenance are reinstated, and the restored session is byte-identical
-  // to its uninterrupted twin under any continuation schedule. The
-  // snapshot's program fingerprint must match `program`. The snapshot's
-  // window/horizon/provenance settings take precedence over `options`
-  // (engine knobs - threads, budgets, acceleration - come from `options`,
-  // so a restore may run degraded).
+  // Rebuilds a session from a checkpoint (see src/storage/snapshot.h):
+  // window position, input log, and open step channels are reinstated, and
+  // the database and provenance are re-derived by one cold materialization
+  // of the log. The restored database is byte-identical to its
+  // uninterrupted twin's under any continuation schedule, and provenance
+  // covers the same facts. The snapshot's program fingerprint must match
+  // `program`. The snapshot's window/horizon/provenance settings take
+  // precedence over `options` (engine knobs - threads, budgets,
+  // acceleration - come from `options`, so a restore may run degraded).
   static Result<std::unique_ptr<EngineSession>> Restore(
       const Program& program, const SessionOptions& options,
       const SessionSnapshot& snapshot);
@@ -104,7 +104,8 @@ class EngineSession {
   virtual Status Slide(const Rational& new_min,
                        EngineStats* stats = nullptr) = 0;
 
-  // Checkpoints the full session state at the current round barrier.
+  // Checkpoints the session state a cold replay cannot rebuild (window
+  // position, input log, step channels) at the current round barrier.
   // Refused while the database is an under-approximation after a failed
   // operation (the next operation heals first).
   virtual Result<SessionSnapshot> Snapshot() const = 0;

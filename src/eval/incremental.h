@@ -82,14 +82,17 @@ class IncrementalMaterializer {
       const Program& program, Database* db, const EngineOptions& options);
 
   // Rebuilds a live evaluator from checkpointed session state (see
-  // src/storage/snapshot.h). Unlike Create, `db` must already hold the
-  // snapshot's materialized database; `options.min_time` is the restored
-  // window minimum, `watermark` the restored watermark, and `advanced`
-  // whether the checkpointed session had executed its first Advance (it
-  // gates the push-above-watermark finality check). `input_log` is the
-  // snapshot's clamped log; the pending band is reseeded from it so the
-  // next Advance derives exactly what the uninterrupted session would -
-  // the warm restart is byte-identical, operation for operation.
+  // src/storage/snapshot.h). As with Create, `db` must start empty;
+  // `options.min_time` is the restored window minimum, `watermark` the
+  // restored watermark, and `advanced` whether the checkpointed session had
+  // executed its first Advance (it gates the push-above-watermark finality
+  // check). `input_log` is the snapshot's clamped log: Restore fills `db`
+  // (and `options.provenance`) by the same cold rebuild a failed operation
+  // heals with, and reseeds the pending band from it, so the database is
+  // byte-identical to the uninterrupted session's, operation for
+  // operation, and provenance covers the same facts. The rebuild runs under
+  // the options' deadline and cancellation token, so Restore can fail like
+  // any operation.
   static Result<std::unique_ptr<IncrementalMaterializer>> Restore(
       const Program& program, Database* db, const EngineOptions& options,
       std::vector<Fact> input_log, const Rational& watermark, bool advanced);

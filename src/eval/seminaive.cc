@@ -1478,13 +1478,13 @@ class IncrementalMaterializer::Impl {
     return status;
   }
 
-  // Reinstates checkpointed session state right after Init: the caller has
-  // already loaded the snapshot's materialized database into db_; this
-  // installs the log and watermark and reseeds the pending band so the next
-  // operation behaves exactly as in the uninterrupted session. Over-seeding
-  // pending coverage is sound (the delta union is idempotent and the sink
-  // only records newly covered pieces); the band cache stays invalid, so
-  // the first post-restore advance falls back to the full-store scan.
+  // Reinstates checkpointed session state right after Init: installs the
+  // log and watermark, reseeds the pending band so the next operation
+  // behaves exactly as in the uninterrupted session, and rebuilds the
+  // (empty) store with Heal. Over-seeding pending coverage is sound (the
+  // delta union is idempotent and the sink only records newly covered
+  // pieces); the band cache stays invalid, so the first post-restore
+  // advance falls back to the full-store scan.
   Status AdoptState(std::vector<Fact> log, const Rational& watermark,
                     bool advanced) {
     if (watermark < cur_min_) {
@@ -1517,7 +1517,7 @@ class IncrementalMaterializer::Impl {
                                  IntervalSet(f.interval));
       }
     }
-    return Status::Ok();
+    return Heal();
   }
 
   const Rational& watermark() const { return watermark_; }
@@ -1580,8 +1580,10 @@ class IncrementalMaterializer::Impl {
     return Status::Internal("unknown metric atom kind");
   }
 
-  // Full cold rebuild from the input log; run before the next operation
-  // after a mid-operation failure left the store at a round barrier.
+  // Full cold rebuild from the input log: run before the next operation
+  // after a mid-operation failure left the store at a round barrier, and
+  // by AdoptState to re-derive a restored session. Before the first
+  // advance a session has derived nothing, so its store is the raw log.
   Status Heal() {
     db_->Clear();
     if (provenance_ != nullptr) provenance_->clear();
@@ -1597,12 +1599,14 @@ class IncrementalMaterializer::Impl {
     for (const Fact& f : inputs_) {
       db_->InsertSet(f.predicate, f.args, IntervalSet(f.interval));
     }
-    EngineOptions o = options_;
-    o.min_time = cur_min_;
-    o.max_time = watermark_;
-    o.provenance = provenance_;
-    EngineStats heal_stats;
-    DMTL_RETURN_IF_ERROR(dmtl::Materialize(program_, db_, o, &heal_stats));
+    if (advanced_any_) {
+      EngineOptions o = options_;
+      o.min_time = cur_min_;
+      o.max_time = watermark_;
+      o.provenance = provenance_;
+      EngineStats heal_stats;
+      DMTL_RETURN_IF_ERROR(dmtl::Materialize(program_, db_, o, &heal_stats));
+    }
     band_cache_ = Database();
     band_cache_valid_ = false;
     needs_rebuild_ = false;

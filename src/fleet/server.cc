@@ -256,18 +256,36 @@ Status FleetServer::RestoreWarm(Hosted* h, bool degraded) {
   return Status::Ok();
 }
 
+bool FleetServer::RetryDegraded(Hosted* h, const Status& failure) {
+  // Warm-restart once unless the policy forbids it, the session already
+  // used its retry, or the caller cancelled the run.
+  if (!options_.retry_evicted || h->report.retried ||
+      failure.code() == StatusCode::kCancelled || h->snapshot.empty()) {
+    h->failed = true;
+    h->report.status = failure;
+    return false;
+  }
+  h->report.retried = true;
+  h->report.first_attempt_status = failure;
+  Status restored = RestoreWarm(h, /*degraded=*/true);
+  if (!restored.ok()) {
+    h->failed = true;
+    h->report.status = restored;
+    return false;
+  }
+  return true;
+}
+
 bool FleetServer::RunSlice(Hosted* h) {
   if (h->failed) return false;
   if (h->session == nullptr) {
     if (!h->snapshot.empty()) {
       // Passivated (or a prior Drain ended while checkpointed): reactivate
-      // warm from the snapshot with the normal (non-degraded) knobs.
+      // warm from the snapshot with the normal (non-degraded) knobs. The
+      // restore re-derives the database under the session's guard, so it
+      // can trip like an op and gets the same single degraded retry.
       Status woken = RestoreWarm(h, /*degraded=*/false);
-      if (!woken.ok()) {
-        h->failed = true;
-        h->report.status = woken;
-        return false;
-      }
+      if (!woken.ok() && !RetryDegraded(h, woken)) return false;
     } else {
       Status created = CreateSession(h);
       if (!created.ok()) {
@@ -287,24 +305,9 @@ bool FleetServer::RunSlice(Hosted* h) {
     const FleetOp& op = h->ops[h->next_op];
     Status s = ExecuteOp(h, op, /*record=*/true);
     if (!s.ok()) {
-      // Admission-control trip or fault: evict. Warm-restart once unless
-      // the policy forbids it, the session already used its retry, or the
-      // caller cancelled the run.
-      if (!options_.retry_evicted || h->report.retried ||
-          s.code() == StatusCode::kCancelled || h->snapshot.empty()) {
-        h->failed = true;
-        h->report.status = s;
-        return false;
-      }
-      h->report.retried = true;
-      h->report.first_attempt_status = s;
-      Status restored = RestoreWarm(h, /*degraded=*/true);
-      if (!restored.ok()) {
-        h->failed = true;
-        h->report.status = restored;
-        return false;
-      }
-      // Retry the tripped op on the degraded session (next_op unchanged).
+      // Admission-control trip or fault: evict, then retry the tripped op
+      // on the degraded session (next_op unchanged).
+      if (!RetryDegraded(h, s)) return false;
       continue;
     }
     bool advanced = op.kind == FleetOp::Kind::kAdvance;

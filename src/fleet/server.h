@@ -72,9 +72,10 @@ struct FleetOptions {
   size_t snapshot_every_advances = 16;
 
   // Evict-and-retry policy (the ParallelSessions degraded-retry shape): a
-  // failed session is restored from its last snapshot with chain
-  // acceleration off and no deadline, and the op tail is replayed once. A
-  // second failure (or retry_evicted = false, or a cancellation) is final.
+  // session whose op or warm reactivation fails is restored from its last
+  // snapshot with chain acceleration off and no deadline, and the op tail
+  // is replayed once. A second failure (or retry_evicted = false, or a
+  // cancellation) is final.
   bool retry_evicted = true;
 
   // Passivation: when a session's queue drains, checkpoint it and release
@@ -185,6 +186,10 @@ class FleetServer {
   // knobs when this is an eviction rather than a reactivation), and replay
   // the op tail up to (not including) h->next_op.
   Status RestoreWarm(Hosted* h, bool degraded);
+  // Handles a failed op or reactivation: the single degraded warm restart
+  // when the retry policy allows it. Returns false (session marked failed)
+  // when the failure is final.
+  bool RetryDegraded(Hosted* h, const Status& failure);
   void TakeSnapshot(Hosted* h);
   SessionOptions BuildSessionOptions(const Hosted& h, bool degraded) const;
 

@@ -1,5 +1,7 @@
 #include "src/parser/parser.h"
 
+#include <cerrno>
+#include <cstdlib>
 #include <map>
 #include <optional>
 
@@ -444,13 +446,18 @@ class ParserImpl {
     bool negative = Accept(TokenKind::kMinus);
     if (Peek().kind != TokenKind::kNumber) return Error("expected number");
     std::string text = Next().text;
+    // strtod/strtoll rather than stod/stoll: an out-of-range literal is a
+    // parse error, never an exception escaping the parser.
+    errno = 0;
     if (text.find('.') != std::string::npos ||
         text.find('e') != std::string::npos ||
         text.find('E') != std::string::npos) {
-      double d = std::stod(text);
+      double d = std::strtod(text.c_str(), nullptr);
+      if (errno == ERANGE) return Error("number out of range: " + text);
       return Value::Double(negative ? -d : d);
     }
-    int64_t i = std::stoll(text);
+    int64_t i = std::strtoll(text.c_str(), nullptr, 10);
+    if (errno == ERANGE) return Error("number out of range: " + text);
     return Value::Int(negative ? -i : i);
   }
 

@@ -14,7 +14,7 @@ namespace dmtl {
 namespace {
 
 constexpr char kMagic[] = "DMTL-SNAPSHOT";
-constexpr int kVersion = 1;
+constexpr int kVersion = 2;
 
 // One fact statement in SerializeDatabase form -> Fact. A snapshot line
 // carries exactly one statement; more (or none) is a corrupt snapshot.
@@ -48,6 +48,8 @@ class LineReader {
     }
     return line;
   }
+
+  bool AtEnd() { return in_.peek() == std::char_traits<char>::eof(); }
 
   // "key rest-of-line" -> rest-of-line.
   Result<std::string> Keyed(const std::string& key) {
@@ -125,16 +127,6 @@ std::string EncodeSnapshot(const SessionSnapshot& snapshot) {
   for (const Fact& f : snapshot.input_log) {
     out << SerializeFactLine(f.predicate, f.args, f.interval) << "\n";
   }
-  size_t db_lines = 0;
-  for (char c : snapshot.database_text) {
-    if (c == '\n') ++db_lines;
-  }
-  out << "db " << db_lines << "\n" << snapshot.database_text;
-  out << "prov " << snapshot.provenance.size() << "\n";
-  for (const DerivationRecord& rec : snapshot.provenance) {
-    out << rec.rule_index << " " << rec.round << " "
-        << SerializeFactLine(rec.predicate, rec.tuple, rec.piece) << "\n";
-  }
   return out.str();
 }
 
@@ -150,15 +142,15 @@ Result<SessionSnapshot> DecodeSnapshot(const std::string& text) {
   if (version_tag.size() < 2 || version_tag[0] != 'v') {
     return Status::ParseError("snapshot: bad version tag: " + header);
   }
-  const int version = std::atoi(version_tag.c_str() + 1);
-  if (version != kVersion) {
+  if (version_tag.substr(1) != std::to_string(kVersion)) {
     return Status::InvalidArgument(
-        "snapshot version " + version_tag.substr(1) +
-        " is not supported by this build (expected v1)");
+        "snapshot " + version_tag +
+        " is not supported by this build (expected v" +
+        std::to_string(kVersion) + ")");
   }
 
   SessionSnapshot snap;
-  snap.version = version;
+  snap.version = kVersion;
   DMTL_ASSIGN_OR_RETURN(std::string fp_hex, reader.Keyed("program"));
   char* end = nullptr;
   snap.program_fingerprint = std::strtoull(fp_hex.c_str(), &end, 16);
@@ -176,8 +168,9 @@ Result<SessionSnapshot> DecodeSnapshot(const std::string& text) {
   DMTL_ASSIGN_OR_RETURN(snap.track_provenance,
                         reader.KeyedBool("provenance"));
 
+  // The counts are untrusted input: they bound loops that stop at the first
+  // missing line, and never size an allocation.
   DMTL_ASSIGN_OR_RETURN(size_t num_channels, reader.KeyedCount("channels"));
-  snap.channels.reserve(num_channels);
   for (size_t i = 0; i < num_channels; ++i) {
     DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("channel line"));
     DMTL_ASSIGN_OR_RETURN(Fact fact, ParseFactLine(line));
@@ -191,47 +184,13 @@ Result<SessionSnapshot> DecodeSnapshot(const std::string& text) {
   }
 
   DMTL_ASSIGN_OR_RETURN(size_t num_log, reader.KeyedCount("log"));
-  snap.input_log.reserve(num_log);
   for (size_t i = 0; i < num_log; ++i) {
     DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("log line"));
     DMTL_ASSIGN_OR_RETURN(Fact fact, ParseFactLine(line));
     snap.input_log.push_back(std::move(fact));
   }
-
-  DMTL_ASSIGN_OR_RETURN(size_t num_db, reader.KeyedCount("db"));
-  std::string db_text;
-  for (size_t i = 0; i < num_db; ++i) {
-    DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("db line"));
-    db_text += line;
-    db_text += '\n';
-  }
-  // Validate the text parses now so a corrupt snapshot fails at decode, not
-  // mid-restore.
-  DMTL_RETURN_IF_ERROR(Parser::ParseDatabase(db_text).status());
-  snap.database_text = std::move(db_text);
-
-  DMTL_ASSIGN_OR_RETURN(size_t num_prov, reader.KeyedCount("prov"));
-  snap.provenance.reserve(num_prov);
-  for (size_t i = 0; i < num_prov; ++i) {
-    DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("prov line"));
-    std::istringstream rec_in(line);
-    size_t rule_index = 0, round = 0;
-    if (!(rec_in >> rule_index >> round)) {
-      return Status::ParseError("snapshot: bad provenance record: " + line);
-    }
-    std::string fact_text;
-    std::getline(rec_in, fact_text);
-    if (!fact_text.empty() && fact_text.front() == ' ') {
-      fact_text.erase(fact_text.begin());
-    }
-    DMTL_ASSIGN_OR_RETURN(Fact fact, ParseFactLine(fact_text));
-    DerivationRecord rec;
-    rec.predicate = fact.predicate;
-    rec.tuple = std::move(fact.args);
-    rec.piece = fact.interval;
-    rec.rule_index = rule_index;
-    rec.round = round;
-    snap.provenance.push_back(std::move(rec));
+  if (!reader.AtEnd()) {
+    return Status::ParseError("snapshot: trailing data after the input log");
   }
   return snap;
 }

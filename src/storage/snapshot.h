@@ -8,29 +8,33 @@
 
 #include "src/ast/program.h"
 #include "src/common/status.h"
-#include "src/eval/seminaive.h"
 #include "src/storage/database.h"
 
 namespace dmtl {
 
 // A versioned, text-encoded checkpoint of a live session, taken at a round
-// barrier: everything needed to restart the session warm and byte-identical
-// instead of cold-replaying the whole input log from the window start.
+// barrier: the state a cold replay cannot rebuild, so a restart needs no
+// re-parse of derived coverage.
 //
-// Captured state:
-//   - window position: watermark, window minimum, optional sliding horizon
-//   - the materialized database, as SerializeDatabase text (already derived
-//     consequences survive the restart)
-//   - the input-log tail (clamped by past slides), so post-restore advances
-//     can seed exactly the pending bands a never-interrupted session would
+// Captured state (format v2):
+//   - window position: watermark, window minimum, optional sliding horizon,
+//     and whether the session has advanced yet
+//   - whether the session tracks provenance
 //   - open step channels (predicate, held value, coverage logged through)
-//   - provenance records, when the session tracks them
+//   - the input log (clamped by past slides)
 //   - a program fingerprint, so a snapshot is never restored against a
-//     different rule set (the database text would silently mismatch)
+//     different rule set
+//
+// The database and provenance records are not stored. The streaming
+// invariant makes the database one cold Materialize over the input log on
+// [window_min, watermark], so Restore re-derives both: the database
+// byte-identical, provenance coverage-equal (per-record rule/round
+// attribution is the cold run's). A v1 snapshot, which carried both, is
+// refused by the version check.
 //
 // The encoding reuses the fact-statement format of SerializeDatabase for
 // every fact-shaped field, so snapshots stay human-readable and parseable
-// with the ordinary parser.
+// with the ordinary parser. Size follows the input log, not the database.
 struct SessionSnapshot {
   // An open step channel (see StreamingSession::PushStep): the held value
   // and the time through which its coverage has been logged.
@@ -40,7 +44,7 @@ struct SessionSnapshot {
     Rational logged_hi;
   };
 
-  int version = 1;
+  int version = 2;
   uint64_t program_fingerprint = 0;
   Rational watermark;
   Rational window_min;
@@ -51,10 +55,6 @@ struct SessionSnapshot {
   bool track_provenance = true;
   std::vector<Channel> channels;
   std::vector<Fact> input_log;
-  // SerializeDatabase text of the materialized database (sorted fact
-  // statements) - the byte-identity anchor.
-  std::string database_text;
-  std::vector<DerivationRecord> provenance;
 };
 
 // Stable FNV-1a 64-bit fingerprint of the program's printed form. Two
@@ -62,7 +62,7 @@ struct SessionSnapshot {
 // property snapshot restore needs.
 uint64_t ProgramFingerprint(const Program& program);
 
-// Renders the snapshot in the versioned "DMTL-SNAPSHOT v1" text format.
+// Renders the snapshot in the versioned "DMTL-SNAPSHOT v2" text format.
 std::string EncodeSnapshot(const SessionSnapshot& snapshot);
 
 // Parses EncodeSnapshot output. Unknown magic or a version this build does

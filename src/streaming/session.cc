@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "src/parser/parser.h"
-#include "src/storage/serialize.h"
-
 namespace dmtl {
 
 StreamingSession::StreamingSession() = default;
@@ -49,13 +46,10 @@ Result<std::unique_ptr<StreamingSession>> StreamingSession::Build(
     out->window_min_ = snapshot->window_min;
     out->watermark_ = snapshot->watermark;
     out->advanced_any_ = snapshot->advanced;
-    out->provenance_ = snapshot->provenance;
     out->log_ = snapshot->input_log;
     for (const SessionSnapshot::Channel& ch : snapshot->channels) {
       out->channels_[ch.predicate] = Channel{ch.args, ch.logged_hi};
     }
-    DMTL_ASSIGN_OR_RETURN(out->db_,
-                          Parser::ParseDatabase(snapshot->database_text));
   } else {
     out->window_min_ = options.start_time;
     out->watermark_ = options.start_time;
@@ -80,12 +74,13 @@ Result<std::unique_ptr<StreamingSession>> StreamingSession::Build(
                                          snapshot->advanced));
   } else {
     // Batch restore still validates streaming eligibility, against a
-    // scratch database (Create requires an empty one).
+    // scratch database (Create requires an empty one), then rebuilds.
     Database scratch;
     EngineOptions check = engine;
     check.provenance = nullptr;
     DMTL_RETURN_IF_ERROR(
         IncrementalMaterializer::Create(program, &scratch, check).status());
+    DMTL_RETURN_IF_ERROR(out->RebuildBatch(nullptr));
   }
   return out;
 }
@@ -116,6 +111,8 @@ Status StreamingSession::PushFact(const Fact& fact) {
     }
   }
   log_.push_back(fact);
+  // Visible at once, as in the incremental engine.
+  db_.InsertSet(fact.predicate, fact.args, IntervalSet(fact.interval));
   return Status::Ok();
 }
 
@@ -223,8 +220,6 @@ Result<SessionSnapshot> StreamingSession::Snapshot() const {
         SessionSnapshot::Channel{pred, ch.args, ch.logged_hi});
   }
   snap.input_log = input_log();
-  snap.database_text = SerializeDatabase(db_);
-  snap.provenance = provenance_;
   return snap;
 }
 
@@ -234,6 +229,7 @@ Status StreamingSession::RebuildBatch(EngineStats* stats) {
   for (const Fact& f : log_) {
     db_.InsertSet(f.predicate, f.args, IntervalSet(f.interval));
   }
+  if (!advanced_any_) return Status::Ok();  // nothing derived yet
   EngineOptions o = options_.engine;
   o.min_time = window_min_;
   o.max_time = watermark_;

@@ -17,10 +17,6 @@
 
 namespace dmtl {
 
-// Pre-facade name of the shared session configuration; kept as an alias
-// for one PR while callers migrate to SessionOptions.
-using StreamingOptions = SessionOptions;
-
 // A cold batch run over a session's current inputs - the oracle the
 // streaming tests compare against, byte for byte.
 struct ReplayResult {
@@ -97,14 +93,6 @@ class StreamingSession : public EngineSession {
   // Checkpoints the session at the current round barrier; refused after a
   // failed operation until the next operation heals the store.
   Result<SessionSnapshot> Snapshot() const override;
-
-  // Thin compatibility aliases for the pre-facade vocabulary (one PR).
-  Status AdvanceTo(const Rational& t, EngineStats* stats = nullptr) {
-    return Advance(t, stats);
-  }
-  Status SlideTo(const Rational& new_min, EngineStats* stats = nullptr) {
-    return Slide(new_min, stats);
-  }
 
   // Runs a cold batch materialization over input_log() in a fresh database
   // - the byte-identity oracle for the current checkpoint.

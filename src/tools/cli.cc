@@ -75,10 +75,12 @@ constexpr char kUsage[] =
     "                  --min sets the session start; --max is rejected.\n"
     "                  --stats adds per-event engine counters; --output\n"
     "                  writes the final database.\n"
-    "  --restore FILE  start the stream session warm from a snapshot file\n"
-    "                  written by '@snapshot' instead of fresh (the\n"
+    "  --restore FILE  resume the stream session from a snapshot file\n"
+    "                  written by '@snapshot' (DMTL-SNAPSHOT v2): one cold\n"
+    "                  run over the snapshot's input log rebuilds the\n"
+    "                  database, then FILE's events continue it. The\n"
     "                  program files supply only rules; facts already live\n"
-    "                  in the snapshot's input log)\n"
+    "                  in the input log. v1 snapshots are refused.\n"
     "  --horizon T     sliding-window length: advances auto-slide the\n"
     "                  window minimum to watermark - T\n"
     "\n"

@@ -1,7 +1,6 @@
 // Unified session API contract: EngineSession::Create resolves to the
 // streaming or batch implementation behind one vocabulary, both shapes obey
-// the same external semantics, option conflicts fail loudly, and the compat
-// wrappers (StreamingOptions, AdvanceTo/SlideTo) still compile and agree.
+// the same external semantics, and option conflicts fail loudly.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "src/engine/session.h"
 #include "src/parser/parser.h"
 #include "src/storage/serialize.h"
-#include "src/streaming/session.h"
 
 namespace dmtl {
 namespace {
@@ -112,28 +110,6 @@ TEST(EngineSessionTest, SnapshotRestoreThroughTheFacade) {
   auto other = Parser::Parse("q(X) :- diamondminus[0,3] p(X) .\n");
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(EngineSession::Restore(other->program, Opts(0), *snap).ok());
-}
-
-TEST(EngineSessionTest, CompatAliasesStillCompileAndAgree) {
-  // One PR of grace for pre-facade callers: StreamingOptions is
-  // SessionOptions, and AdvanceTo/SlideTo forward to Advance/Slide.
-  Program program = TestProgram();
-  StreamingOptions options = Opts(0);
-  auto session = StreamingSession::Create(program, options);
-  ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
-  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
-                                Interval::Closed(Rational(1), Rational(3))))
-                  .ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(4)).ok());
-  ASSERT_TRUE(s.SlideTo(Rational(1)).ok());
-  EXPECT_EQ(s.watermark(), Rational(4));
-  EXPECT_EQ(s.window_min(), Rational(1));
-
-  // The concrete type is usable through the facade pointer.
-  EngineSession* facade = &s;
-  ASSERT_TRUE(facade->Advance(Rational(5)).ok());
-  EXPECT_EQ(facade->watermark(), Rational(5));
 }
 
 }  // namespace

@@ -373,6 +373,84 @@ TEST_F(FleetFaultInjectionTest, SecondFaultIsFinalAndIsolated) {
   EXPECT_EQ(failed, 1);
 }
 
+TEST_F(FleetFaultInjectionTest, FailedReactivationRetriesDegraded) {
+  // Reactivation re-derives the passivated session's database under its
+  // guard, so it can fault like an op. The faulted session gets the single
+  // degraded retry and still lands on its batch twin's bytes; its siblings
+  // never notice.
+  auto program = EthPerpProgram();
+  ASSERT_TRUE(program.ok());
+
+  FleetOptions fopts;
+  fopts.num_threads = 1;  // sequential drain: session 0 reactivates first
+  fopts.passivate_drained = true;
+  auto server = FleetServer::Create(fopts);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->RegisterProgram("eth-perp", program.value()).ok());
+  std::vector<Session> sessions;
+  std::vector<SessionKey> keys;
+  std::vector<std::vector<FleetOp>> schedules;
+  for (const WorkloadConfig& config : ShardConfigs(SmallConfig(), 3)) {
+    auto session = GenerateSession(config);
+    ASSERT_TRUE(session.ok());
+    SessionKey key{"eth-perp", 0, config.name};
+    ASSERT_TRUE((*server)->Open(key, Rational(session->start_time)).ok());
+    std::vector<FleetOp> ops = SessionToOps(*session);
+    ASSERT_GT(ops.size(), 4u);
+    ASSERT_TRUE((*server)
+                    ->Enqueue(key, std::vector<FleetOp>(
+                                       ops.begin(), ops.begin() + ops.size() / 2))
+                    .ok());
+    sessions.push_back(*std::move(session));
+    keys.push_back(key);
+    schedules.push_back(std::move(ops));
+  }
+
+  // Round 1: every session drains half its schedule and is passivated.
+  auto first = (*server)->Drain();
+  ASSERT_TRUE(first.ok()) << first.status();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE((*first)[i].ok()) << (*first)[i].status;
+    EXPECT_EQ((*server)->Find(keys[i]), nullptr);
+  }
+
+  // Round 2: the very first fixpoint round is session 0's reactivation
+  // rebuild; fail it.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::vector<FleetOp>& ops = schedules[i];
+    ASSERT_TRUE((*server)
+                    ->Enqueue(keys[i], std::vector<FleetOp>(
+                                           ops.begin() + ops.size() / 2,
+                                           ops.end()))
+                    .ok());
+  }
+  FaultInjector::Arm("seminaive.round", 1,
+                     Status::Internal("injected reactivation fault"));
+  auto second = (*server)->Drain();
+  ASSERT_TRUE(second.ok()) << second.status();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const SessionReport& report = (*second)[i];
+    ASSERT_TRUE(report.ok()) << keys[i].ToString() << ": " << report.status;
+    EXPECT_EQ(report.retried, i == 0) << keys[i].ToString();
+    EXPECT_EQ(report.ops_executed, schedules[i].size());
+    if (i == 0) {
+      EXPECT_EQ(report.first_attempt_status.code(), StatusCode::kInternal);
+      EXPECT_NE(report.first_attempt_status.message().find("reactivation"),
+                std::string::npos);
+    }
+    auto checkpoint = (*server)->Checkpoint(keys[i]);
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+    SessionOptions sopts;
+    sopts.start_time = Rational(sessions[i].start_time);
+    auto restored =
+        EngineSession::Restore(program.value(), sopts, *checkpoint);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(SerializeDatabase((*restored)->db()),
+              BatchText(program.value(), sessions[i]))
+        << keys[i].ToString() << " diverged from its batch twin";
+  }
+}
+
 TEST(FleetServerTest, DeadlineEvictionRecoversDegraded) {
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok());

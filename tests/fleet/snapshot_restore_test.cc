@@ -1,7 +1,8 @@
 // Snapshot round-trip property: a session serialized mid-stream at a
 // checkpoint, decoded fresh, and continued over the same schedule must end
 // byte-identical - database text, Series() output, and provenance coverage
-// - to an uninterrupted twin. Enforced at thread widths 1, 2, and 8, with a
+// - to an uninterrupted twin, and match the checkpointed session right
+// after the restore. Enforced at thread widths 1, 2, and 8, with a
 // sliding window in play, and across the encode/decode text codec (not just
 // the in-memory struct). A degraded restore (different engine knobs than
 // the twin) must not change a single byte either.
@@ -91,6 +92,14 @@ void ExpectRestartIsInvisible(const Program& program,
 
   auto restored = EngineSession::Restore(program, restore_options, *decoded);
   ASSERT_TRUE(restored.ok()) << label << ": " << restored.status();
+  // The restore itself re-derives the checkpointed state: same bytes,
+  // same provenance coverage, before any continuation.
+  EXPECT_EQ(SerializeDatabase((*restored)->db()),
+            SerializeDatabase((*first)->db()))
+      << label << ": database differs right after restore";
+  EXPECT_EQ(ProvenanceCoverage((*restored)->provenance()),
+            ProvenanceCoverage((*first)->provenance()))
+      << label << ": provenance coverage differs right after restore";
   for (size_t i = cut; i < ops.size(); ++i) {
     ASSERT_TRUE(Apply(restored->get(), ops[i]).ok()) << label;
   }
@@ -188,6 +197,29 @@ TEST(SnapshotRestoreTest, SlidingWindowRestartRetainsRetraction) {
           "sliding threads=" + std::to_string(threads) +
               " cut=" + std::to_string(cut));
     }
+  }
+}
+
+TEST(SnapshotRestoreTest, PreAdvanceRestoreDerivesNothingEarly) {
+  // Before the first advance a session has derived nothing, and pushes may
+  // still land at the window start. A restore that derived there early
+  // would hold r(a)@0, which the later push of p(a)@0 must block.
+  auto unit = Parser::Parse("r(X) :- s(X), not p(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  std::vector<FleetOp> ops = {
+      FleetOp::Push(
+          Fact::Make("s", {Value::Symbol("a")}, Interval::Point(Rational(0)))),
+      FleetOp::Push(
+          Fact::Make("p", {Value::Symbol("a")}, Interval::Point(Rational(0)))),
+      FleetOp::Advance(Rational(1)),
+  };
+  for (bool streaming : {true, false}) {
+    SessionOptions options;
+    options.start_time = Rational(0);
+    options.engine.enable_streaming = streaming;
+    ExpectRestartIsInvisible(
+        unit->program, ops, 1, options, options, "r",
+        streaming ? "pre-advance streaming" : "pre-advance batch");
   }
 }
 

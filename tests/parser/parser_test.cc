@@ -140,6 +140,17 @@ TEST(ParserTest, MixedUnitSeparation) {
   EXPECT_FALSE(Parser::ParseDatabase("p(X) :- q(X) . q(a)@3 .").ok());
 }
 
+TEST(ParserTest, OutOfRangeNumbersAreParseErrors) {
+  // Mutated snapshot lines reach the parser; overflow must be a Status.
+  auto big_double = Parser::ParseDatabase("p(1e999)@1 .");
+  ASSERT_FALSE(big_double.ok());
+  EXPECT_EQ(big_double.status().code(), StatusCode::kParseError);
+  auto big_int = Parser::ParseDatabase("p(99999999999999999999)@1 .");
+  ASSERT_FALSE(big_int.ok());
+  EXPECT_EQ(big_int.status().code(), StatusCode::kParseError);
+  EXPECT_TRUE(Parser::ParseDatabase("p(-9223372036854775807)@1 .").ok());
+}
+
 TEST(ParserTest, ErrorsCarryPositions) {
   auto r1 = Parser::ParseProgram("p(X) :- q(X)");  // missing dot
   ASSERT_FALSE(r1.ok());

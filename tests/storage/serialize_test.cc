@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
+
+#include "tests/testing/temp_path.h"
 
 namespace dmtl {
 namespace {
@@ -59,9 +60,7 @@ TEST(SerializeTest, FileRoundTrip) {
   Database db;
   db.Insert("margin", {Value::Symbol("acc"), Value::Double(97.5)},
             Interval::Closed(Rational(1), Rational(9)));
-  std::string path =
-      (std::filesystem::temp_directory_path() / "dmtl_serialize_test.dmtl")
-          .string();
+  std::string path = TestTempPath("dmtl_serialize").string() + ".dmtl";
   ASSERT_TRUE(WriteDatabaseFile(db, path).ok());
   auto loaded = ReadDatabaseFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -71,9 +70,7 @@ TEST(SerializeTest, FileRoundTrip) {
 
 TEST(SerializeTest, ReadSourceFileReportsErrors) {
   EXPECT_FALSE(ReadDatabaseFile("/nonexistent/nope.dmtl").ok());
-  std::string path =
-      (std::filesystem::temp_directory_path() / "dmtl_bad_test.dmtl")
-          .string();
+  std::string path = TestTempPath("dmtl_bad").string() + ".dmtl";
   {
     std::ofstream f(path);
     f << "p(a)@5";  // missing dot

@@ -1,14 +1,26 @@
 // Snapshot codec contract: EncodeSnapshot/DecodeSnapshot round-trip every
-// field bit-exactly, refuse foreign or future inputs loudly, and the file
+// v2 field bit-exactly, refuse foreign, v1, future, and corrupt inputs
+// loudly, hold one line per channel and per log fact (so size follows the
+// input log, not the database), never crash on mutated input, and the file
 // wrappers behave like the in-memory codec.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/chain/workload.h"
+#include "src/contracts/eth_perp_program.h"
+#include "src/engine/session.h"
+#include "src/fleet/workload.h"
 #include "src/parser/parser.h"
+#include "src/storage/serialize.h"
 #include "src/storage/snapshot.h"
+#include "tests/testing/temp_path.h"
 
 namespace dmtl {
 namespace {
@@ -34,14 +46,6 @@ SessionSnapshot TestSnapshot(const Program& program) {
   snap.input_log.push_back(
       Fact::Make("p", {Value::Symbol("b")},
                  Interval::ClosedOpen(Rational(2), Rational(7, 2))));
-  snap.database_text =
-      "p(a)@[1, 3] .\np(b)@[2, 7/2) .\nq(a)@[1, 7/2] .\n";
-  snap.provenance.push_back(DerivationRecord{
-      InternPredicate("q"),
-      {Value::Symbol("a")},
-      Interval::Closed(Rational(1), Rational(3)),
-      /*rule_index=*/0,
-      /*round=*/1});
   return snap;
 }
 
@@ -67,16 +71,71 @@ void ExpectSnapshotsEqual(const SessionSnapshot& a, const SessionSnapshot& b) {
     EXPECT_EQ(a.input_log[i].interval.ToString(),
               b.input_log[i].interval.ToString());
   }
-  EXPECT_EQ(a.database_text, b.database_text);
-  ASSERT_EQ(a.provenance.size(), b.provenance.size());
-  for (size_t i = 0; i < a.provenance.size(); ++i) {
-    EXPECT_EQ(a.provenance[i].predicate, b.provenance[i].predicate);
-    EXPECT_EQ(a.provenance[i].tuple, b.provenance[i].tuple);
-    EXPECT_EQ(a.provenance[i].piece.ToString(),
-              b.provenance[i].piece.ToString());
-    EXPECT_EQ(a.provenance[i].rule_index, b.provenance[i].rule_index);
-    EXPECT_EQ(a.provenance[i].round, b.provenance[i].round);
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+// An ETH-PERP trading session checkpointed halfway through its schedule:
+// an open price channel, the logged inputs, and a database several times
+// the snapshot's size.
+struct MidStream {
+  std::unique_ptr<EngineSession> session;
+  SessionSnapshot snapshot;
+};
+
+MidStream EthPerpMidStream() {
+  MidStream out;
+  auto program = EthPerpProgram();
+  EXPECT_TRUE(program.ok()) << program.status();
+  WorkloadConfig config;
+  config.name = "snapshot-codec";
+  config.duration_s = 600;
+  config.num_events = 24;
+  config.num_trades = 6;
+  config.seed = 7;
+  auto trading = GenerateSession(config);
+  EXPECT_TRUE(trading.ok()) << trading.status();
+  std::vector<FleetOp> ops = SessionToOps(*trading);
+  SessionOptions options;
+  options.start_time = Rational(trading->start_time);
+  auto session = EngineSession::Create(program.value(), options);
+  EXPECT_TRUE(session.ok()) << session.status();
+  out.session = std::move(session).value();
+  for (size_t i = 0; i < ops.size() / 2; ++i) {
+    const FleetOp& op = ops[i];
+    Status s = Status::Ok();
+    switch (op.kind) {
+      case FleetOp::Kind::kPush:
+        s = out.session->Push(op.fact);
+        break;
+      case FleetOp::Kind::kStep:
+        s = out.session->PushStep(op.predicate, op.args, op.t);
+        break;
+      case FleetOp::Kind::kAdvance:
+        s = out.session->Advance(op.t);
+        break;
+      case FleetOp::Kind::kSlide:
+        s = out.session->Slide(op.t);
+        break;
+    }
+    EXPECT_TRUE(s.ok()) << s;
   }
+  auto snap = out.session->Snapshot();
+  EXPECT_TRUE(snap.ok()) << snap.status();
+  out.snapshot = snap.value();
+  return out;
 }
 
 TEST(SnapshotCodecTest, EncodeDecodeRoundTripsEveryField) {
@@ -116,19 +175,55 @@ TEST(SnapshotCodecTest, BadMagicIsParseError) {
 TEST(SnapshotCodecTest, FutureVersionIsRefusedNotMisread) {
   SessionSnapshot snap;
   std::string text = EncodeSnapshot(snap);
-  size_t pos = text.find("v1");
+  size_t pos = text.find("v2");
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 2, "v2");
+  text.replace(pos, 2, "v3");
   auto decoded = DecodeSnapshot(text);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SnapshotCodecTest, CorruptDatabaseSectionIsRejected) {
-  SessionSnapshot snap = TestSnapshot(TestProgram());
-  snap.database_text = "this is not a fact line\n";
-  auto decoded = DecodeSnapshot(EncodeSnapshot(snap));
+TEST(SnapshotCodecTest, V1SnapshotIsRefusedNamingV1) {
+  // v1 carried the database and provenance; v2 re-derives both and keeps
+  // no v1 reader.
+  const std::string v1 =
+      "DMTL-SNAPSHOT v1\n"
+      "program 00000000000000ff\n"
+      "watermark 4\n"
+      "window_min 0\n"
+      "horizon none\n"
+      "advanced 1\n"
+      "provenance 1\n"
+      "channels 0\n"
+      "log 1\n"
+      "p(a)@[1, 3] .\n"
+      "db 2\n"
+      "p(a)@[1, 3] .\n"
+      "q(a)@[1, 4] .\n"
+      "prov 1\n"
+      "0 1 q(a)@[1, 4] .\n";
+  auto decoded = DecodeSnapshot(v1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("v1"), std::string::npos)
+      << decoded.status();
+}
+
+TEST(SnapshotCodecTest, CorruptLogLineIsRejected) {
+  std::vector<std::string> lines = Lines(EncodeSnapshot(TestSnapshot(
+      TestProgram())));
+  ASSERT_EQ(lines.back().rfind("p(b)", 0), 0u) << lines.back();
+  lines.back() = "this is not a fact line";
+  auto decoded = DecodeSnapshot(JoinLines(lines));
   EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+}
+
+TEST(SnapshotCodecTest, TrailingDataIsRejected) {
+  std::string text = EncodeSnapshot(TestSnapshot(TestProgram()));
+  auto decoded = DecodeSnapshot(text + "q(a)@[1, 7/2] .\n");
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
 }
 
 TEST(SnapshotCodecTest, TruncatedInputIsRejected) {
@@ -138,10 +233,101 @@ TEST(SnapshotCodecTest, TruncatedInputIsRejected) {
   EXPECT_FALSE(decoded.ok());
 }
 
+TEST(SnapshotCodecTest, SizeFollowsTheLogNotTheDatabase) {
+  MidStream mid = EthPerpMidStream();
+  const SessionSnapshot& snap = mid.snapshot;
+  ASSERT_TRUE(snap.advanced);
+  ASSERT_FALSE(snap.channels.empty());
+  ASSERT_FALSE(snap.input_log.empty());
+  EXPECT_EQ(snap.input_log.size(), mid.session->input_log().size());
+
+  std::string text = EncodeSnapshot(snap);
+  // Header, program, watermark, window_min, horizon, advanced, provenance,
+  // the channel count and the log count: nine fixed lines, then one line
+  // per channel and per log fact - no database or provenance section.
+  const size_t kFixedLines = 9;
+  EXPECT_EQ(Lines(text).size(),
+            kFixedLines + snap.channels.size() + snap.input_log.size());
+  const std::string db_text = SerializeDatabase(mid.session->db());
+  EXPECT_LT(text.size() * 4, db_text.size())
+      << "snapshot " << text.size() << " B vs database " << db_text.size()
+      << " B";
+
+  auto decoded = DecodeSnapshot(text);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectSnapshotsEqual(snap, *decoded);
+  EXPECT_EQ(EncodeSnapshot(*decoded), text);
+}
+
+TEST(SnapshotCodecTest, MutatedSnapshotsDecodeOrFailCleanly) {
+  // Seeded mutation sweep over a real mid-stream snapshot, ~1k mutants.
+  // Structural mutants - truncation at and inside every line, every line
+  // dropped, every line duplicated - break the line structure the section
+  // counts pin, so each must be refused. Random byte flips may land on a
+  // value and still decode. Every decode must return a clean Status or a
+  // snapshot, never crash or throw, and an accepted mutant must re-encode
+  // to a stable canonical form.
+  const std::string text = EncodeSnapshot(EthPerpMidStream().snapshot);
+  const std::vector<std::string> lines = Lines(text);
+  ASSERT_GT(lines.size(), 20u);
+
+  std::vector<std::string> structural;
+  size_t offset = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    structural.push_back(text.substr(0, offset));
+    structural.push_back(text.substr(0, offset + lines[i].size() / 2));
+    offset += lines[i].size() + 1;
+    std::vector<std::string> dropped = lines;
+    dropped.erase(dropped.begin() + i);
+    structural.push_back(JoinLines(dropped));
+    std::vector<std::string> duplicated = lines;
+    duplicated.insert(duplicated.begin() + i, lines[i]);
+    structural.push_back(JoinLines(duplicated));
+  }
+  std::vector<std::string> flipped;
+  std::mt19937_64 rng(20230328);
+  std::uniform_int_distribution<size_t> pos(0, text.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  while (structural.size() + flipped.size() < 1000) {
+    std::string mutant = text;
+    const size_t flips = 1 + flipped.size() % 3;
+    for (size_t f = 0; f < flips; ++f) {
+      mutant[pos(rng)] = static_cast<char>(byte(rng));
+    }
+    flipped.push_back(std::move(mutant));
+  }
+
+  auto check = [](const std::string& mutant, const std::string& label) {
+    auto decoded = DecodeSnapshot(mutant);
+    if (!decoded.ok()) {
+      const StatusCode code = decoded.status().code();
+      EXPECT_TRUE(code == StatusCode::kParseError ||
+                  code == StatusCode::kInvalidArgument)
+          << label << ": " << decoded.status();
+      return false;
+    }
+    const std::string canonical = EncodeSnapshot(*decoded);
+    auto again = DecodeSnapshot(canonical);
+    EXPECT_TRUE(again.ok()) << label << ": " << again.status();
+    if (again.ok()) {
+      EXPECT_EQ(EncodeSnapshot(*again), canonical) << label;
+    }
+    return true;
+  };
+  for (size_t m = 0; m < structural.size(); ++m) {
+    EXPECT_FALSE(check(structural[m], "structural mutant " +
+                                          std::to_string(m)))
+        << "structural mutant " << m << " was accepted";
+  }
+  for (size_t m = 0; m < flipped.size(); ++m) {
+    check(flipped[m], "flip mutant " + std::to_string(m));
+  }
+}
+
 TEST(SnapshotCodecTest, FileRoundTrip) {
   Program program = TestProgram();
   SessionSnapshot snap = TestSnapshot(program);
-  std::string path = ::testing::TempDir() + "/dmtl_snapshot_test.snap";
+  std::string path = TestTempPath("dmtl_snapshot").string() + ".snap";
   ASSERT_TRUE(WriteSnapshotFile(snap, path).ok());
   auto decoded = ReadSnapshotFile(path);
   ASSERT_TRUE(decoded.ok()) << decoded.status();

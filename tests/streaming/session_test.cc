@@ -69,8 +69,8 @@ void ExpectMatchesColdReplay(const StreamingSession& session,
       << label << ": provenance coverage diverged from cold replay";
 }
 
-StreamingOptions Opts(int64_t start, int threads = 1) {
-  StreamingOptions options;
+SessionOptions Opts(int64_t start, int threads = 1) {
+  SessionOptions options;
   options.start_time = Rational(start);
   options.engine.num_threads = threads;
   return options;
@@ -88,20 +88,20 @@ TEST(StreamingSessionTest, IncrementalAdvanceMatchesColdReplay) {
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Closed(Rational(1), Rational(3))))
                   .ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(4)).ok());
+  ASSERT_TRUE(s.Advance(Rational(4)).ok());
   EXPECT_EQ(s.watermark(), Rational(4));
   EXPECT_EQ(s.window_min(), Rational(0));
   ExpectMatchesColdReplay(s, "q", "after first advance");
 
   // q extends 2 past p's end; the advance band must pick that up with no
   // new inputs at all.
-  ASSERT_TRUE(s.AdvanceTo(Rational(6)).ok());
+  ASSERT_TRUE(s.Advance(Rational(6)).ok());
   ExpectMatchesColdReplay(s, "q", "advance without fresh input");
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
                                 Interval::Point(Rational(7))))
                   .ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(9)).ok());
+  ASSERT_TRUE(s.Advance(Rational(9)).ok());
   ExpectMatchesColdReplay(s, "q", "after second fact");
 }
 
@@ -120,7 +120,7 @@ TEST(StreamingSessionTest, RecursiveChainStreamsAcrossAdvances) {
                                 Interval::Point(Rational(1))))
                   .ok());
   for (int64_t t = 2; t <= 20; t += 3) {
-    ASSERT_TRUE(s.AdvanceTo(Rational(t)).ok()) << "advance to " << t;
+    ASSERT_TRUE(s.Advance(Rational(t)).ok()) << "advance to " << t;
     ExpectMatchesColdReplay(s, "d", "chain at t=" + std::to_string(t));
   }
 }
@@ -140,10 +140,10 @@ TEST(StreamingSessionTest, SlideRetractsAndRederives) {
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
                                 Interval::Point(Rational(6))))
                   .ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(10)).ok());
+  ASSERT_TRUE(s.Advance(Rational(10)).ok());
   ExpectMatchesColdReplay(s, "q", "before slide");
 
-  ASSERT_TRUE(s.SlideTo(Rational(4)).ok());
+  ASSERT_TRUE(s.Slide(Rational(4)).ok());
   EXPECT_EQ(s.window_min(), Rational(4));
   // p(a)'s coverage is gone from the log; q/r derived from it must be gone
   // from the store, including the parts above the new minimum.
@@ -152,14 +152,14 @@ TEST(StreamingSessionTest, SlideRetractsAndRederives) {
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("c")},
                                 Interval::Point(Rational(11))))
                   .ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(12)).ok());
+  ASSERT_TRUE(s.Advance(Rational(12)).ok());
   ExpectMatchesColdReplay(s, "q", "advance after slide");
 }
 
 TEST(StreamingSessionTest, HorizonAutoSlides) {
   auto unit = Parser::Parse("q(X) :- diamondminus[0,1] p(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  StreamingOptions options = Opts(0);
+  SessionOptions options = Opts(0);
   options.horizon = Rational(5);
   auto session = StreamingSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
@@ -169,7 +169,7 @@ TEST(StreamingSessionTest, HorizonAutoSlides) {
     ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                   Interval::Point(Rational(t))))
                     .ok());
-    ASSERT_TRUE(s.AdvanceTo(Rational(t)).ok());
+    ASSERT_TRUE(s.Advance(Rational(t)).ok());
     if (t > 5) {
       EXPECT_EQ(s.window_min(), Rational(t - 5)) << "at t=" << t;
     }
@@ -185,13 +185,13 @@ TEST(StreamingSessionTest, StepChannelsMatchBatchStepFunctions) {
   StreamingSession& s = **session;
 
   ASSERT_TRUE(s.PushStep("price", {Value::Double(10.0)}, Rational(0)).ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(3)).ok());
+  ASSERT_TRUE(s.Advance(Rational(3)).ok());
   ExpectMatchesColdReplay(s, "q", "open channel at first watermark");
 
   // Same value steps again: the channel just continues.
   ASSERT_TRUE(s.PushStep("price", {Value::Double(10.0)}, Rational(4)).ok());
   ASSERT_TRUE(s.PushStep("price", {Value::Double(12.5)}, Rational(5)).ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(7)).ok());
+  ASSERT_TRUE(s.Advance(Rational(7)).ok());
   ExpectMatchesColdReplay(s, "q", "after value change");
 
   // The closed step's coverage is exactly ClosedOpen(0, 5).
@@ -217,7 +217,7 @@ TEST(StreamingSessionTest, FlushDisciplineAndWatermarkChecks) {
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Point(Rational(0))))
                   .ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(5)).ok());
+  ASSERT_TRUE(s.Advance(Rational(5)).ok());
   // At or below the watermark: refused (it would change final coverage).
   EXPECT_FALSE(s.Push(Fact::Make("p", {Value::Symbol("b")},
                                  Interval::Point(Rational(5))))
@@ -233,9 +233,9 @@ TEST(StreamingSessionTest, FlushDisciplineAndWatermarkChecks) {
                                   Bound::Closed(Rational(6)))})
           .ok());
   // Advances cannot go backwards; slides cannot pass the watermark.
-  EXPECT_FALSE(s.AdvanceTo(Rational(4)).ok());
-  EXPECT_FALSE(s.SlideTo(Rational(9)).ok());
-  EXPECT_FALSE(s.SlideTo(Rational(0)).ok());
+  EXPECT_FALSE(s.Advance(Rational(4)).ok());
+  EXPECT_FALSE(s.Slide(Rational(9)).ok());
+  EXPECT_FALSE(s.Slide(Rational(0)).ok());
 }
 
 TEST(StreamingSessionTest, IneligibleProgramsAreRefusedAtCreate) {
@@ -266,14 +266,14 @@ TEST(StreamingSessionTest, FailedAdvanceHealsTransparently) {
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Closed(Rational(1), Rational(3))))
                   .ok());
-  ASSERT_TRUE(s.AdvanceTo(Rational(4)).ok());
+  ASSERT_TRUE(s.Advance(Rational(4)).ok());
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
                                 Interval::Point(Rational(6))))
                   .ok());
   FaultInjector::Arm("seminaive.round", 1,
                      Status::Internal("injected round failure"));
-  Status failed = s.AdvanceTo(Rational(8));
+  Status failed = s.Advance(Rational(8));
   FaultInjector::Reset();
   if (s.streaming_enabled()) {
     EXPECT_FALSE(failed.ok());
@@ -281,7 +281,7 @@ TEST(StreamingSessionTest, FailedAdvanceHealsTransparently) {
     EXPECT_EQ(s.watermark(), Rational(4));
   }
   // The next operation heals (cold rebuild) and completes normally.
-  ASSERT_TRUE(s.AdvanceTo(Rational(8)).ok());
+  ASSERT_TRUE(s.Advance(Rational(8)).ok());
   ExpectMatchesColdReplay(s, "q", "after heal");
 }
 
@@ -298,7 +298,7 @@ TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
   ASSERT_TRUE(generated.ok()) << generated.status();
   Session chain_session = *generated;
 
-  StreamingOptions options;
+  SessionOptions options;
   options.start_time = Rational(chain_session.start_time);
   auto session = StreamingSession::Create(*program, options);
   ASSERT_TRUE(session.ok()) << session.status();
@@ -403,7 +403,7 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
   std::vector<Fact> stream = fuzzer.GenerateStream(kHorizon);
 
   for (int threads : {1, 2, 8}) {
-    StreamingOptions options = Opts(0, threads);
+    SessionOptions options = Opts(0, threads);
     auto session = StreamingSession::Create(unit->program, options);
     ASSERT_TRUE(session.ok()) << session.status() << "\nprogram:\n" << text;
     StreamingSession& s = **session;
@@ -422,7 +422,7 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
         ASSERT_TRUE(pushed.ok()) << pushed << "\nprogram:\n" << text;
         ++next;
       }
-      Status advanced = s.AdvanceTo(Rational(watermark));
+      Status advanced = s.Advance(Rational(watermark));
       ASSERT_TRUE(advanced.ok()) << advanced << "\nprogram:\n" << text;
       ++advances;
       std::string label = "seed=" + std::to_string(GetParam()) +
@@ -435,7 +435,7 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
       if (watermark > 10 && (!slid || (advances % 5 == 0))) {
         Rational new_min(watermark - 8 - static_cast<int>(rng() % 3));
         if (s.window_min() < new_min && !(s.watermark() < new_min)) {
-          Status slide = s.SlideTo(new_min);
+          Status slide = s.Slide(new_min);
           ASSERT_TRUE(slide.ok()) << slide << "\nprogram:\n" << text;
           slid = true;
           ExpectMatchesColdReplay(s, "d0", label + " (post-slide)");

@@ -7,13 +7,15 @@
 #include <fstream>
 #include <sstream>
 
+#include "tests/testing/temp_path.h"
+
 namespace dmtl {
 namespace {
 
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "dmtl_cli_test";
+    dir_ = TestTempPath("dmtl_cli_test");
     std::filesystem::create_directories(dir_);
   }
 
@@ -316,6 +318,52 @@ TEST_F(CliTest, StreamModeRejectsBadInput) {
   std::string late = WriteFile("late.stream", "@advance 5\np(a)@2 .\n");
   auto [late_status, late_out] = Run({"run", prog, "--stream", late});
   EXPECT_FALSE(late_status.ok());
+}
+
+TEST_F(CliTest, StreamSnapshotThenRestoreMatchesStraightRun) {
+  const std::string rules = "q(X) :- diamondminus[0,2] p(X) .\n";
+  std::string prog = WriteFile("r.dmtl", rules + "p(a)@[1,3] .\n");
+  std::string rules_only = WriteFile("rules.dmtl", rules);
+  std::string snap = (dir_ / "mid.snap").string();
+  const std::string head = "@advance 4\n@step price(10.0)@5 .\np(b)@6 .\n"
+                           "@advance 7\n";
+  const std::string tail = "@step price(11.0)@8 .\np(c)@9 .\n@advance 10\n"
+                           "@slide 5\n@checkpoint\n";
+
+  std::string straight_db = (dir_ / "straight.dmtl").string();
+  auto [straight, straight_out] =
+      Run({"run", prog, "--stream", WriteFile("all.stream", head + tail),
+           "--output", straight_db});
+  ASSERT_TRUE(straight.ok()) << straight << "\n" << straight_out;
+
+  auto [first, first_out] =
+      Run({"run", prog, "--stream",
+           WriteFile("head.stream", head + "@snapshot " + snap + "\n")});
+  ASSERT_TRUE(first.ok()) << first << "\n" << first_out;
+  std::string resumed_db = (dir_ / "resumed.dmtl").string();
+  auto [resumed, resumed_out] =
+      Run({"run", rules_only, "--restore", snap, "--stream",
+           WriteFile("tail.stream", tail), "--output", resumed_db});
+  ASSERT_TRUE(resumed.ok()) << resumed << "\n" << resumed_out;
+  EXPECT_NE(resumed_out.find("\"match\":true"), std::string::npos)
+      << resumed_out;
+
+  auto slurp = [](const std::string& path) {
+    std::ifstream f(path);
+    std::stringstream buffer;
+    buffer << f.rdbuf();
+    return buffer.str();
+  };
+  EXPECT_FALSE(slurp(straight_db).empty());
+  EXPECT_EQ(slurp(resumed_db), slurp(straight_db));
+
+  // A v1 snapshot (it carried the database) is refused, naming the version.
+  std::string v1 = WriteFile("old.snap",
+                             "DMTL-SNAPSHOT v1\nprogram 0000000000000001\n");
+  auto [old, old_out] = Run({"run", rules_only, "--restore", v1, "--stream",
+                             WriteFile("none.stream", "")});
+  EXPECT_EQ(ExitCodeForStatus(old), 2) << old;
+  EXPECT_NE(old.message().find("v1"), std::string::npos) << old;
 }
 
 }  // namespace
