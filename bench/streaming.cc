@@ -9,7 +9,7 @@
 //
 // A second lane per point re-runs the stream with a sliding window
 // (horizon = window / 4), so every advance past the horizon also retracts
-// expired coverage through the provenance-scoped delete-and-rederive path;
+// expired coverage through the convergence cut-off (or a cold rebuild);
 // its percentiles price retraction, not just insertion.
 //
 // Each lane is best-of-kReps to keep scheduler noise out of the committed

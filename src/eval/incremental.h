@@ -33,9 +33,9 @@ namespace dmtl {
 //                   or among the fresh inputs re-run (see the band seeding
 //                   note below), not the whole program.
 //   Retract(m')     raise the window minimum to m' (sliding-window expiry):
-//                   drop all coverage below m', un-derive consequences, and
-//                   re-derive the affected region from the surviving inputs
-//                   (delete-and-rederive scoped by a dilation frontier).
+//                   re-derive a short prefix of the new window and keep
+//                   the stored suffix when the two converge (see the
+//                   cut-off note below), else rebuild the window cold.
 //
 // Why this is sound (sketch; docs/ENGINE.md "Streaming & retraction" has
 // the full argument):
@@ -50,12 +50,17 @@ namespace dmtl {
 //    reach (the summed upper range bounds of the deepest operator path).
 //    Seeding the semi-naive delta with the stored coverage in (W - R, W]
 //    plus the fresh inputs therefore reaches every new derivation.
-//  * Retraction computes, per predicate, a frontier: an over-approximation
-//    of where coverage may differ from a cold run over the clamped inputs,
-//    by dilating the expired region through the rules' operator ranges to
-//    fixpoint. Wiping the frontier leaves a sub-fixpoint state; re-running
-//    the affected rules to fixpoint converges to exactly the cold result
-//    (monotone chase from below).
+//  * Retraction uses a convergence cut-off. Let C be the largest summed
+//    upper range bound on any body literal's operator path, negated
+//    literals included. An atom at time t then depends only on atoms in
+//    [t - C, t] plus the inputs, so two runs over the same inputs above m'
+//    that agree on [y - C, y] agree at every time above y. Retract runs
+//    one cold Materialize over the log clipped to [m', y], y = m' + 2C
+//    (by finality, exactly the target below y), and compares it with the
+//    store on [y - C, y]. If they agree, the store's prefix up to y is
+//    replaced by the cut-off run's and the suffix is kept; otherwise - or
+//    when y reaches W, C is unbounded, or nothing was derived yet - the
+//    window is rebuilt cold. EngineStats::retract_suffix_kept says which.
 //
 // Failure handling inherits the engine's round-barrier guarantee: a guard
 // trip or budget exhaustion mid-operation rolls the round back, leaves the
@@ -115,9 +120,11 @@ class IncrementalMaterializer {
   Status Advance(const Rational& t, EngineStats* stats = nullptr);
 
   // Slides the window minimum up to `new_min` (window_min < new_min <=
-  // watermark), retracting expired coverage, pruning provenance, and
-  // re-deriving the affected region. The input log is clamped to the new
-  // window so later rebuilds and cold replays see the same inputs.
+  // watermark), retracting expired coverage and its consequences along
+  // with their provenance records (the cut-off above). The input log is
+  // clamped to the new window so later rebuilds and cold replays see the
+  // same inputs. If the cut-off run fails, the window minimum has still
+  // moved, the status is returned, and the next operation heals.
   Status Retract(const Rational& new_min, EngineStats* stats = nullptr);
 
   const Rational& watermark() const;

@@ -1066,13 +1066,6 @@ Status Materialize(const Program& program, Database* db,
 
 namespace {
 
-// Frontier propagation rounds before saturating to "everything below the
-// watermark may differ". Programs whose expiry effects genuinely chain
-// forward without bound (self-recursive [c,c] ticks) always hit the cap;
-// saturation is sound (wipe more, re-derive more), and retraction cost is
-// amortized across many advances, so precision here only buys speed.
-constexpr int kFrontierIterCap = 64;
-
 // Contents-driven variant of DeltaOccurrences: re-evaluate every positive
 // occurrence whose predicate has coverage in `delta`, regardless of
 // stratum. The batch engine filters by stratum head predicates because only
@@ -1107,18 +1100,6 @@ class IncrementalMaterializer::Impl {
         cur_min_(options.min_time.value_or(Rational(0))),
         watermark_(cur_min_) {}
 
-  // One literal's temporal dependence on one relational atom: the head time
-  // differs only when the atom differs somewhere in [t - hi, t - lo]. Used
-  // both ways: forward (atom changed at x -> heads in x + [lo, hi] may
-  // change, the retraction frontier) and backward (a head at t needs the
-  // atom above t - hi, the advance band width R).
-  struct LitDilation {
-    PredicateId pred = 0;
-    Rational lo;
-    Rational hi;
-    bool hi_inf = false;
-  };
-
   Status Init() {
     // Env lanes resolve once per session, mirroring Materialize: the
     // DMTL_DISABLE_* variables are process-stable in every CI lane, so
@@ -1142,7 +1123,6 @@ class IncrementalMaterializer::Impl {
     DMTL_ASSIGN_OR_RETURN(strat_, Stratify(program_));
 
     const auto& rules = program_.rules();
-    rule_dilations_.resize(rules.size());
     positive_preds_.resize(rules.size());
     for (size_t i = 0; i < rules.size(); ++i) {
       const Rule& rule = rules[i];
@@ -1154,26 +1134,14 @@ class IncrementalMaterializer::Impl {
       }
       for (const BodyLiteral& lit : rule.body) {
         if (lit.kind != BodyLiteral::Kind::kMetric) continue;
-        DMTL_RETURN_IF_ERROR(WalkMetric(lit.metric, Rational(0), Rational(0),
-                                        false, !lit.negated, i));
+        DMTL_RETURN_IF_ERROR(
+            WalkMetric(lit.metric, Rational(0), false, !lit.negated, i));
       }
       if (positive_preds_[i].empty()) {
         return Status::InvalidArgument(
             "rule " + std::to_string(i) +
             ": no positive relational atom; its derivations could never be "
             "reached by a streaming delta");
-      }
-    }
-
-    // Memo refresh fans fresh leaves out to rule memos. Only a rule whose
-    // body references the leaf's predicate can hold an entry for it, so
-    // the refresh walks this index instead of probing every rule's memo
-    // for every fresh tuple (the all-memos sweep was ~20% of a steady
-    // advance at paper scale).
-    for (size_t i = 0; i < rules.size(); ++i) {
-      for (const LitDilation& d : rule_dilations_[i]) {
-        auto& ids = refresh_rules_by_pred_[d.pred];
-        if (ids.empty() || ids.back() != i) ids.push_back(i);
       }
     }
 
@@ -1359,7 +1327,7 @@ class IncrementalMaterializer::Impl {
     // negation complements / chain guard-allowed sets shrink from
     // O(history) to O(band) per event.
     Interval window = Interval::Closed(watermark_, t);
-    Status status = RunStrata(window, &carry, nullptr, stats, gptr);
+    Status status = RunStrata(window, &carry, stats, gptr);
     FinalizeOpStats(start_time, guard, status, base, stats);
     if (!status.ok()) return status;
 
@@ -1408,73 +1376,17 @@ class IncrementalMaterializer::Impl {
           "cannot slide the window past the watermark " +
           watermark_.ToString());
     }
-    ExecutionGuard guard(options_.deadline, options_.cancel_token);
-    const ExecutionGuard* gptr = guard.enabled() ? &guard : nullptr;
-    const CounterBaseline base = SnapshotCounters();
-    stats->num_strata = strat_.num_strata;
-    stats->threads = num_threads_;
-
-    // Per-predicate frontier: where stored coverage may differ from a cold
-    // run over the clamped inputs. Seeded with the expired region for every
-    // predicate and dilated through every rule's literal windows to
-    // fixpoint (or saturation).
-    std::unordered_map<PredicateId, IntervalSet> frontier =
-        ComputeFrontier(new_min);
-
-    // Clamp the input log so rebuilds, cold replays, and the re-insertion
-    // below all see the post-slide inputs. cur_min_ moves first: a failure
-    // past this point heals into the new window.
+    // Clamp the input log so the cut-off run, rebuilds and cold replays
+    // all see the post-slide inputs. cur_min_ moves first: a failure past
+    // this point heals into the new window.
     ClampLogTo(new_min);
     cur_min_ = new_min;
-
-    for (const auto& [pred, region] : frontier) {
-      if (region.IsEmpty()) continue;
-      stats->rolled_back_intervals += db_->RemoveRegion(pred, region);
-    }
-    if (provenance_ != nullptr) PruneProvenance(frontier);
-    // Wiped regions may include surviving input coverage (the frontier is
-    // region-based, not derivation-based); re-insert it raw from the log,
-    // exactly like a cold run's input load - never through the sink, so no
-    // provenance records appear for input coverage.
-    for (const Fact& f : inputs_) {
-      db_->InsertSet(f.predicate, f.args, IntervalSet(f.interval));
-    }
-
-    // Removal dropped bound indexes and may have erased tuples or whole
-    // relations: every cached address is suspect. The band snapshot is
-    // stale too - retraction removes coverage and re-inserts raw inputs
-    // outside any carry - so the next advance falls back to a full scan.
-    for (auto& memo : memos_) {
-      if (memo != nullptr) memo->Clear();
-    }
-    for (auto& vm : vms_) {
-      if (vm != nullptr) {
-        vm->InvalidateCompiledState();
-        vm->ClearChainCache();
-      }
-    }
-    band_cache_ = Database();
-    band_cache_valid_ = false;
-
-    // Re-derive: full evaluation for every rule whose head frontier meets
-    // the surviving window, then the usual delta fixpoint. Starting from a
-    // wiped (sub-fixpoint) state, the monotone chase lands exactly on the
-    // cold fixpoint.
-    Interval window = Interval::Closed(cur_min_, watermark_);
-    std::vector<char> full(compiled_.size(), 0);
-    bool any = false;
-    for (size_t i = 0; i < compiled_.size(); ++i) {
-      auto it = frontier.find(compiled_[i].rule().head.predicate);
-      if (it == frontier.end()) continue;
-      if (!it->second.Intersect(window).IsEmpty()) {
-        full[i] = 1;
-        any = true;
-      }
-    }
-    Database carry;
-    Status status = any ? RunStrata(window, &carry, &full, stats, gptr)
-                        : Status::Ok();
-    FinalizeOpStats(start_time, guard, status, base, stats);
+    Status status = SlideStore(stats);
+    stats->intervals_at_stop = db_->NumIntervals();
+    stats->wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_time)
+            .count();
     return status;
   }
 
@@ -1539,18 +1451,30 @@ class IncrementalMaterializer::Impl {
     uint64_t bulk = 0;
   };
 
-  Status WalkMetric(const MetricAtom& m, Rational lo, Rational hi,
-                    bool hi_inf, bool positive, size_t rule_index) {
+  // Walks one body literal's operator path, summing the upper range bounds
+  // down to each relational atom: the atom's reach, i.e. how far into the
+  // past a head at t reads it.
+  Status WalkMetric(const MetricAtom& m, Rational hi, bool hi_inf,
+                    bool positive, size_t rule_index) {
     switch (m.kind()) {
-      case MetricAtom::Kind::kRelational:
-        rule_dilations_[rule_index].push_back(
-            {m.atom().predicate, lo, hi, hi_inf});
+      case MetricAtom::Kind::kRelational: {
+        // Memo refresh fans fresh leaves out to rule memos. Only a rule
+        // whose body references the leaf's predicate can hold an entry for
+        // it, so the refresh walks this index instead of probing every
+        // rule's memo for every fresh tuple (the all-memos sweep was ~20%
+        // of a steady advance at paper scale). Rules are walked in order,
+        // so each list stays sorted and duplicate-free.
+        auto& ids = refresh_rules_by_pred_[m.atom().predicate];
+        if (ids.empty() || ids.back() != rule_index) ids.push_back(rule_index);
+        if (hi_inf) cutoff_inf_ = true;
+        else if (cutoff_reach_ < hi) cutoff_reach_ = hi;
         if (positive) {
           positive_preds_[rule_index].insert(m.atom().predicate);
           if (hi_inf) reach_inf_ = true;
           else if (reach_ < hi) reach_ = hi;
         }
         return Status::Ok();
+      }
       case MetricAtom::Kind::kTruth:
       case MetricAtom::Kind::kFalsity:
         return Status::Ok();
@@ -1567,10 +1491,9 @@ class IncrementalMaterializer::Impl {
               "rule " + std::to_string(rule_index) +
               ": operator range reaches into the future");
         }
-        const Rational nlo = lo + r.lo().value;
         const bool ninf = hi_inf || r.hi().infinite;
         const Rational nhi = ninf ? hi : hi + r.hi().value;
-        return WalkMetric(m.left(), nlo, nhi, ninf, positive, rule_index);
+        return WalkMetric(m.left(), nhi, ninf, positive, rule_index);
       }
       case MetricAtom::Kind::kBinary:
         return Status::InvalidArgument(
@@ -1581,21 +1504,17 @@ class IncrementalMaterializer::Impl {
   }
 
   // Full cold rebuild from the input log: run before the next operation
-  // after a mid-operation failure left the store at a round barrier, and
-  // by AdoptState to re-derive a restored session. Before the first
-  // advance a session has derived nothing, so its store is the raw log.
-  Status Heal() {
+  // after a mid-operation failure left the store at a round barrier, by
+  // AdoptState to re-derive a restored session, and by a slide whose
+  // cut-off band disagrees. Before the first advance a session has derived
+  // nothing, so its store is the raw log. A failed rebuild leaves the flag
+  // set, so the next operation tries again. The rebuild's engine counters
+  // land in `stats` when given.
+  Status Heal(EngineStats* stats = nullptr) {
+    needs_rebuild_ = true;
     db_->Clear();
     if (provenance_ != nullptr) provenance_->clear();
-    for (auto& memo : memos_) {
-      if (memo != nullptr) memo->Clear();
-    }
-    for (auto& vm : vms_) {
-      if (vm != nullptr) {
-        vm->InvalidateCompiledState();
-        vm->ClearChainCache();
-      }
-    }
+    InvalidateCaches();
     for (const Fact& f : inputs_) {
       db_->InsertSet(f.predicate, f.args, IntervalSet(f.interval));
     }
@@ -1605,12 +1524,136 @@ class IncrementalMaterializer::Impl {
       o.max_time = watermark_;
       o.provenance = provenance_;
       EngineStats heal_stats;
-      DMTL_RETURN_IF_ERROR(dmtl::Materialize(program_, db_, o, &heal_stats));
+      DMTL_RETURN_IF_ERROR(dmtl::Materialize(
+          program_, db_, o, stats != nullptr ? stats : &heal_stats));
+    }
+    needs_rebuild_ = false;
+    return Status::Ok();
+  }
+
+  // Memo entries key on live leaf addresses, VM compiled state holds index
+  // pointers, and the band snapshot copies stored coverage: a store edit
+  // made outside a carry (heal, slide) leaves all three suspect, so the
+  // next advance starts from a full-store scan.
+  void InvalidateCaches() {
+    for (auto& memo : memos_) {
+      if (memo != nullptr) memo->Clear();
+    }
+    for (auto& vm : vms_) {
+      if (vm != nullptr) {
+        vm->InvalidateCompiledState();
+        vm->ClearChainCache();
+      }
     }
     band_cache_ = Database();
     band_cache_valid_ = false;
-    needs_rebuild_ = false;
+  }
+
+  // The store half of Retract, after the log clamp. The convergence
+  // cut-off: in a past-directed program every atom at time t > y reads
+  // only atoms in [t - C, t] plus the inputs, where C (cutoff_reach_) is
+  // the largest summed upper range bound over every body literal, negated
+  // ones included. The live store and the target (a cold run over the
+  // clamped log on [cur_min_, W]) see the same inputs above cur_min_, so
+  // once they agree on [y - C, y] they agree at every later time. One cold
+  // run over the short window [cur_min_, y] with y = cur_min_ + 2C yields
+  // the target below y (finality: a later max_time never changes earlier
+  // coverage); when it matches the store on the band, only the prefix up
+  // to y is replaced and the stored suffix is kept. Any disagreement -
+  // a persistence chain rooted in the expired region that still reaches
+  // the band - falls back to one cold rebuild of the whole window.
+  Status SlideStore(EngineStats* stats) {
+    const Rational y = cur_min_ + cutoff_reach_ + cutoff_reach_;
+    if (!advanced_any_ || cutoff_inf_ || !(y < watermark_)) {
+      return Heal(stats);
+    }
+    Database scratch;
+    const Interval prefix = Interval::AtMost(y);
+    for (const Fact& f : inputs_) {
+      std::optional<Interval> part = f.interval.Intersect(prefix);
+      if (part.has_value()) {
+        scratch.InsertSet(f.predicate, f.args, IntervalSet(*part));
+      }
+    }
+    std::vector<DerivationRecord> scratch_provenance;
+    EngineOptions o = options_;
+    o.min_time = cur_min_;
+    o.max_time = y;
+    o.provenance = provenance_ != nullptr ? &scratch_provenance : nullptr;
+    Status status = dmtl::Materialize(program_, &scratch, o, stats);
+    if (!status.ok()) {
+      needs_rebuild_ = true;
+      return status;
+    }
+    if (!AgreesOn(scratch, Interval::Closed(y - cutoff_reach_, y))) {
+      return Heal(stats);
+    }
+
+    // Splice: drop the whole stored prefix (expired coverage included) and
+    // put the cut-off run's in its place. Extents straddling y re-coalesce
+    // on insert, exactly as one run over the whole window stores them.
+    // RemoveRegion erases relations it empties: collect the keys first.
+    const IntervalSet wipe(prefix);
+    std::vector<PredicateId> preds;
+    preds.reserve(db_->relations().size());
+    for (const auto& [pred, rel] : db_->relations()) preds.push_back(pred);
+    for (PredicateId pred : preds) {
+      stats->rolled_back_intervals += db_->RemoveRegion(pred, wipe);
+    }
+    db_->MergeFrom(scratch);
+    if (provenance_ != nullptr) {
+      // Same split for the records: those wholly at or below y go, those
+      // straddling it keep their suffix piece, the cut-off run's records
+      // cover the new prefix.
+      const Interval suffix =
+          *Interval::Make(Bound::Open(y), Bound::Infinite());
+      std::vector<DerivationRecord>& records = *provenance_;
+      size_t kept = 0;
+      for (size_t i = 0; i < records.size(); ++i) {
+        std::optional<Interval> part = records[i].piece.Intersect(suffix);
+        if (!part.has_value()) continue;
+        records[i].piece = *part;
+        if (kept != i) records[kept] = std::move(records[i]);
+        ++kept;
+      }
+      records.resize(kept);
+      records.insert(records.end(),
+                     std::make_move_iterator(scratch_provenance.begin()),
+                     std::make_move_iterator(scratch_provenance.end()));
+    }
+    InvalidateCaches();
+    stats->retract_suffix_kept = true;
     return Status::Ok();
+  }
+
+  // True when `scratch` and the store hold exactly the same coverage on
+  // `band`, tuple for tuple, over every predicate.
+  bool AgreesOn(const Database& scratch, const Interval& band) const {
+    size_t matched = 0;
+    for (const auto& [pred, rel] : scratch.relations()) {
+      const Relation* live = db_->Find(pred);
+      for (const Relation::ScanEntry& row : rel.Rows()) {
+        IntervalSet part = row.extent->Intersect(band);
+        if (part.IsEmpty()) continue;
+        const IntervalSet* stored =
+            live != nullptr ? live->Find(*row.tuple) : nullptr;
+        if (stored == nullptr || stored->Intersect(band) != part) return false;
+        ++matched;
+      }
+    }
+    // Every scratch row on the band matched a distinct stored row; the
+    // store agrees when it has no further rows there.
+    size_t stored_rows = 0;
+    for (const auto& [pred, rel] : db_->relations()) {
+      for (const Relation::ScanEntry& row : rel.Rows()) {
+        if (!row.extent->IsEmpty() && row.extent->Hull().Overlaps(band) &&
+            !row.extent->Intersect(band).IsEmpty() &&
+            ++stored_rows > matched) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   void RefreshMemosWith(const Database& fresh) {
@@ -1655,82 +1698,6 @@ class IncrementalMaterializer::Impl {
       kept.push_back(std::move(clamped));
     }
     inputs_ = std::move(kept);
-  }
-
-  std::unordered_map<PredicateId, IntervalSet> ComputeFrontier(
-      const Rational& new_min) const {
-    std::unordered_map<PredicateId, IntervalSet> frontier;
-    // Expired region: everything strictly below the new window minimum.
-    // Every predicate starts there - inputs and derivations below new_min
-    // all vanish in the cold run over clamped inputs.
-    IntervalSet expired(
-        *Interval::Make(Bound::Infinite(), Bound::Open(new_min)));
-    for (const auto& [pred, rel] : db_->relations()) {
-      (void)rel;
-      frontier.emplace(pred, expired);
-    }
-    for (size_t i = 0; i < compiled_.size(); ++i) {
-      frontier.emplace(compiled_[i].rule().head.predicate, expired);
-      for (const LitDilation& d : rule_dilations_[i]) {
-        frontier.emplace(d.pred, expired);
-      }
-    }
-
-    // Dilate to fixpoint: a body atom differing at x can flip the head
-    // anywhere in x + [lo, hi] (positive and negated literals alike - the
-    // frontier tracks *may differ*, not a direction). Clipped above the
-    // watermark: nothing is stored there.
-    const Interval clip = Interval::AtMost(watermark_);
-    bool changed = true;
-    int iter = 0;
-    while (changed && ++iter <= kFrontierIterCap) {
-      changed = false;
-      for (size_t i = 0; i < compiled_.size(); ++i) {
-        IntervalSet& head =
-            frontier.at(compiled_[i].rule().head.predicate);
-        for (const LitDilation& d : rule_dilations_[i]) {
-          const IntervalSet& body = frontier.at(d.pred);
-          if (body.IsEmpty()) continue;
-          auto rho = Interval::Make(
-              Bound::Closed(d.lo),
-              d.hi_inf ? Bound::Infinite() : Bound::Closed(d.hi));
-          IntervalSet grown =
-              ApplyUnaryOp(MtlOp::kDiamondMinus, *rho, body).Intersect(clip);
-          if (grown.IsEmpty()) continue;
-          if (!head.UnionWithDelta(grown).IsEmpty()) changed = true;
-        }
-      }
-    }
-    if (changed) {
-      // Cap hit: saturate every derived predicate to the whole stored
-      // range. Inputs never saturate - their coverage differs only in the
-      // expired region.
-      for (size_t i = 0; i < compiled_.size(); ++i) {
-        frontier[compiled_[i].rule().head.predicate] = IntervalSet(clip);
-      }
-    }
-    return frontier;
-  }
-
-  void PruneProvenance(
-      const std::unordered_map<PredicateId, IntervalSet>& frontier) {
-    std::vector<DerivationRecord> kept;
-    kept.reserve(provenance_->size());
-    for (const DerivationRecord& rec : *provenance_) {
-      auto it = frontier.find(rec.predicate);
-      if (it == frontier.end() || it->second.IsEmpty()) {
-        kept.push_back(rec);
-        continue;
-      }
-      IntervalSet remaining =
-          IntervalSet(rec.piece).Subtract(it->second);
-      for (const Interval& piece : remaining) {
-        DerivationRecord r = rec;
-        r.piece = piece;
-        kept.push_back(std::move(r));
-      }
-    }
-    *provenance_ = std::move(kept);
   }
 
   CounterBaseline SnapshotCounters() const {
@@ -1810,12 +1777,10 @@ class IncrementalMaterializer::Impl {
   }
 
   // The streaming chase over all strata. `carry` is the seed delta (band +
-  // fresh inputs for an advance; empty for a retraction) and accumulates
-  // every stratum's fresh coverage so later strata see it. `full_rules`
-  // (retraction only) flags rules needing a full initial evaluation.
+  // fresh inputs) and accumulates every stratum's fresh coverage so later
+  // strata see it.
   Status RunStrata(const Interval& window, Database* carry,
-                   const std::vector<char>* full_rules, EngineStats* stats,
-                   const ExecutionGuard* guard) {
+                   EngineStats* stats, const ExecutionGuard* guard) {
     const bool dense_timeline =
         options_.enable_dense_timeline &&
         program_dense_ok_ && inputs_dense_ok_ &&
@@ -1850,26 +1815,16 @@ class IncrementalMaterializer::Impl {
       const std::vector<size_t>& rule_ids = strat_.rule_strata[s];
       if (rule_ids.empty()) continue;
 
-      // Fast skip: a stratum can only derive something when one of its
-      // rules is flagged for full evaluation or some positive body
-      // predicate carries seed coverage. This is what keeps steady-state
-      // event latency flat: most strata never wake up for a quiet tick.
+      // Fast skip: a stratum can only derive something when some positive
+      // body predicate carries seed coverage. This is what keeps
+      // steady-state event latency flat: most strata never wake up for a
+      // quiet tick.
       bool any_work = false;
-      if (full_rules != nullptr) {
-        for (size_t id : rule_ids) {
-          if ((*full_rules)[id]) {
-            any_work = true;
-            break;
-          }
-        }
-      }
-      if (!any_work) {
-        for (PredicateId p : stratum_body_preds_[s]) {
-          const Relation* rel = carry->Find(p);
-          if (rel != nullptr && !rel->IsEmpty()) {
-            any_work = true;
-            break;
-          }
+      for (PredicateId p : stratum_body_preds_[s]) {
+        const Relation* rel = carry->Find(p);
+        if (rel != nullptr && !rel->IsEmpty()) {
+          any_work = true;
+          break;
         }
       }
       if (!any_work) continue;
@@ -1973,13 +1928,6 @@ class IncrementalMaterializer::Impl {
           }
           const auto& eval = std::get<RuleEvaluator>(c.eval);
           auto emit = emit_for(head);
-          if (t.initial) {
-            DMTL_RETURN_IF_ERROR(
-                vm != nullptr
-                    ? vm->Evaluate(*db_, nullptr, -1, emit, memo, guard)
-                    : eval.Evaluate(*db_, nullptr, -1, emit, memo, guard));
-            continue;
-          }
           for (int occ : t.delta_occurrences) {
             DMTL_RETURN_IF_ERROR(
                 vm != nullptr
@@ -1992,20 +1940,15 @@ class IncrementalMaterializer::Impl {
       };
 
       // Round 0': aggregates first (sequential, exactly like batch round
-      // 0), then the seed round for plain rules - full evaluations for
-      // flagged rules, carry-driven occurrence/chain evaluation otherwise.
+      // 0), then the seed round for plain rules - carry-driven
+      // occurrence/chain evaluation.
       std::vector<RoundTask> seed_tasks;
-      bool any_initial = false;
       for (size_t id : rule_ids) {
         if (compiled_[id].is_aggregate()) continue;
         const CompiledRule& c = compiled_[id];
         RoundTask t;
         t.rule_id = id;
-        if (full_rules != nullptr && (*full_rules)[id]) {
-          t.initial = true;
-          t.evaluations = 1;
-          any_initial = true;
-        } else if (c.chain.has_value()) {
+        if (c.chain.has_value()) {
           bool seeded = false;
           for (PredicateId p : positive_preds_[id]) {
             const Relation* rel = carry->Find(p);
@@ -2028,8 +1971,7 @@ class IncrementalMaterializer::Impl {
       const size_t carry_size = carry->NumIntervals();
       bool seed_pool =
           pool_.has_value() &&
-          (any_initial ||
-           op_options_.parallel_min_round_intervals == 0 ||
+          (op_options_.parallel_min_round_intervals == 0 ||
            carry_size >=
                op_options_.parallel_min_round_intervals * num_threads_);
 
@@ -2038,14 +1980,12 @@ class IncrementalMaterializer::Impl {
         DMTL_RETURN_IF_ERROR(FaultInjector::Fire("seminaive.round"));
         for (size_t id : rule_ids) {
           if (!compiled_[id].is_aggregate()) continue;
-          bool dirty = full_rules != nullptr && (*full_rules)[id];
-          if (!dirty) {
-            for (PredicateId p : positive_preds_[id]) {
-              const Relation* rel = carry->Find(p);
-              if (rel != nullptr && !rel->IsEmpty()) {
-                dirty = true;
-                break;
-              }
+          bool dirty = false;
+          for (PredicateId p : positive_preds_[id]) {
+            const Relation* rel = carry->Find(p);
+            if (rel != nullptr && !rel->IsEmpty()) {
+              dirty = true;
+              break;
             }
           }
           if (!dirty) continue;
@@ -2152,13 +2092,16 @@ class IncrementalMaterializer::Impl {
   size_t compiled_rule_count_ = 0;
   size_t vm_fallback_count_ = 0;
 
-  std::vector<std::vector<LitDilation>> rule_dilations_;
   // pred -> rules whose body references it; drives the memo refresh fan-out.
   std::unordered_map<PredicateId, std::vector<size_t>> refresh_rules_by_pred_;
   std::vector<std::set<PredicateId>> positive_preds_;
   std::vector<std::set<PredicateId>> stratum_body_preds_;
   Rational reach_;            // max forward reach R over positive atoms
   bool reach_inf_ = false;
+  // The same maximum over every relational atom, negated ones included:
+  // the retraction cut-off's band width (see SlideStore).
+  Rational cutoff_reach_;
+  bool cutoff_inf_ = false;
 
   std::vector<Fact> inputs_;  // the log; clamped by retractions
   Database pending_fresh_;    // input fresh portions above the watermark

@@ -217,6 +217,10 @@ struct EngineStats {
   // Interval pieces discarded when the aborted round was rolled back.
   size_t rolled_back_intervals = 0;
   uint64_t guard_checks = 0;        // deadline/cancellation checks performed
+  // Streaming slides only (IncrementalMaterializer::Retract): true when the
+  // convergence cut-off held and the stored suffix above the cut-off was
+  // kept; false when the slide rebuilt the whole window.
+  bool retract_suffix_kept = false;
 
   // One-line failure report ("stop_reason=deadline stratum=0 round=41 ...");
   // the CLI prints this on guard trips and budget exhaustion.

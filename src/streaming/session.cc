@@ -31,7 +31,7 @@ Result<std::unique_ptr<StreamingSession>> StreamingSession::Build(
   out->streaming_ = options.engine.WithEnvOverrides().enable_streaming;
 
   if (snapshot != nullptr) {
-    if (snapshot->program_fingerprint != ProgramFingerprint(program)) {
+    if (snapshot->program_fingerprint != out->Fingerprint()) {
       return Status::InvalidArgument(
           "snapshot was taken against a different program (fingerprint "
           "mismatch); restoring it would silently diverge");
@@ -209,7 +209,7 @@ Result<SessionSnapshot> StreamingSession::Snapshot() const {
         "under-approximation; the next operation heals it first");
   }
   SessionSnapshot snap;
-  snap.program_fingerprint = ProgramFingerprint(program_);
+  snap.program_fingerprint = Fingerprint();
   snap.watermark = watermark();
   snap.window_min = window_min();
   snap.horizon = options_.horizon;
@@ -221,6 +221,11 @@ Result<SessionSnapshot> StreamingSession::Snapshot() const {
   }
   snap.input_log = input_log();
   return snap;
+}
+
+uint64_t StreamingSession::Fingerprint() const {
+  if (!fingerprint_.has_value()) fingerprint_ = ProgramFingerprint(program_);
+  return *fingerprint_;
 }
 
 Status StreamingSession::RebuildBatch(EngineStats* stats) {

@@ -125,11 +125,16 @@ class StreamingSession : public EngineSession {
   Status PushFact(const Fact& fact);
   Status ExtendChannels(const Rational& t);
   Status RebuildBatch(EngineStats* stats);  // batch path
+  uint64_t Fingerprint() const;
   bool needs_rebuild() const {
     return streaming_ && inc_->needs_rebuild();
   }
 
   Program program_;
+  // ProgramFingerprint(program_), printed and hashed on first use (the
+  // restore check or the first Snapshot) and reused by every later
+  // Snapshot; a session that never checkpoints never pays for it.
+  mutable std::optional<uint64_t> fingerprint_;
   SessionOptions options_;
   Database db_;
   std::vector<DerivationRecord> provenance_;

@@ -3,8 +3,8 @@
 // per-tuple provenance coverage must be byte-identical to one cold batch
 // materialization over the same logged inputs and window - at every
 // checkpoint, at every thread width. The fuzz lane drives randomized
-// programs through randomized streams with mid-stream retractions; the
-// fault test proves a failed advance heals transparently.
+// programs through randomized streams with a slide after every advance;
+// the fault tests prove a failed advance or slide heals transparently.
 
 #include <gtest/gtest.h>
 
@@ -314,18 +314,253 @@ TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
   ExpectMatchesColdReplay(**session, "frs", "eth-perp final checkpoint");
 }
 
+TEST(StreamingSessionTest, EthPerpLiveWindowKeepsSuffixAndMatchesColdReplay) {
+  // One hour of ETH-PERP chain time (15 s oracle ticks plus method calls,
+  // about 300 advances) with a 30-minute window slid after every advance -
+  // the live-window shape. Most slides must keep the stored suffix (the
+  // cut-off band agrees); every 16th is checked against a cold replay.
+  auto program = EthPerpProgram();
+  ASSERT_TRUE(program.ok()) << program.status();
+  WorkloadConfig config;
+  config.name = "live-window-unit";
+  config.duration_s = 3600;
+  config.num_events = 60;
+  config.num_trades = 12;
+  config.seed = 11;
+  auto generated = GenerateSession(config);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const Session& chain = *generated;
+  const Rational window(1800);
+
+  SessionOptions options;
+  options.start_time = Rational(chain.start_time);
+  options.track_provenance = true;
+  auto created = StreamingSession::Create(*program, options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  StreamingSession& s = **created;
+  const Rational start(chain.start_time);
+  ASSERT_TRUE(s.Push(Fact::Make("start", {}, Interval::Point(start))).ok());
+  ASSERT_TRUE(s.Push(Fact::Make("marketEnd", {},
+                                Interval::Point(Rational(chain.end_time))))
+                  .ok());
+  ASSERT_TRUE(s.Push(Fact::Make("skew", {Value::Double(chain.initial_skew)},
+                                Interval::Point(start)))
+                  .ok());
+  ASSERT_TRUE(
+      s.Push(Fact::Make("frs", {Value::Double(0.0)}, Interval::Point(start)))
+          .ok());
+
+  std::vector<int64_t> times;
+  for (const PricePoint& p : chain.prices) times.push_back(p.time);
+  for (const MarketEvent& e : chain.events) times.push_back(e.time);
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  EXPECT_GE(times.size(), 250u);
+
+  size_t pi = 0, ei = 0;
+  int slides = 0, kept = 0;
+  for (int64_t t : times) {
+    const Rational rt(t);
+    for (; pi < chain.prices.size() && chain.prices[pi].time == t; ++pi) {
+      ASSERT_TRUE(
+          s.PushStep("price", {Value::Double(chain.prices[pi].price)}, rt)
+              .ok());
+    }
+    for (; ei < chain.events.size() && chain.events[ei].time == t; ++ei) {
+      const MarketEvent& e = chain.events[ei];
+      const Value account = Value::Symbol(e.account);
+      const Interval at = Interval::Point(rt);
+      Fact fact;
+      switch (e.kind) {
+        case EventKind::kTransferMargin:
+          fact = Fact::Make("tranM", {account, Value::Double(e.amount)}, at);
+          break;
+        case EventKind::kWithdraw:
+          fact = Fact::Make("withdraw", {account}, at);
+          break;
+        case EventKind::kModifyPosition:
+          fact = Fact::Make("modPos", {account, Value::Double(e.amount)}, at);
+          break;
+        case EventKind::kClosePosition:
+          fact = Fact::Make("closePos", {account}, at);
+          break;
+      }
+      ASSERT_TRUE(s.Push(fact).ok());
+    }
+    ASSERT_TRUE(s.Advance(rt).ok()) << "advance to " << t;
+    const Rational new_min = rt - window;
+    if (!(s.window_min() < new_min)) continue;
+    EngineStats stats;
+    Status slid = s.Slide(new_min, &stats);
+    ASSERT_TRUE(slid.ok()) << slid;
+    ++slides;
+    if (stats.retract_suffix_kept) ++kept;
+    if (slides % 16 == 0) {
+      ExpectMatchesColdReplay(s, "frs",
+                              "eth-perp slide " + std::to_string(slides));
+    }
+  }
+  ExpectMatchesColdReplay(s, "frs", "eth-perp live window final");
+  EXPECT_GE(slides, 100);
+  if (s.streaming_enabled()) {
+    EXPECT_GT(kept * 4, slides * 3)
+        << kept << " of " << slides << " slides kept the stored suffix";
+  }
+}
+
+TEST(StreamingSessionTest, PersistenceChainRootedBelowWindowHeals) {
+  // d persists one step at a time from p's only fact, so after the slide
+  // the cold window holds no d at all while the store carries it up to
+  // the watermark: the cut-off band disagrees and the slide rebuilds.
+  auto unit = Parser::Parse(
+      "d(X) :- p(X) .\n"
+      "d(X) :- diamondminus[1,1] d(X) .\n"
+      "e(X) :- d(X), not q(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  SessionOptions options = Opts(0);
+  options.track_provenance = true;
+  auto session = StreamingSession::Create(unit->program, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  StreamingSession& s = **session;
+
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
+                                Interval::Point(Rational(1))))
+                  .ok());
+  ASSERT_TRUE(s.Push(Fact::Make("q", {Value::Symbol("a")},
+                                Interval::Closed(Rational(4), Rational(6))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(20)).ok());
+  ASSERT_NE(s.db().Find("d"), nullptr);
+
+  EngineStats stats;
+  ASSERT_TRUE(s.Slide(Rational(5), &stats).ok());
+  EXPECT_FALSE(stats.retract_suffix_kept);
+  ExpectMatchesColdReplay(s, "d", "after the healing slide");
+  EXPECT_EQ(s.db().Find("d"), nullptr);
+
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
+                                Interval::Point(Rational(21))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(24)).ok());
+  ExpectMatchesColdReplay(s, "d", "advance after the healing slide");
+}
+
+TEST(StreamingSessionTest, NegatedLookBackWidensTheCutOffBand) {
+  // No positive literal looks back at all, but n reads q six steps into
+  // the past. Sliding past q(a)@3 makes n(a) true at 8 in the cold window
+  // while the store says false: the cut-off band must be sized by the
+  // negated look-back (C = 6, band [10, 16]) so the re-derived prefix
+  // covers 8. A band sized by positive reach (0) would compare only time
+  // 4, agree, and keep the stale n(a)@8.
+  auto unit = Parser::Parse("n(X) :- p(X), not diamondminus[0,6] q(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  SessionOptions options = Opts(0);
+  options.track_provenance = true;
+  auto session = StreamingSession::Create(unit->program, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  StreamingSession& s = **session;
+
+  ASSERT_TRUE(s.Push(Fact::Make("q", {Value::Symbol("a")},
+                                Interval::Point(Rational(3))))
+                  .ok());
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
+                                Interval::Point(Rational(8))))
+                  .ok());
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
+                                Interval::Point(Rational(18))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(20)).ok());
+  EXPECT_FALSE(s.db().Holds("n", {Value::Symbol("a")}, Rational(8)));
+
+  EngineStats stats;
+  ASSERT_TRUE(s.Slide(Rational(4), &stats).ok());
+  if (s.streaming_enabled()) {
+    EXPECT_TRUE(stats.retract_suffix_kept);
+  }
+  EXPECT_TRUE(s.db().Holds("n", {Value::Symbol("a")}, Rational(8)));
+  ExpectMatchesColdReplay(s, "n", "after sliding past the look-back");
+}
+
+TEST(StreamingSessionTest, KeptSuffixClipsStraddlingProvenance) {
+  // q(a) is derived in one piece over [0, 19]. After the slide, that record
+  // straddles the cut-off (y = 4 here: no literal looks back) and must
+  // keep only its part above y, or provenance would still cover the
+  // expired [0, 4).
+  auto unit = Parser::Parse("q(X) :- p(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  SessionOptions options = Opts(0);
+  options.track_provenance = true;
+  auto session = StreamingSession::Create(unit->program, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  StreamingSession& s = **session;
+
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
+                                Interval::Closed(Rational(0), Rational(19))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(20)).ok());
+  EngineStats stats;
+  ASSERT_TRUE(s.Slide(Rational(4), &stats).ok());
+  if (s.streaming_enabled()) {
+    EXPECT_TRUE(stats.retract_suffix_kept);
+  }
+  ExpectMatchesColdReplay(s, "q", "after the slide");
+  EXPECT_EQ(ProvenanceCoverage(s.provenance()), "q(a) @ {[4,19]}\n");
+}
+
+TEST(StreamingSessionTest, FailedSlideHealsOnNextAdvance) {
+  auto unit = Parser::Parse(
+      "q(X) :- diamondminus[0,2] p(X) .\n"
+      "r(X) :- boxminus[1,1] q(X), not s(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  SessionOptions options = Opts(0);
+  options.track_provenance = true;
+  auto session = StreamingSession::Create(unit->program, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  StreamingSession& s = **session;
+
+  for (int64_t t = 1; t <= 20; t += 2) {
+    ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
+                                  Interval::Point(Rational(t))))
+                    .ok());
+  }
+  ASSERT_TRUE(s.Push(Fact::Make("s", {Value::Symbol("a")},
+                                Interval::Closed(Rational(2), Rational(3))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(20)).ok());
+
+  // The cut-off run is the slide's first fixpoint round; fail it.
+  FaultInjector::Arm("seminaive.round", 1,
+                     Status::Internal("injected round failure"));
+  Status failed = s.Slide(Rational(6));
+  FaultInjector::Reset();
+  EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed;
+  EXPECT_EQ(s.window_min(), Rational(6));
+  // The streaming store is suspect until the next operation heals it.
+  if (s.streaming_enabled()) {
+    EXPECT_FALSE(s.Snapshot().ok());
+  }
+
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
+                                Interval::Point(Rational(21))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(22)).ok());
+  ExpectMatchesColdReplay(s, "r", "advance after the failed slide");
+}
+
 // ---------------------------------------------------------------------------
 // Retraction-equivalence fuzz lane: random eligible programs, random fact
-// streams, random horizons. Every K advances is a checkpoint compared
-// byte-for-byte against a cold replay; mid-stream slides exercise
-// retraction. The whole lane re-runs at each thread width, and under the
-// DMTL_DISABLE_RULE_COMPILE / DMTL_DISABLE_DENSE_TIMELINE /
-// DMTL_DISABLE_STREAMING environment lanes in CI.
+// streams. Every third advance is a checkpoint compared byte-for-byte
+// against a cold replay, and past the warm-up every advance is followed by
+// a slide, itself checked the same way. The whole lane re-runs at each
+// thread width, and under the DMTL_DISABLE_RULE_COMPILE /
+// DMTL_DISABLE_DENSE_TIMELINE / DMTL_DISABLE_STREAMING environment lanes in
+// CI.
 // ---------------------------------------------------------------------------
 
 // Same safe fragment the dense/parallel/differential suites fuzz -
 // stratified boxminus/diamondminus recursion with negated guards - which is
-// exactly the streaming-eligible fragment.
+// exactly the streaming-eligible fragment, plus one non-recursive head
+// behind a negated look-back literal.
 class StreamFuzzer {
  public:
   explicit StreamFuzzer(uint64_t seed) : rng_(seed) {}
@@ -346,6 +581,13 @@ class StreamFuzzer {
             << LowerAtom(d, num_edb) << " .\n";
       }
     }
+    // Non-recursive, so a slide changes it only near the window start
+    // (below the cut-off band: the stored suffix is kept while the prefix
+    // differs). Its negated look-back of 7-9 reaches further than twice
+    // any positive literal's (at most 3): a cut-off band sized by positive
+    // reach alone can keep a suffix that still differs.
+    out << "n(X) :- p" << Pick(num_edb) << "(X), not diamondminus[0,"
+        << (7 + Pick(3)) << "] p" << Pick(num_edb) << "(X) .\n";
     return out.str();
   }
 
@@ -396,6 +638,9 @@ class StreamingFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
   StreamFuzzer fuzzer(GetParam());
   const int kHorizon = 30;
+  // Slides keep the window 20-22 wide: wider than twice the largest
+  // generated reach (9), so the cut-off band fits below the watermark.
+  const int kWindow = 20;
   std::string text = fuzzer.GenerateProgram();
   auto unit = Parser::Parse(text);
   ASSERT_TRUE(unit.ok()) << unit.status() << "\nprogram:\n" << text;
@@ -404,6 +649,7 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
 
   for (int threads : {1, 2, 8}) {
     SessionOptions options = Opts(0, threads);
+    options.track_provenance = true;
     auto session = StreamingSession::Create(unit->program, options);
     ASSERT_TRUE(session.ok()) << session.status() << "\nprogram:\n" << text;
     StreamingSession& s = **session;
@@ -413,8 +659,7 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
     size_t next = 0;
     int advances = 0;
     int64_t watermark = 0;
-    bool slid = false;
-    while (watermark < kHorizon + 8) {
+    while (watermark < kHorizon + kWindow) {
       watermark += 1 + static_cast<int>(rng() % 4);
       while (next < stream.size() &&
              stream[next].interval.lo().value <= Rational(watermark)) {
@@ -431,13 +676,13 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
       if (advances % 3 == 0) {
         ExpectMatchesColdReplay(s, "d0", label + " (checkpoint)");
       }
-      // Two mid-stream slides per run, at randomized boundaries.
-      if (watermark > 10 && (!slid || (advances % 5 == 0))) {
-        Rational new_min(watermark - 8 - static_cast<int>(rng() % 3));
-        if (s.window_min() < new_min && !(s.watermark() < new_min)) {
+      // Past the warm-up, a slide after every advance (skipped only when
+      // the jittered minimum would not move forward).
+      if (watermark > kWindow + 2) {
+        Rational new_min(watermark - kWindow - static_cast<int>(rng() % 3));
+        if (s.window_min() < new_min) {
           Status slide = s.Slide(new_min);
           ASSERT_TRUE(slide.ok()) << slide << "\nprogram:\n" << text;
-          slid = true;
           ExpectMatchesColdReplay(s, "d0", label + " (post-slide)");
         }
       }
@@ -450,7 +695,7 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingFuzzTest,
-                         ::testing::Range<uint64_t>(1, 11));
+                         ::testing::Range<uint64_t>(1, 41));
 
 }  // namespace
 }  // namespace dmtl
