@@ -2,11 +2,7 @@
 // as the session grows in events and window length. Shows how the engine's
 // work scales with the trading activity (facts derived ~ accounts x ticks)
 // and that event-driven fixpoint rounds stay proportional to events.
-//
-// Each point runs twice: sequentially (num_threads = 1) and with the
-// thread pool sized to the hardware (num_threads = 0), recording the
-// speedup per point into BENCH_contract_scaling.json. On a single-core
-// host num_threads = 0 resolves to 1 and both columns coincide.
+// Results land in BENCH_contract_scaling.json.
 
 #include <chrono>
 #include <cstdio>
@@ -19,9 +15,8 @@ int main() {
   using namespace dmtl;
   const size_t hw_threads = ThreadPool::ResolveThreads(0);
   std::printf("=== contract scaling: events x window sweep ===\n");
-  std::printf("%8s %8s %10s %10s %10s %8s %14s %10s\n", "events", "trades",
-              "window(s)", "seq(s)", "par(s)", "speedup", "derived facts",
-              "rounds");
+  std::printf("%8s %8s %10s %10s %14s %10s\n", "events", "trades",
+              "window(s)", "wall(s)", "derived facts", "rounds");
   struct Point {
     int events;
     int trades;
@@ -46,46 +41,15 @@ int main() {
     config.initial_skew = -1000.0;
     config.seed = 99;
     bench::ExecutedSession seq = bench::Execute(config);
-
-    EngineOptions parallel_options = SessionEngineOptions(seq.session);
-    parallel_options.num_threads = 0;  // hardware concurrency
-    bench::ExecutedSession par =
-        bench::Execute(config, {}, &parallel_options);
-    // A speedup is only meaningful when "hardware concurrency" actually
-    // resolved to more than one thread; on a single-core host both lanes
-    // ran the same configuration and the ratio is pure noise.
-    const bool parallel_resolved = par.stats.threads > 1;
-    double speedup = par.stats.wall_seconds > 0
-                         ? seq.stats.wall_seconds / par.stats.wall_seconds
-                         : 0.0;
-    if (parallel_resolved) {
-      std::printf("%8d %8d %10d %10.3f %10.3f %8.2f %14zu %10zu\n", pt.events,
-                  pt.trades, pt.window, seq.stats.wall_seconds,
-                  par.stats.wall_seconds, speedup,
-                  seq.stats.derived_intervals, seq.stats.rounds);
-    } else {
-      std::printf("%8d %8d %10d %10.3f %10.3f %8s %14zu %10zu\n", pt.events,
-                  pt.trades, pt.window, seq.stats.wall_seconds,
-                  par.stats.wall_seconds, "n/a", seq.stats.derived_intervals,
-                  seq.stats.rounds);
-    }
+    std::printf("%8d %8d %10d %10.3f %14zu %10zu\n", pt.events, pt.trades,
+                pt.window, seq.stats.wall_seconds,
+                seq.stats.derived_intervals, seq.stats.rounds);
     json.BeginObject()
         .Field("events", pt.events)
         .Field("trades", pt.trades)
         .Field("window_s", pt.window)
         .Field("sequential_s", seq.stats.wall_seconds)
-        .Field("parallel_s", par.stats.wall_seconds)
-        // 0 = "hardware concurrency" as requested; parallel_threads is the
-        // pool width that request actually resolved to on this host.
-        .Field("requested_threads", static_cast<size_t>(0))
-        .Field("parallel_threads", par.stats.threads);
-    if (parallel_resolved) {
-      json.Field("speedup", speedup);
-    } else {
-      json.NullField("speedup");
-    }
-    json.Field("derived", seq.stats.derived_intervals)
-        .Field("parallel_derived", par.stats.derived_intervals)
+        .Field("derived", seq.stats.derived_intervals)
         .Field("rounds", seq.stats.rounds)
         .EndObject();
   }
@@ -95,9 +59,10 @@ int main() {
   // the execution guard disarmed vs armed (far-future deadline plus a live
   // cancellation token - the full check path, never tripping). The guard is
   // polled at round barriers, every ~256 emissions, and every ~4096 join
-  // candidates, so its cost must stay in the noise: the gate is < 2%
-  // overhead (best of kReps runs each, to keep scheduler noise out of the
-  // ratio).
+  // candidates, so its cost must stay in the noise: tools/bench_diff.py
+  // fails a candidate whose overhead_frac is 0.02 or more. The off and on
+  // runs alternate, and each side keeps its best of kReps, so host drift
+  // and scheduler noise hit both sides alike and stay out of the ratio.
   {
     WorkloadConfig config;
     config.name = "scale";
@@ -106,7 +71,7 @@ int main() {
     config.duration_s = 7200;
     config.initial_skew = -1000.0;
     config.seed = 99;
-    constexpr int kReps = 3;
+    constexpr int kReps = 7;
     double off_s = 0.0;
     double on_s = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {

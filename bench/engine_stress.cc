@@ -1,30 +1,14 @@
 // Experiment B8 - engine stress on canonical DatalogMTL recursion patterns
 // (iTemporal-style synthetic programs): materialization cost per pattern as
 // depth and data volume grow. Complements the contract-specific benches
-// with engine-general coverage.
-//
-// A second section drives account-sharded contract sessions through
-// ParallelSessions sequentially and with the full thread pool, reporting
-// the speedup. Results land in BENCH_engine_stress.json.
+// with engine-general coverage. Results land in BENCH_engine_stress.json.
 
-#include <chrono>
 #include <cstdio>
 
 #include "src/common/thread_pool.h"
 #include "src/engine/reasoner.h"
 #include "src/synth/temporal_bench.h"
-#include "src/validation/parallel_sessions.h"
 #include "bench/bench_util.h"
-
-namespace {
-
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace dmtl;
@@ -91,61 +75,6 @@ int main() {
   }
   json.EndArray();
 
-  // --- sharded contract sessions: sequential vs. thread pool -------------
-  // Each shard is an independent account population, so this axis scales
-  // with cores without any cross-thread synchronization inside a round.
-  std::printf("\n=== sharded contract sessions: sequential vs parallel ===\n");
-  WorkloadConfig base;
-  base.name = "stress";
-  base.num_events = 40;
-  base.num_trades = 8;
-  base.duration_s = 1200;
-  base.initial_skew = -500.0;
-  base.seed = 77;
-  const int kShards = 4;
-  std::vector<WorkloadConfig> shards = ShardConfigs(base, kShards);
-
-  ParallelSessionsOptions sequential;
-  sequential.num_threads = 1;
-  auto seq_start = std::chrono::steady_clock::now();
-  auto seq = RunParallelSessions(shards, sequential);
-  double seq_s = Seconds(seq_start);
-  bench::Check(seq.status(), "sequential shards");
-
-  ParallelSessionsOptions parallel;
-  parallel.num_threads = 0;  // hardware concurrency
-  const size_t par_threads = parallel.ResolvedThreads();
-  auto par_start = std::chrono::steady_clock::now();
-  auto par = RunParallelSessions(shards, parallel);
-  double par_s = Seconds(par_start);
-  bench::Check(par.status(), "parallel shards");
-
-  size_t seq_derived = 0;
-  size_t par_derived = 0;
-  for (const auto& shard : *seq) seq_derived += shard.stats.derived_intervals;
-  for (const auto& shard : *par) par_derived += shard.stats.derived_intervals;
-  double speedup = par_s > 0 ? seq_s / par_s : 0.0;
-  std::printf("%8s %10s %12s %14s\n", "mode", "threads", "runtime(s)",
-              "derived");
-  std::printf("%8s %10d %12.3f %14zu\n", "seq", 1, seq_s, seq_derived);
-  std::printf("%8s %10zu %12.3f %14zu\n", "par", par_threads, par_s,
-              par_derived);
-  std::printf("speedup: %.2fx over %d shards\n", speedup, kShards);
-
-  json.BeginObject("sharded_sessions")
-      .Field("shards", kShards)
-      .Field("events_per_shard", base.num_events)
-      .Field("sequential_s", seq_s)
-      .Field("parallel_s", par_s)
-      // 0 = "hardware concurrency" as requested; parallel_threads is the
-      // shard-pool width the request resolved to (see
-      // ParallelSessionsOptions::ResolvedThreads), not a re-derivation.
-      .Field("requested_threads", static_cast<size_t>(0))
-      .Field("parallel_threads", par_threads)
-      .Field("speedup", speedup)
-      .Field("sequential_derived", seq_derived)
-      .Field("parallel_derived", par_derived)
-      .EndObject();
   json.EndObject();
   bench::WriteJson("BENCH_engine_stress.json", json.TakeString());
   return 0;

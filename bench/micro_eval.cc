@@ -189,24 +189,6 @@ void BM_VmDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_VmDispatch)->Arg(0)->Arg(1);
 
-// Same recursive program and data, materialized with a fixed pool width.
-// Arg is num_threads; Arg(1) is the sequential baseline, so the ratio of
-// the two rows is the intra-round parallel speedup on this machine.
-void BM_TransitiveClosureThreads(benchmark::State& state) {
-  Database db = EdgeFacts(96);
-  auto program = Parser::ParseProgram(
-      "reach(X, Y) :- edge(X, Y) .\n"
-      "reach(X, Z) :- reach(X, Y), edge(Y, Z) .\n"
-      "back(X, Y) :- reach(X, Y), not edge(X, Y) .");
-  EngineOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Database out = db;
-    benchmark::DoNotOptimize(Materialize(*program, &out, options));
-  }
-}
-BENCHMARK(BM_TransitiveClosureThreads)->Arg(1)->Arg(2)->Arg(4);
-
 }  // namespace
 }  // namespace dmtl
 

@@ -35,8 +35,8 @@ void RoundArena::Consolidate() {
   // Called from Reset when the finished round walked past its first chunk:
   // swap the whole chain for one chunk sized a power-of-two above the
   // round's footprint (capped — beyond the cap a handful of max-size
-  // chunks is fine). The headroom matters: per-round footprints vary
-  // (parallel task arenas especially), and consolidating to the exact
+  // chunks is fine). The headroom matters: per-round footprints vary, and
+  // consolidating to the exact
   // footprint would re-consolidate — one cold allocation each — every
   // time a round runs slightly larger than the last. The consolidated
   // chunk is cold for one round, then permanently warm.

@@ -24,8 +24,8 @@ namespace dmtl {
 // operator memos, chain guard caches - is pinned to the general heap via
 // SmallIntervalVec::MarkPersistent() and never touches the arena.
 //
-// Not thread-safe; the engine gives each worker task its own arena and
-// resets them all single-threaded at the barrier.
+// Not thread-safe; each engine run (or session) owns its arena and resets
+// it at the round barrier on the thread that evaluates.
 class RoundArena {
  public:
   // Chunks start small and double up to the cap: tiny strata don't reserve
@@ -156,8 +156,9 @@ extern thread_local RoundArena* g_current;
 // RAII ambient-arena scope. While alive on a thread, SmallIntervalVec spills
 // that would hit `operator new` are served from the arena instead (unless
 // the vector is pinned). Scopes nest: the constructor saves the previous
-// ambient arena and the destructor restores it, so pool threads that run
-// nested materializations (ParallelSessions shards) stay correct.
+// ambient arena and the destructor restores it, so nested materializations
+// (a streaming slide's cut-off run inside a session operation) and fleet
+// workers that run one session after another stay correct.
 class ArenaScope {
  public:
   explicit ArenaScope(RoundArena* arena)

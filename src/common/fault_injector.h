@@ -17,13 +17,12 @@ namespace dmtl {
 // database.
 //
 // Site catalogue (see docs/robustness.md):
-//   "seminaive.round"         - start of every fixpoint round (Materialize)
-//   "seminaive.merge"         - before each buffered-sink barrier merge
-//   "thread_pool.task"        - before each ParallelFor task body
-//   "parallel_sessions.shard" - start of each session-shard attempt
-//   "database.insert_set"     - inside Database::InsertSet (throw-only path)
+//   "seminaive.round"     - start of every fixpoint round (Materialize)
+//   "thread_pool.task"    - before each ParallelFor task body
+//   "database.insert_set" - inside Database::InsertSet (throw-only path)
 //
-// All methods are thread-safe. State is global; tests must Reset() when done.
+// All methods are thread-safe (fleet workers fire sites concurrently).
+// State is global; tests must Reset() when done.
 class FaultInjector {
  public:
   // Arms `site` to make Fire() return `status` on the k-th hit (1-based)

@@ -54,8 +54,8 @@ void ThreadPool::RunTasks(size_t epoch) {
     {
       // Claims are mutex-guarded: a worker waking late for a superseded
       // batch sees the epoch mismatch here and backs off instead of racing
-      // the next batch's state. Tasks are whole rule evaluations or session
-      // shards, so one lock round-trip per claim is noise.
+      // the next batch's state. Tasks are whole scheduler workers, so one
+      // lock round-trip per claim is noise.
       std::lock_guard<std::mutex> lock(mu_);
       if (batch_epoch_ != epoch || fn_ == nullptr) return;
       if (next_task_ >= num_tasks_) return;
@@ -76,12 +76,6 @@ void ThreadPool::RunTasks(size_t epoch) {
 }
 
 Status ThreadPool::ParallelFor(size_t num_tasks, const TaskFn& fn) {
-  return ParallelFor(num_tasks, fn, nullptr);
-}
-
-Status ThreadPool::ParallelFor(size_t num_tasks, const TaskFn& fn,
-                               std::vector<Status>* statuses_out) {
-  if (statuses_out != nullptr) statuses_out->clear();
   if (num_tasks == 0) return Status::Ok();
 
   std::vector<Status> statuses(num_tasks);
@@ -122,7 +116,6 @@ Status ThreadPool::ParallelFor(size_t num_tasks, const TaskFn& fn,
     }
   }
 
-  if (statuses_out != nullptr) *statuses_out = statuses;
   for (size_t i = 0; i < num_tasks; ++i) {
     if (exceptions[i]) std::rethrow_exception(exceptions[i]);
   }

@@ -14,11 +14,11 @@ namespace dmtl {
 
 // A fixed-size pool of worker threads driving index-addressed task batches.
 //
-// The pool exists for the engine's round-barrier parallelism: a batch of
-// independent tasks (rule evaluations, session shards) runs concurrently,
-// and the caller needs the per-task results *in task order* so the merge
-// step stays deterministic. ParallelFor therefore reports outcomes by task
-// index, never by completion order:
+// The pool hosts the fleet's work-stealing scheduler (one task per
+// scheduler worker): parallelism is across sessions, and every engine run
+// itself is sequential. ParallelFor reports outcomes by task index, never
+// by completion order, so a failure is attributed the same way on every
+// run:
 //
 //   - every task's Status is collected; the first non-OK Status *by task
 //     index* is returned (not the first to fail in wall-clock order);
@@ -42,7 +42,7 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size() + 1; }
 
-  // Maps an EngineOptions-style request to a concrete thread count:
+  // Maps a FleetOptions-style request to a concrete thread count:
   // 0 (or negative) selects std::thread::hardware_concurrency(), any
   // positive value is taken as-is. Always returns >= 1.
   static size_t ResolveThreads(int requested);
@@ -53,14 +53,6 @@ class ThreadPool {
   // included) and blocks until every task finished. See the class comment
   // for the deterministic error contract.
   Status ParallelFor(size_t num_tasks, const TaskFn& fn);
-
-  // Like ParallelFor, but additionally hands back *every* task's Status by
-  // task index in *statuses (resized to num_tasks), so callers that isolate
-  // per-task faults (e.g. session shards) can report all failures, not just
-  // the lowest-index one. The return value and exception behaviour are
-  // unchanged; a task that threw leaves its slot Ok and rethrows instead.
-  Status ParallelFor(size_t num_tasks, const TaskFn& fn,
-                     std::vector<Status>* statuses_out);
 
  private:
   void WorkerLoop();

@@ -16,7 +16,7 @@ namespace dmtl {
 
 // Configuration shared by every session shape.
 struct SessionOptions {
-  // Engine knobs (threads, memos, chain acceleration, budgets...).
+  // Engine knobs (memos, chain acceleration, budgets...).
   // min_time / max_time / provenance are managed by the session and must be
   // left unset. enable_streaming = false (or DMTL_DISABLE_STREAMING=1)
   // selects the batch shape: the identical external contract, re-derived by
@@ -68,7 +68,7 @@ class EngineSession {
   // uninterrupted twin's under any continuation schedule, and provenance
   // covers the same facts. The snapshot's program fingerprint must match
   // `program`. The snapshot's window/horizon/provenance settings take
-  // precedence over `options` (engine knobs - threads, budgets,
+  // precedence over `options` (engine knobs - budgets,
   // acceleration - come from `options`, so a restore may run degraded).
   static Result<std::unique_ptr<EngineSession>> Restore(
       const Program& program, const SessionOptions& options,

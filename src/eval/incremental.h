@@ -67,9 +67,8 @@ namespace dmtl {
 // database a sound under-approximation, and flags the evaluator; the next
 // operation transparently heals by a full cold rebuild from the input log.
 //
-// Single-threaded externally (like Database): one operation at a time.
-// Internally, Advance/Retract use options.num_threads workers exactly like
-// the batch engine, with the same byte-identical-output contract.
+// Single-threaded (like Database): one operation at a time, evaluated on
+// the calling thread.
 class IncrementalMaterializer {
  public:
   // Validates the program (arity, safety, stratification) and checks

@@ -29,15 +29,15 @@ namespace dmtl {
 //    distributes over union (see OpPathDeltaRefreshable) the new output is
 //    old ∪ Ops(fresh) - or erases it so the next lookup recomputes.
 //
-// An entry therefore reflects the leaf as of the last round boundary:
-// exactly the snapshot semantics of the parallel engine's round-start
-// reads. Anything a leaf gained mid-round is re-derived by the semi-naive
+// An entry therefore reflects the leaf as of the last round boundary (a
+// round-start snapshot read), even though the rest of the round reads the
+// live store. Anything a leaf gained mid-round is re-derived by the semi-naive
 // delta pass of the next round, so the fixpoint is unchanged; only
 // provenance round/rule attribution can shift (documented on
 // EngineOptions::enable_interval_deltas).
 //
-// Not thread-safe: each rule's evaluation task owns its memo exclusively
-// within a round, and the barrier refresh runs single-threaded.
+// Not thread-safe: each rule's memo belongs to one engine run (or session),
+// which drives it from one thread at a time.
 class OperatorMemo {
  public:
   struct Stats {

@@ -17,10 +17,9 @@ namespace dmtl {
 class OperatorMemo;
 
 // Runtime counters of the join planner, shared by every copy of one
-// evaluator. Relaxed atomics: per-rule tasks never run concurrently with
-// each other within a round (one task per rule), and round barriers order
-// everything else; the atomics only make cross-round thread handoffs
-// race-free under TSan.
+// evaluator. Relaxed atomics: an evaluator is only driven from its run's
+// thread, but a fleet session may move between scheduler workers from one
+// slice to the next; the atomics keep those handoffs race-free under TSan.
 struct PlannerStats {
   std::atomic<uint64_t> indexes_built{0};
   std::atomic<uint64_t> index_probes{0};

@@ -12,7 +12,6 @@
 #include "src/analysis/stratifier.h"
 #include "src/common/arena.h"
 #include "src/common/fault_injector.h"
-#include "src/common/thread_pool.h"
 #include "src/temporal/dense.h"
 #include "src/eval/aggregate_eval.h"
 #include "src/eval/chain_accel.h"
@@ -47,9 +46,8 @@ struct CompiledRule {
 };
 
 // Inserts derived extents (clamped to the horizon window) and accumulates
-// newly covered portions into the delta. Single-writer: this is the only
-// path that mutates the shared database, both in sequential evaluation and
-// as the barrier-merge step of parallel rounds.
+// newly covered portions into the delta. The only path by which rule
+// evaluation mutates the store.
 class Sink {
  public:
   Sink(Database* db, Database* next_delta, const Interval& window,
@@ -136,99 +134,14 @@ class Sink {
   uint64_t emissions_ = 0;
 };
 
-// The thread-local counterpart of Sink for parallel rounds: derivations are
-// buffered privately (in emission order) instead of touching the shared
-// store. Freshness - which also drives the chain accelerator's early-stop -
-// is computed against the round-start snapshot plus this task's own overlay,
-// so a task sees its own emissions exactly like the sequential sink would.
-// The shared database is only written when the barrier merge replays these
-// buffers through the Sink above, in rule-index order.
-class BufferedSink {
- public:
-  struct Emission {
-    PredicateId pred = 0;
-    Tuple tuple;
-    IntervalSet fresh;
-  };
-
-  BufferedSink(const Database* base, const Interval& window,
-               const EngineOptions* options, const ExecutionGuard* guard)
-      : base_(base), window_(window), options_(options), guard_(guard) {}
-
-  Status Emit(PredicateId pred, const Tuple& tuple,
-              const IntervalSet& extent) {
-    IntervalSet clamped = extent.Intersect(window_);
-    if (clamped.IsEmpty()) return Status::Ok();
-    DMTL_ASSIGN_OR_RETURN(
-        bool fresh, Buffer(pred, tuple, overlay_.InsertSet(pred, tuple, clamped)));
-    (void)fresh;
-    return Status::Ok();
-  }
-
-  Result<bool> EmitOne(PredicateId pred, const Tuple& tuple,
-                       const Interval& iv) {
-    auto part = iv.Intersect(window_);
-    if (!part.has_value()) return false;
-    return Buffer(pred, tuple, overlay_.Insert(pred, tuple, *part));
-  }
-
-  void AddChainExtension() { ++chain_extensions_; }
-  void AddChainExtensions(size_t n) { chain_extensions_ += n; }
-  size_t chain_extensions() const { return chain_extensions_; }
-
-  // The task's private coverage overlay (own emissions of this round); the
-  // VM chain kernel reads base + overlay as the walk's derived coverage.
-  const Database& overlay() const { return overlay_; }
-
-  const std::vector<Emission>& emissions() const { return emissions_; }
-
- private:
-  // Buffers the genuinely new portion of one insertion (overlay freshness
-  // minus what the round-start snapshot already covers) as a single
-  // Emission. Returns whether anything new was buffered.
-  Result<bool> Buffer(PredicateId pred, const Tuple& tuple,
-                      IntervalSet fresh) {
-    if (guard_ != nullptr && (++buffered_ & kSinkGuardStrideMask) == 0) {
-      DMTL_RETURN_IF_ERROR(guard_->Check());
-    }
-    if (fresh.IsEmpty()) return false;
-    if (const Relation* rel = base_->Find(pred)) {
-      if (const IntervalSet* known = rel->Find(tuple)) {
-        fresh = fresh.Subtract(*known);
-      }
-    }
-    if (fresh.IsEmpty()) return false;
-    // Coarse per-task budget guard (an upper bound: snapshot + private
-    // overlay); the merge step re-checks against the real store.
-    if (base_->approx_intervals() + overlay_.approx_intervals() >
-        options_->max_intervals) {
-      return Status::ResourceExhausted(
-          "materialization exceeded max_intervals=" +
-          std::to_string(options_->max_intervals));
-    }
-    emissions_.push_back(Emission{pred, tuple, std::move(fresh)});
-    return true;
-  }
-
-  const Database* base_;
-  Database overlay_;  // private coverage: own emissions of this round
-  Interval window_;
-  const EngineOptions* options_;
-  const ExecutionGuard* guard_;
-  std::vector<Emission> emissions_;
-  size_t chain_extensions_ = 0;
-  uint64_t buffered_ = 0;
-};
-
-// One unit of parallel work: every evaluation of one rule within a round.
-// Task lists are built deterministically from round-start state, so the
-// dispatch (and the rule-index merge order) is identical across runs.
+// Every evaluation of one rule within a round. Task lists are built from
+// round-start state in rule-index order, so a round's emission order is
+// fixed.
 struct RoundTask {
   size_t rule_id = 0;
   bool initial = false;                // full (non-delta) evaluation
   bool chain = false;                  // use the chain accelerator
   std::vector<int> delta_occurrences;  // semi-naive positions to re-evaluate
-  size_t evaluations = 0;              // rule_evaluations this task accounts
 };
 
 Interval HorizonWindow(const EngineOptions& options) {
@@ -241,8 +154,7 @@ Interval HorizonWindow(const EngineOptions& options) {
   return window.value_or(Interval::All());
 }
 
-// The semi-naive dispatch decision for one fixpoint round, shared verbatim
-// by the sequential loop and the parallel task builder: which positive
+// The semi-naive dispatch decision for one fixpoint round: which positive
 // occurrences of `rule` must be re-evaluated against `delta`.
 std::vector<int> DeltaOccurrences(const CompiledRule& c,
                                   const RuleEvaluator& eval,
@@ -327,110 +239,61 @@ bool DenseTimelineEligible(const Program& program, const Database& db,
   return true;
 }
 
-// Runs one round's tasks across the pool and merges the buffered results
-// into the shared store through `sink` in rule-index order.
-Status RunRoundParallel(const std::vector<RoundTask>& tasks,
-                        const std::vector<CompiledRule>& compiled,
-                        const std::vector<std::unique_ptr<RuleVm>>& vms,
-                        const std::vector<std::unique_ptr<OperatorMemo>>& memos,
-                        const Database& db, const Database& delta,
-                        const Interval& window, const EngineOptions& options,
-                        ThreadPool* pool,
-                        std::unordered_map<size_t, ChainAccelerator::AllowedCache>*
-                            chain_caches,
-                        size_t round, Sink* sink, EngineStats* stats,
-                        const ExecutionGuard* guard, bool dense_timeline,
-                        RoundArena* task_arenas) {
-  if (tasks.empty()) return Status::Ok();
-
-  std::vector<BufferedSink> sinks;
-  sinks.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    sinks.emplace_back(&db, window, &options, guard);
-  }
-
-  DMTL_RETURN_IF_ERROR(pool->ParallelFor(
-      tasks.size(), [&](size_t ti) -> Status {
-        const RoundTask& t = tasks[ti];
-        // Thread-locals do not follow work onto pool threads: re-arm the
-        // dense-timeline flag and the ambient arena per task. Arenas are
-        // per rule (each rule is at most one task per round), reused
-        // across rounds and reset by the caller after the barrier merge.
-        dense::DenseScope dense_scope(dense_timeline);
-        ArenaScope arena_scope(
-            task_arenas == nullptr ? nullptr : &task_arenas[t.rule_id]);
-        BufferedSink& out = sinks[ti];
-        const CompiledRule& c = compiled[t.rule_id];
-        // Like the memo, the VM is owned exclusively by this rule's task
-        // for the round; barriers order cross-round handoffs.
-        RuleVm* vm = vms.empty() ? nullptr : vms[t.rule_id].get();
-        PredicateId head = c.rule().head.predicate;
-        auto emit = [&out, head](const Tuple& tuple,
-                                 const IntervalSet& extent) -> Status {
-          return out.Emit(head, tuple, extent);
-        };
-        if (t.chain) {
-          if (vm != nullptr && vm->has_chain()) {
-            size_t extensions = 0;
-            Status status = vm->ExtendChain(
-                db, delta, window, emit,
-                [&](const Tuple& tuple) {
-                  const IntervalSet* base = nullptr;
-                  if (const Relation* rel = db.Find(head)) {
-                    base = rel->Find(tuple);
-                  }
-                  const IntervalSet* over = nullptr;
-                  if (const Relation* rel = out.overlay().Find(head)) {
-                    over = rel->Find(tuple);
-                  }
-                  return std::make_pair(base, over);
-                },
-                guard, &extensions);
-            out.AddChainExtensions(extensions);
-            return status;
-          }
-          return ChainAccelerator::Extend(
-              c.rule(), *c.chain, db, delta, window,
-              &chain_caches->at(t.rule_id),
-              [&](const Tuple& tuple, const Interval& iv) -> Result<bool> {
-                out.AddChainExtension();
-                return out.EmitOne(head, tuple, iv);
-              });
-        }
-        const auto& eval = std::get<RuleEvaluator>(c.eval);
-        // Memos are per-rule and each rule is one task, so the task owns
-        // its memo exclusively for the round; the ParallelFor join makes
-        // the barrier-time refresh single-threaded.
-        OperatorMemo* memo = memos.empty() ? nullptr : memos[t.rule_id].get();
-        if (t.initial) {
-          return vm != nullptr
-                     ? vm->Evaluate(db, nullptr, -1, emit, memo, guard)
-                     : eval.Evaluate(db, nullptr, -1, emit, memo, guard);
-        }
-        for (int occ : t.delta_occurrences) {
-          DMTL_RETURN_IF_ERROR(
-              vm != nullptr
-                  ? vm->Evaluate(db, &delta, occ, emit, memo, guard)
-                  : eval.Evaluate(db, &delta, occ, emit, memo, guard));
-        }
-        return Status::Ok();
-      }));
-
-  ++stats->parallel_rounds;
-  stats->parallel_tasks += tasks.size();
-  for (size_t ti = 0; ti < tasks.size(); ++ti) {
-    const RoundTask& t = tasks[ti];
-    stats->rule_evaluations += t.evaluations;
-    stats->chain_extensions += sinks[ti].chain_extensions();
-    // A fault here (or a budget trip inside sink->Emit) aborts the barrier
-    // with some sinks merged and others not; the caller's round rollback
-    // subtracts the round delta, so the partial merge is never observable.
-    DMTL_RETURN_IF_ERROR(FaultInjector::Fire("seminaive.merge"));
+// Runs one round's tasks in order against the live store. Every emission
+// goes through `sink` straight away, so a later task of the round already
+// reads what an earlier one derived; the semi-naive positions stay those of
+// the round-start `delta`.
+Status RunRound(const std::vector<RoundTask>& tasks,
+                const std::vector<CompiledRule>& compiled,
+                const std::vector<std::unique_ptr<RuleVm>>& vms,
+                const std::vector<std::unique_ptr<OperatorMemo>>& memos,
+                const Database& db, const Database& delta,
+                const Interval& window,
+                std::unordered_map<size_t, ChainAccelerator::AllowedCache>*
+                    chain_caches,
+                size_t round, Sink* sink, EngineStats* stats,
+                const ExecutionGuard* guard) {
+  for (const RoundTask& t : tasks) {
+    const CompiledRule& c = compiled[t.rule_id];
+    const PredicateId head = c.rule().head.predicate;
+    OperatorMemo* memo = memos.empty() ? nullptr : memos[t.rule_id].get();
+    RuleVm* vm = vms.empty() ? nullptr : vms[t.rule_id].get();
+    if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
     sink->SetContext(t.rule_id, round);
-    for (const BufferedSink::Emission& e : sinks[ti].emissions()) {
-      DMTL_RETURN_IF_ERROR(sink->Emit(e.pred, e.tuple, e.fresh));
+    stats->rule_evaluations +=
+        t.initial || t.chain ? 1 : t.delta_occurrences.size();
+    auto emit = [sink, head](const Tuple& tuple,
+                             const IntervalSet& extent) -> Status {
+      return sink->Emit(head, tuple, extent);
+    };
+    if (t.chain) {
+      if (vm != nullptr && vm->has_chain()) {
+        size_t extensions = 0;
+        DMTL_RETURN_IF_ERROR(
+            vm->ExtendChain(db, delta, window, emit, guard, &extensions));
+        stats->chain_extensions += extensions;
+        continue;
+      }
+      DMTL_RETURN_IF_ERROR(ChainAccelerator::Extend(
+          c.rule(), *c.chain, db, delta, window, &(*chain_caches)[t.rule_id],
+          [&](const Tuple& tuple, const Interval& iv) -> Result<bool> {
+            ++stats->chain_extensions;
+            return sink->EmitOne(head, tuple, iv);
+          }));
+      continue;
     }
-    ++stats->parallel_merges;
+    const auto& eval = std::get<RuleEvaluator>(c.eval);
+    if (t.initial) {
+      DMTL_RETURN_IF_ERROR(
+          vm != nullptr ? vm->Evaluate(db, nullptr, -1, emit, memo, guard)
+                        : eval.Evaluate(db, nullptr, -1, emit, memo, guard));
+      continue;
+    }
+    for (int occ : t.delta_occurrences) {
+      DMTL_RETURN_IF_ERROR(
+          vm != nullptr ? vm->Evaluate(db, &delta, occ, emit, memo, guard)
+                        : eval.Evaluate(db, &delta, occ, emit, memo, guard));
+    }
   }
   return Status::Ok();
 }
@@ -507,13 +370,6 @@ std::string EngineStats::ToString() const {
                     " derived_intervals=" + std::to_string(derived_intervals) +
                     " chain_extensions=" + std::to_string(chain_extensions) +
                     " wall_seconds=" + std::to_string(wall_seconds);
-  if (threads > 1) {
-    out += " threads=" + std::to_string(threads) +
-           " parallel_rounds=" + std::to_string(parallel_rounds) +
-           " parallel_tasks=" + std::to_string(parallel_tasks) +
-           " parallel_merges=" + std::to_string(parallel_merges) +
-           " seq_rounds_forced=" + std::to_string(sequential_rounds_forced);
-  }
   if (compiled_rules + vm_dispatches + vm_fallbacks > 0) {
     out += " compiled_rules=" + std::to_string(compiled_rules) +
            " vm_dispatches=" + std::to_string(vm_dispatches) +
@@ -573,14 +429,6 @@ Status MaterializeImpl(const Program& program, Database* db,
   DMTL_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
   stats->num_strata = strat.num_strata;
 
-  // Parallel execution: num_threads == 1 (the default) is the historical
-  // sequential engine; anything else routes rule evaluation through a pool
-  // with round-barrier merges (see docs/parallelism.md).
-  size_t num_threads = ThreadPool::ResolveThreads(options.num_threads);
-  stats->threads = num_threads;
-  std::optional<ThreadPool> pool;
-  if (num_threads > 1) pool.emplace(num_threads);
-
   // Compile rules.
   std::vector<CompiledRule> compiled;
   compiled.reserve(program.rules().size());
@@ -634,9 +482,9 @@ Status MaterializeImpl(const Program& program, Database* db,
 
   Interval window = HorizonWindow(options);
 
-  // Interval-delta propagation: one operator memo per rule (exclusive to
-  // that rule's task in parallel rounds). The memo hook sits in the join
-  // planner's unary-chain fast path, so it is only effective with planning.
+  // Interval-delta propagation: one operator memo per rule. The memo hook
+  // sits in the join planner's unary-chain fast path, so it is only
+  // effective with planning.
   std::vector<std::unique_ptr<OperatorMemo>> memos;
   if (options.enable_interval_deltas && options.enable_join_planning) {
     memos.resize(compiled.size());
@@ -657,17 +505,10 @@ Status MaterializeImpl(const Program& program, Database* db,
   stats->timeline_dense = dense_timeline;
   const bool arena_alloc = options.enable_arena_alloc;
   RoundArena main_arena;
-  // One arena per rule for parallel rounds: a rule is at most one task per
-  // round, so tasks never share an arena, and reuse across rounds keeps the
-  // chunks warm.
-  std::vector<RoundArena> task_arenas(
-      arena_alloc && pool.has_value() ? compiled.size() : 0);
   dense::DenseScope dense_scope(dense_timeline);
   ArenaScope arena_scope(arena_alloc ? &main_arena : nullptr);
   auto reset_arenas = [&] {
-    if (!arena_alloc) return;
-    main_arena.Reset();
-    for (RoundArena& a : task_arenas) a.Reset();
+    if (arena_alloc) main_arena.Reset();
   };
 
   stats->stratum_wall_seconds.assign(strat.num_strata, 0.0);
@@ -687,14 +528,7 @@ Status MaterializeImpl(const Program& program, Database* db,
     Database next_delta;
     Sink sink(db, &next_delta, window, options, stats, guard);
     // Guard-allowed caches for chain rules live for the whole stratum.
-    // Pre-created so concurrent tasks only ever look entries up (the map is
-    // never resized while the pool runs; each task mutates its own entry).
     std::unordered_map<size_t, ChainAccelerator::AllowedCache> chain_caches;
-    for (size_t id : rule_ids) {
-      if (!compiled[id].is_aggregate() && compiled[id].chain.has_value()) {
-        chain_caches[id];
-      }
-    }
     auto emit_for = [&](PredicateId pred) {
       return [&sink, pred](const Tuple& tuple,
                            const IntervalSet& extent) -> Status {
@@ -728,8 +562,7 @@ Status MaterializeImpl(const Program& program, Database* db,
     // from the store. next_delta holds exactly the coverage inserted since
     // the last barrier, and freshly covered portions are disjoint from
     // everything stored before, so the subtraction restores the barrier
-    // state precisely - whether the round died mid-rule, mid-chain-walk, or
-    // halfway through a parallel barrier merge.
+    // state precisely - whether the round died mid-rule or mid-chain-walk.
     size_t prov_mark =
         options.provenance != nullptr ? options.provenance->size() : 0;
     auto run_protected = [](auto&& fn) -> Status {
@@ -756,14 +589,21 @@ Status MaterializeImpl(const Program& program, Database* db,
     };
 
     // Round 0: aggregate rules, then the initial full round for plain
-    // rules. Aggregates run first and always sequentially - their inputs
-    // are strictly below this stratum, so one evaluation is complete, and
-    // the stratum's plain rules may read their output in the initial round.
+    // rules. Aggregates run first - their inputs are strictly below this
+    // stratum, so one evaluation is complete, and the stratum's plain rules
+    // may read their output in the initial round.
     Status round_status = run_protected([&]() -> Status {
       if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
       DMTL_RETURN_IF_ERROR(FaultInjector::Fire("seminaive.round"));
+      std::vector<RoundTask> tasks;
       for (size_t id : rule_ids) {
-        if (!compiled[id].is_aggregate()) continue;
+        if (!compiled[id].is_aggregate()) {
+          RoundTask t;
+          t.rule_id = id;
+          t.initial = true;
+          tasks.push_back(std::move(t));
+          continue;
+        }
         ++stats->rule_evaluations;
         sink.SetContext(id, 0);
         const auto& agg = std::get<AggregateEvaluator>(compiled[id].eval);
@@ -771,38 +611,9 @@ Status MaterializeImpl(const Program& program, Database* db,
             agg.Evaluate(*db, emit_for(compiled[id].rule().head.predicate),
                          memos.empty() ? nullptr : memos[id].get()));
       }
-      if (pool.has_value()) {
-        std::vector<RoundTask> tasks;
-        for (size_t id : rule_ids) {
-          if (compiled[id].is_aggregate()) continue;
-          RoundTask t;
-          t.rule_id = id;
-          t.initial = true;
-          t.evaluations = 1;
-          tasks.push_back(std::move(t));
-        }
-        DMTL_RETURN_IF_ERROR(
-            RunRoundParallel(tasks, compiled, vms, memos, *db, delta, window,
-                             options, &*pool, &chain_caches, 0, &sink, stats,
-                             guard, dense_timeline,
-                             task_arenas.empty() ? nullptr
-                                                 : task_arenas.data()));
-      } else {
-        for (size_t id : rule_ids) {
-          if (compiled[id].is_aggregate()) continue;
-          if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
-          ++stats->rule_evaluations;
-          sink.SetContext(id, 0);
-          OperatorMemo* memo = memos.empty() ? nullptr : memos[id].get();
-          RuleVm* vm = vms.empty() ? nullptr : vms[id].get();
-          const auto& eval = std::get<RuleEvaluator>(compiled[id].eval);
-          auto emit = emit_for(compiled[id].rule().head.predicate);
-          DMTL_RETURN_IF_ERROR(
-              vm != nullptr
-                  ? vm->Evaluate(*db, nullptr, -1, emit, memo, guard)
-                  : eval.Evaluate(*db, nullptr, -1, emit, memo, guard));
-        }
-      }
+      DMTL_RETURN_IF_ERROR(RunRound(tasks, compiled, vms, memos, *db, delta,
+                                    window, &chain_caches, 0, &sink, stats,
+                                    guard));
       // Round-end check: a guard trip observed mid-round by a truncating
       // path (operator scans return partial unions) latches; catching it
       // here guarantees the round is discarded even if every Status path
@@ -814,8 +625,8 @@ Status MaterializeImpl(const Program& program, Database* db,
     delta = std::move(next_delta);
     next_delta = Database();
     // Round barrier: everything transient from the finished round is dead
-    // (buffered sinks destroyed, VM slots released, stored state pinned to
-    // the heap), so the arenas rewind wholesale.
+    // (VM slots released, stored state pinned to the heap), so the arena
+    // rewinds wholesale.
     reset_arenas();
     prov_mark = options.provenance != nullptr ? options.provenance->size() : 0;
 
@@ -834,110 +645,31 @@ Status MaterializeImpl(const Program& program, Database* db,
       ++stats->rounds;
       stats->delta_intervals += delta_size;
 
-      // Work-size heuristic: at small deltas, dispatching tasks and merging
-      // buffers costs more than the parallelism buys; run the round inline.
-      // The option is per worker thread - the barrier merge cost grows with
-      // the pool width, so the gate scales with it.
-      bool use_pool =
-          pool.has_value() &&
-          (options.parallel_min_round_intervals == 0 ||
-           delta_size >= options.parallel_min_round_intervals * num_threads);
-      if (pool.has_value() && !use_pool) ++stats->sequential_rounds_forced;
-
       round_status = run_protected([&]() -> Status {
         if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
         DMTL_RETURN_IF_ERROR(FaultInjector::Fire("seminaive.round"));
-        if (use_pool) {
-          std::vector<RoundTask> tasks;
-          for (size_t id : rule_ids) {
-            if (compiled[id].is_aggregate()) continue;
-            const CompiledRule& c = compiled[id];
-            RoundTask t;
-            t.rule_id = id;
-            if (c.chain.has_value()) {
-              t.chain = true;
-              t.evaluations = 1;
-            } else if (options.naive_evaluation) {
-              t.initial = true;
-              t.evaluations = 1;
-            } else {
-              const auto& eval = std::get<RuleEvaluator>(c.eval);
-              t.delta_occurrences =
-                  DeltaOccurrences(c, eval, stratum_preds, delta);
-              if (t.delta_occurrences.empty()) continue;
-              t.evaluations = t.delta_occurrences.size();
-            }
-            tasks.push_back(std::move(t));
-          }
-          DMTL_RETURN_IF_ERROR(
-              RunRoundParallel(tasks, compiled, vms, memos, *db, delta,
-                               window, options, &*pool, &chain_caches, rounds,
-                               &sink, stats, guard, dense_timeline,
-                               task_arenas.empty() ? nullptr
-                                                   : task_arenas.data()));
-        } else {
-          for (size_t id : rule_ids) {
-            if (compiled[id].is_aggregate()) continue;
-            const CompiledRule& c = compiled[id];
-            const auto& eval = std::get<RuleEvaluator>(c.eval);
-            PredicateId head = c.rule().head.predicate;
-            OperatorMemo* memo = memos.empty() ? nullptr : memos[id].get();
-            RuleVm* vm = vms.empty() ? nullptr : vms[id].get();
-
-            if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
-            sink.SetContext(id, rounds);
-            if (c.chain.has_value()) {
-              ++stats->rule_evaluations;
-              if (vm != nullptr && vm->has_chain()) {
-                // Batched chain kernel: derived coverage is read straight
-                // off the live store (the walk's own emissions land there
-                // immediately in sequential mode, exactly like the
-                // point-by-point walker's freshness signal).
-                size_t extensions = 0;
-                DMTL_RETURN_IF_ERROR(vm->ExtendChain(
-                    *db, delta, window, emit_for(head),
-                    [&](const Tuple& tuple) {
-                      const IntervalSet* live = nullptr;
-                      if (const Relation* rel = db->Find(head)) {
-                        live = rel->Find(tuple);
-                      }
-                      return std::make_pair(
-                          live, static_cast<const IntervalSet*>(nullptr));
-                    },
-                    guard, &extensions));
-                stats->chain_extensions += extensions;
-                continue;
-              }
-              DMTL_RETURN_IF_ERROR(ChainAccelerator::Extend(
-                  c.rule(), *c.chain, *db, delta, window, &chain_caches[id],
-                  [&](const Tuple& tuple,
-                      const Interval& iv) -> Result<bool> {
-                    ++stats->chain_extensions;
-                    return sink.EmitOne(head, tuple, iv);
-                  }));
-              continue;
-            }
-            if (options.naive_evaluation) {
-              ++stats->rule_evaluations;
-              auto emit = emit_for(head);
-              DMTL_RETURN_IF_ERROR(
-                  vm != nullptr
-                      ? vm->Evaluate(*db, nullptr, -1, emit, memo, guard)
-                      : eval.Evaluate(*db, nullptr, -1, emit, memo, guard));
-              continue;
-            }
+        std::vector<RoundTask> tasks;
+        for (size_t id : rule_ids) {
+          const CompiledRule& c = compiled[id];
+          if (c.is_aggregate()) continue;
+          RoundTask t;
+          t.rule_id = id;
+          if (c.chain.has_value()) {
+            t.chain = true;
+          } else if (options.naive_evaluation) {
+            t.initial = true;
+          } else {
             // Semi-naive: one pass per positive occurrence of a predicate
-            // that changed this round.
-            for (int occ : DeltaOccurrences(c, eval, stratum_preds, delta)) {
-              ++stats->rule_evaluations;
-              auto emit = emit_for(head);
-              DMTL_RETURN_IF_ERROR(
-                  vm != nullptr
-                      ? vm->Evaluate(*db, &delta, occ, emit, memo, guard)
-                      : eval.Evaluate(*db, &delta, occ, emit, memo, guard));
-            }
+            // that changed last round.
+            t.delta_occurrences = DeltaOccurrences(
+                c, std::get<RuleEvaluator>(c.eval), stratum_preds, delta);
+            if (t.delta_occurrences.empty()) continue;
           }
+          tasks.push_back(std::move(t));
         }
+        DMTL_RETURN_IF_ERROR(RunRound(tasks, compiled, vms, memos, *db, delta,
+                                      window, &chain_caches, rounds, &sink,
+                                      stats, guard));
         return guard != nullptr ? guard->Check() : Status::Ok();
       });
       if (!round_status.ok()) {
@@ -957,8 +689,7 @@ Status MaterializeImpl(const Program& program, Database* db,
             .count();
   }
 
-  // Fold each rule's planner counters into the run stats (the pool has
-  // joined; relaxed loads are fully ordered behind the round barriers).
+  // Fold each rule's planner counters into the run stats.
   for (const CompiledRule& c : compiled) {
     const PlannerStats* ps =
         c.is_aggregate() ? std::get<AggregateEvaluator>(c.eval).planner_stats()
@@ -996,14 +727,10 @@ Status MaterializeImpl(const Program& program, Database* db,
   stats->bulk_merges = IntervalSet::BulkMergeCount() - bulk_merges_at_start;
 
   if (arena_alloc) {
-    auto fold_arena = [&](const RoundArena& a) {
-      stats->arena_bytes_reserved += a.bytes_reserved();
-      stats->arena_bytes_allocated += a.bytes_allocated();
-      stats->arena_allocs += a.allocs();
-      stats->arena_heap_fallbacks += a.heap_fallbacks();
-    };
-    fold_arena(main_arena);
-    for (const RoundArena& a : task_arenas) fold_arena(a);
+    stats->arena_bytes_reserved += main_arena.bytes_reserved();
+    stats->arena_bytes_allocated += main_arena.bytes_allocated();
+    stats->arena_allocs += main_arena.allocs();
+    stats->arena_heap_fallbacks += main_arena.heap_fallbacks();
   }
 
   return Status::Ok();
@@ -1058,10 +785,9 @@ Status Materialize(const Program& program, Database* db,
 
 // ===========================================================================
 // IncrementalMaterializer: the streaming engine. Shares the file-local
-// machinery above (Sink, BufferedSink, RoundTask, RunRoundParallel, the
-// dense-timeline predicates) and keeps everything a batch run rebuilds per
-// call - compiled rules, VMs, operator memos, the thread pool, the arenas -
-// alive across watermark advances.
+// machinery above (Sink, RoundTask, RunRound, the dense-timeline
+// predicates) and keeps everything a batch run rebuilds per call - compiled
+// rules, VMs, operator memos, the arena - alive across watermark advances.
 // ===========================================================================
 
 namespace {
@@ -1153,9 +879,6 @@ class IncrementalMaterializer::Impl {
       }
     }
 
-    num_threads_ = ThreadPool::ResolveThreads(options_.num_threads);
-    if (num_threads_ > 1) pool_.emplace(num_threads_);
-
     compiled_.reserve(rules.size());
     for (const Rule& rule : rules) {
       if (rule.head.aggregate.has_value()) {
@@ -1214,10 +937,6 @@ class IncrementalMaterializer::Impl {
       }
     }
     arena_alloc_ = options_.enable_arena_alloc;
-    if (arena_alloc_ && pool_.has_value()) {
-      num_task_arenas_ = compiled_.size();
-      task_arenas_ = std::make_unique<RoundArena[]>(num_task_arenas_);
-    }
     provenance_ = options_.provenance;
     return Status::Ok();
   }
@@ -1261,7 +980,6 @@ class IncrementalMaterializer::Impl {
     const ExecutionGuard* gptr = guard.enabled() ? &guard : nullptr;
     const CounterBaseline base = SnapshotCounters();
     stats->num_strata = strat_.num_strata;
-    stats->threads = num_threads_;
 
     // Memo entries may cache operator outputs over leaves the pushed inputs
     // just grew; refresh them with exactly the fresh portions (re-refreshing
@@ -1794,9 +1512,7 @@ class IncrementalMaterializer::Impl {
     dense::DenseScope dense_scope(dense_timeline);
     ArenaScope arena_scope(arena_alloc_ ? &main_arena_ : nullptr);
     auto reset_arenas = [&] {
-      if (!arena_alloc_) return;
-      main_arena_.Reset();
-      for (size_t i = 0; i < num_task_arenas_; ++i) task_arenas_[i].Reset();
+      if (arena_alloc_) main_arena_.Reset();
     };
     // Sink holds a reference to its options; op_options_ outlives it.
     op_options_ = options_;
@@ -1806,8 +1522,6 @@ class IncrementalMaterializer::Impl {
     op_options_.max_time = window.hi().infinite
                                ? std::optional<Rational>()
                                : std::optional<Rational>(window.hi().value);
-    uint64_t bulk_at_start = IntervalSet::BulkMergeCount();
-    (void)bulk_at_start;
 
     stats->stratum_wall_seconds.assign(strat_.num_strata, 0.0);
     for (int s = 0; s < strat_.num_strata; ++s) {
@@ -1833,11 +1547,6 @@ class IncrementalMaterializer::Impl {
       Database next_delta;
       Sink sink(db_, &next_delta, window, op_options_, stats, guard);
       std::unordered_map<size_t, ChainAccelerator::AllowedCache> chain_caches;
-      for (size_t id : rule_ids) {
-        if (!compiled_[id].is_aggregate() && compiled_[id].chain.has_value()) {
-          chain_caches[id];
-        }
-      }
       auto emit_for = [&](PredicateId pred) {
         return [&sink, pred](const Tuple& tuple,
                              const IntervalSet& extent) -> Status {
@@ -1880,67 +1589,8 @@ class IncrementalMaterializer::Impl {
         return status;
       };
 
-      // Executes one round's task list, inline or across the pool.
-      auto run_tasks = [&](const std::vector<RoundTask>& tasks,
-                           const Database& delta_db, size_t round,
-                           bool use_pool) -> Status {
-        if (use_pool) {
-          return RunRoundParallel(
-              tasks, compiled_, vms_, memos_, *db_, delta_db, window,
-              op_options_, &*pool_, &chain_caches, round, &sink, stats,
-              guard, dense_timeline,
-              task_arenas_.get());
-        }
-        for (const RoundTask& t : tasks) {
-          const CompiledRule& c = compiled_[t.rule_id];
-          PredicateId head = c.rule().head.predicate;
-          OperatorMemo* memo =
-              memos_.empty() ? nullptr : memos_[t.rule_id].get();
-          RuleVm* vm = vms_.empty() ? nullptr : vms_[t.rule_id].get();
-          if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
-          sink.SetContext(t.rule_id, round);
-          stats->rule_evaluations += t.evaluations;
-          if (t.chain) {
-            if (vm != nullptr && vm->has_chain()) {
-              size_t extensions = 0;
-              DMTL_RETURN_IF_ERROR(vm->ExtendChain(
-                  *db_, delta_db, window, emit_for(head),
-                  [&](const Tuple& tuple) {
-                    const IntervalSet* live = nullptr;
-                    if (const Relation* rel = db_->Find(head)) {
-                      live = rel->Find(tuple);
-                    }
-                    return std::make_pair(
-                        live, static_cast<const IntervalSet*>(nullptr));
-                  },
-                  guard, &extensions));
-              stats->chain_extensions += extensions;
-              continue;
-            }
-            DMTL_RETURN_IF_ERROR(ChainAccelerator::Extend(
-                c.rule(), *c.chain, *db_, delta_db, window,
-                &chain_caches[t.rule_id],
-                [&](const Tuple& tuple, const Interval& iv) -> Result<bool> {
-                  ++stats->chain_extensions;
-                  return sink.EmitOne(head, tuple, iv);
-                }));
-            continue;
-          }
-          const auto& eval = std::get<RuleEvaluator>(c.eval);
-          auto emit = emit_for(head);
-          for (int occ : t.delta_occurrences) {
-            DMTL_RETURN_IF_ERROR(
-                vm != nullptr
-                    ? vm->Evaluate(*db_, &delta_db, occ, emit, memo, guard)
-                    : eval.Evaluate(*db_, &delta_db, occ, emit, memo,
-                                    guard));
-          }
-        }
-        return Status::Ok();
-      };
-
-      // Round 0': aggregates first (sequential, exactly like batch round
-      // 0), then the seed round for plain rules - carry-driven
+      // Round 0': aggregates first (exactly like batch round 0), then the
+      // seed round for plain rules - carry-driven
       // occurrence/chain evaluation.
       std::vector<RoundTask> seed_tasks;
       for (size_t id : rule_ids) {
@@ -1959,21 +1609,13 @@ class IncrementalMaterializer::Impl {
           }
           if (!seeded) continue;
           t.chain = true;
-          t.evaluations = 1;
         } else {
           const auto& eval = std::get<RuleEvaluator>(c.eval);
           t.delta_occurrences = DeltaOccurrencesAny(c, eval, *carry);
           if (t.delta_occurrences.empty()) continue;
-          t.evaluations = t.delta_occurrences.size();
         }
         seed_tasks.push_back(std::move(t));
       }
-      const size_t carry_size = carry->NumIntervals();
-      bool seed_pool =
-          pool_.has_value() &&
-          (op_options_.parallel_min_round_intervals == 0 ||
-           carry_size >=
-               op_options_.parallel_min_round_intervals * num_threads_);
 
       Status round_status = run_protected([&]() -> Status {
         if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
@@ -1996,7 +1638,9 @@ class IncrementalMaterializer::Impl {
               agg.Evaluate(*db_, emit_for(compiled_[id].rule().head.predicate),
                            memos_.empty() ? nullptr : memos_[id].get()));
         }
-        DMTL_RETURN_IF_ERROR(run_tasks(seed_tasks, *carry, 0, seed_pool));
+        DMTL_RETURN_IF_ERROR(RunRound(seed_tasks, compiled_, vms_, memos_,
+                                      *db_, *carry, window, &chain_caches, 0,
+                                      &sink, stats, guard));
         return guard != nullptr ? guard->Check() : Status::Ok();
       });
       if (!round_status.ok()) return fail_round(std::move(round_status), 0);
@@ -2023,13 +1667,6 @@ class IncrementalMaterializer::Impl {
         }
         ++stats->rounds;
         stats->delta_intervals += delta_size;
-        bool use_pool =
-            pool_.has_value() &&
-            (op_options_.parallel_min_round_intervals == 0 ||
-             delta_size >=
-                 op_options_.parallel_min_round_intervals * num_threads_);
-        if (pool_.has_value() && !use_pool) ++stats->sequential_rounds_forced;
-
         std::vector<RoundTask> tasks;
         for (size_t id : rule_ids) {
           if (compiled_[id].is_aggregate()) continue;
@@ -2038,19 +1675,19 @@ class IncrementalMaterializer::Impl {
           t.rule_id = id;
           if (c.chain.has_value()) {
             t.chain = true;
-            t.evaluations = 1;
           } else {
             const auto& eval = std::get<RuleEvaluator>(c.eval);
             t.delta_occurrences = DeltaOccurrencesAny(c, eval, delta);
             if (t.delta_occurrences.empty()) continue;
-            t.evaluations = t.delta_occurrences.size();
-          }
+            }
           tasks.push_back(std::move(t));
         }
         round_status = run_protected([&]() -> Status {
           if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
           DMTL_RETURN_IF_ERROR(FaultInjector::Fire("seminaive.round"));
-          DMTL_RETURN_IF_ERROR(run_tasks(tasks, delta, rounds, use_pool));
+          DMTL_RETURN_IF_ERROR(RunRound(tasks, compiled_, vms_, memos_, *db_,
+                                        delta, window, &chain_caches, rounds,
+                                        &sink, stats, guard));
           return guard != nullptr ? guard->Check() : Status::Ok();
         });
         if (!round_status.ok()) {
@@ -2083,11 +1720,7 @@ class IncrementalMaterializer::Impl {
   std::vector<CompiledRule> compiled_;
   std::vector<std::unique_ptr<RuleVm>> vms_;
   std::vector<std::unique_ptr<OperatorMemo>> memos_;
-  std::optional<ThreadPool> pool_;
-  size_t num_threads_ = 1;
   RoundArena main_arena_;
-  std::unique_ptr<RoundArena[]> task_arenas_;
-  size_t num_task_arenas_ = 0;
   bool arena_alloc_ = false;
   size_t compiled_rule_count_ = 0;
   size_t vm_fallback_count_ = 0;

@@ -77,11 +77,10 @@ struct EngineOptions {
   // (OperatorMemo) and refresh them at round barriers with just the newly
   // derived intervals, instead of recomputing whole interval sets every
   // round. The materialized database is byte-for-byte identical on or off;
-  // memoized reads have round-boundary snapshot semantics (like the
-  // parallel engine), so provenance round/rule attribution - and the
-  // rounds/derived counters - may shift on programs with intra-round
-  // feeding. Only active with join planning (the memo hangs off the
-  // planner's unary-chain fast path).
+  // memoized reads have round-boundary snapshot semantics, so provenance
+  // round/rule attribution - and the rounds/derived counters - may shift on
+  // programs with intra-round feeding. Only active with join planning (the
+  // memo hangs off the planner's unary-chain fast path).
   bool enable_interval_deltas = true;
 
   // Compile each rule's plan to a flat register program executed by a
@@ -109,43 +108,12 @@ struct EngineOptions {
 
   // Round-arena allocation: transient round-local IntervalSets (row
   // extents, operator outputs, window clamps) draw their spill buffers from
-  // a per-task bump-pointer arena that is reset wholesale at the round
+  // a per-run bump-pointer arena that is reset wholesale at the round
   // barrier, instead of the global heap. Stored state (relations, memos,
   // guard caches) is pinned to the heap and unaffected; output is
   // byte-for-byte identical on or off. EngineStats::arena_* report usage.
   // Env override: DMTL_DISABLE_ARENA_ALLOC=1.
   bool enable_arena_alloc = true;
-
-  // Parallel evaluation only: fixpoint rounds whose delta holds fewer
-  // intervals than this many PER WORKER THREAD run on the calling thread
-  // instead of the pool - at small round sizes task dispatch plus the
-  // barrier merge costs more than the parallelism buys (the contract
-  // benches' long tail of tick-by-tick rounds carries a handful of
-  // intervals each). Scaling by the pool width keeps the gate proportional
-  // to the overhead it protects against: the barrier merge walks one
-  // buffer per task, so a wide pool needs a bigger round to amortize it,
-  // while a 2-thread pool profits from rounds a fixed 2048-interval gate
-  // would force inline (see docs/parallelism.md, "Round-size gate"). The
-  // initial full round always uses the pool. 0 disables the heuristic.
-  size_t parallel_min_round_intervals = 256;
-
-  // Number of evaluation threads. 1 (the default) is the sequential engine,
-  // byte-for-byte identical to historical runs. 0 resolves to
-  // std::thread::hardware_concurrency(); N > 1 uses a fixed pool of N.
-  //
-  // With more than one thread, the non-aggregate rules of each fixpoint
-  // round are evaluated concurrently against the round-start snapshot of
-  // the database, each task buffering its derivations privately; at the
-  // round barrier the buffers are merged into the shared store in
-  // rule-index order (see docs/parallelism.md). The materialized database
-  // is identical to the sequential result - the round barrier of semi-naive
-  // evaluation is the synchronization point, and insertion stays
-  // single-writer. A fact that a later-indexed rule would have derived from
-  // an earlier rule's output *within the same round* is instead derived one
-  // round later, so provenance round numbers (and the rounds counter) may
-  // differ from the sequential run on programs with such intra-round
-  // feeding; the derived fact set never does.
-  int num_threads = 1;
 
   // When set, every newly derived fact piece is appended here with the
   // rule that produced it - the "why" behind each contract state change
@@ -265,15 +233,7 @@ struct EngineStats {
   // scope, plus oversized requests.
   size_t arena_heap_fallbacks = 0;
 
-  // --- parallel execution (num_threads != 1) ------------------------------
-  size_t threads = 1;             // resolved pool width
-  size_t parallel_rounds = 0;     // rounds evaluated through the pool
-  size_t parallel_tasks = 0;      // rule tasks dispatched to the pool
-  size_t parallel_merges = 0;     // per-task buffers merged at barriers
-  // Fixpoint rounds run sequentially because the delta was smaller than
-  // parallel_min_round_intervals.
-  size_t sequential_rounds_forced = 0;
-  // Wall time per stratum (index = stratum number), sequential or parallel.
+  // Wall time per stratum (index = stratum number).
   std::vector<double> stratum_wall_seconds;
 
   std::string ToString() const;
@@ -289,7 +249,8 @@ struct EngineStats {
 // rolled back so `db` sits exactly at the last completed round barrier
 // (still a sound under-approximation of the fixpoint - re-running with a
 // horizon continues from it), and `stats` carries the stop diagnostics.
-// Materialize never throws.
+// Materialize never throws. It evaluates on the calling thread; independent
+// runs (sessions) may proceed on different threads at once.
 Status Materialize(const Program& program, Database* db,
                    const EngineOptions& options = {},
                    EngineStats* stats = nullptr);

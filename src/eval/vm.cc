@@ -503,7 +503,6 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
 
 Status RuleVm::ExtendChain(const Database& db, const Database& delta,
                            const Interval& window, const EmitSetFn& emit,
-                           const CoverageFn& coverage,
                            const ExecutionGuard* guard, size_t* extensions) {
   ++dispatches_;
   const ChainProgram& cp = *chain_;
@@ -587,8 +586,8 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
           *extensions += 1;
           continue;
         }
-        DMTL_RETURN_IF_ERROR(WalkGrid(tuple, seed.lo().value, allowed, emit,
-                                      coverage, guard, extensions));
+        DMTL_RETURN_IF_ERROR(WalkGrid(db, tuple, seed.lo().value, allowed,
+                                      emit, guard, extensions));
       } else {
         // Interval seeds keep the interpreter's shift-and-clip frontier
         // loop (components coalesce, so it converges in a few passes), but
@@ -611,11 +610,12 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
   return Status::Ok();
 }
 
-Status RuleVm::WalkGrid(const Tuple& tuple, const Rational& seed,
-                        const IntervalSet& allowed, const EmitSetFn& emit,
-                        const CoverageFn& coverage,
-                        const ExecutionGuard* guard, size_t* extensions) {
+Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
+                        const Rational& seed, const IntervalSet& allowed,
+                        const EmitSetFn& emit, const ExecutionGuard* guard,
+                        size_t* extensions) {
   const Rational& step = chain_->step;
+  const PredicateId head = eval_.rule().head.predicate;
   Rational t = seed + step;
   while (true) {
     const Interval* comp = FindComponent(allowed, t);
@@ -623,15 +623,15 @@ Status RuleVm::WalkGrid(const Tuple& tuple, const Rational& seed,
 
     // Batch size: how many consecutive grid points stay inside this allowed
     // component (grids cross gaps, so the component is re-searched per
-    // batch) and ahead of already-derived coverage. Coverage pointers are
-    // re-fetched per batch: the walk's own emissions extend them.
+    // batch) and ahead of already-derived coverage. The coverage is
+    // re-fetched per batch: the walk's own emissions extend (and may move)
+    // it.
     std::optional<int64_t> within = StepsWithin(*comp, t, step);
     int64_t k_cap = kChainBatchPoints - 1;
     if (within.has_value() && *within < k_cap) k_cap = *within;
-    auto [s1, s2] = coverage(tuple);
-    std::optional<int64_t> n = FirstCoveredStep(s1, t, step, k_cap);
-    std::optional<int64_t> n2 = FirstCoveredStep(s2, t, step, k_cap);
-    if (n2.has_value() && (!n.has_value() || *n2 < *n)) n = n2;
+    const IntervalSet* derived = nullptr;
+    if (const Relation* rel = db.Find(head)) derived = rel->Find(tuple);
+    std::optional<int64_t> n = FirstCoveredStep(derived, t, step, k_cap);
 
     if (n.has_value() && *n == 0) {
       // The next grid point is already derived: the point-by-point walker

@@ -39,20 +39,13 @@ namespace dmtl {
 // one set per batch. The derived coverage - and the interpreter-visible
 // chain_extensions count - are identical to the point-by-point walk.
 //
-// Not thread-safe: like OperatorMemo, each rule's round task owns its VM
-// exclusively, and round barriers order cross-thread handoffs.
+// Not thread-safe: like OperatorMemo, a VM belongs to one engine run (or
+// session), which drives it from one thread at a time.
 class RuleVm {
  public:
   using EmitFn = RuleEvaluator::EmitFn;
   using EmitSetFn =
       std::function<Status(const Tuple& tuple, const IntervalSet& extent)>;
-  // Current derived coverage of (chain predicate, tuple) as up to two
-  // interval sets whose union is the truth: {live store set, nullptr} for
-  // the sequential sink, {round-start snapshot, task overlay} for buffered
-  // parallel sinks. Re-invoked at every batch boundary - the pointed-to
-  // sets may grow between batches as the walk's own emissions land.
-  using CoverageFn = std::function<std::pair<const IntervalSet*,
-                                             const IntervalSet*>(const Tuple&)>;
 
   // Builds a VM for `eval` (copying it; planner stats stay shared). Returns
   // nullptr - with the reason in `decline_reason` - for rule shapes the
@@ -74,10 +67,13 @@ class RuleVm {
   // Batched replacement for ChainAccelerator::Extend. `extensions` is
   // advanced by exactly the number of per-point emissions the point-by-point
   // walker performs (including the already-covered point that stops a walk).
+  // `emit` must insert into `db`: the walk reads the head's derived
+  // coverage back from it at every batch boundary, so its own emissions
+  // stop it exactly where the point-by-point walker's freshness signal
+  // would.
   Status ExtendChain(const Database& db, const Database& delta,
                      const Interval& window, const EmitSetFn& emit,
-                     const CoverageFn& coverage, const ExecutionGuard* guard,
-                     size_t* extensions);
+                     const ExecutionGuard* guard, size_t* extensions);
 
   // VM entries: Evaluate calls plus ExtendChain calls.
   uint64_t dispatches() const { return dispatches_; }
@@ -129,9 +125,9 @@ class RuleVm {
   // extent accumulated so far.
   Status Exec(size_t ip, const IntervalSet& cur);
 
-  Status WalkGrid(const Tuple& tuple, const Rational& seed,
-                  const IntervalSet& allowed, const EmitSetFn& emit,
-                  const CoverageFn& coverage, const ExecutionGuard* guard,
+  Status WalkGrid(const Database& db, const Tuple& tuple,
+                  const Rational& seed, const IntervalSet& allowed,
+                  const EmitSetFn& emit, const ExecutionGuard* guard,
                   size_t* extensions);
 
   RuleEvaluator eval_;  // private copy; planner stats shared with the engine

@@ -167,9 +167,6 @@ SessionOptions FleetServer::BuildSessionOptions(const Hosted& h,
                                                 bool degraded) const {
   SessionOptions so;
   so.engine = options_.engine;
-  // The fleet's parallelism axis is across sessions; inside one session the
-  // engine runs sequentially so a slice never re-enters the shared pool.
-  so.engine.num_threads = 1;
   if (options_.session_deadline.has_value()) {
     so.engine.deadline = options_.session_deadline;
   }
@@ -177,9 +174,8 @@ SessionOptions FleetServer::BuildSessionOptions(const Hosted& h,
     so.engine.max_intervals = options_.session_max_intervals;
   }
   if (degraded) {
-    // The ParallelSessions degraded-retry shape, adapted to eviction: drop
-    // the acceleration that may have misbehaved and the deadline that may
-    // have tripped; the interval budget stays (it bounds memory, and a
+    // The degraded retry: drop the acceleration that may have misbehaved
+    // and the deadline that may have tripped; the interval budget stays (it bounds memory, and a
     // session that exhausts it degraded is genuinely over quota).
     so.engine.enable_chain_acceleration = false;
     so.engine.deadline.reset();

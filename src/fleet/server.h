@@ -40,18 +40,17 @@ struct SessionKeyHash {
   size_t operator()(const SessionKey& key) const;
 };
 
-// Fleet-wide policy. Per-session engine parallelism is intentionally absent:
-// every hosted session runs its engine sequentially (num_threads forced to
-// 1) and the fleet's parallelism axis is *across* sessions, which is both
-// the scaling shape the workload has (many small independent contracts) and
-// what keeps the scheduler's shared-nothing contract trivial.
+// Fleet-wide policy. The fleet's parallelism axis is *across* sessions -
+// every engine run is sequential - which is both the scaling shape the
+// workload has (many small independent contracts) and what keeps the
+// scheduler's shared-nothing contract trivial.
 struct FleetOptions {
   // Scheduler workers: 0 = hardware concurrency, 1 = sequential.
   int num_threads = 0;
 
-  // Per-session engine knobs (acceleration, memos, budgets...). num_threads
-  // is overridden to 1 and min_time/max_time/provenance must be unset (the
-  // sessions manage them), exactly like SessionOptions::engine.
+  // Per-session engine knobs (acceleration, memos, budgets...).
+  // min_time/max_time/provenance must be unset (the sessions manage them),
+  // exactly like SessionOptions::engine.
   EngineOptions engine;
 
   // Admission control, reusing the engine's guard machinery: each operation
@@ -71,8 +70,7 @@ struct FleetOptions {
   // restart replays at most N advances.
   size_t snapshot_every_advances = 16;
 
-  // Evict-and-retry policy (the ParallelSessions degraded-retry shape): a
-  // session whose op or warm reactivation fails is restored from its last
+  // Evict-and-retry policy: a session whose op or warm reactivation fails is restored from its last
   // snapshot with chain acceleration off and no deadline, and the op tail
   // is replayed once. A second failure (or retry_evicted = false, or a
   // cancellation) is final.

@@ -33,9 +33,9 @@ struct Fact {
 // const member (Find, FindByFirstArg, Contains, data(), the counters) is a
 // pure read, so any number of concurrent readers are safe as long as no
 // thread is inside a mutating member (Insert, InsertSet, Clear, assignment).
-// The parallel engine relies on exactly this: rule-evaluation tasks read
-// relations concurrently between round barriers, and all insertion happens
-// on one thread at the barrier. The single exception to "const is a pure
+// The engine itself evaluates on one thread and fleet sessions share no
+// database, so this is a contract for callers that read one store from
+// several threads. The single exception to "const is a pure
 // read" is GetIndex, which may build a bound-signature index lazily; it is
 // serialized by a dedicated mutex and therefore safe to call from any number
 // of concurrent reader threads.
@@ -234,9 +234,7 @@ class Relation {
 // inserts - DatalogMTL state evolution is monotone, as the paper stresses).
 //
 // Inherits Relation's single-writer contract: concurrent readers are safe
-// whenever no thread is mutating. The engine's parallel rounds evaluate
-// rules against a frozen Database snapshot and funnel every insert through
-// the single-threaded barrier merge.
+// whenever no thread is mutating.
 class Database {
  public:
   Database() = default;

@@ -38,8 +38,8 @@ Result<std::unique_ptr<StreamingSession>> StreamingSession::Build(
     }
     // Window position, horizon, and provenance tracking come from the
     // checkpoint - they are session state, not tuning. Engine knobs stay
-    // the caller's, so a restore may run degraded (fewer threads, no
-    // acceleration) and still be byte-identical.
+    // the caller's, so a restore may run degraded (no acceleration) and
+    // still be byte-identical.
     out->options_.start_time = snapshot->window_min;
     out->options_.horizon = snapshot->horizon;
     out->options_.track_provenance = snapshot->track_provenance;

@@ -56,8 +56,9 @@ inline thread_local bool g_enabled = false;
 
 inline bool Enabled() { return internal::g_enabled; }
 
-// RAII enable/disable; saves and restores so nested materializations
-// (ParallelSessions shards with different programs) stay independent.
+// RAII enable/disable; saves and restores so nested materializations (a
+// streaming slide's cut-off run inside a session operation) stay
+// independent.
 class DenseScope {
  public:
   explicit DenseScope(bool enable) : saved_(internal::g_enabled) {

@@ -53,7 +53,6 @@ constexpr char kUsage[] =
     "                  run exits with code 3 and prints stop diagnostics\n"
     "  --explain-plan  print each rule's join order, probed index\n"
     "                  signatures, and planner counters after the run\n"
-    "  --threads N     evaluation threads (0 = hardware, default 1)\n"
     "  --query PRED    print only facts of PRED\n"
     "  --at TIME       print only tuples holding at TIME\n"
     "  --stats         print engine statistics\n"
@@ -89,10 +88,11 @@ constexpr char kUsage[] =
     "                  the in-process fleet server (work-stealing scheduler,\n"
     "                  per-session admission control, snapshot warm\n"
     "                  restarts). Prints one NDJSON line per session plus an\n"
-    "                  aggregate line. --threads sets scheduler workers;\n"
-    "                  --deadline-ms becomes the per-operation session\n"
-    "                  deadline; --horizon gives every session a sliding\n"
-    "                  window.\n";
+    "                  aggregate line. --deadline-ms becomes the\n"
+    "                  per-operation session deadline; --horizon gives\n"
+    "                  every session a sliding window.\n"
+    "  --threads N     scheduler workers (0 = hardware, default 1); only\n"
+    "                  with --fleet - every engine run is sequential\n";
 
 struct CliOptions {
   std::string command;
@@ -109,6 +109,7 @@ struct CliOptions {
   std::optional<std::string> restore;
   std::optional<Rational> horizon;
   int fleet = 0;
+  std::optional<int> threads;  // fleet scheduler workers (--fleet only)
 };
 
 Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
@@ -173,7 +174,7 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
         return Status::InvalidArgument("--threads needs a non-negative int, got '" +
                                        text + "'");
       }
-      options.engine.num_threads = static_cast<int>(value);
+      options.threads = static_cast<int>(value);
     } else if (arg == "--query") {
       DMTL_ASSIGN_OR_RETURN(std::string pred, next());
       options.query = pred;
@@ -214,6 +215,13 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
   // it is the one command shape that takes no input files.
   if (options.files.empty() && options.fleet == 0) {
     return Status::InvalidArgument("no input files");
+  }
+  // Sessions are the only parallel axis: outside the fleet there is nothing
+  // for a thread count to apply to.
+  if (options.threads.has_value() && options.fleet == 0) {
+    return Status::InvalidArgument(
+        "--threads sets fleet scheduler workers and needs --fleet; every "
+        "engine run is sequential");
   }
   return options;
 }
@@ -494,7 +502,7 @@ Status CommandFleet(const CliOptions& options, std::ostream& out,
   DMTL_ASSIGN_OR_RETURN(Program program, EthPerpProgram());
 
   FleetOptions fopts;
-  fopts.num_threads = options.engine.num_threads;
+  fopts.num_threads = options.threads.value_or(1);
   fopts.engine = options.engine;
   // --deadline-ms is admission control here: a per-operation budget for
   // each hosted session, not one deadline for the whole drain.

@@ -3,79 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "src/chain/replayer.h"
-#include "src/common/fault_injector.h"
-#include "src/common/thread_pool.h"
-#include "src/contracts/eth_perp_program.h"
-
 namespace dmtl {
-
-namespace {
-
-// One materialization attempt for a shard whose session is already
-// generated: rebuild the database from the session and run the engine with
-// the shard-local horizon.
-Status MaterializeShard(const Program& program, const EngineOptions& base,
-                        SessionShardResult* out) {
-  out->db = SessionToDatabase(out->session);
-  // RunParallelSessions already rejected caller-set min/max/provenance, so
-  // installing the shard-local horizon here overrides nothing.
-  EngineOptions engine = base;
-  EngineOptions horizon = SessionEngineOptions(out->session);
-  engine.min_time = horizon.min_time;
-  engine.max_time = horizon.max_time;
-  DMTL_RETURN_IF_ERROR(FaultInjector::Fire("parallel_sessions.shard"));
-  return Materialize(program, &out->db, engine, &out->stats);
-}
-
-// The full per-shard pipeline: generate, materialize, optionally retry
-// degraded. Never lets an exception escape - the shard's status is the
-// only failure channel.
-void RunShard(const Program& program, const WorkloadConfig& config,
-              const ParallelSessionsOptions& options,
-              SessionShardResult* out) {
-  auto attempt = [&]() -> Status {
-    try {
-      if (out->session.events.empty()) {
-        DMTL_ASSIGN_OR_RETURN(out->session, GenerateSession(config));
-        out->name = out->session.name;
-      }
-      return MaterializeShard(program, options.engine, out);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("shard aborted by exception: ") +
-                              e.what());
-    } catch (...) {
-      return Status::Internal("shard aborted by non-standard exception");
-    }
-  };
-
-  out->status = attempt();
-  if (out->status.ok() || !options.retry_failed_sessions) return;
-  // Never retry a cancellation: the caller asked the run to stop.
-  if (out->status.code() == StatusCode::kCancelled) return;
-  if (out->session.events.empty()) return;  // generation failed; no input
-
-  out->first_attempt_status = out->status;
-  out->retried = true;
-  ParallelSessionsOptions degraded = options;
-  degraded.engine.num_threads = 1;
-  degraded.engine.enable_chain_acceleration = false;
-  out->stats = EngineStats();
-  try {
-    out->status = MaterializeShard(program, degraded.engine, out);
-  } catch (const std::exception& e) {
-    out->status = Status::Internal(
-        std::string("shard retry aborted by exception: ") + e.what());
-  } catch (...) {
-    out->status = Status::Internal("shard retry aborted by exception");
-  }
-}
-
-}  // namespace
-
-size_t ParallelSessionsOptions::ResolvedThreads() const {
-  return ThreadPool::ResolveThreads(num_threads);
-}
 
 std::vector<WorkloadConfig> ShardConfigs(const WorkloadConfig& base,
                                          int num_shards) {
@@ -91,59 +19,6 @@ std::vector<WorkloadConfig> ShardConfigs(const WorkloadConfig& base,
     shards.push_back(std::move(config));
   }
   return shards;
-}
-
-Result<std::vector<SessionShardResult>> RunParallelSessions(
-    const std::vector<WorkloadConfig>& shards,
-    const ParallelSessionsOptions& options) {
-  // These used to be silently overridden per shard; make the conflict loud
-  // so a caller who expected a global window or provenance finds out.
-  if (options.engine.min_time.has_value() ||
-      options.engine.max_time.has_value()) {
-    return Status::InvalidArgument(
-        "ParallelSessionsOptions.engine min_time/max_time must be unset: "
-        "every shard materializes over its own session window");
-  }
-  if (options.engine.provenance != nullptr) {
-    return Status::InvalidArgument(
-        "ParallelSessionsOptions.engine.provenance must be null: a shared "
-        "record vector cannot be appended to concurrently across shards");
-  }
-
-  std::vector<SessionShardResult> results(shards.size());
-  if (shards.empty()) return results;
-
-  // The program text is identical across shards: parse it once and share
-  // the compiled AST read-only with every task.
-  DMTL_ASSIGN_OR_RETURN(Program program, EthPerpProgram(options.params));
-
-  ThreadPool pool(options.ResolvedThreads());
-  // Every task returns Ok: per-shard failures land in results[i].status
-  // (fault isolation), and RunShard contains its own exceptions, so the
-  // pool call cannot fail or throw. The belt-and-braces try/catch keeps a
-  // pool-infrastructure fault (e.g. an injected "thread_pool.task" error)
-  // from escaping as an exception or failing the whole run.
-  try {
-    Status pool_status = pool.ParallelFor(
-        shards.size(), [&](size_t i) -> Status {
-          RunShard(program, shards[i], options, &results[i]);
-          return Status::Ok();
-        });
-    if (!pool_status.ok()) {
-      // Infrastructure error injected below the shard pipeline: attribute
-      // it to every shard that never got a verdict.
-      for (SessionShardResult& r : results) {
-        if (r.status.ok() && r.session.events.empty()) r.status = pool_status;
-      }
-    }
-  } catch (const std::exception& e) {
-    Status aborted = Status::Internal(
-        std::string("shard pool aborted by exception: ") + e.what());
-    for (SessionShardResult& r : results) {
-      if (r.status.ok() && r.session.events.empty()) r.status = aborted;
-    }
-  }
-  return results;
 }
 
 }  // namespace dmtl

@@ -1,91 +1,22 @@
 #ifndef DMTL_VALIDATION_PARALLEL_SESSIONS_H_
 #define DMTL_VALIDATION_PARALLEL_SESSIONS_H_
 
-#include <string>
 #include <vector>
 
 #include "src/chain/workload.h"
-#include "src/common/status.h"
-#include "src/contracts/market_params.h"
-#include "src/eval/seminaive.h"
-#include "src/storage/database.h"
 
 namespace dmtl {
 
 // The "millions of users" scaling axis: trading sessions are independent of
 // one another (every contract predicate is keyed by account, and accounts
 // never interact across sessions), so a fleet of account-sharded sessions
-// materializes embarrassingly parallel. This driver runs N sessions across
-// a thread pool, one full materialization per shard, and returns results in
-// shard order - the output is identical to running the shards in a
-// sequential loop, whatever the pool width.
-
-// The outcome of one materialized shard. Failures are *isolated*: a shard
-// that trips its deadline, exhausts a budget, or hits an evaluation fault
-// reports that here and never aborts its siblings.
-struct SessionShardResult {
-  std::string name;
-  Session session;
-  Database db;         // the materialized shard database
-  EngineStats stats;
-
-  // Outcome of this shard's materialization (of the retry when one ran).
-  // On failure `db` still holds the round-barrier-consistent partial state
-  // and `stats` carries the stop diagnostics.
-  Status status = Status::Ok();
-  // Whether the degraded retry (sequential, chain acceleration off) ran.
-  bool retried = false;
-  // The first attempt's outcome when a retry ran (Ok otherwise).
-  Status first_attempt_status = Status::Ok();
-
-  bool ok() const { return status.ok(); }
-};
-
-struct ParallelSessionsOptions {
-  // Pool width for the shard loop: 0 = hardware concurrency, 1 = run the
-  // shards sequentially on the calling thread.
-  int num_threads = 0;
-  MarketParams params;
-  // Per-shard engine options. min_time/max_time must be unset (each shard
-  // materializes over its own session window) and `provenance` must be null
-  // (a shared record vector cannot be appended to from every shard at
-  // once); RunParallelSessions rejects either with InvalidArgument instead
-  // of silently overriding them. Defaults to the sequential engine inside
-  // each shard - the shard loop is the outer parallelism axis; set
-  // engine.num_threads > 1 only for few, huge shards.
-  EngineOptions engine;
-
-  // One-shot degraded retry for failed shards: rebuild the shard database
-  // from its (already generated) session and re-materialize sequentially
-  // with chain acceleration off - the most conservative engine
-  // configuration. Cancelled shards are never retried (the caller asked the
-  // whole run to stop). Off by default: a deterministic failure usually
-  // reproduces, and the retry doubles the shard's cost.
-  bool retry_failed_sessions = false;
-
-  // The concrete pool width RunParallelSessions uses for these options
-  // (num_threads = 0 resolved against the hardware). Benches report this
-  // instead of the raw request so the JSON records what actually ran.
-  size_t ResolvedThreads() const;
-};
+// materializes embarrassingly parallel. FleetServer is the driver that runs
+// them across cores; this derives the shard workloads it is fed.
 
 // Derives `num_shards` independent account-sharded session configs from a
 // base config: same shape and volume, disjoint seeds, suffixed names.
 std::vector<WorkloadConfig> ShardConfigs(const WorkloadConfig& base,
                                          int num_shards);
-
-// Generates and materializes every shard (ETH-PERP program, shard-local
-// horizon) across the pool. Results are in shard order.
-//
-// Fault isolation: a shard failure (guard trip, budget exhaustion,
-// evaluation fault - even an exception escaping a task) is captured in that
-// shard's SessionShardResult::status; sibling shards always run to their
-// own completion and the call itself still succeeds. The Result is an error
-// only for setup problems that precede the shard loop (program parse
-// failure, etc.).
-Result<std::vector<SessionShardResult>> RunParallelSessions(
-    const std::vector<WorkloadConfig>& shards,
-    const ParallelSessionsOptions& options = {});
 
 }  // namespace dmtl
 

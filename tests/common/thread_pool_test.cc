@@ -142,43 +142,6 @@ TEST(ThreadPoolTest, ReusableAfterFailingBatch) {
   EXPECT_EQ(executed.load(), 32u);
 }
 
-TEST(ThreadPoolTest, AllStatusesRetrievable) {
-  ThreadPool pool(4);
-  std::vector<Status> statuses;
-  Status first = pool.ParallelFor(
-      10,
-      [&](size_t i) -> Status {
-        if (i % 3 == 0) {
-          return Status::EvalError("task " + std::to_string(i));
-        }
-        return Status::Ok();
-      },
-      &statuses);
-  // The returned status is still the lowest-index error...
-  ASSERT_FALSE(first.ok());
-  EXPECT_EQ(first.message(), "task 0");
-  // ...and every per-task verdict is visible, not just the first.
-  ASSERT_EQ(statuses.size(), 10u);
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    if (i % 3 == 0) {
-      EXPECT_EQ(statuses[i].code(), StatusCode::kEvalError) << "task " << i;
-      EXPECT_EQ(statuses[i].message(), "task " + std::to_string(i));
-    } else {
-      EXPECT_TRUE(statuses[i].ok()) << "task " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, AllStatusesSuccessPath) {
-  ThreadPool pool(2);
-  std::vector<Status> statuses{Status::EvalError("stale")};  // must be reset
-  Status status = pool.ParallelFor(
-      5, [&](size_t) -> Status { return Status::Ok(); }, &statuses);
-  EXPECT_TRUE(status.ok());
-  ASSERT_EQ(statuses.size(), 5u);
-  for (const Status& s : statuses) EXPECT_TRUE(s.ok());
-}
-
 TEST(ThreadPoolTest, TasksActuallyRunConcurrently) {
   // A four-way rendezvous: every task blocks until all four have started,
   // which can only resolve when four threads run tasks at the same time.

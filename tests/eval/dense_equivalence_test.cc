@@ -1,6 +1,6 @@
 // The memory-architecture features must be invisible in outputs: with
 // enable_dense_timeline / enable_arena_alloc on versus off, the same
-// program at the same thread count must produce byte-identical database
+// program must produce byte-identical database
 // text, Series() output, and full provenance (attribution included - the
 // features never change the schedule). Covered over randomized synthetic
 // programs, the shipped ETH-PERP contract, and directed cases proving the
@@ -32,18 +32,17 @@ struct RunResult {
 };
 
 RunResult RunOnce(const Program& program, const Database& input,
-              EngineOptions options, int num_threads, bool dense, bool arena,
+              EngineOptions options, bool dense, bool arena,
               std::string_view series_pred) {
   std::vector<DerivationRecord> provenance;
-  options.num_threads = num_threads;
   options.provenance = &provenance;
   options.enable_dense_timeline = dense;
   options.enable_arena_alloc = arena;
   Database db = input;
   EngineStats stats;
   Status status = Materialize(program, &db, options, &stats);
-  EXPECT_TRUE(status.ok()) << status << " (threads=" << num_threads
-                           << " dense=" << dense << " arena=" << arena << ")";
+  EXPECT_TRUE(status.ok()) << status << " (dense=" << dense
+                           << " arena=" << arena << ")";
   RunResult out;
   out.db_text = db.ToString();
   std::ostringstream series;
@@ -61,7 +60,7 @@ RunResult RunOnce(const Program& program, const Database& input,
   return out;
 }
 
-// On-vs-off at every thread width. `expect_dense` asserts which timeline
+// On-vs-off. `expect_dense` asserts which timeline
 // the eligibility check must select when the option is on.
 void ExpectFeaturesInvisible(const Program& program, const Database& input,
                              const EngineOptions& options,
@@ -72,33 +71,29 @@ void ExpectFeaturesInvisible(const Program& program, const Database& input,
     // land on the generic timeline; the on/off equivalence checks still run.
     expect_dense = false;
   }
-  for (int threads : {1, 2, 8}) {
-    RunResult off = RunOnce(program, input, options, threads, /*dense=*/false,
-                        /*arena=*/false, series_pred);
-    EXPECT_FALSE(off.timeline_dense) << label;
-    for (bool dense : {false, true}) {
-      for (bool arena : {false, true}) {
-        if (!dense && !arena) continue;
-        RunResult on =
-            RunOnce(program, input, options, threads, dense, arena, series_pred);
-        std::string what = label + " (threads=" + std::to_string(threads) +
-                           " dense=" + std::to_string(dense) +
-                           " arena=" + std::to_string(arena) + ")";
-        EXPECT_EQ(off.db_text, on.db_text) << what << ": database diverged";
-        EXPECT_EQ(off.series_text, on.series_text)
-            << what << ": Series() diverged";
-        EXPECT_EQ(off.provenance_text, on.provenance_text)
-            << what << ": provenance diverged";
-        if (dense) {
-          EXPECT_EQ(on.timeline_dense, expect_dense)
-              << what << ": eligibility selected the wrong timeline";
-        }
+  RunResult off = RunOnce(program, input, options, /*dense=*/false,
+                          /*arena=*/false, series_pred);
+  EXPECT_FALSE(off.timeline_dense) << label;
+  for (bool dense : {false, true}) {
+    for (bool arena : {false, true}) {
+      if (!dense && !arena) continue;
+      RunResult on = RunOnce(program, input, options, dense, arena, series_pred);
+      std::string what = label + " (dense=" + std::to_string(dense) +
+                         " arena=" + std::to_string(arena) + ")";
+      EXPECT_EQ(off.db_text, on.db_text) << what << ": database diverged";
+      EXPECT_EQ(off.series_text, on.series_text)
+          << what << ": Series() diverged";
+      EXPECT_EQ(off.provenance_text, on.provenance_text)
+          << what << ": provenance diverged";
+      if (dense) {
+        EXPECT_EQ(on.timeline_dense, expect_dense)
+            << what << ": eligibility selected the wrong timeline";
       }
     }
   }
 }
 
-// Same safe fragment the parallel and differential tests fuzz: stratified
+// Same safe fragment the differential tests fuzz: stratified
 // recursion through boxminus/diamondminus with negated guards, over
 // integral facts and bounds.
 class ProgramFuzzer {
@@ -243,10 +238,10 @@ TEST(DenseEquivalenceTest, ArenaStatsAreReportedWhenArmed) {
   EngineOptions options;
   options.min_time = Rational(0);
   options.max_time = Rational(40);
-  RunResult on = RunOnce(unit->program, unit->database, options, 1,
-                     /*dense=*/true, /*arena=*/true, "d0");
-  RunResult off = RunOnce(unit->program, unit->database, options, 1,
-                      /*dense=*/true, /*arena=*/false, "d0");
+  RunResult on = RunOnce(unit->program, unit->database, options,
+                         /*dense=*/true, /*arena=*/true, "d0");
+  RunResult off = RunOnce(unit->program, unit->database, options,
+                          /*dense=*/true, /*arena=*/false, "d0");
   EXPECT_EQ(off.arena_allocs, 0u);
   // The fuzz programs derive enough transient sets to spill at least once.
   EXPECT_GT(on.arena_allocs, 0u);

@@ -25,14 +25,10 @@ Parser::ParsedUnit ParseDivergent() {
 }
 
 // Options used by the round-barrier consistency tests: chain acceleration
-// off so the divergent rule advances one fixpoint round at a time, and the
-// small-delta heuristic off so multi-thread configurations actually
-// exercise the pool + barrier-merge path every round.
-EngineOptions SteppedOptions(int threads) {
+// off so the divergent rule advances one fixpoint round at a time.
+EngineOptions SteppedOptions() {
   EngineOptions options;
-  options.num_threads = threads;
   options.enable_chain_acceleration = false;
-  options.parallel_min_round_intervals = 0;
   return options;
 }
 
@@ -67,128 +63,106 @@ void ExpectAtRoundBarrier(const EngineOptions& tripped_options,
 }
 
 TEST(GuardTest, DeadlineTripsOnDivergentProgram) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Parser::ParsedUnit unit = ParseDivergent();
-    Database db = unit.database;
-    EngineOptions options;
-    options.num_threads = threads;
-    options.deadline = std::chrono::milliseconds(50);
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(stats.stop_reason, StopReason::kDeadline);
-    EXPECT_GE(stats.stopped_stratum, 0);
-    EXPECT_GT(stats.guard_checks, 0u);
-    EXPECT_GT(stats.wall_seconds, 0.0);
-    EXPECT_EQ(stats.intervals_at_stop, db.NumIntervals());
-    EXPECT_NE(stats.StopDiagnostics().find("stop_reason=deadline"),
-              std::string::npos);
-  }
+  Parser::ParsedUnit unit = ParseDivergent();
+  Database db = unit.database;
+  EngineOptions options;
+  options.deadline = std::chrono::milliseconds(50);
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(stats.stop_reason, StopReason::kDeadline);
+  EXPECT_GE(stats.stopped_stratum, 0);
+  EXPECT_GT(stats.guard_checks, 0u);
+  EXPECT_GT(stats.wall_seconds, 0.0);
+  EXPECT_EQ(stats.intervals_at_stop, db.NumIntervals());
+  EXPECT_NE(stats.StopDiagnostics().find("stop_reason=deadline"),
+            std::string::npos);
 }
 
 TEST(GuardTest, DeadlineLeavesDatabaseAtRoundBarrier) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Parser::ParsedUnit unit = ParseDivergent();
-    Database db = unit.database;
-    EngineOptions options = SteppedOptions(threads);
-    options.deadline = std::chrono::milliseconds(50);
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    ASSERT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-    ExpectAtRoundBarrier(options, stats, db);
-  }
+  Parser::ParsedUnit unit = ParseDivergent();
+  Database db = unit.database;
+  EngineOptions options = SteppedOptions();
+  options.deadline = std::chrono::milliseconds(50);
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  ASSERT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  ExpectAtRoundBarrier(options, stats, db);
 }
 
 TEST(GuardTest, CancellationFromAnotherThread) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Parser::ParsedUnit unit = ParseDivergent();
-    Database db = unit.database;
-    EngineOptions options;
-    options.num_threads = threads;
-    options.cancel_token = std::make_shared<CancellationToken>();
-    std::thread canceller([token = options.cancel_token] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      token->Cancel();
-    });
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    canceller.join();
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kCancelled);
-    EXPECT_EQ(stats.stop_reason, StopReason::kCancelled);
-    EXPECT_EQ(stats.intervals_at_stop, db.NumIntervals());
-  }
+  Parser::ParsedUnit unit = ParseDivergent();
+  Database db = unit.database;
+  EngineOptions options;
+  options.cancel_token = std::make_shared<CancellationToken>();
+  std::thread canceller([token = options.cancel_token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token->Cancel();
+  });
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  canceller.join();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(stats.stop_reason, StopReason::kCancelled);
+  EXPECT_EQ(stats.intervals_at_stop, db.NumIntervals());
 }
 
 TEST(GuardTest, PreCancelledRunLeavesDatabaseUntouched) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Parser::ParsedUnit unit = ParseDivergent();
-    Database db = unit.database;
-    std::string before = db.ToString();
-    EngineOptions options;
-    options.num_threads = threads;
-    options.cancel_token = std::make_shared<CancellationToken>();
-    options.cancel_token->Cancel();
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    ASSERT_EQ(status.code(), StatusCode::kCancelled);
-    EXPECT_EQ(stats.stopped_round, 0u);
-    EXPECT_EQ(db.ToString(), before);
-  }
+  Parser::ParsedUnit unit = ParseDivergent();
+  Database db = unit.database;
+  std::string before = db.ToString();
+  EngineOptions options;
+  options.cancel_token = std::make_shared<CancellationToken>();
+  options.cancel_token->Cancel();
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  ASSERT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(stats.stopped_round, 0u);
+  EXPECT_EQ(db.ToString(), before);
 }
 
 TEST(GuardTest, MaxRoundsTripThenHorizonRerunCompletes) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Parser::ParsedUnit unit = ParseDivergent();
-    Database db = unit.database;
-    EngineOptions options = SteppedOptions(threads);
-    options.max_rounds = 5;
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    ASSERT_EQ(status.code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(stats.stop_reason, StopReason::kMaxRounds);
-    // The cap refuses round max_rounds + 1, so the database holds rounds
-    // [0, max_rounds].
-    EXPECT_EQ(stats.stopped_round, options.max_rounds + 1);
-    EXPECT_NE(stats.StopDiagnostics().find("stop_reason=max_rounds"),
-              std::string::npos);
+  Parser::ParsedUnit unit = ParseDivergent();
+  Database db = unit.database;
+  EngineOptions options = SteppedOptions();
+  options.max_rounds = 5;
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  ASSERT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stats.stop_reason, StopReason::kMaxRounds);
+  // The cap refuses round max_rounds + 1, so the database holds rounds
+  // [0, max_rounds].
+  EXPECT_EQ(stats.stopped_round, options.max_rounds + 1);
+  EXPECT_NE(stats.StopDiagnostics().find("stop_reason=max_rounds"),
+            std::string::npos);
 
-    // A follow-up run with a horizon completes from the partial database
-    // and lands on the same result as a clean horizon run.
-    EngineOptions horizon = SteppedOptions(threads);
-    horizon.min_time = Rational(0);
-    horizon.max_time = Rational(10);
-    Status rerun = Materialize(unit.program, &db, horizon);
-    ASSERT_TRUE(rerun.ok()) << rerun;
+  // A follow-up run with a horizon completes from the partial database
+  // and lands on the same result as a clean horizon run.
+  EngineOptions horizon = SteppedOptions();
+  horizon.min_time = Rational(0);
+  horizon.max_time = Rational(10);
+  Status rerun = Materialize(unit.program, &db, horizon);
+  ASSERT_TRUE(rerun.ok()) << rerun;
 
-    Database fresh = ParseDivergent().database;
-    ASSERT_TRUE(Materialize(unit.program, &fresh, horizon).ok());
-    EXPECT_EQ(db.ToString(), fresh.ToString());
-  }
+  Database fresh = ParseDivergent().database;
+  ASSERT_TRUE(Materialize(unit.program, &fresh, horizon).ok());
+  EXPECT_EQ(db.ToString(), fresh.ToString());
 }
 
 TEST(GuardTest, MaxIntervalsTripIsRoundBarrierConsistent) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Parser::ParsedUnit unit = ParseDivergent();
-    Database db = unit.database;
-    EngineOptions options = SteppedOptions(threads);
-    options.max_intervals = db.NumIntervals() + 3;
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    ASSERT_EQ(status.code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(stats.stop_reason, StopReason::kMaxIntervals);
-    EXPECT_EQ(stats.intervals_at_stop, db.NumIntervals());
-    // Partial work of the tripped round - including any half-merged
-    // parallel sink buffers - must have been rolled back.
-    ExpectAtRoundBarrier(options, stats, db);
-  }
+  Parser::ParsedUnit unit = ParseDivergent();
+  Database db = unit.database;
+  EngineOptions options = SteppedOptions();
+  options.max_intervals = db.NumIntervals() + 3;
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  ASSERT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stats.stop_reason, StopReason::kMaxIntervals);
+  EXPECT_EQ(stats.intervals_at_stop, db.NumIntervals());
+  // Partial work of the tripped round must have been rolled back.
+  ExpectAtRoundBarrier(options, stats, db);
 }
 
 }  // namespace

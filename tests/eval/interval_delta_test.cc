@@ -1,12 +1,11 @@
 // Interval-delta propagation equivalence and soundness: materializing with
 // enable_interval_deltas on and off must produce identical database
 // contents, identical query Series, and cover the same derived intervals in
-// provenance, at every pool width. Memoized operator reads have
-// round-boundary snapshot semantics, so provenance round/rule attribution -
-// and the rounds/derived counters - may legitimately shift on programs with
-// intra-round feeding; coverage (the union of derived pieces per
-// (predicate, tuple)) is the invariant, exactly as in join_plan_test and
-// parallel_eval_test.
+// provenance. Memoized operator reads have round-boundary snapshot
+// semantics, so provenance round/rule attribution - and the rounds/derived
+// counters - may legitimately shift on programs with intra-round feeding;
+// coverage (the union of derived pieces per (predicate, tuple)) is the
+// invariant, exactly as in join_plan_test.
 //
 // Also covers the memo-specific corners: punctual-box paths refresh in
 // place while non-punctual boxes invalidate, since/until bodies never
@@ -48,17 +47,14 @@ std::string ProvenanceCoverage(const std::vector<DerivationRecord>& records) {
 }
 
 RunResult MaterializeWithDeltas(const Program& program, const Database& input,
-                                EngineOptions options, bool deltas,
-                                int num_threads) {
+                                EngineOptions options, bool deltas) {
   std::vector<DerivationRecord> provenance;
   options.enable_interval_deltas = deltas;
-  options.num_threads = num_threads;
   options.provenance = &provenance;
   Database db = input;
   EngineStats stats;
   Status status = Materialize(program, &db, options, &stats);
-  EXPECT_TRUE(status.ok()) << status << " (deltas=" << deltas
-                           << ", num_threads=" << num_threads << ")";
+  EXPECT_TRUE(status.ok()) << status << " (deltas=" << deltas << ")";
   RunResult out;
   out.db_text = db.ToString();
   out.provenance_coverage = ProvenanceCoverage(provenance);
@@ -66,24 +62,18 @@ RunResult MaterializeWithDeltas(const Program& program, const Database& input,
 }
 
 // Deltas on must equal deltas off - same database, same provenance
-// coverage - at pool widths 1, 2, and 8.
+// coverage.
 void ExpectDeltaEquivalence(const Program& program, const Database& input,
                             const EngineOptions& options,
                             const std::string& label) {
-  for (int threads : {1, 2, 8}) {
-    RunResult on =
-        MaterializeWithDeltas(program, input, options, true, threads);
-    RunResult off =
-        MaterializeWithDeltas(program, input, options, false, threads);
-    EXPECT_EQ(on.db_text, off.db_text)
-        << label << ": database diverged at num_threads=" << threads;
-    EXPECT_EQ(on.provenance_coverage, off.provenance_coverage)
-        << label << ": provenance coverage diverged at num_threads="
-        << threads;
-  }
+  RunResult on = MaterializeWithDeltas(program, input, options, true);
+  RunResult off = MaterializeWithDeltas(program, input, options, false);
+  EXPECT_EQ(on.db_text, off.db_text) << label << ": database diverged";
+  EXPECT_EQ(on.provenance_coverage, off.provenance_coverage)
+      << label << ": provenance coverage diverged";
 }
 
-// The same safe fragment join_plan_test and parallel_eval_test fuzz
+// The same safe fragment join_plan_test fuzzes
 // (stratified negation, boxminus/diamondminus recursion, multi-literal
 // joins), with deeper unary chains so refreshable and non-refreshable memo
 // paths both occur.
@@ -283,42 +273,6 @@ TEST(IntervalDeltaTest, MemoCountersAreReported) {
   EXPECT_EQ(off.memo_invalidations, 0u);
   EXPECT_EQ(off.ToString().find("memo_hits="), std::string::npos);
   EXPECT_EQ(db.ToString(), db_off.ToString());
-}
-
-// The parallel work-size heuristic: small fixpoint rounds run inline even
-// with a pool. The result must match the all-parallel run, and the forced
-// rounds must be counted.
-TEST(IntervalDeltaTest, SmallRoundHeuristicAgreesAndCounts) {
-  const char* text =
-      "tick(X) :- diamondminus[1,1] tick(X), lim(X) .\n"
-      "echo(X) :- diamondminus[0,1] tick(X), lim(X) .\n"
-      "tick(a)@[0,0] . lim(a)@[0,40] .\n";
-  auto unit = Parser::Parse(text);
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  EngineOptions options;
-  options.min_time = Rational(0);
-  options.max_time = Rational(40);
-  options.enable_chain_acceleration = false;
-  options.num_threads = 4;
-
-  auto run = [&](size_t min_intervals, EngineStats* stats) {
-    EngineOptions o = options;
-    o.parallel_min_round_intervals = min_intervals;
-    Database db = unit->database;
-    EXPECT_TRUE(Materialize(unit->program, &db, o, stats).ok());
-    return db.ToString();
-  };
-
-  EngineStats forced, all_parallel;
-  std::string with_heuristic = run(2048, &forced);
-  std::string without_heuristic = run(0, &all_parallel);
-  EXPECT_EQ(with_heuristic, without_heuristic);
-  // Every fixpoint round here carries a handful of intervals: all forced
-  // inline (only the initial full rounds still go through the pool).
-  EXPECT_GE(forced.sequential_rounds_forced, 1u);
-  EXPECT_EQ(all_parallel.sequential_rounds_forced, 0u);
-  EXPECT_GT(all_parallel.parallel_rounds, forced.parallel_rounds);
-  EXPECT_NE(forced.ToString().find("seq_rounds_forced="), std::string::npos);
 }
 
 }  // namespace

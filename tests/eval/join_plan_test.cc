@@ -1,10 +1,10 @@
 // Join-planner equivalence and soundness: materializing with
 // enable_join_planning on and off must produce identical database contents
-// and cover the same derived intervals in provenance, at every pool width.
-// The planner reorders literals and changes the order rows are enumerated
-// in, so provenance *text* (insertion order of pieces) may differ between
-// on and off; coverage - the union of derived pieces per (predicate,
-// tuple) - is the invariant, exactly as in parallel_eval_test.
+// and cover the same derived intervals in provenance. The planner reorders
+// literals and changes the order rows are enumerated in, so provenance
+// *text* (insertion order of pieces) may differ between on and off;
+// coverage - the union of derived pieces per (predicate, tuple) - is the
+// invariant.
 //
 // Also covers the soundness corner the pruning design calls out (an atom
 // under the LEFT operand of since/until must not be envelope-pruned: an
@@ -48,16 +48,14 @@ std::string ProvenanceCoverage(const std::vector<DerivationRecord>& records) {
 
 RunResult MaterializeWithPlanning(const Program& program,
                                   const Database& input, EngineOptions options,
-                                  bool planning, int num_threads) {
+                                  bool planning) {
   std::vector<DerivationRecord> provenance;
   options.enable_join_planning = planning;
-  options.num_threads = num_threads;
   options.provenance = &provenance;
   Database db = input;
   EngineStats stats;
   Status status = Materialize(program, &db, options, &stats);
-  EXPECT_TRUE(status.ok()) << status << " (planning=" << planning
-                           << ", num_threads=" << num_threads << ")";
+  EXPECT_TRUE(status.ok()) << status << " (planning=" << planning << ")";
   RunResult out;
   out.db_text = db.ToString();
   out.provenance_coverage = ProvenanceCoverage(provenance);
@@ -66,26 +64,20 @@ RunResult MaterializeWithPlanning(const Program& program,
 }
 
 // Planner on must equal planner off - same database, same provenance
-// coverage, same derived-interval count - at pool widths 1, 2, and 8.
+// coverage, same derived-interval count.
 void ExpectPlannerEquivalence(const Program& program, const Database& input,
                               const EngineOptions& options,
                               const std::string& label) {
-  for (int threads : {1, 2, 8}) {
-    RunResult on =
-        MaterializeWithPlanning(program, input, options, true, threads);
-    RunResult off =
-        MaterializeWithPlanning(program, input, options, false, threads);
-    EXPECT_EQ(on.db_text, off.db_text)
-        << label << ": database diverged at num_threads=" << threads;
-    EXPECT_EQ(on.provenance_coverage, off.provenance_coverage)
-        << label << ": provenance coverage diverged at num_threads="
-        << threads;
-    EXPECT_EQ(on.derived_intervals, off.derived_intervals)
-        << label << ": derived counts diverged at num_threads=" << threads;
-  }
+  RunResult on = MaterializeWithPlanning(program, input, options, true);
+  RunResult off = MaterializeWithPlanning(program, input, options, false);
+  EXPECT_EQ(on.db_text, off.db_text) << label << ": database diverged";
+  EXPECT_EQ(on.provenance_coverage, off.provenance_coverage)
+      << label << ": provenance coverage diverged";
+  EXPECT_EQ(on.derived_intervals, off.derived_intervals)
+      << label << ": derived counts diverged";
 }
 
-// Same safe fragment parallel_eval_test fuzzes: stratified negation,
+// The safe fragment the differential tests fuzz: stratified negation,
 // boxminus/diamondminus recursion, multi-literal joins.
 class ProgramFuzzer {
  public:

@@ -203,5 +203,18 @@ TEST(SemiNaiveTest, MonotoneInsertOnlySemantics) {
   EXPECT_EQ(db.ToString(), first);
 }
 
+TEST(SemiNaiveTest, StatsReportWallTimePerStratum) {
+  EngineStats stats;
+  RunText("a(X) :- p(X) .\n"
+          "b(X) :- p(X) .\n"
+          "c(X) :- a(X), not d(X) .\n"
+          "p(x)@[0,5] . p(y)@[2,9] . d(y)@[0,1] .\n",
+          {}, &stats);
+  EXPECT_GE(stats.num_strata, 2);
+  EXPECT_EQ(stats.stratum_wall_seconds.size(),
+            static_cast<size_t>(stats.num_strata));
+  EXPECT_GE(stats.rule_evaluations, 3u);
+}
+
 }  // namespace
 }  // namespace dmtl

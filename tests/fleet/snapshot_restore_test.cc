@@ -2,9 +2,8 @@
 // checkpoint, decoded fresh, and continued over the same schedule must end
 // byte-identical - database text, Series() output, and provenance coverage
 // - to an uninterrupted twin, and match the checkpointed session right
-// after the restore. Enforced at thread widths 1, 2, and 8, with a
-// sliding window in play, and across the encode/decode text codec (not just
-// the in-memory struct). A degraded restore (different engine knobs than
+// after the restore. Enforced with and without a sliding window in play,
+// and across the encode/decode text codec (not just the in-memory struct). A degraded restore (different engine knobs than
 // the twin) must not change a single byte either.
 
 #include <gtest/gtest.h>
@@ -117,7 +116,7 @@ void ExpectRestartIsInvisible(const Program& program,
   EXPECT_EQ((*restored)->window_min(), (*twin)->window_min()) << label;
 }
 
-TEST(SnapshotRestoreTest, EthPerpMidStreamRestartAtEveryThreadWidth) {
+TEST(SnapshotRestoreTest, EthPerpMidStreamRestart) {
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok()) << program.status();
   WorkloadConfig config;
@@ -131,16 +130,11 @@ TEST(SnapshotRestoreTest, EthPerpMidStreamRestartAtEveryThreadWidth) {
   std::vector<FleetOp> ops = SessionToOps(*session);
   ASSERT_GT(ops.size(), 8u);
 
-  for (int threads : {1, 2, 8}) {
-    SessionOptions options;
-    options.start_time = Rational(session->start_time);
-    options.engine.num_threads = threads;
-    for (size_t cut : {ops.size() / 3, ops.size() / 2, ops.size() - 1}) {
-      ExpectRestartIsInvisible(
-          program.value(), ops, cut, options, options, "frs",
-          "eth-perp threads=" + std::to_string(threads) +
-              " cut=" + std::to_string(cut));
-    }
+  SessionOptions options;
+  options.start_time = Rational(session->start_time);
+  for (size_t cut : {ops.size() / 3, ops.size() / 2, ops.size() - 1}) {
+    ExpectRestartIsInvisible(program.value(), ops, cut, options, options,
+                             "frs", "eth-perp cut=" + std::to_string(cut));
   }
 }
 
@@ -161,9 +155,7 @@ TEST(SnapshotRestoreTest, DegradedRestoreIsStillByteIdentical) {
 
   SessionOptions fast;
   fast.start_time = Rational(session->start_time);
-  fast.engine.num_threads = 8;
   SessionOptions degraded = fast;
-  degraded.engine.num_threads = 1;
   degraded.engine.enable_chain_acceleration = false;
   ExpectRestartIsInvisible(program.value(), ops, ops.size() / 2, fast,
                            degraded, "frs", "degraded restore");
@@ -186,17 +178,12 @@ TEST(SnapshotRestoreTest, SlidingWindowRestartRetainsRetraction) {
     ops.push_back(FleetOp::Advance(Rational(t)));
   }
 
-  for (int threads : {1, 2, 8}) {
-    SessionOptions options;
-    options.start_time = Rational(0);
-    options.horizon = Rational(4);  // auto-slide: retraction in play
-    options.engine.num_threads = threads;
-    for (size_t cut : {size_t{7}, size_t{15}, ops.size() - 2}) {
-      ExpectRestartIsInvisible(
-          unit->program, ops, cut, options, options, "q",
-          "sliding threads=" + std::to_string(threads) +
-              " cut=" + std::to_string(cut));
-    }
+  SessionOptions options;
+  options.start_time = Rational(0);
+  options.horizon = Rational(4);  // auto-slide: retraction in play
+  for (size_t cut : {size_t{7}, size_t{15}, ops.size() - 2}) {
+    ExpectRestartIsInvisible(unit->program, ops, cut, options, options, "q",
+                             "sliding cut=" + std::to_string(cut));
   }
 }
 

@@ -10,8 +10,7 @@ namespace dmtl {
 namespace {
 
 // Two mutually recursive divergent predicates: every fixpoint round has two
-// rules with fresh deltas (so parallel rounds always run two tasks and two
-// barrier merges), and the horizon makes the clean fixpoint finite.
+// rules with fresh deltas, and the horizon makes the clean fixpoint finite.
 constexpr char kTwin[] =
     "a(A) :- deposit(A) .\n"
     "b(A) :- deposit(A) .\n"
@@ -25,59 +24,50 @@ Parser::ParsedUnit ParseTwin() {
   return *unit;
 }
 
-// Chain acceleration off so rounds advance one step at a time; small-delta
-// heuristic off so multi-thread runs exercise the pool and barrier merge on
-// every round; horizon so the clean fixpoint terminates.
-EngineOptions TwinOptions(int threads) {
+// Chain acceleration off so rounds advance one step at a time; horizon so
+// the clean fixpoint terminates.
+EngineOptions TwinOptions() {
   EngineOptions options;
-  options.num_threads = threads;
   options.enable_chain_acceleration = false;
-  options.parallel_min_round_intervals = 0;
   options.min_time = Rational(0);
   options.max_time = Rational(10);
   return options;
 }
 
-std::string CleanResult(int threads) {
+std::string CleanResult() {
   Parser::ParsedUnit unit = ParseTwin();
   Database db = unit.database;
-  Status status = Materialize(unit.program, &db, TwinOptions(threads));
+  Status status = Materialize(unit.program, &db, TwinOptions());
   EXPECT_TRUE(status.ok()) << status;
   return db.ToString();
 }
 
 // The contract every injected failure must satisfy: the database sits at
 // the exact round barrier reported in the stats (verified against a
-// max_rounds-capped reference run where the stop round is deterministic),
-// and a clean re-run from the partial database reaches the same fixpoint as
-// an unfaulted run. `deterministic_round` is false for faults whose hit
-// lands on a racy path (e.g. pool task dispatch order at width > 1), where
-// only the recovery half is checkable.
+// max_rounds-capped reference run), and a clean re-run from the partial
+// database reaches the same fixpoint as an unfaulted run.
 void ExpectBarrierConsistentAndRecoverable(const EngineOptions& options,
                                            const EngineStats& stats,
-                                           Database db,
-                                           bool deterministic_round = true) {
+                                           Database db) {
   Parser::ParsedUnit unit = ParseTwin();
-  if (deterministic_round) {
-    if (stats.stopped_round == 0) {
-      EXPECT_EQ(db.ToString(), unit.database.ToString());
-    } else {
-      EngineOptions reference = options;
-      reference.max_rounds = stats.stopped_round - 1;
-      Database ref_db = unit.database;
-      EngineStats ref_stats;
-      Status ref_status =
-          Materialize(unit.program, &ref_db, reference, &ref_stats);
-      ASSERT_EQ(ref_status.code(), StatusCode::kResourceExhausted);
-      ASSERT_EQ(ref_stats.stopped_round, stats.stopped_round);
-      EXPECT_EQ(db.ToString(), ref_db.ToString());
-    }
+  if (stats.stopped_round == 0) {
+    EXPECT_EQ(db.ToString(), unit.database.ToString());
+  } else {
+    EngineOptions reference = options;
+    reference.max_rounds = stats.stopped_round - 1;
+    Database ref_db = unit.database;
+    EngineStats ref_stats;
+    Status ref_status =
+        Materialize(unit.program, &ref_db, reference, &ref_stats);
+    ASSERT_EQ(ref_status.code(), StatusCode::kResourceExhausted);
+    ASSERT_EQ(ref_stats.stopped_round, stats.stopped_round);
+    EXPECT_EQ(db.ToString(), ref_db.ToString());
   }
   // Recovery: with the fault disarmed, materialization completes from the
   // partial database and reaches the clean fixpoint.
   Status rerun = Materialize(unit.program, &db, options);
   ASSERT_TRUE(rerun.ok()) << rerun;
-  EXPECT_EQ(db.ToString(), CleanResult(options.num_threads));
+  EXPECT_EQ(db.ToString(), CleanResult());
 }
 
 class FaultInjectionTest : public ::testing::Test {
@@ -87,68 +77,20 @@ class FaultInjectionTest : public ::testing::Test {
 };
 
 TEST_F(FaultInjectionTest, RoundFaultRollsBackAndRecovers) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    // Hit 3 = the start of fixpoint round 2 (round 0 and round 1 passed).
-    FaultInjector::Arm("seminaive.round", 3,
-                       Status::EvalError("injected round fault"));
-    Parser::ParsedUnit unit = ParseTwin();
-    Database db = unit.database;
-    EngineOptions options = TwinOptions(threads);
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    FaultInjector::Reset();
-    ASSERT_EQ(status.code(), StatusCode::kEvalError);
-    EXPECT_EQ(status.message(), "injected round fault");
-    EXPECT_EQ(stats.stop_reason, StopReason::kError);
-    EXPECT_EQ(stats.stopped_round, 2u);
-    ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db));
-  }
-}
-
-TEST_F(FaultInjectionTest, PartialBarrierMergeIsRolledBack) {
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    // Round 0 merges four buffered sinks (hits 1-4), round 1 merges two.
-    // Hit 6 fires after round 1's first sink has already been merged into
-    // the store - exactly the half-merged barrier state that must never be
-    // observable.
-    FaultInjector::Arm("seminaive.merge", 6,
-                       Status::EvalError("injected merge fault"));
-    Parser::ParsedUnit unit = ParseTwin();
-    Database db = unit.database;
-    EngineOptions options = TwinOptions(threads);
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    FaultInjector::Reset();
-    ASSERT_EQ(status.code(), StatusCode::kEvalError);
-    EXPECT_EQ(stats.stop_reason, StopReason::kError);
-    EXPECT_EQ(stats.stopped_round, 1u);
-    EXPECT_GT(stats.rolled_back_intervals, 0u);
-    ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db));
-  }
-}
-
-TEST_F(FaultInjectionTest, PoolTaskFaultFailsTheRoundCleanly) {
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    // All of round 0's four tasks fire before any merge happens, so
-    // whichever task draws the third hit (dispatch order is racy), the
-    // failure lands in round 0 and the database must come back untouched.
-    FaultInjector::Arm("thread_pool.task", 3,
-                       Status::EvalError("injected task fault"));
-    Parser::ParsedUnit unit = ParseTwin();
-    Database db = unit.database;
-    EngineOptions options = TwinOptions(threads);
-    EngineStats stats;
-    Status status = Materialize(unit.program, &db, options, &stats);
-    FaultInjector::Reset();
-    ASSERT_EQ(status.code(), StatusCode::kEvalError);
-    EXPECT_EQ(stats.stop_reason, StopReason::kError);
-    EXPECT_EQ(stats.stopped_round, 0u);
-    EXPECT_EQ(db.ToString(), unit.database.ToString());
-    ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db));
-  }
+  // Hit 3 = the start of fixpoint round 2 (round 0 and round 1 passed).
+  FaultInjector::Arm("seminaive.round", 3,
+                     Status::EvalError("injected round fault"));
+  Parser::ParsedUnit unit = ParseTwin();
+  Database db = unit.database;
+  EngineOptions options = TwinOptions();
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  FaultInjector::Reset();
+  ASSERT_EQ(status.code(), StatusCode::kEvalError);
+  EXPECT_EQ(status.message(), "injected round fault");
+  EXPECT_EQ(stats.stop_reason, StopReason::kError);
+  EXPECT_EQ(stats.stopped_round, 2u);
+  ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db));
 }
 
 TEST_F(FaultInjectionTest, InsertSetThrowBeforeMutationLeavesStoreClean) {
@@ -158,7 +100,7 @@ TEST_F(FaultInjectionTest, InsertSetThrowBeforeMutationLeavesStoreClean) {
   FaultInjector::ArmThrow("database.insert_set", 1, "injected storage fault");
   Parser::ParsedUnit unit = ParseTwin();
   Database db = unit.database;
-  EngineOptions options = TwinOptions(1);
+  EngineOptions options = TwinOptions();
   EngineStats stats;
   Status status = Materialize(unit.program, &db, options, &stats);
   FaultInjector::Reset();
@@ -178,7 +120,7 @@ TEST_F(FaultInjectionTest, InsertSetThrowAfterPairedInsertIsRepaired) {
   FaultInjector::ArmThrow("database.insert_set", 2, "injected delta fault");
   Parser::ParsedUnit unit = ParseTwin();
   Database db = unit.database;
-  EngineOptions options = TwinOptions(1);
+  EngineOptions options = TwinOptions();
   EngineStats stats;
   Status status = Materialize(unit.program, &db, options, &stats);
   FaultInjector::Reset();
@@ -188,53 +130,28 @@ TEST_F(FaultInjectionTest, InsertSetThrowAfterPairedInsertIsRepaired) {
   ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db));
 }
 
-TEST_F(FaultInjectionTest, InsertSetThrowIsCrashFreeAtEveryPoolWidth) {
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    // At pool width > 1 the hit order across worker overlays is racy, so
-    // the stopped round is nondeterministic; crash-freedom, a clean
-    // kInternal, and full recovery are the invariants.
-    FaultInjector::ArmThrow("database.insert_set", 3,
-                            "injected storage fault");
+TEST_F(FaultInjectionTest, EveryStatusSiteFirstHitIsCleanAndRecoverable) {
+  // Safety-net sweep: arm each Status-returning site on its very first
+  // hit. A site the engine never reaches (the pool's task site - every
+  // engine run is sequential) must leave the run untouched; a reached site
+  // must fail cleanly and recover after Reset.
+  for (const char* site : {"seminaive.round", "thread_pool.task"}) {
+    SCOPED_TRACE(site);
+    FaultInjector::Arm(site, 1, Status::EvalError("injected sweep fault"));
     Parser::ParsedUnit unit = ParseTwin();
     Database db = unit.database;
-    EngineOptions options = TwinOptions(threads);
+    EngineOptions options = TwinOptions();
     EngineStats stats;
     Status status = Materialize(unit.program, &db, options, &stats);
+    uint64_t hits = FaultInjector::HitCount(site);
     FaultInjector::Reset();
-    ASSERT_EQ(status.code(), StatusCode::kInternal);
-    EXPECT_EQ(stats.stop_reason, StopReason::kError);
-    ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db),
-                                          /*deterministic_round=*/false);
-  }
-}
-
-TEST_F(FaultInjectionTest, EveryStatusSiteFirstHitIsCleanAndRecoverable) {
-  // Safety-net sweep: arm each Status-returning engine site on its very
-  // first hit at every pool width. A site that a configuration never
-  // reaches (merge/task sites at width 1) must leave the run untouched;
-  // a reached site must fail cleanly and recover after Reset.
-  for (const char* site :
-       {"seminaive.round", "seminaive.merge", "thread_pool.task"}) {
-    for (int threads : {1, 2, 8}) {
-      SCOPED_TRACE(std::string(site) + " threads=" + std::to_string(threads));
-      FaultInjector::Arm(site, 1, Status::EvalError("injected sweep fault"));
-      Parser::ParsedUnit unit = ParseTwin();
-      Database db = unit.database;
-      EngineOptions options = TwinOptions(threads);
-      EngineStats stats;
-      Status status = Materialize(unit.program, &db, options, &stats);
-      uint64_t hits = FaultInjector::HitCount(site);
-      FaultInjector::Reset();
-      if (status.ok()) {
-        EXPECT_EQ(hits, 0u);
-        EXPECT_EQ(db.ToString(), CleanResult(threads));
-      } else {
-        ASSERT_EQ(status.code(), StatusCode::kEvalError);
-        EXPECT_EQ(stats.stop_reason, StopReason::kError);
-        ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db),
-                                              /*deterministic_round=*/false);
-      }
+    if (status.ok()) {
+      EXPECT_EQ(hits, 0u);
+      EXPECT_EQ(db.ToString(), CleanResult());
+    } else {
+      ASSERT_EQ(status.code(), StatusCode::kEvalError);
+      EXPECT_EQ(stats.stop_reason, StopReason::kError);
+      ExpectBarrierConsistentAndRecoverable(options, stats, std::move(db));
     }
   }
 }

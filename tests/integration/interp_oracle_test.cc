@@ -35,9 +35,8 @@ struct OracleRun {
 
 // One materialization with everything observable captured as text.
 OracleRun RunOnce(const Program& program, const Database& facts,
-                  EngineOptions options, bool compile, int threads) {
+                  EngineOptions options, bool compile) {
   options.enable_rule_compile = compile;
-  options.num_threads = threads;
   std::vector<DerivationRecord> provenance;
   options.provenance = &provenance;
   Database db = facts;
@@ -63,23 +62,18 @@ OracleRun RunOnce(const Program& program, const Database& facts,
   return out;
 }
 
-// The oracle contract: at each pool width, compile-on and compile-off runs
-// must match byte for byte on all three artifacts. (Provenance attribution
-// may differ BETWEEN widths - see docs/parallelism.md - but never between
-// executors at the same width: the VM emits in exactly the interpreter's
-// order.)
+// The oracle contract: compile-on and compile-off runs must match byte for
+// byte on all three artifacts, provenance attribution included - the VM
+// emits in exactly the interpreter's order.
 void ExpectExecutorsAgree(const Program& program, const Database& facts,
                           const EngineOptions& options,
                           const std::string& what) {
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE(what + " threads=" + std::to_string(threads));
-    OracleRun vm = RunOnce(program, facts, options, /*compile=*/true, threads);
-    OracleRun interp =
-        RunOnce(program, facts, options, /*compile=*/false, threads);
-    EXPECT_EQ(vm.database, interp.database);
-    EXPECT_EQ(vm.series, interp.series);
-    EXPECT_EQ(vm.provenance, interp.provenance);
-  }
+  SCOPED_TRACE(what);
+  OracleRun vm = RunOnce(program, facts, options, /*compile=*/true);
+  OracleRun interp = RunOnce(program, facts, options, /*compile=*/false);
+  EXPECT_EQ(vm.database, interp.database);
+  EXPECT_EQ(vm.series, interp.series);
+  EXPECT_EQ(vm.provenance, interp.provenance);
 }
 
 // --- shipped programs ------------------------------------------------------
@@ -294,48 +288,40 @@ TEST(InterpOracleFaultTest, MidDispatchFailureRollsBackToBarrier) {
     return db.ToString();
   };
 
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    FaultInjector::Reset();
-    // Two tuples per rule means every dispatch flushes two emissions;
-    // an even hit count >2 lands between the first and second flush of
-    // a dispatch in a later round - genuinely mid-dispatch.
-    FaultInjector::Arm("vm.dispatch", 10,
-                       Status::EvalError("injected mid-dispatch fault"));
-    EngineOptions faulted = options;
-    faulted.num_threads = threads;
-    faulted.parallel_min_round_intervals = 0;
-    Database db = unit->database;
-    EngineStats stats;
-    Status status = Materialize(unit->program, &db, faulted, &stats);
-    FaultInjector::Reset();
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kEvalError);
+  FaultInjector::Reset();
+  // Two tuples per rule means every dispatch flushes two emissions;
+  // an even hit count >2 lands between the first and second flush of
+  // a dispatch in a later round - genuinely mid-dispatch.
+  FaultInjector::Arm("vm.dispatch", 10,
+                     Status::EvalError("injected mid-dispatch fault"));
+  Database db = unit->database;
+  EngineStats stats;
+  Status status = Materialize(unit->program, &db, options, &stats);
+  FaultInjector::Reset();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kEvalError);
 
-    // Barrier consistency: the partial database is exactly the fixpoint
-    // prefix up to the round before the one that failed.
-    if (stats.stopped_round > 0) {
-      EngineOptions reference = faulted;
-      reference.max_rounds = stats.stopped_round - 1;
-      Database ref_db = unit->database;
-      EngineStats ref_stats;
-      Status ref_status =
-          Materialize(unit->program, &ref_db, reference, &ref_stats);
-      ASSERT_EQ(ref_status.code(), StatusCode::kResourceExhausted);
-      ASSERT_EQ(ref_stats.stopped_round, stats.stopped_round);
-      EXPECT_EQ(db.ToString(), ref_db.ToString());
-    } else {
-      EXPECT_EQ(db.ToString(), unit->database.ToString());
-    }
-
-    // Recovery: re-running without the fault completes to the clean
-    // fixpoint from the rolled-back state.
-    EngineOptions rerun = options;
-    rerun.num_threads = threads;
-    Status recovered = Materialize(unit->program, &db, rerun);
-    ASSERT_TRUE(recovered.ok()) << recovered;
-    EXPECT_EQ(db.ToString(), clean());
+  // Barrier consistency: the partial database is exactly the fixpoint
+  // prefix up to the round before the one that failed.
+  if (stats.stopped_round > 0) {
+    EngineOptions reference = options;
+    reference.max_rounds = stats.stopped_round - 1;
+    Database ref_db = unit->database;
+    EngineStats ref_stats;
+    Status ref_status =
+        Materialize(unit->program, &ref_db, reference, &ref_stats);
+    ASSERT_EQ(ref_status.code(), StatusCode::kResourceExhausted);
+    ASSERT_EQ(ref_stats.stopped_round, stats.stopped_round);
+    EXPECT_EQ(db.ToString(), ref_db.ToString());
+  } else {
+    EXPECT_EQ(db.ToString(), unit->database.ToString());
   }
+
+  // Recovery: re-running without the fault completes to the clean
+  // fixpoint from the rolled-back state.
+  Status recovered = Materialize(unit->program, &db, options);
+  ASSERT_TRUE(recovered.ok()) << recovered;
+  EXPECT_EQ(db.ToString(), clean());
 }
 
 }  // namespace

@@ -69,10 +69,9 @@ void ExpectMatchesColdReplay(const StreamingSession& session,
       << label << ": provenance coverage diverged from cold replay";
 }
 
-SessionOptions Opts(int64_t start, int threads = 1) {
+SessionOptions Opts(int64_t start) {
   SessionOptions options;
   options.start_time = Rational(start);
-  options.engine.num_threads = threads;
   return options;
 }
 
@@ -551,13 +550,13 @@ TEST(StreamingSessionTest, FailedSlideHealsOnNextAdvance) {
 // Retraction-equivalence fuzz lane: random eligible programs, random fact
 // streams. Every third advance is a checkpoint compared byte-for-byte
 // against a cold replay, and past the warm-up every advance is followed by
-// a slide, itself checked the same way. The whole lane re-runs at each
-// thread width, and under the DMTL_DISABLE_RULE_COMPILE /
+// a slide, itself checked the same way. The whole lane re-runs under the
+// DMTL_DISABLE_RULE_COMPILE /
 // DMTL_DISABLE_DENSE_TIMELINE / DMTL_DISABLE_STREAMING environment lanes in
 // CI.
 // ---------------------------------------------------------------------------
 
-// Same safe fragment the dense/parallel/differential suites fuzz -
+// Same safe fragment the dense/differential suites fuzz -
 // stratified boxminus/diamondminus recursion with negated guards - which is
 // exactly the streaming-eligible fragment, plus one non-recursive head
 // behind a negated look-back literal.
@@ -644,18 +643,18 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
   std::string text = fuzzer.GenerateProgram();
   auto unit = Parser::Parse(text);
   ASSERT_TRUE(unit.ok()) << unit.status() << "\nprogram:\n" << text;
-  // One shared stream per seed so all thread widths see identical events.
   std::vector<Fact> stream = fuzzer.GenerateStream(kHorizon);
 
-  for (int threads : {1, 2, 8}) {
-    SessionOptions options = Opts(0, threads);
+  // Three advance/slide schedules over the same program and stream.
+  for (uint64_t schedule : {1, 2, 8}) {
+    SessionOptions options = Opts(0);
     options.track_provenance = true;
     auto session = StreamingSession::Create(unit->program, options);
     ASSERT_TRUE(session.ok()) << session.status() << "\nprogram:\n" << text;
     StreamingSession& s = **session;
 
-    // Deterministic per-width RNG for advance strides and slide points.
-    std::mt19937_64 rng(GetParam() * 977 + threads);
+    // Deterministic per-schedule RNG for advance strides and slide points.
+    std::mt19937_64 rng(GetParam() * 977 + schedule);
     size_t next = 0;
     int advances = 0;
     int64_t watermark = 0;
@@ -671,7 +670,7 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
       ASSERT_TRUE(advanced.ok()) << advanced << "\nprogram:\n" << text;
       ++advances;
       std::string label = "seed=" + std::to_string(GetParam()) +
-                          " threads=" + std::to_string(threads) +
+                          " schedule=" + std::to_string(schedule) +
                           " watermark=" + std::to_string(watermark);
       if (advances % 3 == 0) {
         ExpectMatchesColdReplay(s, "d0", label + " (checkpoint)");
@@ -687,10 +686,10 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
         }
       }
     }
-    ExpectMatchesColdReplay(
-        s, "d0",
-        "seed=" + std::to_string(GetParam()) +
-            " threads=" + std::to_string(threads) + " (final)");
+    ExpectMatchesColdReplay(s, "d0",
+                            "seed=" + std::to_string(GetParam()) +
+                                " schedule=" + std::to_string(schedule) +
+                                " (final)");
   }
 }
 

@@ -80,26 +80,23 @@ TEST_F(CliTest, RunAtTimePoint) {
   EXPECT_EQ(out2, "q(b)@7\n");
 }
 
-TEST_F(CliTest, RunWithThreads) {
-  std::string path = WriteFile("chain.dmtl",
-                               "open(A) :- deposit(A) .\n"
-                               "open(A) :- boxminus open(A) .\n"
-                               "held(A) :- open(A) .\n"
-                               "deposit(x)@2 .\n");
-  std::vector<std::string> base = {"run", path, "--min", "0", "--max", "6",
-                                   "--query", "open"};
-  auto [seq_status, seq_out] = Run(base);
-  ASSERT_TRUE(seq_status.ok()) << seq_status;
-  for (const char* threads : {"0", "2", "8"}) {
-    std::vector<std::string> args = base;
-    args.insert(args.end(), {"--threads", threads});
-    auto [status, out] = Run(args);
-    ASSERT_TRUE(status.ok()) << status << " --threads " << threads;
-    EXPECT_EQ(out, seq_out) << "--threads " << threads;
-  }
-  auto [bad, bad_out] = Run({"run", path, "--threads", "lots"});
+TEST_F(CliTest, ThreadsIsAFleetOnlyFlag) {
+  // Every engine run is sequential; --threads sizes the fleet scheduler and
+  // is a usage error anywhere else.
+  std::string path = WriteFile("p.dmtl", "q(X) :- p(X) .\n p(a)@1 .\n");
+  auto [plain, plain_out] = Run({"run", path, "--threads", "2"});
+  EXPECT_EQ(plain.code(), StatusCode::kInvalidArgument) << plain;
+  EXPECT_EQ(ExitCodeForStatus(plain), 2);
+  EXPECT_NE(plain.message().find("--fleet"), std::string::npos) << plain;
+  EXPECT_TRUE(plain_out.empty());
+
+  auto [fleet, fleet_out] = Run({"run", "--fleet", "2", "--threads", "2"});
+  ASSERT_TRUE(fleet.ok()) << fleet;
+  EXPECT_NE(fleet_out.find("\"workers\":2"), std::string::npos) << fleet_out;
+
+  auto [bad, bad_out] = Run({"run", "--fleet", "2", "--threads", "lots"});
   EXPECT_FALSE(bad.ok());
-  auto [neg, neg_out] = Run({"run", path, "--threads", "-2"});
+  auto [neg, neg_out] = Run({"run", "--fleet", "2", "--threads", "-2"});
   EXPECT_FALSE(neg.ok());
 }
 

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <memory>
 #include <set>
-
-#include "src/common/fault_injector.h"
+#include <string>
 
 namespace dmtl {
 namespace {
@@ -35,159 +32,6 @@ TEST(ShardConfigsTest, ProducesDistinctNamedShards) {
   EXPECT_EQ(names.size(), 4u);
   EXPECT_EQ(seeds.size(), 4u);
   EXPECT_TRUE(ShardConfigs(SmallBase(), 0).empty());
-}
-
-TEST(ParallelSessionsTest, PoolWidthDoesNotChangeResults) {
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 3);
-
-  ParallelSessionsOptions sequential;
-  sequential.num_threads = 1;
-  auto seq = RunParallelSessions(shards, sequential);
-  ASSERT_TRUE(seq.ok()) << seq.status();
-
-  ParallelSessionsOptions parallel;
-  parallel.num_threads = 4;
-  auto par = RunParallelSessions(shards, parallel);
-  ASSERT_TRUE(par.ok()) << par.status();
-
-  ASSERT_EQ(seq->size(), par->size());
-  for (size_t i = 0; i < seq->size(); ++i) {
-    EXPECT_EQ((*seq)[i].name, (*par)[i].name);
-    EXPECT_EQ((*seq)[i].db.ToString(), (*par)[i].db.ToString())
-        << "shard " << i << " diverged";
-    EXPECT_EQ((*seq)[i].stats.derived_intervals,
-              (*par)[i].stats.derived_intervals);
-  }
-}
-
-TEST(ParallelSessionsTest, ResultsArriveInShardOrder) {
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 5);
-  ParallelSessionsOptions options;
-  options.num_threads = 4;
-  auto results = RunParallelSessions(shards, options);
-  ASSERT_TRUE(results.ok()) << results.status();
-  ASSERT_EQ(results->size(), 5u);
-  for (size_t i = 0; i < results->size(); ++i) {
-    EXPECT_EQ((*results)[i].name, shards[i].name);
-    EXPECT_GT((*results)[i].stats.derived_intervals, 0u);
-    EXPECT_GT((*results)[i].db.NumIntervals(), 0u);
-  }
-}
-
-TEST(ParallelSessionsTest, ShardErrorIsIsolatedToItsShard) {
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 3);
-  // An infeasible shard: more trades than events can carry.
-  shards[1].num_events = 2;
-  shards[1].num_trades = 50;
-  ParallelSessionsOptions options;
-  options.num_threads = 4;
-  auto results = RunParallelSessions(shards, options);
-  // The run itself succeeds; the failure lands in the shard's own report
-  // and the sibling shards complete normally.
-  ASSERT_TRUE(results.ok()) << results.status();
-  ASSERT_EQ(results->size(), 3u);
-  EXPECT_FALSE((*results)[1].ok());
-  EXPECT_FALSE((*results)[1].retried);
-  for (size_t i : {size_t{0}, size_t{2}}) {
-    EXPECT_TRUE((*results)[i].ok()) << (*results)[i].status;
-    EXPECT_GT((*results)[i].db.NumIntervals(), 0u);
-  }
-}
-
-TEST(ParallelSessionsTest, DeadlineTrippedShardReportsDiagnostics) {
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 3);
-  ParallelSessionsOptions options;
-  options.num_threads = 2;
-  options.engine.deadline = std::chrono::milliseconds(0);
-  auto results = RunParallelSessions(shards, options);
-  ASSERT_TRUE(results.ok()) << results.status();
-  for (const SessionShardResult& shard : *results) {
-    EXPECT_FALSE(shard.ok());
-    EXPECT_EQ(shard.status.code(), StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(shard.stats.stop_reason, StopReason::kDeadline);
-  }
-}
-
-TEST(ParallelSessionsTest, RetryRecoversFaultedShard) {
-  // One-shot fault on the first shard attempt; the degraded retry's own
-  // attempt is a later hit and passes. Sequential pool so the hit order is
-  // deterministic: shard 0 fails first, retries clean.
-  FaultInjector::Reset();
-  FaultInjector::Arm("parallel_sessions.shard", 1,
-                     Status::Internal("injected shard fault"));
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 2);
-  ParallelSessionsOptions options;
-  options.num_threads = 1;
-  options.retry_failed_sessions = true;
-  auto results = RunParallelSessions(shards, options);
-  FaultInjector::Reset();
-  ASSERT_TRUE(results.ok()) << results.status();
-
-  // Reference: the same shards with nothing armed.
-  ParallelSessionsOptions clean = options;
-  clean.retry_failed_sessions = false;
-  auto reference = RunParallelSessions(shards, clean);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-
-  const SessionShardResult& faulted = (*results)[0];
-  EXPECT_TRUE(faulted.ok()) << faulted.status;
-  EXPECT_TRUE(faulted.retried);
-  EXPECT_EQ(faulted.first_attempt_status.code(), StatusCode::kInternal);
-  EXPECT_EQ(faulted.db.ToString(), (*reference)[0].db.ToString());
-  EXPECT_TRUE((*results)[1].ok());
-  EXPECT_FALSE((*results)[1].retried);
-  EXPECT_EQ((*results)[1].db.ToString(), (*reference)[1].db.ToString());
-}
-
-TEST(ParallelSessionsTest, CancelledShardsAreNeverRetried) {
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 2);
-  ParallelSessionsOptions options;
-  options.num_threads = 2;
-  options.retry_failed_sessions = true;
-  options.engine.cancel_token = std::make_shared<CancellationToken>();
-  options.engine.cancel_token->Cancel();  // cancelled before the run starts
-  auto results = RunParallelSessions(shards, options);
-  ASSERT_TRUE(results.ok()) << results.status();
-  for (const SessionShardResult& shard : *results) {
-    EXPECT_FALSE(shard.ok());
-    EXPECT_EQ(shard.status.code(), StatusCode::kCancelled);
-    EXPECT_FALSE(shard.retried);
-  }
-}
-
-TEST(ParallelSessionsTest, EmptyShardListIsOk) {
-  auto results = RunParallelSessions({}, {});
-  ASSERT_TRUE(results.ok());
-  EXPECT_TRUE(results->empty());
-}
-
-// Regression: these engine fields used to be silently overridden per shard
-// (min/max from each shard's window, provenance nulled); now the conflict
-// is an explicit error so callers learn their request cannot be honored.
-TEST(ParallelSessionsTest, CallerWindowOverridesAreRejectedLoudly) {
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 1);
-
-  ParallelSessionsOptions with_min;
-  with_min.engine.min_time = Rational(0);
-  auto min_result = RunParallelSessions(shards, with_min);
-  ASSERT_FALSE(min_result.ok());
-  EXPECT_EQ(min_result.status().code(), StatusCode::kInvalidArgument);
-
-  ParallelSessionsOptions with_max;
-  with_max.engine.max_time = Rational(100);
-  auto max_result = RunParallelSessions(shards, with_max);
-  ASSERT_FALSE(max_result.ok());
-  EXPECT_EQ(max_result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ParallelSessionsTest, CallerProvenanceIsRejectedLoudly) {
-  std::vector<WorkloadConfig> shards = ShardConfigs(SmallBase(), 1);
-  std::vector<DerivationRecord> records;
-  ParallelSessionsOptions options;
-  options.engine.provenance = &records;
-  auto results = RunParallelSessions(shards, options);
-  ASSERT_FALSE(results.ok());
-  EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -9,14 +9,17 @@ measurement points are paired by identity (events/window, pattern/depth,
 benchmark name), not by position, so reordering or appending points never
 misaligns the diff - but a point present in the baseline and missing from
 the candidate is a hard failure: a silently dropped point would hide a
-regression. Semantic counters (rounds, derived, parallel_derived) must
-match exactly per point; a drift there means the two runs did different
+regression. Semantic counters (rounds, derived) must match exactly per
+point; a drift there means the two runs did different
 work and the timing comparison is void. A time leaf that got more than
 `threshold` slower in the candidate is a regression; the script prints
 every compared leaf with its delta and exits 1 if any leaf regressed (or
 drifted), 2 when the artifacts are not comparable at all. Other numeric
 leaves (speedups, thread widths) are reported when they differ but never
-fail the diff. Stdlib only - runs anywhere python3 exists.
+fail the diff. One absolute gate applies to the candidate alone: a
+contract_scaling artifact whose guard_overhead.overhead_frac is
+GUARD_OVERHEAD_LIMIT or more fails (exit 1), whatever the baseline says.
+Stdlib only - runs anywhere python3 exists.
 """
 
 import argparse
@@ -28,12 +31,16 @@ import sys
 # key it carries.
 IDENTITY_KEYS = ("name", "run_name", "pattern", "events", "window_s",
                  "trades", "depth", "facts", "timeline", "shards",
-                 "sessions")
+                 "sessions", "workers")
 
 # Per-point counters that must be bit-identical between comparable runs:
 # they count derivation work, so a mismatch means the engines computed
 # different things and timings are not comparable for that point.
-SEMANTIC_KEYS = ("rounds", "derived", "parallel_derived")
+SEMANTIC_KEYS = ("rounds", "derived")
+
+# The promise bench/contract_scaling.cc makes for its guard-overhead row: an
+# armed execution guard that never trips costs less than 2% of the run.
+GUARD_OVERHEAD_LIMIT = 0.02
 
 
 def is_time_key(key):
@@ -101,6 +108,18 @@ def walk(base, cand, path, out, errors):
     else:
         kind = "note"
     out.append((path, kind, base, cand))
+
+
+def guard_overhead_error(cand):
+    """Returns an error string when the candidate breaks the guard gate."""
+    row = cand.get("guard_overhead")
+    if not isinstance(row, dict):
+        return None
+    frac = row.get("overhead_frac")
+    if not isinstance(frac, (int, float)) or frac < GUARD_OVERHEAD_LIMIT:
+        return None
+    return (f"guard_overhead.overhead_frac = {frac:.4f} is at or above the "
+            f"{GUARD_OVERHEAD_LIMIT:.0%} limit")
 
 
 def check_comparable(base, cand):
@@ -208,11 +227,15 @@ def main():
 
     for error in errors:
         print(f"  MISSING    {error}")
+    guard_error = guard_overhead_error(cand)
+    if guard_error is not None:
+        print(f"  GATE       {guard_error}")
 
     print(f"\n{len(regressions)} regression(s), {len(improvements)} "
           f"improvement(s) beyond {args.threshold:.0%}, "
-          f"{len(drifts)} semantic drift(s), {len(errors)} missing point(s)")
-    return 1 if regressions or drifts or errors else 0
+          f"{len(drifts)} semantic drift(s), {len(errors)} missing point(s)"
+          f"{', guard-overhead gate failed' if guard_error else ''}")
+    return 1 if regressions or drifts or errors or guard_error else 0
 
 
 if __name__ == "__main__":

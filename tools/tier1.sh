@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build + test suite, then the parallel-engine
-# equivalence and thread-pool tests again under ThreadSanitizer.
+# Tier-1 gate: full build + test suite, then the suites of the code that
+# runs concurrently - thread pool, work-stealing scheduler, fleet server,
+# cross-thread guard cancellation, fault injection, streaming sessions -
+# again under ThreadSanitizer. Every engine run is sequential; sessions are
+# the only parallel axis.
 # Run from the repository root: tools/tier1.sh
 set -euo pipefail
 
@@ -11,9 +14,10 @@ cmake -B build -S . >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure
 
-echo "=== tier1: ThreadSanitizer build (parallel tests) ==="
+echo "=== tier1: ThreadSanitizer build (concurrency suites) ==="
 cmake -B build-tsan -S . -DDMTL_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target dmtl_tests
-ctest --test-dir build-tsan --output-on-failure -R "ThreadPool|Parallel|JoinPlan|PlannerFuzz|IntervalDelta|DeltaFuzz|Guard|FaultInjection"
+ctest --test-dir build-tsan --output-on-failure --no-tests=error \
+  -R "ThreadPool|WorkSteal|Fleet|Guard|FaultInjection|StreamingSession"
 
 echo "tier1: OK"
