@@ -1,6 +1,7 @@
 // Experiment B7 - engine ablations for the design choices DESIGN.md calls
 // out: (a) chain acceleration on/off, (b) semi-naive vs naive evaluation,
-// (c) cost-based join planning on/off. All variants must produce identical
+// (c) cost-based join planning on/off, (d) interval-delta propagation
+// (operator memos) on/off. All variants must produce identical
 // materializations; the ablation quantifies the cost of turning each
 // optimization off.
 
@@ -13,7 +14,7 @@ namespace {
 using namespace dmtl;
 
 double RunWith(const WorkloadConfig& config, bool accel, bool naive,
-               bool planning, EngineStats* stats) {
+               bool planning, EngineStats* stats, bool deltas = true) {
   Session session = bench::Check(GenerateSession(config), "generate");
   Program program = bench::Check(EthPerpProgram(), "program");
   Database db = SessionToDatabase(session);
@@ -21,6 +22,7 @@ double RunWith(const WorkloadConfig& config, bool accel, bool naive,
   options.enable_chain_acceleration = accel;
   options.naive_evaluation = naive;
   options.enable_join_planning = planning;
+  options.enable_interval_deltas = deltas;
   bench::Check(Materialize(program, &db, options, stats), "materialize");
   return stats->wall_seconds;
 }
@@ -46,6 +48,10 @@ int main() {
   EngineStats noplan_stats;
   double noplan = RunWith(config, /*accel=*/true, /*naive=*/false,
                           /*planning=*/false, &noplan_stats);
+  EngineStats nodelta_stats;
+  double nodelta = RunWith(config, /*accel=*/true, /*naive=*/false,
+                           /*planning=*/true, &nodelta_stats,
+                           /*deltas=*/false);
   EngineStats plain_stats;
   double plain = RunWith(config, /*accel=*/false, /*naive=*/false,
                          /*planning=*/true, &plain_stats);
@@ -59,6 +65,8 @@ int main() {
               accel, accel_stats.rounds, accel_stats.rule_evaluations);
   std::printf("%-32s %12.3f %10zu %12zu\n", "semi-naive + accel, no planner",
               noplan, noplan_stats.rounds, noplan_stats.rule_evaluations);
+  std::printf("%-32s %12.3f %10zu %12zu\n", "semi-naive + accel, no deltas",
+              nodelta, nodelta_stats.rounds, nodelta_stats.rule_evaluations);
   std::printf("%-32s %12.3f %10zu %12zu\n", "semi-naive, no acceleration",
               plain, plain_stats.rounds, plain_stats.rule_evaluations);
   std::printf("%-32s %12.3f %10zu %12zu\n", "naive re-evaluation",
@@ -66,6 +74,7 @@ int main() {
   std::printf("\nspeedup from chain acceleration: %.1fx\n", plain / accel);
   std::printf("speedup of semi-naive over naive: %.1fx\n", naive / plain);
   std::printf("speedup from join planning:       %.2fx\n", noplan / accel);
+  std::printf("speedup from interval deltas:     %.2fx\n", nodelta / accel);
   std::printf("planner: %zu indexes, %zu probes (%zu hits), %zu tuples "
               "pruned\n",
               accel_stats.planner_indexes_built,

@@ -204,8 +204,6 @@ inline void WriteContext(JsonBuilder* json, bool guards_enabled = false,
   json->Field("build_type", BuildType());
   json->Field("guards_enabled", guards_enabled);
   json->Field("enable_rule_compile", resolved.enable_rule_compile);
-  json->Field("enable_dense_timeline", resolved.enable_dense_timeline);
-  json->Field("enable_arena_alloc", resolved.enable_arena_alloc);
   json->Field("enable_streaming", resolved.enable_streaming);
   json->EndObject();
 }

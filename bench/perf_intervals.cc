@@ -4,108 +4,12 @@
 // simulated interval, confirming a contract could realistically live in a
 // reasoner. (Absolute numbers differ: the paper ran Vadalog on a JVM
 // laptop; this is a purpose-built C++ engine.)
-//
-// Also hosts the memory-architecture microbenches (docs/ENGINE.md): the
-// dense integer-timeline kernels against the Rational sweeps, and round
-// arenas against plain heap allocation for per-round transient churn.
-// Run with --benchmark_filter=BM_ to get only the micro section.
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/common/arena.h"
-#include "src/temporal/dense.h"
 
-namespace dmtl {
-namespace {
-
-// Dense vs rational kernels over interleaved integral chains (arg0: 0 =
-// rational sweep, 1 = dense keys; arg1: kernel; arg2: components per side).
-enum DenseKernel { kUnion = 0, kIntersect, kSubtract, kDiamondMinus, kBoxMinus };
-
-void BM_DenseIntervalKernels(benchmark::State& state) {
-  const bool dense_on = state.range(0) != 0;
-  const DenseKernel kernel = static_cast<DenseKernel>(state.range(1));
-  const int n = static_cast<int>(state.range(2));
-  IntervalSet a;
-  IntervalSet b;
-  for (int i = 0; i < n; ++i) {
-    a.Add(Interval::Closed(Rational(4 * i), Rational(4 * i + 1)));
-    b.Add(Interval::Closed(Rational(4 * i + 1), Rational(4 * i + 3)));
-  }
-  const Interval rho = Interval::Closed(Rational(0), Rational(2));
-  dense::DenseScope scope(dense_on);
-  for (auto _ : state) {
-    switch (kernel) {
-      case kUnion: {
-        IntervalSet u = a;
-        u.UnionWith(b);
-        benchmark::DoNotOptimize(u);
-        break;
-      }
-      case kIntersect:
-        benchmark::DoNotOptimize(a.Intersect(b));
-        break;
-      case kSubtract:
-        benchmark::DoNotOptimize(a.Subtract(b));
-        break;
-      case kDiamondMinus:
-        benchmark::DoNotOptimize(a.DiamondMinus(rho));
-        break;
-      case kBoxMinus:
-        benchmark::DoNotOptimize(a.BoxMinus(rho));
-        break;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  static const char* const kKernelNames[] = {"union", "intersect", "subtract",
-                                             "diamondminus", "boxminus"};
-  state.SetLabel(std::string(kKernelNames[kernel]) +
-                 (dense_on ? " timeline=dense" : " timeline=rational"));
-}
-BENCHMARK(BM_DenseIntervalKernels)
-    ->Args({0, kUnion, 4096})
-    ->Args({1, kUnion, 4096})
-    ->Args({0, kIntersect, 4096})
-    ->Args({1, kIntersect, 4096})
-    ->Args({0, kSubtract, 4096})
-    ->Args({1, kSubtract, 4096})
-    ->Args({0, kDiamondMinus, 4096})
-    ->Args({1, kDiamondMinus, 4096})
-    ->Args({0, kBoxMinus, 4096})
-    ->Args({1, kBoxMinus, 4096});
-
-// Round-shaped transient churn: many short-lived spilled sets per round,
-// then a barrier. With the arena armed (arg0=1) the spills bump-allocate
-// and the barrier is a pointer rewind; without it every spill is an
-// operator new/delete pair.
-void BM_ArenaRoundAlloc(benchmark::State& state) {
-  const bool arena_on = state.range(0) != 0;
-  constexpr int kSetsPerRound = 64;
-  constexpr int kComponents = 16;  // spills well past the inline capacity
-  RoundArena arena;
-  for (auto _ : state) {
-    ArenaScope scope(arena_on ? &arena : nullptr);
-    for (int r = 0; r < kSetsPerRound; ++r) {
-      IntervalSet s;
-      for (int i = 0; i < kComponents; ++i) {
-        s.Add(Interval::Closed(Rational(3 * i), Rational(3 * i + 1)));
-      }
-      benchmark::DoNotOptimize(s);
-    }
-    arena.Reset();
-  }
-  state.SetItemsProcessed(state.iterations() * kSetsPerRound);
-  state.SetLabel(arena_on ? "arena" : "heap");
-}
-BENCHMARK(BM_ArenaRoundAlloc)->Arg(0)->Arg(1);
-
-}  // namespace
-}  // namespace dmtl
-
-int main(int argc, char** argv) {
+int main() {
   using namespace dmtl;
   std::printf("=== Section 4.2: runtime per 2-hour session ===\n");
   std::printf("%-26s %10s %12s %14s %12s\n", "session", "events",
@@ -129,10 +33,5 @@ int main(int argc, char** argv) {
   std::printf("\npaper-shape check (runtime << interval for all sessions): "
               "%s\n",
               all_faster_than_real_time ? "PASS" : "FAIL");
-
-  std::printf("\n=== Memory-architecture microbenches ===\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -122,11 +122,8 @@ Status ChainAccelerator::Extend(const Rule& rule, const ChainInfo& info,
             rule.body[i].metric, binding, source, computed));
       }
       if (cache != nullptr) {
-        IntervalSet& slot =
-            cache->emplace(tuple, std::move(computed)).first->second;
-        // Guard caches persist across rounds; migrate off the round arena.
-        slot.MarkPersistent();
-        allowed_ptr = &slot;
+        allowed_ptr =
+            &cache->emplace(tuple, std::move(computed)).first->second;
       } else {
         allowed_ptr = &computed;
       }

@@ -18,9 +18,6 @@ const IntervalSet& OperatorMemo::Lookup(size_t literal,
         literal, LiteralInfo{path, OpPathDeltaRefreshable(path)});
   }
   slot.push_back(Entry{literal, ApplyOpPath(path, *leaf)});
-  // Memo entries survive across rounds (OnLeafChanged refreshes them in
-  // place), so their storage must not live in the round arena.
-  slot.back().value.MarkPersistent();
   return slot.back().value;
 }
 

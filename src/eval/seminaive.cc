@@ -10,9 +10,7 @@
 
 #include "src/analysis/safety.h"
 #include "src/analysis/stratifier.h"
-#include "src/common/arena.h"
 #include "src/common/fault_injector.h"
-#include "src/temporal/dense.h"
 #include "src/eval/aggregate_eval.h"
 #include "src/eval/chain_accel.h"
 #include "src/eval/incremental.h"
@@ -176,69 +174,6 @@ std::vector<int> DeltaOccurrences(const CompiledRule& c,
   return occurrences;
 }
 
-// --- dense-timeline selection (EngineOptions::enable_dense_timeline) ------
-// The load-time predicate: every interval endpoint in the program (operator
-// ranges, head erosion ranges), the horizon clamp, and the input database
-// must be an integer the key encoding can represent. The scan is one pass
-// over rules plus one over stored intervals; the kernels re-verify per
-// element anyway, so this only decides whether the fast path is worth
-// enabling, never correctness.
-
-bool DenseBoundOk(const Bound& b) {
-  if (b.infinite) return true;
-  if (!b.value.is_integer()) return false;
-  const int64_t v = b.value.numerator();
-  return v <= dense::kMaxMagnitude && v >= -dense::kMaxMagnitude;
-}
-
-bool DenseIntervalOk(const Interval& iv) {
-  return DenseBoundOk(iv.lo()) && DenseBoundOk(iv.hi());
-}
-
-bool DenseMetricOk(const MetricAtom& m) {
-  switch (m.kind()) {
-    case MetricAtom::Kind::kUnary:
-      return DenseIntervalOk(m.range()) && DenseMetricOk(m.left());
-    case MetricAtom::Kind::kBinary:
-      return DenseIntervalOk(m.range()) && DenseMetricOk(m.left()) &&
-             DenseMetricOk(m.right());
-    default:
-      return true;
-  }
-}
-
-bool DenseTimeOk(const std::optional<Rational>& t) {
-  if (!t.has_value()) return true;
-  if (!t->is_integer()) return false;
-  const int64_t v = t->numerator();
-  return v <= dense::kMaxMagnitude && v >= -dense::kMaxMagnitude;
-}
-
-bool DenseTimelineEligible(const Program& program, const Database& db,
-                           const EngineOptions& options) {
-  if (!DenseTimeOk(options.min_time) || !DenseTimeOk(options.max_time)) {
-    return false;
-  }
-  for (const Rule& rule : program.rules()) {
-    for (const HeadAtom::HeadOp& op : rule.head.ops) {
-      if (!DenseIntervalOk(op.range)) return false;
-    }
-    for (const BodyLiteral& lit : rule.body) {
-      if (lit.kind == BodyLiteral::Kind::kMetric && !DenseMetricOk(lit.metric)) {
-        return false;
-      }
-    }
-  }
-  for (const auto& [pred, rel] : db.relations()) {
-    for (const auto& [tuple, set] : rel.data()) {
-      for (const Interval& iv : set) {
-        if (!DenseIntervalOk(iv)) return false;
-      }
-    }
-  }
-  return true;
-}
-
 // Runs one round's tasks in order against the live store. Every emission
 // goes through `sink` straight away, so a later task of the round already
 // reads what an earlier one derived; the semi-naive positions stay those of
@@ -316,12 +251,6 @@ EngineOptions EngineOptions::WithEnvOverrides() const {
   if (std::getenv("DMTL_DISABLE_RULE_COMPILE") != nullptr) {
     out.enable_rule_compile = false;
   }
-  if (std::getenv("DMTL_DISABLE_DENSE_TIMELINE") != nullptr) {
-    out.enable_dense_timeline = false;
-  }
-  if (std::getenv("DMTL_DISABLE_ARENA_ALLOC") != nullptr) {
-    out.enable_arena_alloc = false;
-  }
   if (std::getenv("DMTL_DISABLE_STREAMING") != nullptr) {
     out.enable_streaming = false;
   }
@@ -398,13 +327,6 @@ std::string EngineStats::ToString() const {
   }
   if (guard_checks > 0) {
     out += " guard_checks=" + std::to_string(guard_checks);
-  }
-  out += std::string(" timeline=") + (timeline_dense ? "dense" : "rational");
-  if (arena_bytes_reserved + arena_heap_fallbacks > 0) {
-    out += " arena_reserved=" + std::to_string(arena_bytes_reserved) +
-           " arena_used=" + std::to_string(arena_bytes_allocated) +
-           " arena_allocs=" + std::to_string(arena_allocs) +
-           " arena_heap_fallbacks=" + std::to_string(arena_heap_fallbacks);
   }
   if (stop_reason != StopReason::kCompleted) {
     out += " " + StopDiagnostics();
@@ -493,23 +415,6 @@ Status MaterializeImpl(const Program& program, Database* db,
     }
   }
   uint64_t bulk_merges_at_start = IntervalSet::BulkMergeCount();
-
-  // Memory architecture (docs/ENGINE.md): select the dense integer-timeline
-  // kernels when the whole run is provably integral, and arm round arenas
-  // for transient IntervalSet spills. Both are opt-out engine features with
-  // byte-identical output; the DMTL_DISABLE_* env hooks are folded into the
-  // options once at Materialize entry so CI can re-run the full suite down
-  // the Rational/heap paths.
-  const bool dense_timeline = options.enable_dense_timeline &&
-                              DenseTimelineEligible(program, *db, options);
-  stats->timeline_dense = dense_timeline;
-  const bool arena_alloc = options.enable_arena_alloc;
-  RoundArena main_arena;
-  dense::DenseScope dense_scope(dense_timeline);
-  ArenaScope arena_scope(arena_alloc ? &main_arena : nullptr);
-  auto reset_arenas = [&] {
-    if (arena_alloc) main_arena.Reset();
-  };
 
   stats->stratum_wall_seconds.assign(strat.num_strata, 0.0);
   for (int s = 0; s < strat.num_strata; ++s) {
@@ -624,10 +529,6 @@ Status MaterializeImpl(const Program& program, Database* db,
     refresh_memos(next_delta);
     delta = std::move(next_delta);
     next_delta = Database();
-    // Round barrier: everything transient from the finished round is dead
-    // (VM slots released, stored state pinned to the heap), so the arena
-    // rewinds wholesale.
-    reset_arenas();
     prov_mark = options.provenance != nullptr ? options.provenance->size() : 0;
 
     // Fixpoint rounds.
@@ -678,7 +579,6 @@ Status MaterializeImpl(const Program& program, Database* db,
       refresh_memos(next_delta);
       delta = std::move(next_delta);
       next_delta = Database();
-      reset_arenas();
       delta_size = delta.NumIntervals();
       prov_mark =
           options.provenance != nullptr ? options.provenance->size() : 0;
@@ -725,13 +625,6 @@ Status MaterializeImpl(const Program& program, Database* db,
     stats->memo_invalidations += memo->stats().invalidations;
   }
   stats->bulk_merges = IntervalSet::BulkMergeCount() - bulk_merges_at_start;
-
-  if (arena_alloc) {
-    stats->arena_bytes_reserved += main_arena.bytes_reserved();
-    stats->arena_bytes_allocated += main_arena.bytes_allocated();
-    stats->arena_allocs += main_arena.allocs();
-    stats->arena_heap_fallbacks += main_arena.heap_fallbacks();
-  }
 
   return Status::Ok();
 }
@@ -785,9 +678,9 @@ Status Materialize(const Program& program, Database* db,
 
 // ===========================================================================
 // IncrementalMaterializer: the streaming engine. Shares the file-local
-// machinery above (Sink, RoundTask, RunRound, the dense-timeline
-// predicates) and keeps everything a batch run rebuilds per call - compiled
-// rules, VMs, operator memos, the arena - alive across watermark advances.
+// machinery above (Sink, RoundTask, RunRound) and keeps everything a batch
+// run rebuilds per call - compiled rules, VMs, operator memos - alive across
+// watermark advances.
 // ===========================================================================
 
 namespace {
@@ -921,22 +814,6 @@ class IncrementalMaterializer::Impl {
       }
     }
 
-    // Static half of the dense-timeline predicate; the per-input half is
-    // latched in Push, the per-operation half (watermark integrality) is
-    // checked when each operation starts.
-    program_dense_ok_ = DenseTimeOk(options_.min_time);
-    for (const Rule& rule : rules) {
-      for (const HeadAtom::HeadOp& op : rule.head.ops) {
-        if (!DenseIntervalOk(op.range)) program_dense_ok_ = false;
-      }
-      for (const BodyLiteral& lit : rule.body) {
-        if (lit.kind == BodyLiteral::Kind::kMetric &&
-            !DenseMetricOk(lit.metric)) {
-          program_dense_ok_ = false;
-        }
-      }
-    }
-    arena_alloc_ = options_.enable_arena_alloc;
     provenance_ = options_.provenance;
     return Status::Ok();
   }
@@ -955,7 +832,6 @@ class IncrementalMaterializer::Impl {
             "; push every fact at time t before advancing to t");
       }
     }
-    if (!DenseIntervalOk(fact.interval)) inputs_dense_ok_ = false;
     inputs_.push_back(fact);
     IntervalSet fresh =
         db_->InsertSet(fact.predicate, fact.args, IntervalSet(fact.interval));
@@ -1125,10 +1001,6 @@ class IncrementalMaterializer::Impl {
     inputs_ = std::move(log);
     watermark_ = watermark;
     advanced_any_ = advanced;
-    inputs_dense_ok_ = true;
-    for (const Fact& f : inputs_) {
-      if (!DenseIntervalOk(f.interval)) inputs_dense_ok_ = false;
-    }
     pending_fresh_ = Database();
     auto above = Interval::Make(Bound::Open(watermark_), Bound::Infinite());
     for (const Fact& f : inputs_) {
@@ -1499,21 +1371,6 @@ class IncrementalMaterializer::Impl {
   // strata see it.
   Status RunStrata(const Interval& window, Database* carry,
                    EngineStats* stats, const ExecutionGuard* guard) {
-    const bool dense_timeline =
-        options_.enable_dense_timeline &&
-        program_dense_ok_ && inputs_dense_ok_ &&
-        DenseTimeOk(window.lo().infinite
-                        ? std::optional<Rational>()
-                        : std::optional<Rational>(window.lo().value)) &&
-        DenseTimeOk(window.hi().infinite
-                        ? std::optional<Rational>()
-                        : std::optional<Rational>(window.hi().value));
-    stats->timeline_dense = dense_timeline;
-    dense::DenseScope dense_scope(dense_timeline);
-    ArenaScope arena_scope(arena_alloc_ ? &main_arena_ : nullptr);
-    auto reset_arenas = [&] {
-      if (arena_alloc_) main_arena_.Reset();
-    };
     // Sink holds a reference to its options; op_options_ outlives it.
     op_options_ = options_;
     op_options_.min_time = window.lo().infinite
@@ -1648,7 +1505,6 @@ class IncrementalMaterializer::Impl {
       carry->MergeFrom(next_delta);
       delta = std::move(next_delta);
       next_delta = Database();
-      reset_arenas();
       prov_mark = provenance_ != nullptr ? provenance_->size() : 0;
 
       // Fixpoint rounds: standard semi-naive over this stratum's fresh
@@ -1697,7 +1553,6 @@ class IncrementalMaterializer::Impl {
         carry->MergeFrom(next_delta);
         delta = std::move(next_delta);
         next_delta = Database();
-        reset_arenas();
         delta_size = delta.NumIntervals();
         prov_mark = provenance_ != nullptr ? provenance_->size() : 0;
       }
@@ -1720,8 +1575,6 @@ class IncrementalMaterializer::Impl {
   std::vector<CompiledRule> compiled_;
   std::vector<std::unique_ptr<RuleVm>> vms_;
   std::vector<std::unique_ptr<OperatorMemo>> memos_;
-  RoundArena main_arena_;
-  bool arena_alloc_ = false;
   size_t compiled_rule_count_ = 0;
   size_t vm_fallback_count_ = 0;
 
@@ -1746,8 +1599,6 @@ class IncrementalMaterializer::Impl {
   bool band_cache_valid_ = false;
   bool advanced_any_ = false;
   bool needs_rebuild_ = false;
-  bool program_dense_ok_ = false;
-  bool inputs_dense_ok_ = true;
   std::vector<DerivationRecord>* provenance_ = nullptr;
 };
 

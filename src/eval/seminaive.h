@@ -94,27 +94,6 @@ struct EngineOptions {
   // EngineStats::vm_fallbacks.
   bool enable_rule_compile = true;
 
-  // Dense integer-timeline fast path: when every fact endpoint, rule bound,
-  // and horizon clamp in this run is an in-range integer (the chain-data
-  // common case - Unix-second timestamps), the IntervalSet bulk kernels
-  // re-encode bounds as packed int64 keys and run branch-light integer
-  // sweeps instead of Rational bound arithmetic. Selected once per
-  // materialization by scanning the program and database; every kernel
-  // re-verifies integrality per element and falls back, so output is
-  // byte-for-byte identical on or off. EngineStats::timeline_dense records
-  // the selection. Env override: DMTL_DISABLE_DENSE_TIMELINE=1 forces the
-  // Rational path (the CI dense-off lane).
-  bool enable_dense_timeline = true;
-
-  // Round-arena allocation: transient round-local IntervalSets (row
-  // extents, operator outputs, window clamps) draw their spill buffers from
-  // a per-run bump-pointer arena that is reset wholesale at the round
-  // barrier, instead of the global heap. Stored state (relations, memos,
-  // guard caches) is pinned to the heap and unaffected; output is
-  // byte-for-byte identical on or off. EngineStats::arena_* report usage.
-  // Env override: DMTL_DISABLE_ARENA_ALLOC=1.
-  bool enable_arena_alloc = true;
-
   // When set, every newly derived fact piece is appended here with the
   // rule that produced it - the "why" behind each contract state change
   // (the explainability the paper argues for, as data). Opt-in: a full
@@ -131,8 +110,6 @@ struct EngineOptions {
   // The one override point folding the DMTL_DISABLE_* environment lanes
   // into an option set (docs/ENGINE.md, "Environment flags"):
   //   DMTL_DISABLE_RULE_COMPILE=1  -> enable_rule_compile = false
-  //   DMTL_DISABLE_DENSE_TIMELINE=1-> enable_dense_timeline = false
-  //   DMTL_DISABLE_ARENA_ALLOC=1   -> enable_arena_alloc = false
   //   DMTL_DISABLE_STREAMING=1     -> enable_streaming = false
   // The engine resolves options through this exactly once per run (at
   // Materialize entry / session creation); nothing else in the codebase
@@ -222,16 +199,6 @@ struct EngineStats {
   size_t vm_dispatches = 0;    // compiled executions (evaluate + chain)
   size_t vm_fallbacks = 0;     // rules declined: evaluated by the AST walker
   size_t vm_recompiles = 0;    // program (re)compilations, incl. replans
-
-  // --- memory architecture (enable_dense_timeline / enable_arena_alloc) ---
-  // True when this run selected the dense integer-timeline kernels.
-  bool timeline_dense = false;
-  size_t arena_bytes_reserved = 0;   // chunk bytes held across all arenas
-  size_t arena_bytes_allocated = 0;  // bytes handed out (cumulative)
-  size_t arena_allocs = 0;           // spill buffers served from arenas
-  // Spills that bypassed the arena: pinned vectors growing under an active
-  // scope, plus oversized requests.
-  size_t arena_heap_fallbacks = 0;
 
   // Wall time per stratum (index = stratum number).
   std::vector<double> stratum_wall_seconds;

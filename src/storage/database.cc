@@ -128,11 +128,6 @@ size_t Relation::num_indexes() const {
 
 IntervalSet Relation::Insert(const Tuple& tuple, const Interval& iv) {
   auto [it, inserted] = data_.try_emplace(tuple);
-  // Stored extents outlive the fixpoint round; never arena-back them.
-  // Unconditional: a set stored before materialization began is not pinned
-  // yet, and growing it in place under an active arena scope must spill to
-  // the heap, not the arena.
-  it->second.MarkPersistent();
   if (inserted) {
     // Keep the derived structures incremental: unordered_map nodes are
     // address-stable, so these pointers stay valid across later inserts.
@@ -158,7 +153,6 @@ IntervalSet Relation::Insert(const Tuple& tuple, const Interval& iv) {
 IntervalSet Relation::InsertSet(const Tuple& tuple, const IntervalSet& set) {
   if (set.IsEmpty()) return IntervalSet();
   auto [it, inserted] = data_.try_emplace(tuple);
-  it->second.MarkPersistent();
   if (inserted) {
     if (!it->first.empty()) first_arg_index_[it->first[0]].push_back(&it->first);
     rows_.push_back(ScanEntry{&it->first, &it->second});
@@ -231,7 +225,6 @@ IntervalSet Relation::RemoveSet(const Tuple& tuple, const IntervalSet& set) {
   if (it == data_.end() || set.IsEmpty()) return IntervalSet();
   IntervalSet removed = it->second.Intersect(set);
   if (removed.IsEmpty()) return removed;
-  removed.MarkPersistent();  // survives the round barrier in caller hands
   IntervalSet remaining = it->second.Subtract(set);
   approx_intervals_ -= std::min(approx_intervals_, removed.size());
   stored_intervals_ -= it->second.size();

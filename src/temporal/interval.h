@@ -34,13 +34,6 @@ class Interval {
   // (lo > hi, or lo == hi unless both endpoints are closed).
   static std::optional<Interval> Make(Bound lo, Bound hi);
 
-  // Requires BoundsNonEmpty(lo, hi) with openness already normalized
-  // (infinite bounds carry open == true). The dense key decoder satisfies
-  // both by construction, so it skips Make()'s Rational comparisons.
-  static Interval MakeUnchecked(Bound lo, Bound hi) {
-    return Interval(lo, hi);
-  }
-
   // [t, t].
   static Interval Point(const Rational& t);
   // [lo, hi]; requires lo <= hi.

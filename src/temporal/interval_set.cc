@@ -5,68 +5,11 @@
 #include <cassert>
 #include <vector>
 
-#include "src/temporal/dense.h"
-
 namespace dmtl {
 
 namespace {
 
 std::atomic<uint64_t> g_bulk_merges{0};
-
-// --- dense integer-timeline kernels --------------------------------------
-// When the engine proved the program+database integral (dense::Enabled()),
-// the bulk kernels below re-encode both component lists as packed int64
-// keys (see dense.h) and run branch-light integer sweeps, decoding the
-// result once at the end. Encoding re-verifies integrality per element and
-// the kernel falls back to the Rational path on any miss, so the dense
-// route is byte-identical by construction - it computes the same bounds,
-// just in key arithmetic.
-
-struct DIv {
-  dense::DKey lo;
-  dense::DKey hi;
-};
-
-bool EncodeAll(const SmallIntervalVec& v, std::vector<DIv>* out) {
-  out->clear();
-  out->reserve(v.size());
-  for (const Interval& iv : v) {
-    DIv d;
-    if (!dense::EncodeInterval(iv, &d.lo, &d.hi)) return false;
-    out->push_back(d);
-  }
-  return true;
-}
-
-void DecodeAll(const std::vector<DIv>& in, SmallIntervalVec* out) {
-  out->reserve(out->size() + in.size());
-  for (const DIv& d : in) {
-    out->push_back(dense::DecodeInterval(d.lo, d.hi));
-  }
-}
-
-// Per-kernel scratch; reused across calls so the steady state allocates
-// nothing. The kernels never nest (none calls another while its scratch is
-// live), so three buffers suffice for any call shape.
-thread_local std::vector<DIv> t_da;
-thread_local std::vector<DIv> t_db;
-thread_local std::vector<DIv> t_dout;
-
-// a.StartsBefore(b) on keys: lower bounds ascend, ties by upper bound.
-inline bool KeyStartsBefore(const DIv& a, const DIv& b) {
-  return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi);
-}
-
-// Appends to a key sweep output, coalescing with the back component when
-// there is no gap (back.hi and d.lo adjacent or overlapping). Requires
-// inputs sorted by lower bound.
-inline void AppendCoalesceKeys(std::vector<DIv>* out, DIv d) {
-  if (!out->empty() && out->back().hi + 1 >= d.lo) {
-    if (d.hi > out->back().hi) out->back().hi = d.hi;
-  } else {
-    out->push_back(d);
-  }
-}
 
 // The complement flips inclusion at a cut point: the piece left of a closed
 // bound ends open at the same value, and vice versa.
@@ -100,9 +43,8 @@ IntervalSet IntervalSet::FromIntervals(const std::vector<Interval>& ivs) {
   g_bulk_merges.fetch_add(1, std::memory_order_relaxed);
   // Small batches are the overwhelmingly common shape (WalkGrid emits one
   // batch per grid cell, usually 1-2 clips). Normalized insertion straight
-  // into the output skips both the heap copy + sort of the general path
-  // and the dense key codec round-trip; the result is the same canonical
-  // component list either way.
+  // into the output skips the heap copy + sort of the general path; the
+  // result is the same canonical component list either way.
   if (ivs.size() == 1) {
     out.intervals_.push_back(ivs[0]);
     return out;
@@ -110,26 +52,6 @@ IntervalSet IntervalSet::FromIntervals(const std::vector<Interval>& ivs) {
   if (ivs.size() <= 8) {
     for (const Interval& iv : ivs) out.Add(iv);
     return out;
-  }
-  if (dense::Enabled()) {
-    t_da.clear();
-    t_da.reserve(ivs.size());
-    bool ok = true;
-    for (const Interval& iv : ivs) {
-      DIv d;
-      if (!dense::EncodeInterval(iv, &d.lo, &d.hi)) {
-        ok = false;
-        break;
-      }
-      t_da.push_back(d);
-    }
-    if (ok) {
-      std::sort(t_da.begin(), t_da.end(), KeyStartsBefore);
-      t_dout.clear();
-      for (const DIv& d : t_da) AppendCoalesceKeys(&t_dout, d);
-      DecodeAll(t_dout, &out.intervals_);
-      return out;
-    }
   }
   std::vector<Interval> sorted = ivs;
   std::sort(sorted.begin(), sorted.end(),
@@ -266,16 +188,8 @@ void IntervalSet::UnionWith(const IntervalSet& other) {
     for (const Interval& iv : other.intervals_) intervals_.push_back(iv);
     return;
   }
-  // No dense fast path here on purpose: the merge sweep below already
-  // compares same-denominator Rationals as single int64s, so a key-space
-  // merge saves nothing while paying the encode/decode round-trip
-  // (measured ~10% slower in BM_DenseIntervalKernels/union).
-  //
-  // Single coalescing sweep over both sorted component lists. When this
-  // set is pinned (stored extent), build the output pinned too: the final
-  // move then steals a heap buffer instead of deep-copying an arena one.
+  // Single coalescing sweep over both sorted component lists.
   SmallIntervalVec out;
-  if (intervals_.pinned()) out.MarkPersistent();
   out.reserve(intervals_.size() + other.intervals_.size());
   const Interval* a = intervals_.begin();
   const Interval* a_end = intervals_.end();
@@ -347,37 +261,6 @@ IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
         }
       }
     }
-    return out;
-  }
-  if (dense::Enabled() && EncodeAll(intervals_, &t_da) &&
-      EncodeAll(other.intervals_, &t_db)) {
-    IntervalSet out;
-    if (t_da.empty() || t_db.empty()) return out;
-    t_dout.clear();
-    // Same shape as the Rational sweep below: skip disjoint prefixes by
-    // binary search, then advance whichever side ends first.
-    const dense::DKey first_b_lo = t_db.front().lo;
-    const dense::DKey first_a_lo = t_da.front().lo;
-    const DIv* a = std::partition_point(
-        t_da.data(), t_da.data() + t_da.size(),
-        [&](const DIv& x) { return x.hi + 1 < first_b_lo; });
-    const DIv* const ae = t_da.data() + t_da.size();
-    const DIv* b = std::partition_point(
-        t_db.data(), t_db.data() + t_db.size(),
-        [&](const DIv& x) { return x.hi + 1 < first_a_lo; });
-    const DIv* const be = t_db.data() + t_db.size();
-    while (a != ae && b != be) {
-      const dense::DKey lo = a->lo > b->lo ? a->lo : b->lo;
-      const dense::DKey hi = a->hi < b->hi ? a->hi : b->hi;
-      if (lo <= hi) t_dout.push_back(DIv{lo, hi});
-      if (a->hi <= b->hi) {
-        if (a->hi >= b->hi) ++b;
-        ++a;
-      } else {
-        ++b;
-      }
-    }
-    DecodeAll(t_dout, &out.intervals_);
     return out;
   }
   IntervalSet out;
@@ -459,47 +342,6 @@ IntervalSet IntervalSet::Intersect(const Interval& iv) const {
 
 IntervalSet IntervalSet::Subtract(const IntervalSet& other) const {
   if (intervals_.empty() || other.intervals_.empty()) return *this;
-  // The dense path pays O(|other|) to encode the subtrahend up front; the
-  // Rational sweep below only binary-searches it. For the frontier shape
-  // (a round's delta minus a session-long store, via UnionWithDelta) the
-  // subtrahend is thousands of components and the minuend a handful, so
-  // encoding it every round would go quadratic across the run. Take the
-  // dense path only when the sides are of comparable size.
-  if (dense::Enabled() &&
-      other.intervals_.size() <= 16 + 4 * intervals_.size() &&
-      EncodeAll(intervals_, &t_da) && EncodeAll(other.intervals_, &t_db)) {
-    IntervalSet out;
-    t_dout.clear();
-    // Key-space mirror of the Rational sweep below. The complement cuts
-    // are single increments: the upper bound left of a lower-bound key k
-    // is k - 1, and the lower bound right of an upper-bound key is k + 1
-    // (adjacent keys flip both the value parity and the openness bit at
-    // once - that is the point of the encoding).
-    const DIv* b0 = t_db.data();
-    const DIv* const be = b0 + t_db.size();
-    for (const DIv& a : t_da) {
-      b0 = std::partition_point(
-          b0, be, [&](const DIv& x) { return x.hi + 1 < a.lo; });
-      dense::DKey cursor = a.lo;
-      bool covered_to_end = false;
-      for (const DIv* b = b0; b != be && !(a.hi + 1 < b->lo); ++b) {
-        if (b->lo > dense::kNegInf) {
-          const dense::DKey piece_hi = b->lo - 1;
-          if (cursor <= piece_hi) t_dout.push_back(DIv{cursor, piece_hi});
-        }
-        if (b->hi >= dense::kPosInf) {
-          covered_to_end = true;
-          break;
-        }
-        cursor = b->hi + 1;
-      }
-      if (!covered_to_end && cursor <= a.hi) {
-        t_dout.push_back(DIv{cursor, a.hi});
-      }
-    }
-    DecodeAll(t_dout, &out.intervals_);
-    return out;
-  }
   // Two-pointer sweep: for each component `a`, binary-jump to the first
   // subtrahend component not strictly before it, then chip the overlap run
   // off a left-to-right. Surviving pieces are separated by removed chunks
@@ -586,13 +428,6 @@ IntervalSet IntervalSet::Shift(const Rational& delta) const {
 
 IntervalSet IntervalSet::DiamondMinus(const Interval& rho) const {
   IntervalSet out;
-  // Dilation stays on the Rational path even under dense::Enabled(): the
-  // per-component work is two same-denominator additions (already single
-  // int64 adds), so the key codec round-trip only slows it down (measured
-  // ~20% in BM_DenseIntervalKernels/diamondminus). The erosions (BoxMinus/
-  // BoxPlus) do keep a dense path - their Rational form validates every
-  // shrunken component, which the key arithmetic skips.
-  //
   // Dilation preserves component order but may bridge gaps, so append with
   // back-coalescing instead of a full Insert per component.
   out.intervals_.reserve(intervals_.size());
@@ -604,32 +439,6 @@ IntervalSet IntervalSet::DiamondMinus(const Interval& rho) const {
 
 IntervalSet IntervalSet::BoxMinus(const Interval& rho) const {
   IntervalSet out;
-  dense::DKey rlo;
-  dense::DKey rhi;
-  // rlo must be finite: the Rational path treats an infinite rho.lo as its
-  // stored value 0, which key arithmetic cannot mirror.
-  if (dense::Enabled() && dense::EncodeInterval(rho, &rlo, &rhi) &&
-      rlo > dense::kNegInf && EncodeAll(intervals_, &t_da)) {
-    t_dout.clear();
-    for (const DIv& d : t_da) {
-      dense::DKey lo;
-      if (rhi >= dense::kPosInf) {
-        // Window reaches back to -inf: only an infinite past satisfies it.
-        if (d.lo > dense::kNegInf) continue;
-        lo = dense::kNegInf;
-      } else if (d.lo <= dense::kNegInf) {
-        lo = dense::kNegInf;
-      } else {
-        lo = dense::BoxLoPlusHi(d.lo, rhi);
-      }
-      const dense::DKey hi = d.hi >= dense::kPosInf
-                                 ? dense::kPosInf
-                                 : dense::BoxHiPlusLo(d.hi, rlo);
-      if (lo <= hi) t_dout.push_back(DIv{lo, hi});
-    }
-    DecodeAll(t_dout, &out.intervals_);
-    return out;
-  }
   // Erosion shrinks every component in place, so existing gaps only widen:
   // survivors append directly.
   out.intervals_.reserve(intervals_.size());
@@ -643,8 +452,7 @@ IntervalSet IntervalSet::BoxMinus(const Interval& rho) const {
 
 IntervalSet IntervalSet::DiamondPlus(const Interval& rho) const {
   IntervalSet out;
-  // Rational path only, as in DiamondMinus: dilation is too cheap per
-  // component for the key codec round-trip to pay off.
+  // Dilation preserves order but may bridge gaps, as in DiamondMinus.
   out.intervals_.reserve(intervals_.size());
   for (const Interval& iv : intervals_) {
     AppendCoalesce(&out.intervals_, iv.DiamondPlus(rho));
@@ -654,29 +462,6 @@ IntervalSet IntervalSet::DiamondPlus(const Interval& rho) const {
 
 IntervalSet IntervalSet::BoxPlus(const Interval& rho) const {
   IntervalSet out;
-  dense::DKey rlo;
-  dense::DKey rhi;
-  if (dense::Enabled() && dense::EncodeInterval(rho, &rlo, &rhi) &&
-      rlo > dense::kNegInf && EncodeAll(intervals_, &t_da)) {
-    t_dout.clear();
-    for (const DIv& d : t_da) {
-      const dense::DKey lo = d.lo <= dense::kNegInf
-                                 ? dense::kNegInf
-                                 : dense::BoxLoMinusLo(d.lo, rlo);
-      dense::DKey hi;
-      if (rhi >= dense::kPosInf) {
-        if (d.hi < dense::kPosInf) continue;
-        hi = dense::kPosInf;
-      } else if (d.hi >= dense::kPosInf) {
-        hi = dense::kPosInf;
-      } else {
-        hi = dense::BoxHiMinusHi(d.hi, rhi);
-      }
-      if (lo <= hi) t_dout.push_back(DIv{lo, hi});
-    }
-    DecodeAll(t_dout, &out.intervals_);
-    return out;
-  }
   out.intervals_.reserve(intervals_.size());
   for (const Interval& iv : intervals_) {
     if (auto x = iv.BoxPlus(rho); x.has_value()) {

@@ -93,15 +93,6 @@ class IntervalSet {
   // global: callers snapshot before/after the region they account.
   static uint64_t BulkMergeCount();
 
-  // Pins the backing storage to the general heap (migrating any arena
-  // buffer) so this set may outlive the round barrier. Called by the
-  // persistence points: relation storage, operator memos, guard caches.
-  // See docs/ENGINE.md, "Memory architecture".
-  void MarkPersistent() { intervals_.MarkPersistent(); }
-  // Discards an arena-backed buffer (and the contents) without copying;
-  // for reusable scratch slots that survive a RoundArena::Reset().
-  void ReleaseArenaStorage() { intervals_.ReleaseArenaStorage(); }
-
   // "{[1,3) [5,5]}".
   std::string ToString() const;
 

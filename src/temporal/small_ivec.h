@@ -7,7 +7,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "src/common/arena.h"
 #include "src/temporal/interval.h"
 
 namespace dmtl {
@@ -17,20 +16,8 @@ namespace dmtl {
 // The contract workload is dominated by interval sets of size 1-2 (punctual
 // row extents, single clamped emissions, Insert deltas); storing those
 // inline makes the IntervalSet temporaries on the emit/intersect hot path
-// allocation-free. Larger sets spill to a buffer - from the thread's
-// ambient RoundArena when an ArenaScope is active (the engine's transient
-// round-local sets), otherwise from the global heap exactly like
+// allocation-free. Larger sets spill to a heap buffer exactly like
 // std::vector.
-//
-// Arena contract (docs/ENGINE.md, "Memory architecture"): an arena-backed
-// buffer dies wholesale at the arena's next Reset(), so any vector that
-// outlives the round barrier must be pinned first. MarkPersistent()
-// migrates an arena buffer to the heap and keeps every future spill there;
-// moves propagate the pin (a persistent set stays persistent wherever its
-// buffer lands), and moving an arena-backed source into a pinned
-// destination deep-copies instead of stealing. The engine pins at exactly
-// the persistence points: relation storage, operator memos, and chain guard
-// caches.
 //
 // Interval has no default constructor but is trivially copyable, so the
 // inline slots are raw storage and every element transfer is a memcpy;
@@ -59,7 +46,6 @@ class SmallIntervalVec {
     ReleaseHeap();
     heap_ = nullptr;
     capacity_ = kInlineCapacity;
-    from_arena_ = false;
     StealFrom(&other);
     return *this;
   }
@@ -122,36 +108,6 @@ class SmallIntervalVec {
     *this = std::move(tmp);
   }
 
-  // --- arena lifetime ----------------------------------------------------
-
-  // Pins this vector to the general heap: the current buffer migrates off
-  // the arena (if it is on one) and every future spill uses operator new.
-  // Call before storing a vector anywhere that outlives the round barrier.
-  // Irreversible for the lifetime of the object; propagated by moves.
-  void MarkPersistent() {
-    pinned_ = true;
-    if (from_arena_) MigrateToHeap();
-  }
-  bool pinned() const { return pinned_; }
-  bool from_arena() const { return from_arena_; }
-
-  // Drops an arena-backed buffer without copying (contents are discarded).
-  // For reusable scratch vectors (the VM's per-instruction slots) that
-  // would otherwise carry a dangling arena buffer across a Reset().
-  void ReleaseArenaStorage() {
-    if (!from_arena_) {
-      size_ = 0;
-      return;
-    }
-    if (RoundArena* arena = CurrentArena()) {
-      arena->TryReclaim(heap_, capacity_ * sizeof(Interval));
-    }
-    heap_ = nullptr;
-    capacity_ = kInlineCapacity;
-    size_ = 0;
-    from_arena_ = false;
-  }
-
   friend bool operator==(const SmallIntervalVec& a,
                          const SmallIntervalVec& b) {
     if (a.size_ != b.size_) return false;
@@ -176,78 +132,19 @@ class SmallIntervalVec {
     return std::launder(reinterpret_cast<const Interval*>(inline_buf_));
   }
 
-  // Frees the heap buffer if we own one. An arena buffer that is still the
-  // arena's newest allocation is handed back (TryReclaim) so short-lived
-  // temporaries don't leave the round streaming through cold memory; any
-  // other arena buffer is abandoned for the wholesale reclaim at Reset.
-  void ReleaseHeap() {
-    if (heap_ == nullptr) return;
-    if (!from_arena_) {
-      ::operator delete(heap_);
-    } else if (RoundArena* arena = CurrentArena()) {
-      arena->TryReclaim(heap_, capacity_ * sizeof(Interval));
-    }
-  }
+  void ReleaseHeap() { ::operator delete(heap_); }
 
   void Grow(size_t need) {
     size_t cap = capacity_ * 2;
     if (cap < need) cap = need;
-    Interval* fresh = nullptr;
-    bool fresh_from_arena = false;
-    if (RoundArena* arena = CurrentArena()) {
-      // A spilled buffer that is still the arena's latest allocation grows
-      // in place (common case: one hot vector appending in a loop). The
-      // tail check inside TryExtend rejects buffers from other arenas.
-      if (from_arena_ && !pinned_ &&
-          arena->TryExtend(heap_, capacity_ * sizeof(Interval),
-                           cap * sizeof(Interval))) {
-        capacity_ = cap;
-        return;
-      }
-      if (!pinned_) {
-        fresh = static_cast<Interval*>(arena->Allocate(cap * sizeof(Interval)));
-        fresh_from_arena = fresh != nullptr;
-      } else {
-        arena->CountHeapFallback();
-      }
-    }
-    if (fresh == nullptr) {
-      fresh = static_cast<Interval*>(::operator new(cap * sizeof(Interval)));
-    }
+    auto* fresh =
+        static_cast<Interval*>(::operator new(cap * sizeof(Interval)));
     std::memcpy(static_cast<void*>(fresh), data(), size_ * sizeof(Interval));
     ReleaseHeap();
     heap_ = fresh;
-    from_arena_ = fresh_from_arena;
     capacity_ = cap;
   }
 
-  // Moves the current (arena) buffer to owned storage; part of
-  // MarkPersistent. The vacated arena buffer is handed back when it is
-  // still the arena tail (freshly built set pinned on insert - the common
-  // persistence path).
-  void MigrateToHeap() {
-    Interval* old = heap_;
-    const size_t old_cap = capacity_;
-    if (size_ <= kInlineCapacity) {
-      std::memcpy(static_cast<void*>(InlinePtr()), heap_,
-                  size_ * sizeof(Interval));
-      heap_ = nullptr;
-      capacity_ = kInlineCapacity;
-    } else {
-      auto* fresh =
-          static_cast<Interval*>(::operator new(size_ * sizeof(Interval)));
-      std::memcpy(static_cast<void*>(fresh), heap_, size_ * sizeof(Interval));
-      heap_ = fresh;
-      capacity_ = size_;
-    }
-    from_arena_ = false;
-    if (RoundArena* arena = CurrentArena()) {
-      arena->TryReclaim(old, old_cap * sizeof(Interval));
-    }
-  }
-
-  // Copies elements; the destination keeps its own pin state (stored sets
-  // stay heap-backed no matter what they are assigned from).
   void CopyFrom(const SmallIntervalVec& other) {
     reserve(other.size_);
     std::memcpy(static_cast<void*>(data()), other.data(),
@@ -256,31 +153,16 @@ class SmallIntervalVec {
   }
 
   // Takes `other`'s buffer (or memcpys its inline elements), leaving it
-  // empty. Requires *this to own no heap buffer. The pin propagates from
-  // the source (a persistent set stays persistent through moves, e.g. when
-  // a memo entry vector reallocates); a pinned destination deep-copies an
-  // arena-backed source instead of adopting a buffer that dies at the next
-  // barrier.
+  // empty. Requires *this to own no heap buffer.
   void StealFrom(SmallIntervalVec* other) {
-    pinned_ = pinned_ || other->pinned_;
     if (other->heap_ != nullptr) {
-      if (pinned_ && other->from_arena_) {
-        size_ = 0;
-        from_arena_ = false;
-        CopyFrom(*other);
-        other->ReleaseArenaStorage();
-        return;
-      }
       heap_ = other->heap_;
       capacity_ = other->capacity_;
-      from_arena_ = other->from_arena_;
       other->heap_ = nullptr;
       other->capacity_ = kInlineCapacity;
-      other->from_arena_ = false;
     } else {
       std::memcpy(static_cast<void*>(InlinePtr()), other->InlinePtr(),
                   other->size_ * sizeof(Interval));
-      from_arena_ = false;
     }
     size_ = other->size_;
     other->size_ = 0;
@@ -291,8 +173,6 @@ class SmallIntervalVec {
   Interval* heap_ = nullptr;  // engaged once the inline capacity spills
   size_t size_ = 0;
   size_t capacity_ = kInlineCapacity;
-  bool from_arena_ = false;  // heap_ came from the ambient RoundArena
-  bool pinned_ = false;      // MarkPersistent called: never use the arena
 };
 
 }  // namespace dmtl

@@ -45,8 +45,6 @@ constexpr char kUsage[] =
     "  --no-plan       disable cost-based join planning\n"
     "  --no-deltas     disable interval-delta propagation (operator memos)\n"
     "  --no-compile    disable rule compilation (AST-walking evaluator)\n"
-    "  --no-dense      disable the dense integer-timeline fast path\n"
-    "  --no-arena      disable round-arena allocation\n"
     "  --dump-bytecode print each compiled rule's bytecode program after\n"
     "                  the run (declined rules report their reason)\n"
     "  --deadline-ms N wall-clock budget for materialization; on a trip the\n"
@@ -149,10 +147,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       options.engine.enable_interval_deltas = false;
     } else if (arg == "--no-compile") {
       options.engine.enable_rule_compile = false;
-    } else if (arg == "--no-dense") {
-      options.engine.enable_dense_timeline = false;
-    } else if (arg == "--no-arena") {
-      options.engine.enable_arena_alloc = false;
     } else if (arg == "--dump-bytecode") {
       options.dump_bytecode = true;
     } else if (arg == "--explain-plan") {

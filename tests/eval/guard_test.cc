@@ -109,6 +109,23 @@ TEST(GuardTest, CancellationFromAnotherThread) {
   EXPECT_EQ(stats.intervals_at_stop, db.NumIntervals());
 }
 
+// A deadline that has already passed when the run starts must trip on the
+// very first poll: a check site may be strided, but Check() itself reads
+// the clock on every call.
+TEST(GuardTest, PassedDeadlineTripsOnTheFirstCheck) {
+  Parser::ParsedUnit unit = ParseDivergent();
+  Database db = unit.database;
+  std::string before = db.ToString();
+  EngineOptions options;
+  options.deadline = std::chrono::milliseconds(0);
+  EngineStats stats;
+  Status status = Materialize(unit.program, &db, options, &stats);
+  ASSERT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(stats.guard_checks, 1u);
+  EXPECT_EQ(stats.stopped_round, 0u);
+  EXPECT_EQ(db.ToString(), before);
+}
+
 TEST(GuardTest, PreCancelledRunLeavesDatabaseUntouched) {
   Parser::ParsedUnit unit = ParseDivergent();
   Database db = unit.database;

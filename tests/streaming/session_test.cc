@@ -551,12 +551,11 @@ TEST(StreamingSessionTest, FailedSlideHealsOnNextAdvance) {
 // streams. Every third advance is a checkpoint compared byte-for-byte
 // against a cold replay, and past the warm-up every advance is followed by
 // a slide, itself checked the same way. The whole lane re-runs under the
-// DMTL_DISABLE_RULE_COMPILE /
-// DMTL_DISABLE_DENSE_TIMELINE / DMTL_DISABLE_STREAMING environment lanes in
+// DMTL_DISABLE_RULE_COMPILE / DMTL_DISABLE_STREAMING environment lanes in
 // CI.
 // ---------------------------------------------------------------------------
 
-// Same safe fragment the dense/differential suites fuzz -
+// Same safe fragment the scale-invariance/differential suites fuzz -
 // stratified boxminus/diamondminus recursion with negated guards - which is
 // exactly the streaming-eligible fragment, plus one non-recursive head
 // behind a negated look-back literal.

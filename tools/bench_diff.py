@@ -1,7 +1,16 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json artifacts and flag timing regressions.
+"""Compare BENCH_*.json artifacts and flag timing regressions.
 
-Usage: tools/bench_diff.py BASELINE.json CANDIDATE.json [--threshold 0.10]
+Usage: tools/bench_diff.py BASELINE.json CANDIDATE.json [CANDIDATE.json ...]
+           [--threshold 0.10]
+
+Several candidate files are runs of the same bench in separate processes.
+They are merged into one candidate first: each time-like leaf takes the
+median of its values across the files, and every other leaf the first
+file's value (semantic counters must agree across the files, or the diff
+fails). A slow process then moves the gate only when it is the majority.
+A committed baseline is regenerated the same way, as median_tree() over
+the same number of processes.
 
 Walks both JSON trees in parallel and compares every time-like numeric
 leaf (keys ending in "_s" or "_seconds", or named "runtime_s"). Arrays of
@@ -24,6 +33,7 @@ Stdlib only - runs anywhere python3 exists.
 
 import argparse
 import json
+import statistics
 import sys
 
 # Keys that identify a measurement point inside an array, in preference
@@ -110,6 +120,35 @@ def walk(base, cand, path, out, errors):
     out.append((path, kind, base, cand))
 
 
+def median_tree(trees, path, errors):
+    """Merges same-shaped runs: medians for time leaves, else the first."""
+    first = trees[0]
+    if isinstance(first, dict):
+        return {k: median_tree([t[k] for t in trees
+                                if isinstance(t, dict) and k in t],
+                               f"{path}.{k}" if path else k, errors)
+                for k in first}
+    if isinstance(first, list):
+        keys = [point_key(e) for e in first]
+        if keys and all(k is not None for k in keys):
+            by_key = [{point_key(e): e for e in t} for t in trees]
+            return [median_tree([m[k] for m in by_key if k in m],
+                                f"{path}[{'/'.join(str(v) for _, v in k)}]",
+                                errors)
+                    for k in keys]
+        return [median_tree([t[i] for t in trees if i < len(t)],
+                            f"{path}[{i}]", errors)
+                for i in range(len(first))]
+    key = path.rsplit(".", 1)[-1].split("[", 1)[0]
+    numbers = [t for t in trees
+               if isinstance(t, (int, float)) and not isinstance(t, bool)]
+    if is_time_key(key) and len(numbers) == len(trees):
+        return statistics.median(numbers)
+    if key in SEMANTIC_KEYS and any(t != first for t in trees):
+        errors.append(f"candidates disagree on {path}: {trees!r}")
+    return first
+
+
 def guard_overhead_error(cand):
     """Returns an error string when the candidate breaks the guard gate."""
     row = cand.get("guard_overhead")
@@ -136,13 +175,12 @@ def check_comparable(base, cand):
                 f"guards_enabled={cg} (guarded and unguarded timings are "
                 f"not like-with-like)")
     # Every engine feature flag the benches record (enable_rule_compile,
-    # enable_dense_timeline, enable_arena_alloc, enable_streaming, and any
-    # future enable_* the context grows) selects a different execution
-    # path, so cross-flag timings measure the feature toggle, not a
+    # enable_streaming, and any future enable_* the context grows) selects
+    # a different execution path, so cross-flag timings measure the feature toggle, not a
     # regression. The check is generic: a new flag added to the context is
     # automatically part of the like-with-like contract, no edit here.
-    # Artifacts from before a flag existed are only compared when the other
-    # side doesn't name it either (legacy-vs-legacy).
+    # A flag only one side names (an artifact from before the field existed,
+    # or after it was deleted with its path) is noted, not refused.
     flags = sorted(k for k in set(base_ctx) | set(cand_ctx)
                    if k.startswith("enable_"))
     for flag in flags:
@@ -162,7 +200,7 @@ def check_comparable(base, cand):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline")
-    parser.add_argument("candidate")
+    parser.add_argument("candidates", nargs="+", metavar="candidate")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="fractional slowdown that counts as a "
                              "regression (default 0.10 = 10%%)")
@@ -170,8 +208,12 @@ def main():
 
     with open(args.baseline) as f:
         base = json.load(f)
-    with open(args.candidate) as f:
-        cand = json.load(f)
+    runs = []
+    for path in args.candidates:
+        with open(path) as f:
+            runs.append(json.load(f))
+    disagreements = []
+    cand = median_tree(runs, "", disagreements)
 
     # Like-with-like check: refuse rather than report phantom regressions.
     error = check_comparable(base, cand)
@@ -185,7 +227,9 @@ def main():
 
     regressions = []
     improvements = []
-    drifts = []
+    drifts = list(disagreements)
+    for line in disagreements:
+        print(f"  DRIFT      {line} (the candidate runs did different work)")
     for path, kind, b, c in leaves:
         if kind is None:
             print(f"  shape mismatch at {path}: baseline={b!r} "
