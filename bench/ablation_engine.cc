@@ -1,11 +1,17 @@
 // Experiment B7 - engine ablations for the design choices DESIGN.md calls
 // out: (a) chain acceleration on/off, (b) semi-naive vs naive evaluation,
-// (c) cost-based join planning on/off, (d) interval-delta propagation
-// (operator memos) on/off. All variants must produce identical
+// (c) cost-based join planning on/off. All variants must produce identical
 // materializations; the ablation quantifies the cost of turning each
 // optimization off.
+//
+// Timing: one untimed warm-up run first (the first run of a process pays
+// for page faults and cold caches no later run sees), then kRuns rounds
+// that each run every configuration once, in turn, so host drift lands on
+// every configuration alike. Each row is the median of its kRuns runs.
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -13,18 +19,30 @@ namespace {
 
 using namespace dmtl;
 
-double RunWith(const WorkloadConfig& config, bool accel, bool naive,
-               bool planning, EngineStats* stats, bool deltas = true) {
-  Session session = bench::Check(GenerateSession(config), "generate");
-  Program program = bench::Check(EthPerpProgram(), "program");
+constexpr int kRuns = 5;
+
+struct Config {
+  const char* label;
+  bool accel;
+  bool naive;
+  bool planning;
+};
+
+double RunWith(const Session& session, const Program& program,
+               const Config& config, EngineStats* stats) {
   Database db = SessionToDatabase(session);
   EngineOptions options = SessionEngineOptions(session);
-  options.enable_chain_acceleration = accel;
-  options.naive_evaluation = naive;
-  options.enable_join_planning = planning;
-  options.enable_interval_deltas = deltas;
+  options.enable_chain_acceleration = config.accel;
+  options.naive_evaluation = config.naive;
+  options.enable_join_planning = config.planning;
   bench::Check(Materialize(program, &db, options, stats), "materialize");
   return stats->wall_seconds;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 }  // namespace
@@ -34,51 +52,55 @@ int main() {
               "===\n");
   // Ablations run on a reduced session: the un-accelerated engine pays one
   // fixpoint round per tick, which is exactly the point being measured.
-  WorkloadConfig config;
-  config.name = "ablation";
-  config.num_events = 40;
-  config.num_trades = 8;
-  config.duration_s = 600;
-  config.initial_skew = -500.0;
-  config.seed = 5;
+  WorkloadConfig workload;
+  workload.name = "ablation";
+  workload.num_events = 40;
+  workload.num_trades = 8;
+  workload.duration_s = 600;
+  workload.initial_skew = -500.0;
+  workload.seed = 5;
+  const Session session =
+      bench::Check(GenerateSession(workload), "generate");
+  const Program program = bench::Check(EthPerpProgram(), "program");
 
-  EngineStats accel_stats;
-  double accel = RunWith(config, /*accel=*/true, /*naive=*/false,
-                         /*planning=*/true, &accel_stats);
-  EngineStats noplan_stats;
-  double noplan = RunWith(config, /*accel=*/true, /*naive=*/false,
-                          /*planning=*/false, &noplan_stats);
-  EngineStats nodelta_stats;
-  double nodelta = RunWith(config, /*accel=*/true, /*naive=*/false,
-                           /*planning=*/true, &nodelta_stats,
-                           /*deltas=*/false);
-  EngineStats plain_stats;
-  double plain = RunWith(config, /*accel=*/false, /*naive=*/false,
-                         /*planning=*/true, &plain_stats);
-  EngineStats naive_stats;
-  double naive = RunWith(config, /*accel=*/false, /*naive=*/true,
-                         /*planning=*/true, &naive_stats);
+  const Config configs[] = {
+      {"semi-naive + accel + planner", true, false, true},
+      {"semi-naive + accel, no planner", true, false, false},
+      {"semi-naive, no acceleration", false, false, true},
+      {"naive re-evaluation", false, true, true},
+  };
+  constexpr size_t kConfigs = sizeof(configs) / sizeof(configs[0]);
+
+  EngineStats warm_up;
+  RunWith(session, program, configs[0], &warm_up);
+
+  std::vector<double> times[kConfigs];
+  EngineStats stats[kConfigs];
+  for (int run = 0; run < kRuns; ++run) {
+    for (size_t c = 0; c < kConfigs; ++c) {
+      times[c].push_back(RunWith(session, program, configs[c], &stats[c]));
+    }
+  }
+  double median[kConfigs];
+  for (size_t c = 0; c < kConfigs; ++c) median[c] = Median(times[c]);
 
   std::printf("%-32s %12s %10s %12s\n", "configuration", "runtime(s)",
               "rounds", "rule evals");
-  std::printf("%-32s %12.3f %10zu %12zu\n", "semi-naive + accel + planner",
-              accel, accel_stats.rounds, accel_stats.rule_evaluations);
-  std::printf("%-32s %12.3f %10zu %12zu\n", "semi-naive + accel, no planner",
-              noplan, noplan_stats.rounds, noplan_stats.rule_evaluations);
-  std::printf("%-32s %12.3f %10zu %12zu\n", "semi-naive + accel, no deltas",
-              nodelta, nodelta_stats.rounds, nodelta_stats.rule_evaluations);
-  std::printf("%-32s %12.3f %10zu %12zu\n", "semi-naive, no acceleration",
-              plain, plain_stats.rounds, plain_stats.rule_evaluations);
-  std::printf("%-32s %12.3f %10zu %12zu\n", "naive re-evaluation",
-              naive, naive_stats.rounds, naive_stats.rule_evaluations);
-  std::printf("\nspeedup from chain acceleration: %.1fx\n", plain / accel);
-  std::printf("speedup of semi-naive over naive: %.1fx\n", naive / plain);
-  std::printf("speedup from join planning:       %.2fx\n", noplan / accel);
-  std::printf("speedup from interval deltas:     %.2fx\n", nodelta / accel);
+  for (size_t c = 0; c < kConfigs; ++c) {
+    std::printf("%-32s %12.3f %10zu %12zu\n", configs[c].label, median[c],
+                stats[c].rounds, stats[c].rule_evaluations);
+  }
+  std::printf("(median of %d interleaved runs after one warm-up run)\n",
+              kRuns);
+  std::printf("\nspeedup from chain acceleration: %.1fx\n",
+              median[2] / median[0]);
+  std::printf("speedup of semi-naive over naive: %.1fx\n",
+              median[3] / median[2]);
+  std::printf("speedup from join planning:       %.2fx\n",
+              median[1] / median[0]);
   std::printf("planner: %zu indexes, %zu probes (%zu hits), %zu tuples "
               "pruned\n",
-              accel_stats.planner_indexes_built,
-              accel_stats.planner_index_probes, accel_stats.planner_probe_hits,
-              accel_stats.planner_pruned_tuples);
+              stats[0].planner_indexes_built, stats[0].planner_index_probes,
+              stats[0].planner_probe_hits, stats[0].planner_pruned_tuples);
   return 0;
 }

@@ -139,35 +139,6 @@ void BM_ParseEthPerpProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseEthPerpProgram);
 
-// Interval-delta propagation on the memo's home turf: a long recursive
-// propagation joined against wide guard extents, so every fixpoint round
-// re-reads the guards' operator-path outputs. Arg is
-// enable_interval_deltas; the ratio of the two rows is the memoization win.
-void BM_OperatorDelta(benchmark::State& state) {
-  auto program = Parser::ParseProgram(
-      "tick(A) :- diamondminus[1,1] tick(A), diamondminus[0,30] open(A), "
-      "boxminus[1,1] sane(A) .\n"
-      "alarm(A) :- diamondminus[0,2] tick(A), diamondminus[0,10] open(A) .");
-  Database db;
-  for (int a = 0; a < 8; ++a) {
-    db.Insert("tick", {Value::Int(a)}, Interval::Point(Rational(a % 3)));
-    db.Insert("open", {Value::Int(a)},
-              Interval::Closed(Rational(0), Rational(2000)));
-    db.Insert("sane", {Value::Int(a)},
-              Interval::Closed(Rational(0), Rational(2000)));
-  }
-  EngineOptions options;
-  options.min_time = Rational(0);
-  options.max_time = Rational(1500);
-  options.enable_chain_acceleration = false;
-  options.enable_interval_deltas = state.range(0) != 0;
-  for (auto _ : state) {
-    Database out = db;
-    benchmark::DoNotOptimize(Materialize(*program, &out, options));
-  }
-}
-BENCHMARK(BM_OperatorDelta)->Arg(0)->Arg(1);
-
 // The rule compiler's dispatch loop against the AST walker on the same
 // recursive join workload. Arg is enable_rule_compile; Arg(0) is the
 // staged interpreter, so the ratio of the two rows is the VM win on

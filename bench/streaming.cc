@@ -84,7 +84,6 @@ int main() {
     double batch_s = 0.0;
     size_t batch_derived = 0;
     size_t batch_rounds = 0;
-    size_t batch_memo_isect = 0;
     for (int rep = 0; rep < kReps; ++rep) {
       Database db = SessionToDatabase(chain);
       EngineStats stats;
@@ -96,7 +95,6 @@ int main() {
       }
       batch_derived = stats.derived_intervals;
       batch_rounds = stats.rounds;
-      batch_memo_isect = stats.memo_intersections;
     }
     double batch_event_s = batch_s / static_cast<double>(pt.events);
 
@@ -170,7 +168,6 @@ int main() {
         .Field("speedup_vs_amortized_batch", speedup)
         .Field("derived", batch_derived)
         .Field("rounds", batch_rounds)
-        .Field("batch_memo_intersections", batch_memo_isect)
         .Field("stream_intervals", stream_intervals)
         .Field("slide_intervals", slide_intervals)
         .EndObject();

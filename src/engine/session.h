@@ -16,7 +16,7 @@ namespace dmtl {
 
 // Configuration shared by every session shape.
 struct SessionOptions {
-  // Engine knobs (memos, chain acceleration, budgets...).
+  // Engine knobs (chain acceleration, budgets...).
   // min_time / max_time / provenance are managed by the session and must be
   // left unset. enable_streaming = false (or DMTL_DISABLE_STREAMING=1)
   // selects the batch shape: the identical external contract, re-derived by

@@ -127,13 +127,12 @@ Result<AggregateEvaluator> AggregateEvaluator::Create(
 }
 
 Status AggregateEvaluator::Evaluate(const Database& db,
-                                    const RuleEvaluator::EmitFn& emit,
-                                    OperatorMemo* memo) const {
+                                    const RuleEvaluator::EmitFn& emit) const {
   const Rule& r = body_eval_.rule();
   const AggregateSpec& spec = *r.head.aggregate;
 
   std::vector<BindingRow> rows;
-  DMTL_RETURN_IF_ERROR(body_eval_.EvaluateRows(db, nullptr, -1, &rows, memo));
+  DMTL_RETURN_IF_ERROR(body_eval_.EvaluateRows(db, nullptr, -1, &rows));
 
   // Group rows by the non-aggregated head arguments.
   std::map<Tuple, std::vector<Contribution>> groups;

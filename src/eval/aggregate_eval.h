@@ -31,11 +31,8 @@ class AggregateEvaluator {
     return body_eval_.planner_stats();
   }
 
-  // A non-null `memo` enables interval-delta propagation in the body
-  // evaluation (aggregate rules run once per stratum, so the memo mainly
-  // shares leaf path outputs across the body's rows).
-  Status Evaluate(const Database& db, const RuleEvaluator::EmitFn& emit,
-                  OperatorMemo* memo = nullptr) const;
+  Status Evaluate(const Database& db,
+                  const RuleEvaluator::EmitFn& emit) const;
 
  private:
   explicit AggregateEvaluator(RuleEvaluator body_eval)

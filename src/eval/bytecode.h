@@ -38,9 +38,8 @@ enum class OpCode : uint8_t {
   // extent into the row. arg = literal slot.
   kIntersectTemporal,
   // Close a positive literal of unary-chain shape: apply the operator path
-  // to the leaf extent (served from the rule's OperatorMemo when one is
-  // threaded through and the literal is not delta-restricted) and intersect.
-  // arg = literal slot.
+  // to the leaf extent, windowed by the row, and intersect. arg = literal
+  // slot.
   kApplyUnaryChain,
   // Evaluate a comparison/assignment builtin on the registers (early and
   // late stages share the opcode; their placement in the code stream is the
@@ -116,10 +115,6 @@ struct AtomCode {
 enum class LitShape : uint8_t { kBareAtom, kUnaryChain, kGeneral };
 
 struct LiteralCode {
-  // Index into the evaluator's positive-literal list - the memo slot, which
-  // must match the interpreter's ordinals so a memo warmed by either
-  // executor serves the other.
-  size_t ordinal = 0;
   size_t body_index = 0;
   LitShape shape = LitShape::kGeneral;
   int delta_offset = -1;  // delta atom position within the literal, -1: none

@@ -1,0 +1,485 @@
+#include "src/eval/fixpoint.h"
+
+#include <chrono>
+#include <string>
+
+#include "src/analysis/safety.h"
+#include "src/common/fault_injector.h"
+
+namespace dmtl {
+
+namespace {
+
+// Sink emissions between guard checks. Covers every unbounded emission
+// loop - notably chain-accelerator walks, which emit point-by-point through
+// EmitOne - so a divergent rule observes a deadline within ~256 emissions.
+constexpr uint64_t kSinkGuardStrideMask = 255;
+
+bool AnyCoverage(const std::set<PredicateId>& preds, const Database& db) {
+  for (PredicateId p : preds) {
+    const Relation* rel = db.Find(p);
+    if (rel != nullptr && !rel->IsEmpty()) return true;
+  }
+  return false;
+}
+
+// Exceptions become a clean kInternal: a run never throws.
+template <typename Fn>
+Status RunProtected(Fn&& fn) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("evaluation aborted by exception: ") +
+                            e.what());
+  } catch (...) {
+    return Status::Internal("evaluation aborted by non-standard exception");
+  }
+}
+
+}  // namespace
+
+// Inserts derived extents (clamped to the window) and accumulates newly
+// covered portions into the round delta. The only path by which rule
+// evaluation mutates the store.
+class FixpointDriver::Sink {
+ public:
+  Sink(Database* db, Database* next_delta, const Interval& window,
+       std::vector<DerivationRecord>* provenance, size_t max_intervals,
+       EngineStats* stats, const ExecutionGuard* guard)
+      : db_(db),
+        next_delta_(next_delta),
+        window_(window),
+        provenance_(provenance),
+        max_intervals_(max_intervals),
+        stats_(stats),
+        guard_(guard) {}
+
+  // Bulk emission: one window clamp (the window is a single interval, so
+  // the clip is the fast Intersect(Interval) overload), one coalescing
+  // merge into the store, one delta recording - no per-interval
+  // IntervalSet temporaries.
+  Status Emit(PredicateId pred, const Tuple& tuple,
+              const IntervalSet& extent) {
+    IntervalSet clamped = extent.Intersect(window_);
+    if (clamped.IsEmpty()) return Status::Ok();
+    return Record(pred, tuple, db_->InsertSet(pred, tuple, clamped));
+  }
+
+  Result<bool> EmitOne(PredicateId pred, const Tuple& tuple,
+                       const Interval& iv) {
+    // Two intervals intersect to at most one interval: clip without any
+    // IntervalSet temporary.
+    auto part = iv.Intersect(window_);
+    if (!part.has_value()) return false;
+    IntervalSet fresh = db_->Insert(pred, tuple, *part);
+    bool any_new = !fresh.IsEmpty();
+    DMTL_RETURN_IF_ERROR(Record(pred, tuple, fresh));
+    return any_new;
+  }
+
+  // Provenance context: which rule is emitting, in which round.
+  void SetContext(size_t rule_index, size_t round) {
+    current_rule_ = rule_index;
+    current_round_ = round;
+  }
+
+ private:
+  // Accounts the newly covered portion of an insertion: stats, next-round
+  // delta, provenance, then guard/budget checks. The delta is recorded
+  // *before* any check can fail so the rollback (SubtractCoverage of the
+  // round delta) always covers exactly what reached the store.
+  Status Record(PredicateId pred, const Tuple& tuple,
+                const IntervalSet& fresh) {
+    if (fresh.IsEmpty()) return Status::Ok();
+    stats_->derived_intervals += fresh.size();
+    try {
+      next_delta_->InsertSet(pred, tuple, fresh);
+    } catch (...) {
+      // The paired store insert already happened; undo it so the round
+      // delta stays an exact record of the store's round growth.
+      db_->SubtractCoverage(pred, tuple, fresh);
+      throw;
+    }
+    if (provenance_ != nullptr) {
+      for (const Interval& piece : fresh) {
+        provenance_->push_back(
+            {pred, tuple, piece, current_rule_, current_round_});
+      }
+    }
+    if (guard_ != nullptr && (++emissions_ & kSinkGuardStrideMask) == 0) {
+      DMTL_RETURN_IF_ERROR(guard_->Check());
+    }
+    if (db_->approx_intervals() > max_intervals_) {
+      return Status::ResourceExhausted(
+          "materialization exceeded max_intervals=" +
+          std::to_string(max_intervals_));
+    }
+    return Status::Ok();
+  }
+
+  Database* db_;
+  Database* next_delta_;
+  Interval window_;
+  std::vector<DerivationRecord>* provenance_;
+  size_t max_intervals_;
+  EngineStats* stats_;
+  const ExecutionGuard* guard_;
+  size_t current_rule_ = 0;
+  size_t current_round_ = 0;
+  uint64_t emissions_ = 0;
+};
+
+Result<std::unique_ptr<FixpointDriver>> FixpointDriver::Create(
+    const Program& program, const EngineOptions& options) {
+  DMTL_RETURN_IF_ERROR(program.CheckArities());
+  DMTL_RETURN_IF_ERROR(CheckSafety(program));
+  std::unique_ptr<FixpointDriver> d(new FixpointDriver(options));
+  DMTL_ASSIGN_OR_RETURN(d->strat_, Stratify(program));
+
+  const std::vector<Rule>& rules = program.rules();
+  d->compiled_.reserve(rules.size());
+  d->positive_preds_.resize(rules.size());
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const Rule& rule = rules[i];
+    for (const BodyLiteral& lit : rule.body) {
+      if (lit.kind != BodyLiteral::Kind::kMetric || lit.negated) continue;
+      std::vector<const RelationalAtom*> atoms;
+      lit.metric.CollectRelationalAtoms(&atoms);
+      for (const RelationalAtom* a : atoms) {
+        d->positive_preds_[i].insert(a->predicate);
+      }
+    }
+    if (rule.head.aggregate.has_value()) {
+      DMTL_ASSIGN_OR_RETURN(
+          AggregateEvaluator agg,
+          AggregateEvaluator::Create(rule, options.enable_join_planning));
+      d->compiled_.push_back(CompiledRule{std::move(agg), std::nullopt});
+      continue;
+    }
+    DMTL_ASSIGN_OR_RETURN(
+        RuleEvaluator eval,
+        RuleEvaluator::Create(rule, options.enable_join_planning));
+    std::optional<ChainAccelerator::ChainInfo> chain;
+    if (options.enable_chain_acceleration) {
+      chain = ChainAccelerator::Detect(rule, d->strat_.predicate_stratum);
+    }
+    d->compiled_.push_back(CompiledRule{std::move(eval), std::move(chain)});
+  }
+
+  d->stratum_body_preds_.resize(d->strat_.num_strata);
+  for (int s = 0; s < d->strat_.num_strata; ++s) {
+    for (size_t id : d->strat_.rule_strata[s]) {
+      d->stratum_body_preds_[s].insert(d->positive_preds_[id].begin(),
+                                       d->positive_preds_[id].end());
+    }
+  }
+
+  // Lower each rule's plan to a flat bytecode program run by the dispatch
+  // loop. Declined rules (aggregate heads handled by AggregateEvaluator are
+  // not counted; see RuleCompiler::Declines for the rest) keep the AST
+  // walker - both executors emit identical derivations, so they can be
+  // mixed freely within one run. DMTL_DISABLE_RULE_COMPILE in the
+  // environment forces the interpreter everywhere (folded into the options
+  // by WithEnvOverrides) - the hook CI's compile-off lane uses to re-run
+  // the whole suite against the walker without touching call sites.
+  if (options.enable_rule_compile) {
+    d->vms_.resize(d->compiled_.size());
+    for (size_t i = 0; i < d->compiled_.size(); ++i) {
+      if (d->compiled_[i].is_aggregate()) continue;
+      std::string why;
+      d->vms_[i] = RuleVm::Create(std::get<RuleEvaluator>(d->compiled_[i].eval),
+                                  d->compiled_[i].chain, &why);
+      if (d->vms_[i] != nullptr) {
+        ++d->compiled_rules_;
+      } else {
+        ++d->vm_fallbacks_;
+      }
+    }
+  }
+  return d;
+}
+
+void FixpointDriver::InvalidateCompiledState() {
+  for (auto& vm : vms_) {
+    if (vm != nullptr) vm->InvalidateCompiledState();
+  }
+  bound_db_ = nullptr;
+}
+
+FixpointDriver::Counters FixpointDriver::Snapshot() const {
+  Counters c;
+  for (const CompiledRule& rule : compiled_) {
+    const PlannerStats* ps = rule.planner_stats();
+    if (ps == nullptr) continue;
+    c.idx_built += ps->indexes_built.load(std::memory_order_relaxed);
+    c.probes += ps->index_probes.load(std::memory_order_relaxed);
+    c.probe_hits += ps->index_probe_hits.load(std::memory_order_relaxed);
+    c.pruned += ps->envelope_pruned.load(std::memory_order_relaxed);
+  }
+  for (const auto& vm : vms_) {
+    if (vm == nullptr) continue;
+    c.vm_disp += vm->dispatches();
+    c.vm_comp += vm->compiles();
+  }
+  c.bulk = IntervalSet::BulkMergeCount();
+  return c;
+}
+
+Status FixpointDriver::Run(Database* db, const Interval& window,
+                           Database* seeds,
+                           std::vector<DerivationRecord>* provenance,
+                           EngineStats* stats, const ExecutionGuard* guard) {
+  if (db != bound_db_) {
+    InvalidateCompiledState();
+    bound_db_ = db;
+  }
+  // Chain guard-allowed sets are only stable within one run: guard
+  // predicates grow between runs.
+  for (auto& vm : vms_) {
+    if (vm != nullptr) vm->ClearChainCache();
+  }
+  const Counters base = Snapshot();
+  stats->num_strata = strat_.num_strata;
+  stats->compiled_rules = compiled_rules_;
+  stats->vm_fallbacks = vm_fallbacks_;
+  stats->stratum_wall_seconds.resize(strat_.num_strata, 0.0);
+
+  Status status = Status::Ok();
+  for (int s = 0; s < strat_.num_strata && status.ok(); ++s) {
+    status = RunStratum(s, db, window, seeds, provenance, stats, guard);
+  }
+
+  const Counters now = Snapshot();
+  stats->planner_indexes_built += now.idx_built - base.idx_built;
+  stats->planner_index_probes += now.probes - base.probes;
+  stats->planner_probe_hits += now.probe_hits - base.probe_hits;
+  stats->planner_pruned_tuples += now.pruned - base.pruned;
+  stats->vm_dispatches += now.vm_disp - base.vm_disp;
+  stats->vm_recompiles += now.vm_comp - base.vm_comp;
+  stats->bulk_merges += now.bulk - base.bulk;
+  stats->rule_plan_cost.clear();
+  for (const CompiledRule& c : compiled_) {
+    if (const PlannerStats* ps = c.planner_stats()) {
+      stats->rule_plan_cost.push_back(
+          ps->last_plan_cost.load(std::memory_order_relaxed));
+    }
+  }
+  return status;
+}
+
+Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
+                                  Database* seeds,
+                                  std::vector<DerivationRecord>* provenance,
+                                  EngineStats* stats,
+                                  const ExecutionGuard* guard) {
+  auto stratum_start = std::chrono::steady_clock::now();
+  const std::vector<size_t>& rule_ids = strat_.rule_strata[s];
+  if (rule_ids.empty()) return Status::Ok();
+  // A seeded stratum can only derive something when some positive body
+  // predicate carries seed coverage. This is what keeps steady-state event
+  // latency flat: most strata never wake up for a quiet tick.
+  if (seeds != nullptr && !AnyCoverage(stratum_body_preds_[s], *seeds)) {
+    return Status::Ok();
+  }
+
+  Database delta;
+  Database next_delta;
+  Sink sink(db, &next_delta, window, provenance, options_.max_intervals,
+            stats, guard);
+  // Guard-allowed caches for chain rules live for the whole stratum.
+  std::unordered_map<size_t, ChainAccelerator::AllowedCache> chain_caches;
+
+  // Failure handling: every round runs inside RunProtected, and any round
+  // failure goes through fail_round, which subtracts the round's delta
+  // from the store. next_delta holds exactly the coverage inserted since
+  // the last barrier, and freshly covered portions are disjoint from
+  // everything stored before, so the subtraction restores the barrier
+  // state precisely - whether the round died mid-rule or mid-chain-walk.
+  size_t prov_mark = provenance != nullptr ? provenance->size() : 0;
+  auto fail_round = [&](Status status, size_t round) -> Status {
+    stats->rolled_back_intervals += next_delta.NumIntervals();
+    db->SubtractCoverage(next_delta);
+    if (provenance != nullptr && provenance->size() > prov_mark) {
+      provenance->resize(prov_mark);
+    }
+    stats->stopped_stratum = s;
+    stats->stopped_round = round;
+    return status;
+  };
+
+  for (size_t round = 0;; ++round) {
+    if (round > 0) {
+      const size_t delta_size = delta.NumIntervals();
+      if (delta_size == 0) break;
+      if (round > options_.max_rounds) {
+        stats->stop_reason = StopReason::kMaxRounds;
+        return fail_round(
+            Status::ResourceExhausted("stratum " + std::to_string(s) +
+                                      " exceeded max_rounds=" +
+                                      std::to_string(options_.max_rounds)),
+            round);
+      }
+      ++stats->rounds;
+      stats->delta_intervals += delta_size;
+    }
+    // Round 0 reads the seeds (batch: nothing), later rounds the previous
+    // round's fresh coverage. The round deltas only ever hold this
+    // stratum's heads, so matching occurrences by delta contents is the
+    // stratum filter.
+    const Database& round_delta =
+        round == 0 && seeds != nullptr ? *seeds : delta;
+    Status round_status = RunProtected([&]() -> Status {
+      if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
+      DMTL_RETURN_IF_ERROR(FaultInjector::Fire("seminaive.round"));
+      std::vector<RoundTask> tasks;
+      for (size_t id : rule_ids) {
+        const CompiledRule& c = compiled_[id];
+        if (c.is_aggregate()) {
+          // Aggregates run once, before round 0's plain rules: their
+          // inputs are strictly below this stratum, so one evaluation is
+          // complete, and the stratum's plain rules may read their output
+          // in round 0.
+          if (round > 0) continue;
+          if (seeds != nullptr && !AnyCoverage(positive_preds_[id], *seeds)) {
+            continue;
+          }
+          ++stats->rule_evaluations;
+          sink.SetContext(id, 0);
+          const PredicateId head = c.rule().head.predicate;
+          DMTL_RETURN_IF_ERROR(std::get<AggregateEvaluator>(c.eval).Evaluate(
+              *db, [&sink, head](const Tuple& tuple,
+                                 const IntervalSet& extent) -> Status {
+                return sink.Emit(head, tuple, extent);
+              }));
+          continue;
+        }
+        RoundTask t;
+        t.rule_id = id;
+        if (round == 0 && seeds == nullptr) {
+          t.initial = true;
+        } else if (c.chain.has_value()) {
+          if (round == 0 && !AnyCoverage(positive_preds_[id], *seeds)) {
+            continue;
+          }
+          t.chain = true;
+        } else if (options_.naive_evaluation) {
+          t.initial = true;
+        } else {
+          t.delta_occurrences = DeltaOccurrences(id, round_delta);
+          if (t.delta_occurrences.empty()) continue;
+        }
+        tasks.push_back(std::move(t));
+      }
+      DMTL_RETURN_IF_ERROR(RunRound(tasks, *db, round_delta, window,
+                                    &chain_caches, round, &sink, stats,
+                                    guard));
+      // Round-end check: a guard trip observed mid-round by a truncating
+      // path (operator scans return partial unions) latches; catching it
+      // here guarantees the round is discarded even if every Status path
+      // happened to pass in between.
+      return guard != nullptr ? guard->Check() : Status::Ok();
+    });
+    if (!round_status.ok()) return fail_round(std::move(round_status), round);
+    if (seeds != nullptr) seeds->MergeFrom(next_delta);
+    delta = std::move(next_delta);
+    next_delta = Database();
+    prov_mark = provenance != nullptr ? provenance->size() : 0;
+  }
+  stats->stratum_wall_seconds[s] +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    stratum_start)
+          .count();
+  return Status::Ok();
+}
+
+std::vector<int> FixpointDriver::DeltaOccurrences(
+    size_t id, const Database& delta) const {
+  const CompiledRule& c = compiled_[id];
+  std::vector<int> occurrences;
+  std::vector<const RelationalAtom*> all_atoms;
+  for (const BodyLiteral& lit : c.rule().body) {
+    if (lit.kind != BodyLiteral::Kind::kMetric || lit.negated) continue;
+    lit.metric.CollectRelationalAtoms(&all_atoms);
+  }
+  const auto& eval = std::get<RuleEvaluator>(c.eval);
+  for (int occ = 0; occ < eval.num_positive_occurrences(); ++occ) {
+    const Relation* changed = delta.Find(all_atoms[occ]->predicate);
+    if (changed == nullptr || changed->IsEmpty()) continue;
+    occurrences.push_back(occ);
+  }
+  return occurrences;
+}
+
+// Runs one round's tasks in order against the live store. Every emission
+// goes through `sink` straight away, so a later task of the round already
+// reads what an earlier one derived; the semi-naive positions stay those of
+// the round-start `delta`.
+Status FixpointDriver::RunRound(
+    const std::vector<RoundTask>& tasks, const Database& db,
+    const Database& delta, const Interval& window,
+    std::unordered_map<size_t, ChainAccelerator::AllowedCache>* chain_caches,
+    size_t round, Sink* sink, EngineStats* stats,
+    const ExecutionGuard* guard) {
+  for (const RoundTask& t : tasks) {
+    const CompiledRule& c = compiled_[t.rule_id];
+    const PredicateId head = c.rule().head.predicate;
+    RuleVm* vm = vms_.empty() ? nullptr : vms_[t.rule_id].get();
+    if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
+    sink->SetContext(t.rule_id, round);
+    stats->rule_evaluations +=
+        t.initial || t.chain ? 1 : t.delta_occurrences.size();
+    auto emit = [sink, head](const Tuple& tuple,
+                             const IntervalSet& extent) -> Status {
+      return sink->Emit(head, tuple, extent);
+    };
+    if (t.chain) {
+      if (vm != nullptr && vm->has_chain()) {
+        size_t extensions = 0;
+        DMTL_RETURN_IF_ERROR(
+            vm->ExtendChain(db, delta, window, emit, guard, &extensions));
+        stats->chain_extensions += extensions;
+        continue;
+      }
+      DMTL_RETURN_IF_ERROR(ChainAccelerator::Extend(
+          c.rule(), *c.chain, db, delta, window, &(*chain_caches)[t.rule_id],
+          [&](const Tuple& tuple, const Interval& iv) -> Result<bool> {
+            ++stats->chain_extensions;
+            return sink->EmitOne(head, tuple, iv);
+          }));
+      continue;
+    }
+    const auto& eval = std::get<RuleEvaluator>(c.eval);
+    if (t.initial) {
+      DMTL_RETURN_IF_ERROR(
+          vm != nullptr ? vm->Evaluate(db, nullptr, -1, emit, guard)
+                        : eval.Evaluate(db, nullptr, -1, emit, guard));
+      continue;
+    }
+    for (int occ : t.delta_occurrences) {
+      DMTL_RETURN_IF_ERROR(
+          vm != nullptr ? vm->Evaluate(db, &delta, occ, emit, guard)
+                        : eval.Evaluate(db, &delta, occ, emit, guard));
+    }
+  }
+  return Status::Ok();
+}
+
+void RecordStopReason(const Status& status, EngineStats* stats) {
+  if (status.ok() || stats->stop_reason != StopReason::kCompleted) return;
+  switch (status.code()) {
+    case StatusCode::kDeadlineExceeded:
+      stats->stop_reason = StopReason::kDeadline;
+      break;
+    case StatusCode::kCancelled:
+      stats->stop_reason = StopReason::kCancelled;
+      break;
+    case StatusCode::kResourceExhausted:
+      stats->stop_reason = StopReason::kMaxIntervals;
+      break;
+    default:
+      stats->stop_reason = StopReason::kError;
+      break;
+  }
+}
+
+}  // namespace dmtl

@@ -1,0 +1,144 @@
+#ifndef DMTL_EVAL_FIXPOINT_H_
+#define DMTL_EVAL_FIXPOINT_H_
+
+#include <memory>
+#include <optional>
+#include <set>
+#include <unordered_map>
+#include <variant>
+#include <vector>
+
+#include "src/analysis/stratifier.h"
+#include "src/ast/program.h"
+#include "src/common/execution_guard.h"
+#include "src/common/status.h"
+#include "src/eval/aggregate_eval.h"
+#include "src/eval/chain_accel.h"
+#include "src/eval/rule_eval.h"
+#include "src/eval/seminaive.h"
+#include "src/eval/vm.h"
+#include "src/storage/database.h"
+
+namespace dmtl {
+
+// The stratum-by-stratum semi-naive chase, shared by batch materialization
+// (Materialize builds one per call) and the streaming engine
+// (IncrementalMaterializer keeps one for the session's lifetime). It owns
+// the stratification, one compiled evaluator per rule and the rule VMs.
+//
+// Every run is sequential and single-threaded; a driver serves one caller
+// at a time.
+class FixpointDriver {
+ public:
+  // Validates the program (arities, safety, stratification) and compiles
+  // every rule. `options` must already be environment-resolved
+  // (EngineOptions::WithEnvOverrides); its window bounds are not read -
+  // each run names its own window.
+  static Result<std::unique_ptr<FixpointDriver>> Create(
+      const Program& program, const EngineOptions& options);
+
+  // Runs every stratum to fixpoint over `db`, storing only coverage inside
+  // `window`. Each stratum evaluates its aggregate rules once, then round 0,
+  // then semi-naive rounds over the previous round's fresh coverage until
+  // a round adds nothing.
+  //
+  //  * seeds == nullptr (batch): round 0 evaluates every plain rule in
+  //    full. naive_evaluation re-runs that full pass every round.
+  //  * seeds != nullptr (seeded): a stratum runs only when a positive body
+  //    predicate has coverage in `seeds`, and round 0 evaluates just the
+  //    occurrences (and chain and aggregate rules) that `seeds` reaches.
+  //    Each round's fresh coverage is merged back into `seeds`, so later
+  //    strata see it.
+  //
+  // Emissions carry provenance into `provenance` when non-null. Counters
+  // are added to `stats`. On any failure the round in progress is rolled
+  // back (the store and `provenance` sit at the last completed round
+  // barrier) and `stats` names the stratum and round. Never throws.
+  Status Run(Database* db, const Interval& window, Database* seeds,
+             std::vector<DerivationRecord>* provenance, EngineStats* stats,
+             const ExecutionGuard* guard);
+
+  // Drops the VMs' compiled programs, which hold relation and index
+  // pointers into the database they last ran on. Run does this itself
+  // whenever it is handed a different database than the previous run;
+  // callers do it after editing the database outside Run (clearing it,
+  // removing regions).
+  void InvalidateCompiledState();
+
+ private:
+  // One compiled rule: either a plain evaluator (with an optional chain
+  // acceleration description) or an aggregate evaluator.
+  struct CompiledRule {
+    std::variant<RuleEvaluator, AggregateEvaluator> eval;
+    std::optional<ChainAccelerator::ChainInfo> chain;
+
+    bool is_aggregate() const {
+      return std::holds_alternative<AggregateEvaluator>(eval);
+    }
+    const Rule& rule() const {
+      return is_aggregate() ? std::get<AggregateEvaluator>(eval).rule()
+                            : std::get<RuleEvaluator>(eval).rule();
+    }
+    const PlannerStats* planner_stats() const {
+      return is_aggregate()
+                 ? std::get<AggregateEvaluator>(eval).planner_stats()
+                 : std::get<RuleEvaluator>(eval).planner_stats();
+    }
+  };
+
+  // Every evaluation of one rule within a round. Task lists are built from
+  // round-start state in rule-index order, so a round's emission order is
+  // fixed.
+  struct RoundTask {
+    size_t rule_id = 0;
+    bool initial = false;                // full (non-delta) evaluation
+    bool chain = false;                  // use the chain accelerator
+    std::vector<int> delta_occurrences;  // semi-naive positions to re-evaluate
+  };
+
+  class Sink;
+
+  // Counter totals across the persistent evaluators; a run reports the
+  // difference between its exit and entry totals.
+  struct Counters {
+    uint64_t idx_built = 0, probes = 0, probe_hits = 0, pruned = 0;
+    uint64_t vm_disp = 0, vm_comp = 0, bulk = 0;
+  };
+
+  explicit FixpointDriver(const EngineOptions& options) : options_(options) {}
+
+  Status RunStratum(int s, Database* db, const Interval& window,
+                    Database* seeds,
+                    std::vector<DerivationRecord>* provenance,
+                    EngineStats* stats, const ExecutionGuard* guard);
+  Status RunRound(const std::vector<RoundTask>& tasks, const Database& db,
+                  const Database& delta, const Interval& window,
+                  std::unordered_map<size_t, ChainAccelerator::AllowedCache>*
+                      chain_caches,
+                  size_t round, Sink* sink, EngineStats* stats,
+                  const ExecutionGuard* guard);
+  // The positive occurrences of plain rule `id` whose predicate has
+  // coverage in `delta`.
+  std::vector<int> DeltaOccurrences(size_t id, const Database& delta) const;
+  Counters Snapshot() const;
+
+  EngineOptions options_;
+  Stratification strat_;
+  std::vector<CompiledRule> compiled_;
+  std::vector<std::unique_ptr<RuleVm>> vms_;  // empty when compile is off
+  size_t compiled_rules_ = 0;
+  size_t vm_fallbacks_ = 0;
+  // Predicates of each rule's positive relational atoms, and their union
+  // per stratum: what a seed must touch to wake a rule or a stratum.
+  std::vector<std::set<PredicateId>> positive_preds_;
+  std::vector<std::set<PredicateId>> stratum_body_preds_;
+  const Database* bound_db_ = nullptr;  // the database the VMs last ran on
+};
+
+// Maps a failed run's status onto stats->stop_reason, unless the run
+// already recorded a more specific reason (kMaxRounds).
+void RecordStopReason(const Status& status, EngineStats* stats);
+
+}  // namespace dmtl
+
+#endif  // DMTL_EVAL_FIXPOINT_H_

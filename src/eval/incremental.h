@@ -55,7 +55,7 @@ namespace dmtl {
 //    literals included. An atom at time t then depends only on atoms in
 //    [t - C, t] plus the inputs, so two runs over the same inputs above m'
 //    that agree on [y - C, y] agree at every time above y. Retract runs
-//    one cold Materialize over the log clipped to [m', y], y = m' + 2C
+//    one cold batch fixpoint over the log clipped to [m', y], y = m' + 2C
 //    (by finality, exactly the target below y), and compares it with the
 //    store on [y - C, y]. If they agree, the store's prefix up to y is
 //    replaced by the cut-off run's and the suffix is kept; otherwise - or
@@ -151,7 +151,7 @@ class IncrementalMaterializer {
  private:
   IncrementalMaterializer();
 
-  class Impl;  // lives in seminaive.cc, sharing the engine internals
+  class Impl;  // lives in seminaive.cc; runs a FixpointDriver
   std::unique_ptr<Impl> impl_;
 };
 

@@ -111,33 +111,6 @@ IntervalSet EvalRec(const MetricAtom& atom, const Bindings& binding,
 
 }  // namespace
 
-IntervalSet ApplyOpPath(const std::vector<OpPathStep>& path,
-                        const IntervalSet& leaf) {
-  IntervalSet extent = leaf;
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    extent = ApplyUnaryOp(it->op, it->range, extent);
-  }
-  return extent;
-}
-
-bool OpPathDeltaRefreshable(const std::vector<OpPathStep>& path) {
-  for (const OpPathStep& s : path) {
-    switch (s.op) {
-      case MtlOp::kDiamondMinus:
-      case MtlOp::kDiamondPlus:
-        break;
-      case MtlOp::kBoxMinus:
-      case MtlOp::kBoxPlus:
-        if (!s.range.IsPunctual()) return false;
-        break;
-      case MtlOp::kSince:
-      case MtlOp::kUntil:
-        return false;
-    }
-  }
-  return true;
-}
-
 IntervalSet ApplyUnaryOp(MtlOp op, const Interval& rho,
                          const IntervalSet& extent) {
   switch (op) {

@@ -12,26 +12,12 @@ namespace dmtl {
 class ExecutionGuard;
 
 // One operator step on the root-to-atom path of a relational atom inside a
-// literal's metric tree. Shared by the join planner (prune-window dilation)
-// and the operator memo (interval-delta propagation).
+// literal's metric tree: the join planner dilates prune windows along it,
+// and unary-chain literals are evaluated step by step along it.
 struct OpPathStep {
   MtlOp op = MtlOp::kDiamondMinus;
   Interval range = Interval::Point(Rational(0));
 };
-
-// Applies a unary-only operator path to a full leaf extent, innermost
-// (leaf-side) step first, with no child-window restriction. The result is
-// the exact extent of the whole chain; windowed evaluation equals its
-// intersection with the window (the ChildWindow identity).
-IntervalSet ApplyOpPath(const std::vector<OpPathStep>& path,
-                        const IntervalSet& leaf);
-
-// True when the path's output can be refreshed on leaf growth by unioning
-// in the path applied to just the new intervals: every step must distribute
-// over union. Diamond operators are dilations (always distribute); box
-// operators distribute only when punctual (erosion by [c,c] is a shift).
-// Since/until steps never qualify.
-bool OpPathDeltaRefreshable(const std::vector<OpPathStep>& path);
 
 // Where relational extents come from during metric-atom evaluation. The
 // semi-naive engine substitutes the delta relation for exactly one

@@ -134,7 +134,6 @@ RuleProgram RuleCompiler::Compile(const RuleEvaluator& eval,
     const RuleEvaluator::LiteralPlan& lplan = eval.literal_plans_[step.p];
 
     LiteralCode lc;
-    lc.ordinal = step.p;
     lc.body_index = body_index;
     lc.delta_offset = step.literal_delta_offset;
     switch (lplan.shape) {
@@ -321,9 +320,7 @@ std::string RuleProgram::Dump(const Rule& rule) const {
         out += "lit" + std::to_string(instr.arg) + " " +
                rule.body[lc.body_index].ToString(rule.var_names);
         if (instr.op == OpCode::kApplyUnaryChain) {
-          out += " path=" + PathToString(lc.path) + " memo-slot=" +
-                 std::to_string(lc.ordinal);
-          if (lc.delta_offset >= 0) out += " (delta: memo bypassed)";
+          out += " path=" + PathToString(lc.path);
         }
         break;
       }

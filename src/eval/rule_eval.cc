@@ -9,7 +9,6 @@
 #include "src/analysis/safety.h"
 #include "src/common/execution_guard.h"
 #include "src/eval/builtin_eval.h"
-#include "src/eval/op_memo.h"
 
 namespace dmtl {
 
@@ -410,15 +409,12 @@ RuleEvaluator::ExecutionPlan RuleEvaluator::BuildPlan(
 
 Status RuleEvaluator::EvaluatePositivePlanned(
     const Database& db, const Database* delta, int delta_occurrence,
-    std::vector<BindingRow>* rows, OperatorMemo* memo,
-    const ExecutionGuard* guard) const {
+    std::vector<BindingRow>* rows, const ExecutionGuard* guard) const {
   PlannerStats* stats = planner_stats_.get();
   ExecutionPlan plan = BuildPlan(db, delta, delta_occurrence, stats);
   uint64_t probes = 0;
   uint64_t hits = 0;
   uint64_t pruned = 0;
-  uint64_t memo_isect = 0;
-  uint64_t memo_isect_comps = 0;
 
   for (const ExecutionPlan::Step& step : plan.steps) {
     const BodyLiteral& lit = rule_.body[positive_literals_[step.p]];
@@ -441,14 +437,11 @@ Status RuleEvaluator::EvaluatePositivePlanned(
       const BodyLiteral& lit;
       const ExtentSource& source;
       const BindingRow* row = nullptr;
-      OperatorMemo* memo = nullptr;
       std::vector<std::optional<Interval>> windows;  // per-atom prune window
       std::vector<BindingRow>* out = nullptr;
       uint64_t* probes;
       uint64_t* hits;
       uint64_t* pruned;
-      uint64_t* memo_isect;
-      uint64_t* memo_isect_comps;
       const ExecutionGuard* guard = nullptr;
       uint64_t guard_counter = 0;
 
@@ -462,19 +455,6 @@ Status RuleEvaluator::EvaluatePositivePlanned(
             break;
           case LiteralShape::kUnaryChain: {
             const std::vector<PathStep>& path = lplan.atoms[0].path;
-            if (memo != nullptr && step.literal_delta_offset < 0) {
-              // Interval-delta propagation: the memo holds the full
-              // un-windowed path output of this leaf (exactly what the
-              // windowed chain below computes, by the ChildWindow
-              // identity), refreshed across rounds with just the newly
-              // derived intervals. Delta-restricted literals read from the
-              // transient delta database and are never memoized.
-              const IntervalSet& m = memo->Lookup(step.p, path, leaf_set);
-              ++*memo_isect;
-              *memo_isect_comps += row->extent.size() + m.size();
-              joined = row->extent.Intersect(m);
-              break;
-            }
             // Replicates EvalRec exactly: child windows root-to-leaf, the
             // leaf lookup (already in hand), operators leaf-to-root.
             IntervalSet window = row->extent;
@@ -561,11 +541,8 @@ Status RuleEvaluator::EvaluatePositivePlanned(
     };
 
     std::vector<BindingRow> next_rows;
-    Enumerator enumerator{atoms,       step,    lplan,
-                          lit,         source,  nullptr,
-                          memo,        {},      &next_rows,
-                          &probes,     &hits,   &pruned,
-                          &memo_isect, &memo_isect_comps};
+    Enumerator enumerator{atoms, step,       lplan,   lit,   source, nullptr,
+                          {},    &next_rows, &probes, &hits, &pruned};
     enumerator.guard = guard;
     enumerator.windows.resize(atoms.size());
     for (const BindingRow& row : *rows) {
@@ -596,10 +573,6 @@ Status RuleEvaluator::EvaluatePositivePlanned(
     stats->index_probes.fetch_add(probes, std::memory_order_relaxed);
     stats->index_probe_hits.fetch_add(hits, std::memory_order_relaxed);
     stats->envelope_pruned.fetch_add(pruned, std::memory_order_relaxed);
-    stats->memo_intersections.fetch_add(memo_isect,
-                                        std::memory_order_relaxed);
-    stats->memo_intersect_components.fetch_add(memo_isect_comps,
-                                               std::memory_order_relaxed);
   }
   return Status::Ok();
 }
@@ -658,7 +631,6 @@ std::string RuleEvaluator::ExplainPlan(const Database& db) const {
 Status RuleEvaluator::EvaluateRows(const Database& db, const Database* delta,
                                    int delta_occurrence,
                                    std::vector<BindingRow>* out,
-                                   OperatorMemo* memo,
                                    const ExecutionGuard* guard) const {
   BindingRow seed{Bindings(rule_.num_vars()), IntervalSet(Interval::All())};
   std::vector<BindingRow> rows;
@@ -666,8 +638,8 @@ Status RuleEvaluator::EvaluateRows(const Database& db, const Database* delta,
 
   // Stage 1: positive literals.
   if (planning_) {
-    DMTL_RETURN_IF_ERROR(EvaluatePositivePlanned(db, delta, delta_occurrence,
-                                                 &rows, memo, guard));
+    DMTL_RETURN_IF_ERROR(
+        EvaluatePositivePlanned(db, delta, delta_occurrence, &rows, guard));
     if (rows.empty()) {
       out->clear();
       return Status::Ok();
@@ -811,7 +783,6 @@ Status RuleEvaluator::EvaluateRows(const Database& db, const Database* delta,
 
 Status RuleEvaluator::Evaluate(const Database& db, const Database* delta,
                                int delta_occurrence, const EmitFn& emit,
-                               OperatorMemo* memo,
                                const ExecutionGuard* guard) const {
   if (rule_.head.aggregate.has_value()) {
     return Status::Internal(
@@ -819,7 +790,7 @@ Status RuleEvaluator::Evaluate(const Database& db, const Database* delta,
   }
   std::vector<BindingRow> rows;
   DMTL_RETURN_IF_ERROR(
-      EvaluateRows(db, delta, delta_occurrence, &rows, memo, guard));
+      EvaluateRows(db, delta, delta_occurrence, &rows, guard));
   for (const BindingRow& row : rows) {
     Tuple tuple;
     tuple.reserve(rule_.head.args.size());

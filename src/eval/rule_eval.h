@@ -14,8 +14,6 @@
 
 namespace dmtl {
 
-class OperatorMemo;
-
 // Runtime counters of the join planner, shared by every copy of one
 // evaluator. Relaxed atomics: an evaluator is only driven from its run's
 // thread, but a fleet session may move between scheduler workers from one
@@ -27,13 +25,6 @@ struct PlannerStats {
   // Candidate tuples skipped by a temporal-envelope or hull precheck before
   // paying for unification + IntervalSet::Intersect.
   std::atomic<uint64_t> envelope_pruned{0};
-  // Memo-literal set intersections (row extent ∩ memoized operator-path
-  // output) and the interval components both operands carried into them -
-  // the dominant remaining per-candidate cost once rules are compiled
-  // (docs/ENGINE.md "Rule compilation"). Covered-hull fast paths that skip
-  // the sweep entirely count as an intersection with zero components.
-  std::atomic<uint64_t> memo_intersections{0};
-  std::atomic<uint64_t> memo_intersect_components{0};
   // Estimated cost of the most recent plan (see ExplainPlan for the model).
   std::atomic<double> last_plan_cost{0.0};
 };
@@ -89,23 +80,18 @@ class RuleEvaluator {
   // Runs stages 1-5 and emits one (head tuple, extent) per surviving row.
   // `delta_occurrence` in [0, num_positive_occurrences) restricts that
   // occurrence to `delta`; -1 evaluates fully. Not usable on aggregate
-  // heads (see AggregateEvaluator). A non-null `memo` enables
-  // interval-delta propagation: unary-chain literal extents are served from
-  // the rule's OperatorMemo (round-boundary snapshot semantics; the engine
-  // refreshes the memo at barriers). A non-null `guard` is checked every
+  // heads (see AggregateEvaluator). A non-null `guard` is checked every
   // few thousand candidate tuples and between stages, so one huge join
   // cannot outlive a deadline or ignore cancellation; on a trip the
   // evaluation returns the guard's error mid-rule and the engine rolls the
   // round back.
   Status Evaluate(const Database& db, const Database* delta,
                   int delta_occurrence, const EmitFn& emit,
-                  OperatorMemo* memo = nullptr,
                   const ExecutionGuard* guard = nullptr) const;
 
   // Like Evaluate but stops after stage 5, returning the surviving rows.
   Status EvaluateRows(const Database& db, const Database* delta,
                       int delta_occurrence, std::vector<BindingRow>* rows,
-                      OperatorMemo* memo = nullptr,
                       const ExecutionGuard* guard = nullptr) const;
 
   // Human-readable description of the join order, index signatures, and
@@ -130,7 +116,7 @@ class RuleEvaluator {
   };
 
   // One operator step on the root-to-atom path of a relational atom inside
-  // its literal's metric tree (shared with the operator memo).
+  // its literal's metric tree.
   using PathStep = OpPathStep;
   // Static per-atom facts, computed once at Plan() time.
   struct AtomPlan {
@@ -178,12 +164,10 @@ class RuleEvaluator {
   ExecutionPlan BuildPlan(const Database& db, const Database* delta,
                           int delta_occurrence, PlannerStats* stats) const;
 
-  // Stage 1 under the planner: reordered, index-probed, envelope-pruned,
-  // and (with a memo) delta-propagated.
+  // Stage 1 under the planner: reordered, index-probed, envelope-pruned.
   Status EvaluatePositivePlanned(const Database& db, const Database* delta,
                                  int delta_occurrence,
                                  std::vector<BindingRow>* rows,
-                                 OperatorMemo* memo,
                                  const ExecutionGuard* guard) const;
 
   Rule rule_;

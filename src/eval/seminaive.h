@@ -72,17 +72,6 @@ struct EngineOptions {
   // off; disable only for the ablation benchmark.
   bool enable_join_planning = true;
 
-  // Interval-level delta propagation: memoize each rule's unary
-  // operator-path outputs per grounding across fixpoint rounds
-  // (OperatorMemo) and refresh them at round barriers with just the newly
-  // derived intervals, instead of recomputing whole interval sets every
-  // round. The materialized database is byte-for-byte identical on or off;
-  // memoized reads have round-boundary snapshot semantics, so provenance
-  // round/rule attribution - and the rounds/derived counters - may shift on
-  // programs with intra-round feeding. Only active with join planning (the
-  // memo hangs off the planner's unary-chain fast path).
-  bool enable_interval_deltas = true;
-
   // Compile each rule's plan to a flat register program executed by a
   // dispatch loop (src/eval/bytecode.h, RuleVm) instead of walking the AST
   // every round. The compiled program bakes in the cost-based literal
@@ -176,21 +165,11 @@ struct EngineStats {
   size_t planner_index_probes = 0;   // index lookups issued
   size_t planner_probe_hits = 0;     // lookups that found a posting list
   size_t planner_pruned_tuples = 0;  // candidates skipped by envelope/hull
-  // Memo-literal set intersections (row extent ∩ memoized operator-path
-  // output) and the interval components they carried - the dominant
-  // remaining per-candidate cost once rules are compiled (docs/ENGINE.md,
-  // "Rule compilation"); the number the streaming mode exists to shrink.
-  size_t memo_intersections = 0;
-  size_t memo_intersect_components = 0;
   // Estimated cost of each rule's most recent plan, indexed like
   // program.rules(); empty when planning is off.
   std::vector<double> rule_plan_cost;
 
-  // --- interval-delta propagation (enable_interval_deltas) ----------------
-  size_t memo_hits = 0;            // operator-path outputs served from memo
-  size_t memo_misses = 0;          // outputs computed and cached
-  size_t memo_refreshes = 0;       // entries updated in place with a delta
-  size_t memo_invalidations = 0;   // entries dropped (non-refreshable path)
+  // --- semi-naive rounds --------------------------------------------------
   size_t delta_intervals = 0;      // total intervals across fixpoint deltas
   size_t bulk_merges = 0;          // IntervalSet bulk coalescing sweeps
 
@@ -202,6 +181,15 @@ struct EngineStats {
 
   // Wall time per stratum (index = stratum number).
   std::vector<double> stratum_wall_seconds;
+
+  // always 0; read by perfbench; drop in the next benchmark PR
+  size_t memo_hits = 0;
+  // always 0; read by perfbench; drop in the next benchmark PR
+  size_t memo_misses = 0;
+  // always 0; read by perfbench; drop in the next benchmark PR
+  size_t memo_intersections = 0;
+  // always 0; read by perfbench; drop in the next benchmark PR
+  size_t memo_intersect_components = 0;
 
   std::string ToString() const;
 };

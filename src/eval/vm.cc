@@ -163,7 +163,7 @@ RuleVm::Variant& RuleVm::EnsureCompiled(int delta_occurrence,
 
 Status RuleVm::Evaluate(const Database& db, const Database* delta,
                         int delta_occurrence, const EmitFn& emit,
-                        OperatorMemo* memo, const ExecutionGuard* guard) {
+                        const ExecutionGuard* guard) {
   ++dispatches_;
   Variant& v = EnsureCompiled(delta_occurrence, db, delta);
   const RuleProgram& prog = v.prog;
@@ -189,7 +189,6 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   db_ = &db;
   delta_ = delta;
   emit_ = &emit;
-  memo_ = memo;
   guard_ = guard;
   prog_ = &prog;
   variant_ = &v;
@@ -200,7 +199,6 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   ts_points_.resize(eval_.rule().body.size());
   guard_counter_ = 0;
   probes_ = hits_ = pruned_ = 0;
-  memo_isect_ = memo_isect_comps_ = 0;
 
   static const IntervalSet kAll{Interval::All()};
   out_.clear();
@@ -225,10 +223,6 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
     stats->index_probes.fetch_add(probes_, std::memory_order_relaxed);
     stats->index_probe_hits.fetch_add(hits_, std::memory_order_relaxed);
     stats->envelope_pruned.fetch_add(pruned_, std::memory_order_relaxed);
-    stats->memo_intersections.fetch_add(memo_isect_,
-                                        std::memory_order_relaxed);
-    stats->memo_intersect_components.fetch_add(memo_isect_comps_,
-                                               std::memory_order_relaxed);
   }
   return status;
 }
@@ -376,36 +370,21 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       const LiteralCode& lc = prog.literals[instr.arg];
       const IntervalSet* leaf = leaf_[instr.arg];
       IntervalSet& slot = extents_[ip];
-      if (memo_ != nullptr && lc.delta_offset < 0) {
-        // Lookup's reference dies at the next Lookup (a deeper literal may
-        // hit the memo too), so the covered case takes a plain copy - still
-        // far cheaper than the piecewise intersection sweep.
-        const IntervalSet& m = memo_->Lookup(lc.ordinal, lc.path, leaf);
-        if (m.IsEmpty()) return Status::Ok();
-        ++memo_isect_;
-        if (cur.size() == 1 && cur.begin()->Contains(m.Hull())) {
-          slot = m;
-        } else {
-          memo_isect_comps_ += cur.size() + m.size();
-          slot = cur.Intersect(m);
-        }
+      // Windowed chain evaluation, replicating the interpreter (and
+      // EvalRec): child windows root-to-leaf, operators leaf-to-root.
+      IntervalSet window = cur;
+      for (const OpPathStep& s : lc.path) {
+        window = ChildWindow(s.op, s.range, window);
+      }
+      IntervalSet extent = leaf->Intersect(window);
+      for (auto it = lc.path.rbegin(); it != lc.path.rend(); ++it) {
+        extent = ApplyUnaryOp(it->op, it->range, extent);
+      }
+      if (extent.IsEmpty()) return Status::Ok();
+      if (cur.size() == 1 && cur.begin()->Contains(extent.Hull())) {
+        slot = std::move(extent);
       } else {
-        // Windowed chain evaluation, replicating the interpreter (and
-        // EvalRec): child windows root-to-leaf, operators leaf-to-root.
-        IntervalSet window = cur;
-        for (const OpPathStep& s : lc.path) {
-          window = ChildWindow(s.op, s.range, window);
-        }
-        IntervalSet extent = leaf->Intersect(window);
-        for (auto it = lc.path.rbegin(); it != lc.path.rend(); ++it) {
-          extent = ApplyUnaryOp(it->op, it->range, extent);
-        }
-        if (extent.IsEmpty()) return Status::Ok();
-        if (cur.size() == 1 && cur.begin()->Contains(extent.Hull())) {
-          slot = std::move(extent);
-        } else {
-          slot = cur.Intersect(extent);
-        }
+        slot = cur.Intersect(extent);
       }
       if (slot.IsEmpty()) return Status::Ok();
       return Exec(ip + 1, slot);

@@ -12,7 +12,6 @@
 #include "src/common/execution_guard.h"
 #include "src/eval/bytecode.h"
 #include "src/eval/chain_accel.h"
-#include "src/eval/op_memo.h"
 #include "src/eval/rule_eval.h"
 
 namespace dmtl {
@@ -28,9 +27,8 @@ namespace dmtl {
 // file and unbind on backtrack, so the per-candidate Bindings copies and
 // per-stage row vectors of the interpreter disappear. The DFS visits
 // candidates in exactly the order the staged interpreter does for the same
-// plan, and threads the same machinery - delta restriction, operator memo
-// (same literal ordinals), envelope pruning, and guard polls at the same
-// candidate stride.
+// plan, and threads the same machinery - delta restriction, envelope
+// pruning, and guard polls at the same candidate stride.
 //
 // Chain-accelerated rules additionally get a batched closure kernel
 // (ExtendChain): instead of one emit per grid point, it computes how many
@@ -39,8 +37,8 @@ namespace dmtl {
 // one set per batch. The derived coverage - and the interpreter-visible
 // chain_extensions count - are identical to the point-by-point walk.
 //
-// Not thread-safe: like OperatorMemo, a VM belongs to one engine run (or
-// session), which drives it from one thread at a time.
+// Not thread-safe: a VM belongs to one engine run (or session), which
+// drives it from one thread at a time.
 class RuleVm {
  public:
   using EmitFn = RuleEvaluator::EmitFn;
@@ -59,7 +57,6 @@ class RuleVm {
   // same (tuple, extent) sequence the interpreter would for the same plan.
   Status Evaluate(const Database& db, const Database* delta,
                   int delta_occurrence, const EmitFn& emit,
-                  OperatorMemo* memo = nullptr,
                   const ExecutionGuard* guard = nullptr);
 
   bool has_chain() const { return chain_.has_value(); }
@@ -86,12 +83,12 @@ class RuleVm {
   // against `db`, plus the chain kernel when one exists.
   std::string DumpBytecode(const Database& db);
 
-  // Streaming hooks. A batch Materialize never needs these: relations only
-  // gain coverage and live at stable addresses, so a compiled variant's
-  // Relation/BoundIndex pointers stay valid for the whole run. A streaming
-  // retraction breaks both assumptions (SubtractCoverage/RemoveRegion drop
-  // the bound-signature indexes and may erase relations), so the session
-  // calls these between events.
+  // Between-run hooks. Within one run relations only gain coverage and
+  // live at stable addresses, so a compiled variant's Relation/BoundIndex
+  // pointers stay valid for the whole run. A run over another database, a
+  // cleared store or a streaming retraction (RemoveRegion drops the
+  // bound-signature indexes and may erase relations) breaks that, so the
+  // fixpoint driver calls these between runs.
   //
   // Drops every compiled variant; the next dispatch recompiles against the
   // current store (counted in compiles(), like an adaptive replan). The
@@ -144,7 +141,6 @@ class RuleVm {
   const Database* db_ = nullptr;
   const Database* delta_ = nullptr;
   const EmitFn* emit_ = nullptr;
-  OperatorMemo* memo_ = nullptr;
   const ExecutionGuard* guard_ = nullptr;
   const RuleProgram* prog_ = nullptr;
   Variant* variant_ = nullptr;
@@ -165,7 +161,6 @@ class RuleVm {
   std::vector<Interval> batch_;
   uint64_t guard_counter_ = 0;
   uint64_t probes_ = 0, hits_ = 0, pruned_ = 0, built_ = 0;
-  uint64_t memo_isect_ = 0, memo_isect_comps_ = 0;
 };
 
 }  // namespace dmtl

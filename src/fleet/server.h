@@ -48,7 +48,7 @@ struct FleetOptions {
   // Scheduler workers: 0 = hardware concurrency, 1 = sequential.
   int num_threads = 0;
 
-  // Per-session engine knobs (acceleration, memos, budgets...).
+  // Per-session engine knobs (acceleration, budgets...).
   // min_time/max_time/provenance must be unset (the sessions manage them),
   // exactly like SessionOptions::engine.
   EngineOptions engine;

@@ -243,8 +243,7 @@ IntervalSet Relation::RemoveSet(const Tuple& tuple, const IntervalSet& set) {
   return removed;
 }
 
-size_t Relation::RemoveRegion(const IntervalSet& region,
-                              std::vector<const IntervalSet*>* shrunk) {
+size_t Relation::RemoveRegion(const IntervalSet& region) {
   if (region.IsEmpty() || data_.empty()) return 0;
   size_t removed_pieces = 0;
   bool erased_any = false;
@@ -254,10 +253,6 @@ size_t Relation::RemoveRegion(const IntervalSet& region,
       ++it;
       continue;
     }
-    // Record the live extent's address before mutating: memo invalidation
-    // keys on the pointer, and an erased extent's address must still reach
-    // the caller (as an identity, never to be dereferenced).
-    if (shrunk != nullptr) shrunk->push_back(&it->second);
     removed_pieces += removed.size();
     approx_intervals_ -= std::min(approx_intervals_, removed.size());
     IntervalSet remaining = it->second.Subtract(region);
@@ -407,11 +402,10 @@ IntervalSet Database::RemoveSet(PredicateId pred, const Tuple& tuple,
   return removed;
 }
 
-size_t Database::RemoveRegion(PredicateId pred, const IntervalSet& region,
-                              std::vector<const IntervalSet*>* shrunk) {
+size_t Database::RemoveRegion(PredicateId pred, const IntervalSet& region) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return 0;
-  size_t removed = it->second.RemoveRegion(region, shrunk);
+  size_t removed = it->second.RemoveRegion(region);
   if (removed != 0) {
     if (it->second.IsEmpty()) relations_.erase(it);
     approx_intervals_ = 0;

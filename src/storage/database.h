@@ -161,14 +161,9 @@ class Relation {
   IntervalSet RemoveSet(const Tuple& tuple, const IntervalSet& set);
 
   // Bulk sliding-window form: subtracts `region` from every stored extent.
-  // When `shrunk` is non-null, the address of each live extent about to
-  // lose coverage is appended *before* mutation - callers use the pointers
-  // as identity keys for cache invalidation (operator memos key entries by
-  // leaf IntervalSet address). Addresses of extents that end up erased are
-  // included and must not be dereferenced afterwards. Returns the number
-  // of interval pieces removed. Single-writer, like all mutators.
-  size_t RemoveRegion(const IntervalSet& region,
-                      std::vector<const IntervalSet*>* shrunk = nullptr);
+  // Returns the number of interval pieces removed. Single-writer, like all
+  // mutators.
+  size_t RemoveRegion(const IntervalSet& region);
 
   // Contiguous scan slab: one (tuple, extent) row per stored tuple, in
   // insertion order. Full scans walk this flat array instead of chasing
@@ -285,10 +280,8 @@ class Database {
                         const IntervalSet& set);
 
   // Removes `region` from every extent of `pred` (sliding-window expiry /
-  // retraction frontier wipe); see Relation::RemoveRegion for the `shrunk`
-  // pointer-collection contract. Returns interval pieces removed.
-  size_t RemoveRegion(PredicateId pred, const IntervalSet& region,
-                      std::vector<const IntervalSet*>* shrunk = nullptr);
+  // retraction frontier wipe). Returns interval pieces removed.
+  size_t RemoveRegion(PredicateId pred, const IntervalSet& region);
 
   void Clear() {
     relations_.clear();

@@ -43,7 +43,6 @@ constexpr char kUsage[] =
     "  --no-accel      disable chain acceleration\n"
     "  --naive         naive (non-semi-naive) evaluation\n"
     "  --no-plan       disable cost-based join planning\n"
-    "  --no-deltas     disable interval-delta propagation (operator memos)\n"
     "  --no-compile    disable rule compilation (AST-walking evaluator)\n"
     "  --dump-bytecode print each compiled rule's bytecode program after\n"
     "                  the run (declined rules report their reason)\n"
@@ -143,8 +142,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       options.engine.naive_evaluation = true;
     } else if (arg == "--no-plan") {
       options.engine.enable_join_planning = false;
-    } else if (arg == "--no-deltas") {
-      options.engine.enable_interval_deltas = false;
     } else if (arg == "--no-compile") {
       options.engine.enable_rule_compile = false;
     } else if (arg == "--dump-bytecode") {
@@ -457,7 +454,6 @@ Status CommandStream(const CliOptions& options, std::ostream& out,
     if (options.stats && have_stats) {
       out << ",\"rounds\":" << stats.rounds
           << ",\"rule_evaluations\":" << stats.rule_evaluations
-          << ",\"memo_intersections\":" << stats.memo_intersections
           << ",\"vm_dispatches\":" << stats.vm_dispatches;
     }
     out << "}\n";

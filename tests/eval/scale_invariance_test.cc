@@ -1,14 +1,23 @@
-// Metamorphic property of the rational timeline: scaling time by q > 0 maps
-// every model to a model. Multiplying every fact endpoint, every rule bound
-// and the horizon by q must therefore yield the original materialization
-// with each endpoint multiplied by q, byte for byte. The rational factors
-// 1/3 and 7/2 push integral programs onto non-integral endpoints, so the
-// kernels' bound arithmetic runs on genuine fractions. Programs that read
-// the time point into a variable (timestamp(), as in ETH-PERP's tdelta) do
-// arithmetic on time values and are out of scope.
+// Metamorphic properties of the rational timeline.
+//
+// Scaling: scaling time by q > 0 maps every model to a model. Multiplying
+// every fact endpoint, every rule bound and the horizon by q must therefore
+// yield the original materialization with each endpoint multiplied by q,
+// byte for byte. The rational factors 1/3 and 7/2 push integral programs
+// onto non-integral endpoints, so the kernels' bound arithmetic runs on
+// genuine fractions.
+//
+// Shifting: no operator refers to an absolute time, so translating every
+// fact endpoint and the horizon by an integer k (rule bounds unchanged, they
+// are durations) must yield the original materialization translated by k.
+// k = -3 moves part of every run below time 0.
+//
+// Programs that read the time point into a variable (timestamp(), as in
+// ETH-PERP's tdelta) do arithmetic on time values and are out of scope.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,14 +32,22 @@ namespace dmtl {
 namespace {
 
 const Rational kFactors[] = {Rational(1, 3), Rational(7, 2)};
+const Rational kShifts[] = {Rational(5), Rational(-3)};
 
-Bound ScaleBound(Bound b, const Rational& q) {
-  if (!b.infinite) b.value = b.value * q;
+// An order-preserving map of the timeline, applied to finite bounds.
+using TimeMap = std::function<Rational(const Rational&)>;
+
+Bound MapBound(Bound b, const TimeMap& f) {
+  if (!b.infinite) b.value = f(b.value);
   return b;
 }
 
+Interval MapInterval(const Interval& iv, const TimeMap& f) {
+  return *Interval::Make(MapBound(iv.lo(), f), MapBound(iv.hi(), f));
+}
+
 Interval ScaleInterval(const Interval& iv, const Rational& q) {
-  return *Interval::Make(ScaleBound(iv.lo(), q), ScaleBound(iv.hi(), q));
+  return MapInterval(iv, [&q](const Rational& t) { return t * q; });
 }
 
 MetricAtom ScaleMetric(const MetricAtom& m, const Rational& q) {
@@ -63,13 +80,13 @@ Program ScaleProgram(const Program& program, const Rational& q) {
   return out;
 }
 
-Database ScaleDatabase(const Database& db, const Rational& q) {
+Database MapDatabase(const Database& db, const TimeMap& f) {
   Database out;
   for (const auto& [pred, rel] : db.relations()) {
     for (const auto& [tuple, set] : rel.data()) {
-      std::vector<Interval> scaled;
-      for (const Interval& iv : set) scaled.push_back(ScaleInterval(iv, q));
-      out.InsertSet(pred, tuple, IntervalSet::FromIntervals(scaled));
+      std::vector<Interval> mapped;
+      for (const Interval& iv : set) mapped.push_back(MapInterval(iv, f));
+      out.InsertSet(pred, tuple, IntervalSet::FromIntervals(mapped));
     }
   }
   return out;
@@ -90,27 +107,57 @@ bool ReadsTimePoints(const Program& program) {
   return false;
 }
 
+// Runs `mapped_program` over `input` and the horizon with every time value
+// mapped by `f`, and expects the result to equal `original` (the unmapped
+// run) with `f` applied to every endpoint.
+void ExpectMappedRun(const Database& original, const Program& mapped_program,
+                     const Database& input, const EngineOptions& options,
+                     const TimeMap& f, const std::string& what) {
+  EngineOptions mapped_options = options;
+  if (options.min_time.has_value()) {
+    mapped_options.min_time = f(*options.min_time);
+  }
+  if (options.max_time.has_value()) {
+    mapped_options.max_time = f(*options.max_time);
+  }
+  Database mapped = MapDatabase(input, f);
+  Status status = Materialize(mapped_program, &mapped, mapped_options);
+  ASSERT_TRUE(status.ok()) << status << " (" << what << ")";
+  EXPECT_EQ(MapDatabase(original, f).ToString(), mapped.ToString())
+      << what << ": mapped run diverged from the mapped original";
+}
+
+Database MaterializeOriginal(const Program& program, const Database& input,
+                             const EngineOptions& options,
+                             const std::string& label) {
+  EXPECT_FALSE(ReadsTimePoints(program)) << label;
+  Database original = input;
+  Status status = Materialize(program, &original, options);
+  EXPECT_TRUE(status.ok()) << status << " (" << label << ")";
+  return original;
+}
+
 void ExpectScaleInvariant(const Program& program, const Database& input,
                           const EngineOptions& options,
                           const std::string& label) {
-  ASSERT_FALSE(ReadsTimePoints(program)) << label;
-  Database original = input;
-  Status status = Materialize(program, &original, options);
-  ASSERT_TRUE(status.ok()) << status << " (" << label << ")";
+  const Database original =
+      MaterializeOriginal(program, input, options, label);
   for (const Rational& q : kFactors) {
-    const std::string what = label + " (q=" + q.ToString() + ")";
-    EngineOptions scaled_options = options;
-    if (options.min_time.has_value()) {
-      scaled_options.min_time = *options.min_time * q;
-    }
-    if (options.max_time.has_value()) {
-      scaled_options.max_time = *options.max_time * q;
-    }
-    Database scaled = ScaleDatabase(input, q);
-    status = Materialize(ScaleProgram(program, q), &scaled, scaled_options);
-    ASSERT_TRUE(status.ok()) << status << " (" << what << ")";
-    EXPECT_EQ(ScaleDatabase(original, q).ToString(), scaled.ToString())
-        << what << ": scaled run diverged from the scaled original";
+    ExpectMappedRun(original, ScaleProgram(program, q), input, options,
+                    [&q](const Rational& t) { return t * q; },
+                    label + " (q=" + q.ToString() + ")");
+  }
+}
+
+void ExpectShiftInvariant(const Program& program, const Database& input,
+                          const EngineOptions& options,
+                          const std::string& label) {
+  const Database original =
+      MaterializeOriginal(program, input, options, label);
+  for (const Rational& k : kShifts) {
+    ExpectMappedRun(original, program, input, options,
+                    [&k](const Rational& t) { return t + k; },
+                    label + " (k=" + k.ToString() + ")");
   }
 }
 
@@ -208,6 +255,48 @@ TEST_P(ScaleRecursionTest, ScaledRunIsScaledOriginal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ScaleRecursionTest,
+                         ::testing::ValuesIn(kRecursionCases),
+                         [](const auto& info) { return info.param.name; });
+
+// The same fuzz seeds and recursion shapes under integer time shifts, with
+// chain acceleration on and off.
+class ShiftFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ShiftFuzzTest, ShiftedRunIsShiftedOriginal) {
+  ProgramFuzzer fuzzer(GetParam());
+  std::string text = fuzzer.Generate();
+  auto unit = Parser::Parse(text);
+  ASSERT_TRUE(unit.ok()) << unit.status() << "\nprogram:\n" << text;
+  EngineOptions options;
+  options.min_time = Rational(0);
+  options.max_time = Rational(40);
+  ExpectShiftInvariant(unit->program, unit->database, options,
+                       "fuzz program:\n" + text);
+  options.enable_chain_acceleration = false;
+  ExpectShiftInvariant(unit->program, unit->database, options,
+                       "fuzz program (no-accel):\n" + text);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShiftFuzzTest,
+                         ::testing::Range<uint64_t>(1, 13));
+
+class ShiftRecursionTest : public ::testing::TestWithParam<RecursionCase> {};
+
+TEST_P(ShiftRecursionTest, ShiftedRunIsShiftedOriginal) {
+  auto unit = Parser::Parse(GetParam().text);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  EngineOptions options;
+  options.min_time = Rational(0);
+  options.max_time = Rational(20);
+  ExpectShiftInvariant(unit->program, unit->database, options,
+                       GetParam().name);
+  EngineOptions no_accel = options;
+  no_accel.enable_chain_acceleration = false;
+  ExpectShiftInvariant(unit->program, unit->database, no_accel,
+                       std::string(GetParam().name) + "/no-accel");
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, ShiftRecursionTest,
                          ::testing::ValuesIn(kRecursionCases),
                          [](const auto& info) { return info.param.name; });
 

@@ -79,34 +79,46 @@ void ExpectExecutorsAgree(const Program& program, const Database& facts,
 
 // --- shipped programs ------------------------------------------------------
 
-// Every program shipped under programs/ runs against a small generated
-// contract session (the shipped files carry rules, not facts).
+// Every program shipped under programs/ runs against small generated
+// contract sessions (the shipped files carry rules, not facts): a balanced
+// one and a short one opening at a large skew.
 TEST(InterpOracleProgramsTest, ShippedProgramsAgree) {
   ASSERT_TRUE(std::filesystem::exists("programs"))
       << "run from the repository root (ctest does)";
-  WorkloadConfig config;
-  config.name = "oracle";
-  config.num_events = 40;
-  config.num_trades = 8;
-  config.duration_s = 900;
-  config.seed = 7;
-  auto session = GenerateSession(config);
-  ASSERT_TRUE(session.ok()) << session.status();
-  Database facts = SessionToDatabase(*session);
-  EngineOptions options = SessionEngineOptions(*session);
+  WorkloadConfig balanced;
+  balanced.name = "oracle";
+  balanced.num_events = 40;
+  balanced.num_trades = 8;
+  balanced.duration_s = 900;
+  balanced.seed = 7;
+  WorkloadConfig skewed;
+  skewed.name = "skewed";
+  skewed.num_events = 24;
+  skewed.num_trades = 5;
+  skewed.duration_s = 600;
+  skewed.initial_skew = -500.0;
+  skewed.seed = 123;
 
   size_t checked = 0;
-  for (const auto& entry : std::filesystem::directory_iterator("programs")) {
-    if (entry.path().extension() != ".dmtl") continue;
-    auto unit = ReadSourceFile(entry.path().string());
-    ASSERT_TRUE(unit.ok()) << entry.path() << ": " << unit.status();
-    Database combined = facts;
-    combined.MergeFrom(unit->database);
-    ExpectExecutorsAgree(unit->program, combined, options,
-                         entry.path().filename().string());
-    ++checked;
+  for (const WorkloadConfig& config : {balanced, skewed}) {
+    auto session = GenerateSession(config);
+    ASSERT_TRUE(session.ok()) << session.status();
+    Database facts = SessionToDatabase(*session);
+    EngineOptions options = SessionEngineOptions(*session);
+    for (const auto& entry :
+         std::filesystem::directory_iterator("programs")) {
+      if (entry.path().extension() != ".dmtl") continue;
+      auto unit = ReadSourceFile(entry.path().string());
+      ASSERT_TRUE(unit.ok()) << entry.path() << ": " << unit.status();
+      Database combined = facts;
+      combined.MergeFrom(unit->database);
+      ExpectExecutorsAgree(unit->program, combined, options,
+                           config.name + "/" +
+                               entry.path().filename().string());
+      ++checked;
+    }
   }
-  EXPECT_GE(checked, 1u) << "programs/ held no .dmtl files";
+  EXPECT_GE(checked, 2u) << "programs/ held no .dmtl files";
 }
 
 // --- directed recursion suite ----------------------------------------------

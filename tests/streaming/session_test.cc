@@ -546,6 +546,65 @@ TEST(StreamingSessionTest, FailedSlideHealsOnNextAdvance) {
   ExpectMatchesColdReplay(s, "r", "advance after the failed slide");
 }
 
+// One fixpoint driver serves every run of a session: the advances run it
+// on the session store, a slide's cut-off run on a scratch database, and a
+// heal on the cleared store. The compiled rule programs cache relation
+// pointers, so each switch of database must drop them. Here b's delta
+// variant for `a` is compiled during the first advance and reads g through
+// diamondminus[0,3]; the cut-off run after sliding to 5 must not read the
+// store's expired g(a)@3 through it, or it derives b(a)@6 and a(a)@7, which
+// the kept-suffix splice would then install. The second slide expires
+// q(a)@8 under a persistence chain, so it heals.
+TEST(StreamingSessionTest, OneDriverServesAdvancesSlidesAndHeal) {
+  auto unit = Parser::Parse(
+      "a(X) :- p(X) .\n"
+      "b(X) :- boxminus[1,1] a(X), diamondminus[0,3] g(X) .\n"
+      "a(X) :- boxminus[1,1] b(X) .\n"
+      "c(X) :- q(X) .\n"
+      "c(X) :- diamondminus[1,1] c(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  SessionOptions options = Opts(0);
+  options.engine.enable_rule_compile = true;
+  options.track_provenance = true;
+  auto session = StreamingSession::Create(unit->program, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  StreamingSession& s = **session;
+  const Value a = Value::Symbol("a");
+
+  ASSERT_TRUE(s.Push(Fact::Make("g", {a}, Interval::Point(Rational(3)))).ok());
+  ASSERT_TRUE(
+      s.Push(Fact::Make("p", {a}, Interval::Closed(Rational(4), Rational(6))))
+          .ok());
+  ASSERT_TRUE(s.Push(Fact::Make("q", {a}, Interval::Point(Rational(8)))).ok());
+  ASSERT_TRUE(s.Advance(Rational(20)).ok());
+  ExpectMatchesColdReplay(s, "a", "after the advance");
+  EXPECT_TRUE(s.db().Holds("b", {a}, Rational(6)));
+
+  EngineStats kept;
+  ASSERT_TRUE(s.Slide(Rational(5), &kept).ok());
+  if (s.streaming_enabled()) {
+    EXPECT_TRUE(kept.retract_suffix_kept);
+  }
+  ExpectMatchesColdReplay(s, "a", "after the slide that keeps the suffix");
+  EXPECT_EQ(s.db().Find("b"), nullptr);
+  EXPECT_FALSE(s.db().Holds("a", {a}, Rational(7)));
+
+  EngineStats healed;
+  ASSERT_TRUE(s.Slide(Rational(9), &healed).ok());
+  EXPECT_FALSE(healed.retract_suffix_kept);
+  ExpectMatchesColdReplay(s, "c", "after the slide that heals");
+  EXPECT_EQ(s.db().Find("c"), nullptr);
+
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
+                                Interval::Point(Rational(22))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(24)).ok());
+  ExpectMatchesColdReplay(s, "a", "advance after both slides");
+  auto cold = s.ColdReplay();
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(SerializeDatabase(s.db()), SerializeDatabase(cold->db));
+}
+
 // ---------------------------------------------------------------------------
 // Retraction-equivalence fuzz lane: random eligible programs, random fact
 // streams. Every third advance is a checkpoint compared byte-for-byte

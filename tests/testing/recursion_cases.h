@@ -14,8 +14,10 @@ struct RecursionCase {
 
 // Shapes chosen to hit every executor path: self-recursion (the emit-
 // during-iteration hazard), mutual recursion, mixed chain steps, negation
-// over derived state, metric windows on recursive results, and an
-// aggregate head (a VM-declined rule mixed among compiled ones).
+// over derived state, metric windows on recursive results, two-operator
+// unary chains, a since body whose left operand holds vacuously (p never
+// holds near q, yet r holds wherever q does), and an aggregate head (a
+// VM-declined rule mixed among compiled ones).
 inline constexpr RecursionCase kRecursionCases[] = {
     {"transitive_closure",
      "reach(X, Y) :- edge(X, Y) .\n"
@@ -46,6 +48,16 @@ inline constexpr RecursionCase kRecursionCases[] = {
      "recent(X) :- diamondminus[0,2] tick(X) .\n"
      "steady(X) :- boxminus[0,2] tick(X) .\n"
      "start(a)@0 . lim(a)@[0,15] .\n"},
+    {"nested_operator_chains",
+     "d(X) :- p(X) .\n"
+     "d(X) :- boxminus[1,1] d(X), lim(X) .\n"
+     "e(X) :- diamondminus[0,2] boxminus[1,1] d(X) .\n"
+     "f(X) :- boxminus[0,2] diamondminus[1,1] p(X), not d(X) .\n"
+     "p(a)@[0,1] . p(b)@[3,9] . lim(a)@[0,6] .\n"},
+    {"since_body_under_recursion",
+     "r(X) :- s(X), p(X) since[0,2] q(X) .\n"
+     "r(X) :- diamondminus[1,1] r(X), s(X) .\n"
+     "s(a)@[0,10] . q(a)@[3,5] . p(a)@[100,200] .\n"},
     {"aggregate_among_compiled",
      "bal(A, M) :- tranM(A, M) .\n"
      "bal(A, M) :- boxminus[1,1] bal(A, M), not tranM(A, M) .\n"
