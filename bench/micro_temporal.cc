@@ -163,6 +163,45 @@ void BM_IntervalSetUnionWith(benchmark::State& state) {
 }
 BENCHMARK(BM_IntervalSetUnionWith)->Arg(1024)->Arg(8192);
 
+// The store insert path: one UnionWithDelta per batch, 256 batches per
+// iteration, in the three shapes the engine's store sees.
+//   0  frontier append: two-point batches past the end (the disjoint
+//      suffix; all of the batch is new);
+//   1  interior overlap: over a store of points at 4k, batches
+//      {[4k, 4k+1], [4k+2, 4k+2]} that overlap a stored point and fill a
+//      gap, walking from the front (the general sweep);
+//   2  single interval: the same store, one [4k, 4k+1] per batch (Insert).
+void BM_UnionWithDelta(benchmark::State& state) {
+  const int arm = static_cast<int>(state.range(0));
+  const int calls = 256;
+  IntervalSet base;
+  std::vector<IntervalSet> batches;
+  for (int k = 0; k < calls; ++k) {
+    const Rational t(4 * k);
+    if (arm == 0) {
+      batches.push_back(IntervalSet::FromIntervals(
+          {Interval::Point(t), Interval::Point(t + Rational(2))}));
+      continue;
+    }
+    base.Add(Interval::Point(t));
+    Interval overlap = Interval::Closed(t, t + Rational(1));
+    batches.push_back(
+        arm == 1 ? IntervalSet::FromIntervals(
+                       {overlap, Interval::Point(t + Rational(2))})
+                 : IntervalSet(overlap));
+  }
+  for (auto _ : state) {
+    IntervalSet set = base;
+    size_t fresh = 0;
+    for (const IntervalSet& batch : batches) {
+      fresh += set.UnionWithDelta(batch).size();
+    }
+    benchmark::DoNotOptimize(fresh);
+  }
+  state.SetItemsProcessed(state.iterations() * calls);
+}
+BENCHMARK(BM_UnionWithDelta)->Arg(0)->Arg(1)->Arg(2);
+
 void BM_ContainsBinarySearch(benchmark::State& state) {
   IntervalSet set = TickChain(static_cast<int>(state.range(0)));
   Rational probe(state.range(0) / 3);

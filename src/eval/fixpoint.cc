@@ -54,12 +54,17 @@ class FixpointDriver::Sink {
         stats_(stats),
         guard_(guard) {}
 
-  // Bulk emission: one window clamp (the window is a single interval, so
-  // the clip is the fast Intersect(Interval) overload), one coalescing
-  // merge into the store, one delta recording - no per-interval
-  // IntervalSet temporaries.
+  // Bulk emission: one window clamp, one coalescing merge into the store,
+  // one delta append - no per-interval IntervalSet temporaries. Most
+  // extents already lie inside the window (rule bodies read clamped
+  // coverage), and those go to the store as they are, without the clip's
+  // copy.
   Status Emit(PredicateId pred, const Tuple& tuple,
               const IntervalSet& extent) {
+    if (extent.IsEmpty()) return Status::Ok();
+    if (window_.Contains(extent.Hull())) {
+      return Record(pred, tuple, db_->InsertSet(pred, tuple, extent));
+    }
     IntervalSet clamped = extent.Intersect(window_);
     if (clamped.IsEmpty()) return Status::Ok();
     return Record(pred, tuple, db_->InsertSet(pred, tuple, clamped));
@@ -87,13 +92,16 @@ class FixpointDriver::Sink {
   // Accounts the newly covered portion of an insertion: stats, next-round
   // delta, provenance, then guard/budget checks. The delta is recorded
   // *before* any check can fail so the rollback (SubtractCoverage of the
-  // round delta) always covers exactly what reached the store.
+  // round delta) always covers exactly what reached the store. The store
+  // contains the round delta and `fresh` is disjoint from the store as it
+  // was before this insert, so `fresh` is disjoint from the delta too and
+  // joins it by a plain append.
   Status Record(PredicateId pred, const Tuple& tuple,
                 const IntervalSet& fresh) {
     if (fresh.IsEmpty()) return Status::Ok();
     stats_->derived_intervals += fresh.size();
     try {
-      next_delta_->InsertSet(pred, tuple, fresh);
+      next_delta_->InsertDisjoint(pred, tuple, fresh);
     } catch (...) {
       // The paired store insert already happened; undo it so the round
       // delta stays an exact record of the store's round growth.

@@ -85,6 +85,13 @@ class IncrementalMaterializer {
   static Result<std::unique_ptr<IncrementalMaterializer>> Create(
       const Program& program, Database* db, const EngineOptions& options);
 
+  // Create's validation and eligibility checks, with the same errors in
+  // the same order, without building anything: no rule is compiled and no
+  // VM created. A session running batch (streaming off) checks with this,
+  // so eligibility does not depend on the lane.
+  static Status CheckEligible(const Program& program,
+                              const EngineOptions& options);
+
   // Rebuilds a live evaluator from checkpointed session state (see
   // src/storage/snapshot.h). As with Create, `db` must start empty;
   // `options.min_time` is the restored window minimum, `watermark` the

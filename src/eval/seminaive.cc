@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "src/analysis/safety.h"
 #include "src/eval/fixpoint.h"
 #include "src/eval/incremental.h"
 
@@ -20,6 +21,109 @@ Interval HorizonWindow(const EngineOptions& options) {
   auto window = Interval::Make(lo, hi);
   // Empty windows are a caller error caught at option validation below.
   return window.value_or(Interval::All());
+}
+
+// Forward reaches gathered by the streaming eligibility walk.
+struct StreamingReach {
+  Rational reach;  // max forward reach R over positive atoms
+  bool reach_inf = false;
+  // The same maximum over every relational atom, negated ones included:
+  // the retraction cut-off's band width (see SlideStore).
+  Rational cutoff;
+  bool cutoff_inf = false;
+};
+
+// The option half of streaming eligibility, on env-resolved options.
+Status CheckStreamingOptions(const EngineOptions& options) {
+  if (!options.min_time.has_value()) {
+    return Status::InvalidArgument(
+        "streaming requires min_time (the initial window start)");
+  }
+  if (options.max_time.has_value()) {
+    return Status::InvalidArgument(
+        "max_time is managed by the watermark; leave it unset");
+  }
+  if (options.naive_evaluation) {
+    return Status::InvalidArgument(
+        "naive evaluation re-derives everything and cannot run "
+        "incrementally");
+  }
+  return Status::Ok();
+}
+
+// Walks one body literal's operator path, summing the upper range bounds
+// down to each relational atom: the atom's reach, i.e. how far into the
+// past a head at t reads it.
+// `any_positive` is set when a positive relational atom is reached.
+Status WalkMetric(const MetricAtom& m, Rational hi, bool hi_inf,
+                  bool positive, size_t rule_index, bool* any_positive,
+                  StreamingReach* reach) {
+  switch (m.kind()) {
+    case MetricAtom::Kind::kRelational: {
+      if (hi_inf) reach->cutoff_inf = true;
+      else if (reach->cutoff < hi) reach->cutoff = hi;
+      if (positive) {
+        *any_positive = true;
+        if (hi_inf) reach->reach_inf = true;
+        else if (reach->reach < hi) reach->reach = hi;
+      }
+      return Status::Ok();
+    }
+    case MetricAtom::Kind::kTruth:
+    case MetricAtom::Kind::kFalsity:
+      return Status::Ok();
+    case MetricAtom::Kind::kUnary: {
+      if (m.op() == MtlOp::kDiamondPlus || m.op() == MtlOp::kBoxPlus) {
+        return Status::InvalidArgument(
+            "rule " + std::to_string(rule_index) +
+            ": future operators are not streaming-eligible (coverage "
+            "below the watermark would not be final)");
+      }
+      const Interval& r = m.range();
+      if (r.lo().infinite || r.lo().value < Rational(0)) {
+        return Status::InvalidArgument(
+            "rule " + std::to_string(rule_index) +
+            ": operator range reaches into the future");
+      }
+      const bool ninf = hi_inf || r.hi().infinite;
+      const Rational nhi = ninf ? hi : hi + r.hi().value;
+      return WalkMetric(m.left(), nhi, ninf, positive, rule_index,
+                        any_positive, reach);
+    }
+    case MetricAtom::Kind::kBinary:
+      return Status::InvalidArgument(
+          "rule " + std::to_string(rule_index) +
+          ": since/until are not streaming-eligible");
+  }
+  return Status::Internal("unknown metric atom kind");
+}
+
+// The rule half of streaming eligibility: no head operators, past-directed
+// body operators, and a positive relational atom in every rule.
+Status WalkStreamingRules(const Program& program, StreamingReach* reach) {
+  const auto& rules = program.rules();
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const Rule& rule = rules[i];
+    if (!rule.head.ops.empty()) {
+      return Status::InvalidArgument(
+          "rule " + std::to_string(i) +
+          ": head operators are not streaming-eligible (they derive "
+          "outside the body match, breaking watermark finality)");
+    }
+    bool any_positive = false;
+    for (const BodyLiteral& lit : rule.body) {
+      if (lit.kind != BodyLiteral::Kind::kMetric) continue;
+      DMTL_RETURN_IF_ERROR(WalkMetric(lit.metric, Rational(0), false,
+                                      !lit.negated, i, &any_positive, reach));
+    }
+    if (!any_positive) {
+      return Status::InvalidArgument(
+          "rule " + std::to_string(i) +
+          ": no positive relational atom; its derivations could never be "
+          "reached by a streaming delta");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -170,44 +274,9 @@ class IncrementalMaterializer::Impl {
     // DMTL_DISABLE_* variables are process-stable in every CI lane, so
     // latching at creation is equivalent to per-operation resolution.
     options_ = options_.WithEnvOverrides();
-    if (!options_.min_time.has_value()) {
-      return Status::InvalidArgument(
-          "streaming requires min_time (the initial window start)");
-    }
-    if (options_.max_time.has_value()) {
-      return Status::InvalidArgument(
-          "max_time is managed by the watermark; leave it unset");
-    }
-    if (options_.naive_evaluation) {
-      return Status::InvalidArgument(
-          "naive evaluation re-derives everything and cannot run "
-          "incrementally");
-    }
+    DMTL_RETURN_IF_ERROR(CheckStreamingOptions(options_));
     DMTL_ASSIGN_OR_RETURN(driver_, FixpointDriver::Create(program, options_));
-
-    const auto& rules = program.rules();
-    for (size_t i = 0; i < rules.size(); ++i) {
-      const Rule& rule = rules[i];
-      if (!rule.head.ops.empty()) {
-        return Status::InvalidArgument(
-            "rule " + std::to_string(i) +
-            ": head operators are not streaming-eligible (they derive "
-            "outside the body match, breaking watermark finality)");
-      }
-      bool any_positive = false;
-      for (const BodyLiteral& lit : rule.body) {
-        if (lit.kind != BodyLiteral::Kind::kMetric) continue;
-        DMTL_RETURN_IF_ERROR(WalkMetric(lit.metric, Rational(0), false,
-                                        !lit.negated, i, &any_positive));
-      }
-      if (!any_positive) {
-        return Status::InvalidArgument(
-            "rule " + std::to_string(i) +
-            ": no positive relational atom; its derivations could never be "
-            "reached by a streaming delta");
-      }
-    }
-
+    DMTL_RETURN_IF_ERROR(WalkStreamingRules(program, &reach_));
     provenance_ = options_.provenance;
     return Status::Ok();
   }
@@ -257,10 +326,10 @@ class IncrementalMaterializer::Impl {
     Database carry;
     if (watermark_ < t) {
       std::optional<Interval> band;
-      if (reach_inf_) {
+      if (reach_.reach_inf) {
         band = Interval::AtMost(watermark_);
-      } else if (Rational(0) < reach_) {
-        band = Interval::Make(Bound::Open(watermark_ - reach_),
+      } else if (Rational(0) < reach_.reach) {
+        band = Interval::Make(Bound::Open(watermark_ - reach_.reach),
                               Bound::Closed(watermark_));
       }
       if (band.has_value()) {
@@ -320,9 +389,9 @@ class IncrementalMaterializer::Impl {
     // coverage back into the carry) - so the snapshot replaces the
     // full-store scan above on the next advance. Unbounded reach keeps the
     // scan: its band has no finite lower edge to snapshot against.
-    if (!reach_inf_ && Rational(0) < reach_) {
+    if (!reach_.reach_inf && Rational(0) < reach_.reach) {
       std::optional<Interval> next_band =
-          Interval::Make(Bound::Open(t - reach_), Bound::Closed(t));
+          Interval::Make(Bound::Open(t - reach_.reach), Bound::Closed(t));
       if (next_band.has_value()) {
         if (watermark_ < t) band_cache_.Clear();
         bool snapshot_complete = watermark_ < t || band_cache_valid_;
@@ -415,56 +484,10 @@ class IncrementalMaterializer::Impl {
   const std::vector<Fact>& input_log() const { return inputs_; }
   bool advanced() const { return advanced_any_; }
   bool needs_rebuild() const { return needs_rebuild_; }
-  bool reach_unbounded() const { return reach_inf_; }
-  const Rational& forward_reach() const { return reach_; }
+  bool reach_unbounded() const { return reach_.reach_inf; }
+  const Rational& forward_reach() const { return reach_.reach; }
 
  private:
-  // Walks one body literal's operator path, summing the upper range bounds
-  // down to each relational atom: the atom's reach, i.e. how far into the
-  // past a head at t reads it.
-  // `any_positive` is set when a positive relational atom is reached.
-  Status WalkMetric(const MetricAtom& m, Rational hi, bool hi_inf,
-                    bool positive, size_t rule_index, bool* any_positive) {
-    switch (m.kind()) {
-      case MetricAtom::Kind::kRelational: {
-        if (hi_inf) cutoff_inf_ = true;
-        else if (cutoff_reach_ < hi) cutoff_reach_ = hi;
-        if (positive) {
-          *any_positive = true;
-          if (hi_inf) reach_inf_ = true;
-          else if (reach_ < hi) reach_ = hi;
-        }
-        return Status::Ok();
-      }
-      case MetricAtom::Kind::kTruth:
-      case MetricAtom::Kind::kFalsity:
-        return Status::Ok();
-      case MetricAtom::Kind::kUnary: {
-        if (m.op() == MtlOp::kDiamondPlus || m.op() == MtlOp::kBoxPlus) {
-          return Status::InvalidArgument(
-              "rule " + std::to_string(rule_index) +
-              ": future operators are not streaming-eligible (coverage "
-              "below the watermark would not be final)");
-        }
-        const Interval& r = m.range();
-        if (r.lo().infinite || r.lo().value < Rational(0)) {
-          return Status::InvalidArgument(
-              "rule " + std::to_string(rule_index) +
-              ": operator range reaches into the future");
-        }
-        const bool ninf = hi_inf || r.hi().infinite;
-        const Rational nhi = ninf ? hi : hi + r.hi().value;
-        return WalkMetric(m.left(), nhi, ninf, positive, rule_index,
-                          any_positive);
-      }
-      case MetricAtom::Kind::kBinary:
-        return Status::InvalidArgument(
-            "rule " + std::to_string(rule_index) +
-            ": since/until are not streaming-eligible");
-    }
-    return Status::Internal("unknown metric atom kind");
-  }
-
   // Full cold rebuild from the input log: run before the next operation
   // after a mid-operation failure left the store at a round barrier, by
   // AdoptState to re-derive a restored session, and by a slide whose
@@ -515,7 +538,7 @@ class IncrementalMaterializer::Impl {
 
   // The store half of Retract, after the log clamp. The convergence
   // cut-off: in a past-directed program every atom at time t > y reads
-  // only atoms in [t - C, t] plus the inputs, where C (cutoff_reach_) is
+  // only atoms in [t - C, t] plus the inputs, where C (reach_.cutoff) is
   // the largest summed upper range bound over every body literal, negated
   // ones included. The live store and the target (a cold run over the
   // clamped log on [cur_min_, W]) see the same inputs above cur_min_, so
@@ -527,8 +550,8 @@ class IncrementalMaterializer::Impl {
   // a persistence chain rooted in the expired region that still reaches
   // the band - falls back to one cold rebuild of the whole window.
   Status SlideStore(EngineStats* stats) {
-    const Rational y = cur_min_ + cutoff_reach_ + cutoff_reach_;
-    if (!advanced_any_ || cutoff_inf_ || !(y < watermark_)) {
+    const Rational y = cur_min_ + reach_.cutoff + reach_.cutoff;
+    if (!advanced_any_ || reach_.cutoff_inf || !(y < watermark_)) {
       return Heal(stats);
     }
     Database scratch;
@@ -547,7 +570,7 @@ class IncrementalMaterializer::Impl {
       needs_rebuild_ = true;
       return status;
     }
-    if (!AgreesOn(scratch, Interval::Closed(y - cutoff_reach_, y))) {
+    if (!AgreesOn(scratch, Interval::Closed(y - reach_.cutoff, y))) {
       return Heal(stats);
     }
 
@@ -663,12 +686,7 @@ class IncrementalMaterializer::Impl {
   Rational watermark_;
   std::unique_ptr<FixpointDriver> driver_;
 
-  Rational reach_;            // max forward reach R over positive atoms
-  bool reach_inf_ = false;
-  // The same maximum over every relational atom, negated ones included:
-  // the retraction cut-off's band width (see SlideStore).
-  Rational cutoff_reach_;
-  bool cutoff_inf_ = false;
+  StreamingReach reach_;  // from the eligibility walk at Init
 
   std::vector<Fact> inputs_;  // the log; clamped by retractions
   Database pending_fresh_;    // input fresh portions above the watermark
@@ -696,6 +714,18 @@ IncrementalMaterializer::Create(const Program& program, Database* db,
   out->impl_ = std::make_unique<Impl>(db, options);
   DMTL_RETURN_IF_ERROR(out->impl_->Init(program));
   return out;
+}
+
+Status IncrementalMaterializer::CheckEligible(const Program& program,
+                                              const EngineOptions& options) {
+  // Init's checks in Init's order, with FixpointDriver::Create's validation
+  // in place of the driver it builds.
+  DMTL_RETURN_IF_ERROR(CheckStreamingOptions(options.WithEnvOverrides()));
+  DMTL_RETURN_IF_ERROR(program.CheckArities());
+  DMTL_RETURN_IF_ERROR(CheckSafety(program));
+  DMTL_RETURN_IF_ERROR(Stratify(program).status());
+  StreamingReach reach;
+  return WalkStreamingRules(program, &reach);
 }
 
 Result<std::unique_ptr<IncrementalMaterializer>>

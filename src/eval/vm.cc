@@ -540,6 +540,13 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
     const Interval* comps = seed_set.begin();
     const size_t num_seeds = seed_set.size();
     const bool fwd = !cp.step.is_negative();
+    // Cursor over `allowed` for the shortcut's membership probes. Seeds are
+    // visited in ascending time whatever the sign of step, so the probed
+    // point (seed + step) ascends too and the cursor only moves forward:
+    // the first probe bisects, every later one steps on from there instead
+    // of bisecting again.
+    const Interval* allowed_at = nullptr;
+    const Interval* const allowed_end = allowed.end();
     for (size_t si = 0; si < num_seeds; ++si) {
       const Interval& seed = comps[si];
       if (seed.IsPunctual()) {
@@ -558,10 +565,21 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
         } else if (si > 0 && comps[si - 1].IsPunctual()) {
           adj = &comps[si - 1];
         }
-        if (adj != nullptr && adj->lo().value == next &&
-            allowed.Contains(next)) {
-          *extensions += 1;
-          continue;
+        if (adj != nullptr && adj->lo().value == next) {
+          auto ends_before = [&](const Interval& iv) {
+            return UpperEndsBefore(iv.hi(), next);
+          };
+          if (allowed_at == nullptr) {
+            allowed_at = std::partition_point(allowed.begin(), allowed_end,
+                                              ends_before);
+          }
+          while (allowed_at != allowed_end && ends_before(*allowed_at)) {
+            ++allowed_at;
+          }
+          if (allowed_at != allowed_end && allowed_at->Contains(next)) {
+            *extensions += 1;
+            continue;
+          }
         }
         DMTL_RETURN_IF_ERROR(WalkGrid(db, tuple, seed.lo().value, allowed,
                                       emit, guard, extensions));

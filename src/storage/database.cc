@@ -126,51 +126,66 @@ size_t Relation::num_indexes() const {
   return indexes_.size();
 }
 
-IntervalSet Relation::Insert(const Tuple& tuple, const Interval& iv) {
-  auto [it, inserted] = data_.try_emplace(tuple);
-  if (inserted) {
+Relation::Map::iterator Relation::Slot(const Tuple& tuple, bool* inserted) {
+  auto [it, fresh_tuple] = data_.try_emplace(tuple);
+  if (fresh_tuple) {
     // Keep the derived structures incremental: unordered_map nodes are
     // address-stable, so these pointers stay valid across later inserts.
     if (!it->first.empty()) first_arg_index_[it->first[0]].push_back(&it->first);
     rows_.push_back(ScanEntry{&it->first, &it->second});
   }
+  *inserted = fresh_tuple;
+  return it;
+}
+
+void Relation::WidenIndexes(const Map::iterator& it, bool inserted,
+                            const Interval& iv) {
+  if (indexes_.empty()) return;
+  // Single-writer contract: no reader runs concurrently with a mutator, so
+  // the lock is uncontended; it keeps TSan and accidental misuse honest.
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  for (auto& [sig, index] : indexes_) {
+    IndexTuple(index.get(), it->first, it->second, inserted, iv);
+  }
+}
+
+IntervalSet Relation::Insert(const Tuple& tuple, const Interval& iv) {
+  bool inserted = false;
+  auto it = Slot(tuple, &inserted);
   const size_t before = it->second.size();
   IntervalSet fresh = it->second.Insert(iv);
   approx_intervals_ += fresh.size();
   stored_intervals_ += it->second.size() - before;
-  if (!fresh.IsEmpty() && !indexes_.empty()) {
-    // Single-writer contract: no reader runs concurrently with Insert, so
-    // the lock is uncontended; it keeps TSan and accidental misuse honest.
-    // An already-covered insertion (fresh empty) cannot widen any envelope.
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    for (auto& [sig, index] : indexes_) {
-      IndexTuple(index.get(), it->first, it->second, inserted, iv);
-    }
-  }
+  // An already-covered insertion (fresh empty) cannot widen any envelope.
+  if (!fresh.IsEmpty()) WidenIndexes(it, inserted, iv);
   return fresh;
 }
 
 IntervalSet Relation::InsertSet(const Tuple& tuple, const IntervalSet& set) {
   if (set.IsEmpty()) return IntervalSet();
-  auto [it, inserted] = data_.try_emplace(tuple);
-  if (inserted) {
-    if (!it->first.empty()) first_arg_index_[it->first[0]].push_back(&it->first);
-    rows_.push_back(ScanEntry{&it->first, &it->second});
-  }
+  bool inserted = false;
+  auto it = Slot(tuple, &inserted);
   const size_t before = it->second.size();
   IntervalSet fresh = it->second.UnionWithDelta(set);
   approx_intervals_ += fresh.size();
   stored_intervals_ += it->second.size() - before;
-  if ((inserted || !fresh.IsEmpty()) && !indexes_.empty()) {
-    // Widen envelopes by the hull of what actually changed; a fully covered
-    // set (fresh empty, pre-existing tuple) cannot widen anything.
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    const Interval widen = fresh.IsEmpty() ? set.Hull() : fresh.Hull();
-    for (auto& [sig, index] : indexes_) {
-      IndexTuple(index.get(), it->first, it->second, inserted, widen);
-    }
+  // Widen envelopes by the hull of what actually changed; a fully covered
+  // set (fresh empty, pre-existing tuple) cannot widen anything.
+  if (inserted || !fresh.IsEmpty()) {
+    WidenIndexes(it, inserted, fresh.IsEmpty() ? set.Hull() : fresh.Hull());
   }
   return fresh;
+}
+
+void Relation::InsertDisjoint(const Tuple& tuple, const IntervalSet& set) {
+  if (set.IsEmpty()) return;
+  bool inserted = false;
+  auto it = Slot(tuple, &inserted);
+  const size_t before = it->second.size();
+  it->second.UnionWith(set);
+  approx_intervals_ += set.size();
+  stored_intervals_ += it->second.size() - before;
+  WidenIndexes(it, inserted, set.Hull());
 }
 
 void Relation::SubtractCoverage(const Relation& fresh) {
@@ -313,6 +328,13 @@ IntervalSet Database::InsertSet(PredicateId pred, const Tuple& tuple,
   IntervalSet fresh = relations_[pred].InsertSet(tuple, set);
   approx_intervals_ += fresh.size();
   return fresh;
+}
+
+void Database::InsertDisjoint(PredicateId pred, const Tuple& tuple,
+                              const IntervalSet& set) {
+  FaultInjector::MaybeThrow("database.insert_set");
+  relations_[pred].InsertDisjoint(tuple, set);
+  approx_intervals_ += set.size();
 }
 
 IntervalSet Database::Insert(std::string_view pred, Tuple tuple,

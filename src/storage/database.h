@@ -114,6 +114,13 @@ class Relation {
   // (IntervalSet::UnionWithDelta) instead of one Insert per component, and
   // returns the newly covered portion.
   IntervalSet InsertSet(const Tuple& tuple, const IntervalSet& set);
+  // Adds `set`, which the caller guarantees is disjoint from the stored
+  // extent of `tuple` (it may touch it), so all of it is new: a plain
+  // coalescing union, with no delta to compute. The engine's round delta
+  // takes every emission's fresh portion this way - the store contains the
+  // round delta, and fresh coverage is disjoint from the store as it was
+  // before the insert.
+  void InsertDisjoint(const Tuple& tuple, const IntervalSet& set);
 
   const IntervalSet* Find(const Tuple& tuple) const;
   bool Contains(const Tuple& tuple, const Rational& t) const;
@@ -197,6 +204,14 @@ class Relation {
   }
 
  private:
+  // Finds or creates the stored extent of `tuple`, registering a new tuple
+  // with the first-argument index and the scan slab. Sets `inserted`.
+  Map::iterator Slot(const Tuple& tuple, bool* inserted);
+  // Widens every bound-signature index for a tuple whose extent grew by
+  // coverage inside `iv`.
+  void WidenIndexes(const Map::iterator& it, bool inserted,
+                    const Interval& iv);
+
   // Adds the tuple (already in data_) to one bound-signature index and
   // widens the affected envelope by `iv`.
   static void IndexTuple(BoundIndex* index, const Tuple& tuple,
@@ -241,6 +256,10 @@ class Database {
   // Bulk form; returns the newly covered portion (see Relation::InsertSet).
   IntervalSet InsertSet(PredicateId pred, const Tuple& tuple,
                         const IntervalSet& set);
+  // Disjoint bulk form (see Relation::InsertDisjoint); the same fault
+  // injection site as InsertSet.
+  void InsertDisjoint(PredicateId pred, const Tuple& tuple,
+                      const IntervalSet& set);
 
   // Convenience for tests/examples: Insert("price", {Value::Double(47)},
   // Interval::Point(5)).

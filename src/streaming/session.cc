@@ -59,12 +59,17 @@ Result<std::unique_ptr<StreamingSession>> StreamingSession::Build(
   engine.min_time = out->options_.start_time;
   engine.provenance =
       out->options_.track_provenance ? &out->provenance_ : nullptr;
+  // The batch branches check streaming eligibility (past-directed
+  // operators, no head ops, no since/until...) without building an
+  // evaluator: it must not depend on the lane.
   if (snapshot == nullptr) {
-    // Built in both modes: eligibility (past-directed operators, no head
-    // ops, no since/until...) must not depend on the batch lane.
-    DMTL_ASSIGN_OR_RETURN(auto inc, IncrementalMaterializer::Create(
-                                        program, &out->db_, engine));
-    if (out->streaming_) out->inc_ = std::move(inc);
+    if (out->streaming_) {
+      DMTL_ASSIGN_OR_RETURN(out->inc_, IncrementalMaterializer::Create(
+                                           program, &out->db_, engine));
+    } else {
+      DMTL_RETURN_IF_ERROR(
+          IncrementalMaterializer::CheckEligible(program, engine));
+    }
   } else if (out->streaming_) {
     DMTL_ASSIGN_OR_RETURN(
         out->inc_,
@@ -73,13 +78,8 @@ Result<std::unique_ptr<StreamingSession>> StreamingSession::Build(
                                          snapshot->watermark,
                                          snapshot->advanced));
   } else {
-    // Batch restore still validates streaming eligibility, against a
-    // scratch database (Create requires an empty one), then rebuilds.
-    Database scratch;
-    EngineOptions check = engine;
-    check.provenance = nullptr;
     DMTL_RETURN_IF_ERROR(
-        IncrementalMaterializer::Create(program, &scratch, check).status());
+        IncrementalMaterializer::CheckEligible(program, engine));
     DMTL_RETURN_IF_ERROR(out->RebuildBatch(nullptr));
   }
   return out;

@@ -31,6 +31,28 @@ void AppendCoalesce(SmallIntervalVec* out, const Interval& iv) {
   }
 }
 
+// Appends the parts of `x` that the components from `run` on do not
+// cover, left to right. `run` points at the first component not strictly
+// before `x`; the components are sorted and disjoint. The pieces are
+// separated by covered chunks, so they append normalized.
+void AppendUncovered(const Interval& x, const Interval* run,
+                     const Interval* end, SmallIntervalVec* out) {
+  Bound cursor = x.lo();
+  for (const Interval* c = run; c != end && !x.StrictlyBefore(*c); ++c) {
+    if (!c->lo().infinite) {
+      if (auto piece = Interval::Make(cursor, FlipOpenness(c->lo()));
+          piece.has_value()) {
+        out->push_back(*piece);
+      }
+    }
+    if (c->hi().infinite) return;
+    cursor = FlipOpenness(c->hi());
+  }
+  if (auto tail = Interval::Make(cursor, x.hi()); tail.has_value()) {
+    out->push_back(*tail);
+  }
+}
+
 }  // namespace
 
 uint64_t IntervalSet::BulkMergeCount() {
@@ -181,36 +203,66 @@ void IntervalSet::UnionWith(const IntervalSet& other) {
     return;
   }
   g_bulk_merges.fetch_add(1, std::memory_order_relaxed);
-  if (intervals_.back().StrictlyBefore(other.intervals_.front())) {
-    // Disjoint suffix: plain append, no sweep needed. Reserve ahead so the
-    // loop grows the storage once instead of doubling mid-append.
-    intervals_.reserve(intervals_.size() + other.intervals_.size());
-    for (const Interval& iv : other.intervals_) intervals_.push_back(iv);
-    return;
-  }
-  // Single coalescing sweep over both sorted component lists.
-  SmallIntervalVec out;
-  out.reserve(intervals_.size() + other.intervals_.size());
-  const Interval* a = intervals_.begin();
-  const Interval* a_end = intervals_.end();
-  const Interval* b = other.intervals_.begin();
-  const Interval* b_end = other.intervals_.end();
-  while (a != a_end && b != b_end) {
-    if (a->StartsBefore(*b)) {
-      AppendCoalesce(&out, *a++);
-    } else {
-      AppendCoalesce(&out, *b++);
-    }
-  }
-  while (a != a_end) AppendCoalesce(&out, *a++);
-  while (b != b_end) AppendCoalesce(&out, *b++);
-  intervals_ = std::move(out);
+  MergeTail(other, nullptr);
 }
 
 IntervalSet IntervalSet::UnionWithDelta(const IntervalSet& other) {
-  IntervalSet fresh = other.Subtract(*this);
-  if (!fresh.IsEmpty()) UnionWith(other);
+  if (other.intervals_.empty()) return IntervalSet();
+  if (intervals_.empty()) {
+    intervals_ = other.intervals_;
+    return other;
+  }
+  if (other.intervals_.size() == 1) return Insert(other.intervals_[0]);
+  IntervalSet fresh;
+  MergeTail(other, &fresh);
+  // Only a merge that added coverage counts as a bulk sweep.
+  if (!fresh.IsEmpty()) g_bulk_merges.fetch_add(1, std::memory_order_relaxed);
   return fresh;
+}
+
+void IntervalSet::MergeTail(const IntervalSet& other, IntervalSet* fresh) {
+  // Components strictly before other's first one are untouched by the
+  // union and cover none of other: leave them where they are and sweep
+  // only the tail from there (derivations land near the frontier, so the
+  // tail is short).
+  const Interval& first_b = other.intervals_.front();
+  const size_t split =
+      intervals_.back().StrictlyBefore(first_b)
+          ? intervals_.size()
+          : std::partition_point(intervals_.begin(), intervals_.end(),
+                                 [&](const Interval& x) {
+                                   return x.StrictlyBefore(first_b);
+                                 }) -
+                intervals_.begin();
+  if (split == intervals_.size()) {
+    // Disjoint suffix: plain append, and all of other is new. Reserve ahead
+    // so the loop grows the storage once instead of doubling mid-append.
+    intervals_.reserve(intervals_.size() + other.intervals_.size());
+    for (const Interval& iv : other.intervals_) intervals_.push_back(iv);
+    if (fresh != nullptr) *fresh = other;
+    return;
+  }
+  SmallIntervalVec out;
+  out.reserve(intervals_.size() - split + other.intervals_.size());
+  const Interval* a = intervals_.begin() + split;
+  const Interval* const a_end = intervals_.end();
+  // `cover` trails `a` for the fresh pieces: the first tail component not
+  // strictly before the current b. It only moves forward, but it may sit
+  // behind `a` - one wide component of *this can cover several of other's.
+  const Interval* cover = a;
+  for (const Interval& b : other.intervals_) {
+    while (a != a_end && a->StartsBefore(b)) AppendCoalesce(&out, *a++);
+    AppendCoalesce(&out, b);
+    if (fresh == nullptr) continue;
+    // What the stored run does not cover of b is new. Other's gaps
+    // separate the pieces of successive b's.
+    while (cover != a_end && cover->StrictlyBefore(b)) ++cover;
+    AppendUncovered(b, cover, a_end, &fresh->intervals_);
+  }
+  while (a != a_end) AppendCoalesce(&out, *a++);
+  intervals_.erase_range(split, intervals_.size());
+  intervals_.reserve(split + out.size());
+  for (const Interval& iv : out) intervals_.push_back(iv);
 }
 
 IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
@@ -349,37 +401,14 @@ IntervalSet IntervalSet::Subtract(const IntervalSet& other) const {
   // appends stay normalized.
   IntervalSet out;
   out.intervals_.reserve(intervals_.size());
-  size_t j = 0;
+  const Interval* j = other.intervals_.begin();
+  const Interval* const end = other.intervals_.end();
   for (const Interval& a : intervals_) {
-    j = std::partition_point(
-            other.intervals_.begin() + j, other.intervals_.end(),
-            [&](const Interval& x) { return x.StrictlyBefore(a); }) -
-        other.intervals_.begin();
-    Bound cursor = a.lo();
-    bool covered_to_end = false;
     // Do not advance j inside the run: a wide subtrahend component can
     // overlap several later components of *this.
-    for (size_t k = j; k < other.intervals_.size() &&
-                       !a.StrictlyBefore(other.intervals_[k]);
-         ++k) {
-      const Interval& b = other.intervals_[k];
-      if (!b.lo().infinite) {
-        if (auto piece = Interval::Make(cursor, FlipOpenness(b.lo()));
-            piece.has_value()) {
-          out.intervals_.push_back(*piece);
-        }
-      }
-      if (b.hi().infinite) {
-        covered_to_end = true;
-        break;
-      }
-      cursor = FlipOpenness(b.hi());
-    }
-    if (!covered_to_end) {
-      if (auto tail = Interval::Make(cursor, a.hi()); tail.has_value()) {
-        out.intervals_.push_back(*tail);
-      }
-    }
+    j = std::partition_point(
+        j, end, [&](const Interval& x) { return x.StrictlyBefore(a); });
+    AppendUncovered(a, j, end, &out.intervals_);
   }
   return out;
 }

@@ -51,10 +51,13 @@ class IntervalSet {
 
   // Set algebra (all results normalized).
   //
-  // UnionWith merges `other` in a single coalescing sweep (one pass over
-  // both component lists) instead of one O(n) Insert per component;
-  // UnionWithDelta additionally returns the newly covered portion of
-  // `other` - the interval-level delta the semi-naive engine propagates.
+  // UnionWith merges `other` in a single coalescing sweep instead of one
+  // O(n) Insert per component; UnionWithDelta additionally returns the
+  // newly covered portion of `other` - the interval-level delta the
+  // semi-naive engine propagates - from the same sweep. Both leave the
+  // components strictly before `other` in place and sweep only the tail;
+  // a one-component `other` takes Add/Insert, and one that starts past the
+  // end is appended (and is all new).
   void UnionWith(const IntervalSet& other);
   IntervalSet UnionWithDelta(const IntervalSet& other);
   IntervalSet Intersect(const IntervalSet& other) const;
@@ -107,6 +110,11 @@ class IntervalSet {
   const Interval* end() const { return intervals_.end(); }
 
  private:
+  // The shared sweep of UnionWith/UnionWithDelta for a non-empty *this and
+  // a multi-component `other`; collects the new pieces into `fresh` when it
+  // is non-null.
+  void MergeTail(const IntervalSet& other, IntervalSet* fresh);
+
   SmallIntervalVec intervals_;
 };
 

@@ -14,15 +14,27 @@
 //
 // Programs that read the time point into a variable (timestamp(), as in
 // ETH-PERP's tdelta) do arithmetic on time values and are out of scope.
+//
+// Splitting and merging: a fact's extent is a set of time points, so how
+// the input divides it into facts is invisible. Cutting every input fact at
+// interior points, or merging touching input facts of one tuple, must leave
+// the materialization byte for byte the same. The split pieces reach the
+// store as interleaved multi-component sets, so the store's one-sweep merge
+// sees shapes that are not at the frontier. This property needs no time
+// map, so it holds for ETH-PERP too.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/chain/replayer.h"
+#include "src/chain/workload.h"
 #include "src/contracts/eth_perp_program.h"
 #include "src/eval/seminaive.h"
 #include "src/parser/parser.h"
@@ -299,6 +311,236 @@ TEST_P(ShiftRecursionTest, ShiftedRunIsShiftedOriginal) {
 INSTANTIATE_TEST_SUITE_P(Cases, ShiftRecursionTest,
                          ::testing::ValuesIn(kRecursionCases),
                          [](const auto& info) { return info.param.name; });
+
+// --- Input splitting and merging -------------------------------------------
+
+// The fact statements of a program text, one Fact each, before the parser
+// coalesces them into the input database.
+std::vector<Fact> TextFacts(const std::string& text) {
+  std::vector<Fact> out;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find(" .", start);
+    if (end == std::string::npos) break;
+    const std::string stmt = text.substr(start, end - start);
+    start = end + 2;
+    if (stmt.find(":-") != std::string::npos ||
+        stmt.find('@') == std::string::npos) {
+      continue;
+    }
+    auto unit = Parser::Parse(stmt + " .\n");
+    EXPECT_TRUE(unit.ok()) << unit.status() << ": " << stmt;
+    if (!unit.ok()) continue;
+    for (const auto& [pred, rel] : unit->database.relations()) {
+      for (const auto& [tuple, set] : rel.data()) {
+        for (const Interval& iv : set) out.push_back({pred, tuple, iv});
+      }
+    }
+  }
+  return out;
+}
+
+// One fact per stored component.
+std::vector<Fact> DatabaseFacts(const Database& db) {
+  std::vector<Fact> out;
+  for (const auto& [pred, rel] : db.relations()) {
+    for (const auto& [tuple, set] : rel.data()) {
+      for (const Interval& iv : set) out.push_back({pred, tuple, iv});
+    }
+  }
+  return out;
+}
+
+// Up to two points strictly inside `iv`, ascending; none for a point.
+std::vector<Rational> CutPoints(const Interval& iv, size_t n) {
+  if (iv.IsPunctual()) return {};
+  const Bound& lo = iv.lo();
+  const Bound& hi = iv.hi();
+  if (lo.infinite && hi.infinite) {
+    return n == 1 ? std::vector<Rational>{Rational(0)}
+                  : std::vector<Rational>{Rational(-1), Rational(1)};
+  }
+  if (lo.infinite || hi.infinite) {
+    const Rational& t = lo.infinite ? hi.value : lo.value;
+    const Rational d = lo.infinite ? Rational(-1) : Rational(1);
+    std::vector<Rational> out = {t + d};
+    if (n == 2) out.push_back(t + d + d);
+    if (lo.infinite) std::reverse(out.begin(), out.end());
+    return out;
+  }
+  const Rational len = hi.value - lo.value;
+  if (n == 1) return {lo.value + len * Rational(1, 2)};
+  return {lo.value + len * Rational(1, 3), lo.value + len * Rational(2, 3)};
+}
+
+// Cuts every fact at one or two interior points (alternately), and
+// alternates which side of each cut holds the cut point itself.
+std::vector<Fact> SplitFacts(const std::vector<Fact>& facts) {
+  std::vector<Fact> out;
+  bool left_holds = true;
+  size_t n = 1;
+  for (const Fact& f : facts) {
+    Bound lo = f.interval.lo();
+    for (const Rational& c : CutPoints(f.interval, n)) {
+      Bound cut_hi = left_holds ? Bound::Closed(c) : Bound::Open(c);
+      out.push_back({f.predicate, f.args, *Interval::Make(lo, cut_hi)});
+      lo = left_holds ? Bound::Open(c) : Bound::Closed(c);
+      left_holds = !left_holds;
+    }
+    out.push_back({f.predicate, f.args, *Interval::Make(lo, f.interval.hi())});
+    n = 3 - n;
+  }
+  return out;
+}
+
+using TupleKey = std::pair<PredicateId, Tuple>;
+
+// Per tuple, the facts' intervals in ascending order.
+std::map<TupleKey, std::vector<Interval>> ByTuple(
+    const std::vector<Fact>& facts) {
+  std::map<TupleKey, std::vector<Interval>> out;
+  for (const Fact& f : facts) out[{f.predicate, f.args}].push_back(f.interval);
+  for (auto& [key, ivs] : out) {
+    std::sort(ivs.begin(), ivs.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.StartsBefore(b);
+              });
+  }
+  return out;
+}
+
+// Merges the touching or overlapping facts of each tuple into one.
+std::vector<Fact> MergeAdjacentFacts(const std::vector<Fact>& facts) {
+  std::vector<Fact> out;
+  for (const auto& [key, ivs] : ByTuple(facts)) {
+    for (const Interval& iv : ivs) {
+      Fact* back = out.empty() ? nullptr : &out.back();
+      if (back != nullptr && back->predicate == key.first &&
+          back->args == key.second && back->interval.Unionable(iv)) {
+        back->interval = back->interval.UnionWith(iv);
+      } else {
+        out.push_back({key.first, key.second, iv});
+      }
+    }
+  }
+  return out;
+}
+
+// Loads split pieces as two interleaved sets per tuple: the odd-position
+// pieces first, then the even ones, each of which touches or sits between
+// stored components - a store merge away from the frontier.
+Database LoadInterleaved(const std::vector<Fact>& pieces) {
+  Database db;
+  for (const auto& [key, ivs] : ByTuple(pieces)) {
+    std::vector<Interval> even;
+    std::vector<Interval> odd;
+    for (size_t i = 0; i < ivs.size(); ++i) {
+      (i % 2 == 0 ? even : odd).push_back(ivs[i]);
+    }
+    if (!odd.empty()) {
+      db.InsertSet(key.first, key.second, IntervalSet::FromIntervals(odd));
+    }
+    db.InsertSet(key.first, key.second, IntervalSet::FromIntervals(even));
+  }
+  return db;
+}
+
+// Loads facts one Insert at a time, latest first.
+Database LoadReversed(const std::vector<Fact>& facts) {
+  Database db;
+  for (auto it = facts.rbegin(); it != facts.rend(); ++it) db.Insert(*it);
+  return db;
+}
+
+// `facts` is the input as a fact list; `input` the database it loads to.
+void ExpectSplitMergeInvariant(const Program& program, const Database& input,
+                               const std::vector<Fact>& facts,
+                               const EngineOptions& options,
+                               const std::string& label) {
+  Database original = input;
+  Status status = Materialize(program, &original, options);
+  ASSERT_TRUE(status.ok()) << status << " (" << label << ")";
+
+  const std::vector<Fact> split = SplitFacts(facts);
+  const std::vector<Fact> merged = MergeAdjacentFacts(facts);
+  struct Variant {
+    const char* name;
+    Database db;
+  };
+  for (Variant v : {Variant{"split", LoadInterleaved(split)},
+                    Variant{"merged", LoadReversed(merged)},
+                    Variant{"split+merged",
+                            LoadReversed(MergeAdjacentFacts(split))}}) {
+    EXPECT_EQ(v.db.ToString(), input.ToString()) << label << " " << v.name;
+    status = Materialize(program, &v.db, options);
+    ASSERT_TRUE(status.ok()) << status << " (" << label << " " << v.name
+                             << ")";
+    EXPECT_EQ(v.db.ToString(), original.ToString())
+        << label << ": " << v.name << " input diverged";
+  }
+}
+
+class SplitFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SplitFuzzTest, SplitAndMergedInputsMaterializeIdentically) {
+  ProgramFuzzer fuzzer(GetParam());
+  std::string text = fuzzer.Generate();
+  auto unit = Parser::Parse(text);
+  ASSERT_TRUE(unit.ok()) << unit.status() << "\nprogram:\n" << text;
+  EngineOptions options;
+  options.min_time = Rational(0);
+  options.max_time = Rational(40);
+  const std::vector<Fact> facts = TextFacts(text);
+  ASSERT_FALSE(facts.empty());
+  ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
+                            "fuzz program:\n" + text);
+  options.enable_chain_acceleration = false;
+  ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
+                            "fuzz program (no-accel):\n" + text);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SplitFuzzTest,
+                         ::testing::Range<uint64_t>(1, 13));
+
+class SplitRecursionTest : public ::testing::TestWithParam<RecursionCase> {};
+
+TEST_P(SplitRecursionTest, SplitAndMergedInputsMaterializeIdentically) {
+  auto unit = Parser::Parse(GetParam().text);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  EngineOptions options;
+  options.min_time = Rational(0);
+  options.max_time = Rational(20);
+  const std::vector<Fact> facts = TextFacts(GetParam().text);
+  ASSERT_FALSE(facts.empty());
+  ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
+                            GetParam().name);
+  options.enable_chain_acceleration = false;
+  ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
+                            std::string(GetParam().name) + "/no-accel");
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, SplitRecursionTest,
+                         ::testing::ValuesIn(kRecursionCases),
+                         [](const auto& info) { return info.param.name; });
+
+TEST(SplitInvarianceTest, EthPerpSession) {
+  WorkloadConfig config;
+  config.name = "split-invariance";
+  config.num_events = 60;
+  config.num_trades = 12;
+  config.duration_s = 1800;
+  config.seed = 7;
+  auto session = GenerateSession(config);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto program = EthPerpProgram({});
+  ASSERT_TRUE(program.ok()) << program.status();
+  const Database input = SessionToDatabase(*session);
+  const std::vector<Fact> facts = DatabaseFacts(input);
+  // The price step function is the non-punctual input; it must be cut.
+  ASSERT_GT(SplitFacts(facts).size(), facts.size());
+  ExpectSplitMergeInvariant(*program, input, facts,
+                            SessionEngineOptions(*session), "ETH-PERP");
+}
 
 // Directed rational inputs: a non-integral rule bound, fact endpoint or
 // horizon must scale like the integral ones.

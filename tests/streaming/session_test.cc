@@ -24,6 +24,7 @@
 #include "src/eval/incremental.h"
 #include "src/parser/parser.h"
 #include "src/storage/serialize.h"
+#include "src/storage/snapshot.h"
 #include "src/streaming/session.h"
 
 namespace dmtl {
@@ -250,6 +251,62 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedAtCreate) {
     if (!unit.ok()) continue;  // parser-level rejection also acceptable
     auto session = StreamingSession::Create(unit->program, Opts(0));
     EXPECT_FALSE(session.ok()) << "accepted ineligible program:\n" << text;
+  }
+}
+
+TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
+  // With streaming off, a fresh session and a restore check eligibility
+  // without building an evaluator. Both must refuse what the streaming
+  // Create refuses, with the same first error: option, safety,
+  // stratification and rule-walk failures alike (the later cases fail two
+  // checks, so the order shows).
+  struct Case {
+    const char* text;
+    bool naive;
+  };
+  for (const Case& c : {
+           Case{"q(X) :- diamondplus[0,2] p(X) .\n", false},
+           Case{"q(X) :- p(X) since[0,3] r(X) .\n", false},
+           Case{"q(X) :- not p(X), X = 1 .\n", false},
+           Case{"q(X, Y) :- p(X) .\n", false},
+           Case{"q(X, Y) :- diamondplus[0,1] p(X) .\n", false},
+           Case{"q(X) :- p(X), not q(X) .\nr(X) :- boxplus[0,1] q(X) .\n",
+                false},
+           Case{"q(X) :- diamondminus[0,2] p(X) .\n", true},
+       }) {
+    SCOPED_TRACE(c.text);
+    auto unit = Parser::Parse(c.text);
+    ASSERT_TRUE(unit.ok()) << unit.status();
+    SessionOptions streaming = Opts(0);
+    streaming.engine.naive_evaluation = c.naive;
+    streaming.engine.enable_streaming = true;
+    Database scratch;
+    EngineOptions engine = streaming.engine;
+    engine.min_time = Rational(0);
+    auto reference =
+        IncrementalMaterializer::Create(unit->program, &scratch, engine);
+    ASSERT_FALSE(reference.ok());
+    EXPECT_EQ(IncrementalMaterializer::CheckEligible(unit->program, engine)
+                  .ToString(),
+              reference.status().ToString());
+
+    SessionSnapshot snapshot;
+    snapshot.program_fingerprint = ProgramFingerprint(unit->program);
+    snapshot.watermark = Rational(2);
+    snapshot.advanced = true;
+    snapshot.input_log.push_back(
+        Fact::Make("p", {Value::Symbol("a")}, Interval::Point(Rational(1))));
+    for (bool on : {true, false}) {
+      SessionOptions options = streaming;
+      options.engine.enable_streaming = on;
+      auto fresh = StreamingSession::Create(unit->program, options);
+      ASSERT_FALSE(fresh.ok()) << "streaming=" << on;
+      EXPECT_EQ(fresh.status().ToString(), reference.status().ToString());
+      auto restored =
+          StreamingSession::Restore(unit->program, options, snapshot);
+      ASSERT_FALSE(restored.ok()) << "streaming=" << on;
+      EXPECT_EQ(restored.status().ToString(), reference.status().ToString());
+    }
   }
 }
 
