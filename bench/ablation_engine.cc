@@ -1,8 +1,7 @@
 // Experiment B7 - engine ablations for the design choices DESIGN.md calls
-// out: (a) chain acceleration on/off, (b) semi-naive vs naive evaluation,
-// (c) cost-based join planning on/off. All variants must produce identical
-// materializations; the ablation quantifies the cost of turning each
-// optimization off.
+// out: (a) chain acceleration on/off, (b) semi-naive vs naive evaluation.
+// All variants must produce identical materializations; the ablation
+// quantifies the cost of turning each optimization off.
 //
 // Timing: one untimed warm-up run first (the first run of a process pays
 // for page faults and cold caches no later run sees), then kRuns rounds
@@ -25,7 +24,6 @@ struct Config {
   const char* label;
   bool accel;
   bool naive;
-  bool planning;
 };
 
 double RunWith(const Session& session, const Program& program,
@@ -34,7 +32,6 @@ double RunWith(const Session& session, const Program& program,
   EngineOptions options = SessionEngineOptions(session);
   options.enable_chain_acceleration = config.accel;
   options.naive_evaluation = config.naive;
-  options.enable_join_planning = config.planning;
   bench::Check(Materialize(program, &db, options, stats), "materialize");
   return stats->wall_seconds;
 }
@@ -64,10 +61,9 @@ int main() {
   const Program program = bench::Check(EthPerpProgram(), "program");
 
   const Config configs[] = {
-      {"semi-naive + accel + planner", true, false, true},
-      {"semi-naive + accel, no planner", true, false, false},
-      {"semi-naive, no acceleration", false, false, true},
-      {"naive re-evaluation", false, true, true},
+      {"semi-naive + accel", true, false},
+      {"semi-naive, no acceleration", false, false},
+      {"naive re-evaluation", false, true},
   };
   constexpr size_t kConfigs = sizeof(configs) / sizeof(configs[0]);
 
@@ -93,11 +89,9 @@ int main() {
   std::printf("(median of %d interleaved runs after one warm-up run)\n",
               kRuns);
   std::printf("\nspeedup from chain acceleration: %.1fx\n",
-              median[2] / median[0]);
-  std::printf("speedup of semi-naive over naive: %.1fx\n",
-              median[3] / median[2]);
-  std::printf("speedup from join planning:       %.2fx\n",
               median[1] / median[0]);
+  std::printf("speedup of semi-naive over naive: %.1fx\n",
+              median[2] / median[1]);
   std::printf("planner: %zu indexes, %zu probes (%zu hits), %zu tuples "
               "pruned\n",
               stats[0].planner_indexes_built, stats[0].planner_index_probes,

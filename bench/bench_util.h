@@ -203,7 +203,6 @@ inline void WriteContext(JsonBuilder* json, bool guards_enabled = false,
   json->Field("git_sha", GitSha());
   json->Field("build_type", BuildType());
   json->Field("guards_enabled", guards_enabled);
-  json->Field("enable_rule_compile", resolved.enable_rule_compile);
   json->Field("enable_streaming", resolved.enable_streaming);
   json->EndObject();
 }

@@ -139,11 +139,8 @@ void BM_ParseEthPerpProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseEthPerpProgram);
 
-// The rule compiler's dispatch loop against the AST walker on the same
-// recursive join workload. Arg is enable_rule_compile; Arg(0) is the
-// staged interpreter, so the ratio of the two rows is the VM win on
-// join-heavy evaluation (chain acceleration is off to keep every round
-// in the per-rule executor under test).
+// The rule VM's dispatch loop on a recursive join workload (chain
+// acceleration is off to keep every round in the per-rule executor).
 void BM_VmDispatch(benchmark::State& state) {
   Database db = EdgeFacts(96);
   auto program = Parser::ParseProgram(
@@ -152,13 +149,12 @@ void BM_VmDispatch(benchmark::State& state) {
       "near(X, Z) :- diamondminus[0,5] reach(X, Z), not edge(X, Z) .");
   EngineOptions options;
   options.enable_chain_acceleration = false;
-  options.enable_rule_compile = state.range(0) != 0;
   for (auto _ : state) {
     Database out = db;
     benchmark::DoNotOptimize(Materialize(*program, &out, options));
   }
 }
-BENCHMARK(BM_VmDispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_VmDispatch);
 
 }  // namespace
 }  // namespace dmtl

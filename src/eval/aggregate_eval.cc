@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "src/analysis/safety.h"
+
 namespace dmtl {
 
 namespace {
@@ -115,43 +117,44 @@ Result<Value> Aggregate(AggKind kind, const std::vector<Value>& values) {
 
 }  // namespace
 
-Result<AggregateEvaluator> AggregateEvaluator::Create(
-    const Rule& rule, bool enable_join_planning) {
+Result<AggregateEvaluator> AggregateEvaluator::Create(const Rule& rule) {
   if (!rule.head.aggregate.has_value()) {
     return Status::InvalidArgument("rule has no aggregate head: " +
                                    rule.ToString());
   }
-  DMTL_ASSIGN_OR_RETURN(RuleEvaluator body,
-                        RuleEvaluator::Create(rule, enable_join_planning));
-  return AggregateEvaluator(std::move(body));
+  return AggregateEvaluator(rule.head);
 }
 
-Status AggregateEvaluator::Evaluate(const Database& db,
-                                    const RuleEvaluator::EmitFn& emit) const {
-  const Rule& r = body_eval_.rule();
-  const AggregateSpec& spec = *r.head.aggregate;
+std::vector<Term> AggregateEvaluator::WitnessTerms(const Rule& rule) {
+  std::vector<Term> terms = rule.head.args;
+  std::set<int> bound = PositiveLiteralVars(rule);
+  for (const BodyLiteral& lit : rule.body) {
+    if (lit.kind == BodyLiteral::Kind::kBuiltin &&
+        lit.builtin.kind != BuiltinAtom::Kind::kCompare) {
+      bound.insert(lit.builtin.var);
+    }
+  }
+  for (const Term& t : rule.head.args) {
+    if (t.is_variable()) bound.erase(t.var());
+  }
+  for (int var : bound) terms.push_back(Term::Variable(var));
+  return terms;
+}
 
-  std::vector<BindingRow> rows;
-  DMTL_RETURN_IF_ERROR(body_eval_.EvaluateRows(db, nullptr, -1, &rows));
+Status AggregateEvaluator::Evaluate(const std::vector<WitnessRow>& witnesses,
+                                    const EmitFn& emit) const {
+  const AggregateSpec& spec = *head_.aggregate;
+  const size_t arity = head_.args.size();
 
   // Group rows by the non-aggregated head arguments.
   std::map<Tuple, std::vector<Contribution>> groups;
-  for (const BindingRow& row : rows) {
+  for (const auto& [values, extent] : witnesses) {
     Tuple key;
-    key.reserve(r.head.args.size());
-    for (size_t i = 0; i < r.head.args.size(); ++i) {
-      if (static_cast<int>(i) == spec.arg_index) continue;
-      if (!row.binding.IsResolved(r.head.args[i])) {
-        return Status::UnsafeRule("unbound head variable in aggregate rule: " +
-                                  r.ToString());
-      }
-      key.push_back(row.binding.Resolve(r.head.args[i]));
+    key.reserve(arity);
+    for (size_t i = 0; i < arity; ++i) {
+      if (static_cast<int>(i) != spec.arg_index) key.push_back(values[i]);
     }
-    if (!row.binding.IsResolved(spec.term)) {
-      return Status::UnsafeRule("unbound aggregate term in rule: " +
-                                r.ToString());
-    }
-    groups[key].push_back({row.binding.Resolve(spec.term), row.extent});
+    groups[key].push_back({values[spec.arg_index], extent});
   }
 
   for (auto& [key, contribs] : groups) {
@@ -169,18 +172,10 @@ Status AggregateEvaluator::Evaluate(const Database& db,
       if (values.empty()) continue;
       DMTL_ASSIGN_OR_RETURN(Value agg, Aggregate(spec.kind, values));
       // Reassemble the full head tuple with the aggregate slotted in.
-      Tuple tuple;
-      tuple.reserve(r.head.args.size());
-      size_t key_pos = 0;
-      for (size_t i = 0; i < r.head.args.size(); ++i) {
-        if (static_cast<int>(i) == spec.arg_index) {
-          tuple.push_back(agg);
-        } else {
-          tuple.push_back(key[key_pos++]);
-        }
-      }
+      Tuple tuple = key;
+      tuple.insert(tuple.begin() + spec.arg_index, std::move(agg));
       IntervalSet extent{segment};
-      for (const HeadAtom::HeadOp& op : r.head.ops) {
+      for (const HeadAtom::HeadOp& op : head_.ops) {
         extent = op.op == MtlOp::kBoxMinus ? extent.DiamondPlus(op.range)
                                            : extent.DiamondMinus(op.range);
       }

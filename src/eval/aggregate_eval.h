@@ -1,13 +1,26 @@
 #ifndef DMTL_EVAL_AGGREGATE_EVAL_H_
 #define DMTL_EVAL_AGGREGATE_EVAL_H_
 
-#include "src/eval/rule_eval.h"
+#include <utility>
+#include <vector>
+
+#include "src/ast/rule.h"
+#include "src/eval/operators.h"
 
 namespace dmtl {
 
-// Evaluates rules with an aggregated head argument, e.g.
+// One body binding of an aggregate rule: the values of WitnessTerms under
+// the binding, and the extent over which the body holds for it.
+using WitnessRow = std::pair<Tuple, IntervalSet>;
+
+// Aggregates the body bindings of a rule with an aggregated head argument,
+// e.g.
 //
 //   event(msum(S)) :- eventContrib(A, S) .
+//
+// The rule VM runs the body like any other rule's, but emits one witness
+// row per body binding in place of a head fact (see RuleCompiler); this
+// class groups those rows.
 //
 // Stratified temporal aggregation: witnesses are the distinct body
 // bindings; groups are the non-aggregated head arguments; the aggregate is
@@ -21,24 +34,23 @@ namespace dmtl {
 // strictly lower), so a single evaluation per materialization suffices.
 class AggregateEvaluator {
  public:
-  static Result<AggregateEvaluator> Create(const Rule& rule,
-                                           bool enable_join_planning = true);
+  static Result<AggregateEvaluator> Create(const Rule& rule);
 
-  const Rule& rule() const { return body_eval_.rule(); }
+  // What a witness row carries, in order: the head arguments (the
+  // aggregated term in its head slot), then every other variable the body
+  // binds. Two bindings that differ anywhere stay two witnesses, so two
+  // accounts contributing the same value both count.
+  static std::vector<Term> WitnessTerms(const Rule& rule);
 
-  // Planner counters of the body evaluator (null when planning is off).
-  const PlannerStats* planner_stats() const {
-    return body_eval_.planner_stats();
-  }
-
-  Status Evaluate(const Database& db,
-                  const RuleEvaluator::EmitFn& emit) const;
+  // Groups `witnesses` and emits each group's aggregate per segment, with
+  // the head operators applied.
+  Status Evaluate(const std::vector<WitnessRow>& witnesses,
+                  const EmitFn& emit) const;
 
  private:
-  explicit AggregateEvaluator(RuleEvaluator body_eval)
-      : body_eval_(std::move(body_eval)) {}
+  explicit AggregateEvaluator(HeadAtom head) : head_(std::move(head)) {}
 
-  RuleEvaluator body_eval_;
+  HeadAtom head_;
 };
 
 }  // namespace dmtl

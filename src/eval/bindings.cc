@@ -4,33 +4,10 @@
 
 namespace dmtl {
 
-bool Bindings::Unify(const Term& term, const Value& v) {
-  if (term.is_constant()) return term.value() == v;
-  if (IsBound(term.var())) return Get(term.var()) == v;
-  Set(term.var(), v);
-  return true;
-}
-
 const Value& Bindings::Resolve(const Term& term) const {
   if (term.is_constant()) return term.value();
   assert(IsBound(term.var()));
   return Get(term.var());
-}
-
-std::string Bindings::ToString(
-    const std::vector<std::string>& var_names) const {
-  std::string out = "{";
-  bool first = true;
-  for (size_t i = 0; i < values_.size(); ++i) {
-    if (!bound_[i]) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += (i < var_names.size() ? var_names[i] : "V" + std::to_string(i));
-    out += "=";
-    out += values_[i].ToString();
-  }
-  out += '}';
-  return out;
 }
 
 }  // namespace dmtl

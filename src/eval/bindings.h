@@ -1,11 +1,9 @@
 #ifndef DMTL_EVAL_BINDINGS_H_
 #define DMTL_EVAL_BINDINGS_H_
 
-#include <string>
 #include <vector>
 
 #include "src/ast/term.h"
-#include "src/temporal/interval_set.h"
 
 namespace dmtl {
 
@@ -25,15 +23,9 @@ class Bindings {
     bound_[var] = true;
   }
 
-  // Marks a slot unbound again (the value is left in place). The compiled
-  // executor backtracks by unsetting the registers an atom bound instead of
-  // copying whole Bindings per candidate like the staged interpreter.
+  // Marks a slot unbound again (the value is left in place). The rule VM
+  // backtracks by unsetting the registers an atom bound.
   void Unset(int var) { bound_[var] = false; }
-
-  // Unifies a term against a value: binds free variables, checks bound
-  // variables and constants for equality. Returns false on mismatch (and
-  // may have bound variables; callers work on copies).
-  bool Unify(const Term& term, const Value& v);
 
   // Resolves a term under this binding; the term must be a constant or a
   // bound variable.
@@ -44,18 +36,9 @@ class Bindings {
     return term.is_constant() || IsBound(term.var());
   }
 
-  std::string ToString(const std::vector<std::string>& var_names) const;
-
  private:
   std::vector<Value> values_;
   std::vector<bool> bound_;
-};
-
-// A partial rule-evaluation result: a variable binding plus the temporal
-// extent over which the body conjuncts seen so far jointly hold.
-struct BindingRow {
-  Bindings binding;
-  IntervalSet extent;
 };
 
 }  // namespace dmtl

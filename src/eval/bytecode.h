@@ -12,19 +12,16 @@ namespace dmtl {
 
 // Flat register-style programs the rule compiler lowers rules into - one
 // program per (rule, semi-naive delta occurrence) variant. The program bakes
-// in everything the AST walker re-derives on every round: the planner's
-// literal order, each atom's bound-signature and index-key recipe, the
-// unification plan per tuple position (boundness is static once the literal
-// order is fixed), each literal's root-to-atom operator path, and the head
-// projection. The dispatch loop (RuleVm) then runs a DFS over the program
+// in the planner's literal order, each atom's bound-signature and index-key
+// recipe, the unification plan per tuple position (boundness is static once
+// the literal order is fixed), each literal's root-to-atom operator path,
+// and the head projection. The dispatch loop (RuleVm) then runs a DFS over the program
 // with no per-candidate allocation: variables bind into one shared register
 // file and are unset on backtrack.
 //
-// The row pipeline mirrors the interpreter's stages exactly - positive
-// literals (in plan order), early builtins, negated literals, timestamp
-// splits, late builtins, head emission - so the emitted (tuple, extent)
-// sequence is the same sequence the staged AST walker produces for the same
-// plan.
+// The row pipeline runs RuleEvaluator's stages in order: positive literals
+// (in plan order), early builtins, negated literals, timestamp splits, late
+// builtins, head emission.
 
 enum class OpCode : uint8_t {
   // Prologue (straight-line, once per dispatch): resolve the relation and
@@ -70,8 +67,8 @@ struct ValueRef {
 };
 
 // One tuple position of an atom's unification plan. Boundness is static at
-// compile time (the plan fixes the literal order), so the per-candidate
-// branch ladder of Bindings::Unify collapses to a preresolved step list.
+// compile time (the plan fixes the literal order), so per-candidate
+// unification collapses to a preresolved step list.
 struct UnifyStep {
   enum class Kind : uint8_t {
     kBind,        // first occurrence of a free variable: write the register
@@ -111,7 +108,7 @@ struct AtomCode {
   size_t num_tuples_at_compile = 0;
 };
 
-// Mirror of RuleEvaluator::LiteralShape for the compiled path.
+// RuleEvaluator::LiteralShape, for the compiled path.
 enum class LitShape : uint8_t { kBareAtom, kUnaryChain, kGeneral };
 
 struct LiteralCode {

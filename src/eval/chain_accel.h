@@ -1,13 +1,11 @@
 #ifndef DMTL_EVAL_CHAIN_ACCEL_H_
 #define DMTL_EVAL_CHAIN_ACCEL_H_
 
-#include <functional>
 #include <map>
 #include <optional>
 
 #include "src/ast/rule.h"
-#include "src/common/status.h"
-#include "src/storage/database.h"
+#include "src/temporal/interval.h"
 
 namespace dmtl {
 
@@ -19,8 +17,9 @@ namespace dmtl {
 // where the head equals the shifted body atom, c > 0, and every guard /
 // blocker predicate lives in a strictly lower stratum (hence is fully
 // materialized). Instead of one fixpoint round per tick, the closure of
-// each seed tuple is emitted in a single pass: the guard-allowed time set
-// is computed once per tuple and the step-c progression is walked directly.
+// each seed tuple is emitted in a single pass (RuleVm::ExtendChain): the
+// guard-allowed time set is computed once per tuple and the step-c
+// progression is walked directly.
 //
 // This is an optimization only - it derives exactly the facts the naive
 // fixpoint would (the ablation bench verifies equality of materializations).
@@ -38,23 +37,6 @@ class ChainAccelerator {
   // pattern under the given predicate->stratum map, nullopt otherwise.
   static std::optional<ChainInfo> Detect(
       const Rule& rule, const std::map<PredicateId, int>& predicate_stratum);
-
-  // Emits one point/interval at a time; returns whether any part was new
-  // (walks stop early once they re-enter already-derived territory).
-  using EmitPointFn =
-      std::function<Result<bool>(const Tuple& tuple, const Interval& iv)>;
-
-  // Guard-allowed sets per head tuple. Guards live in lower strata, so the
-  // engine keeps one cache per chain rule for the lifetime of its stratum.
-  using AllowedCache = std::unordered_map<Tuple, IntervalSet, TupleHash>;
-
-  // Extends every tuple present in `delta` for the chain predicate to its
-  // closure. `window` clamps the walk (required when guards leave the
-  // allowed set unbounded). `cache` may be null.
-  static Status Extend(const Rule& rule, const ChainInfo& info,
-                       const Database& db, const Database& delta,
-                       const Interval& window, AllowedCache* cache,
-                       const EmitPointFn& emit);
 };
 
 }  // namespace dmtl

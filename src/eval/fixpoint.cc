@@ -11,8 +11,7 @@ namespace dmtl {
 namespace {
 
 // Sink emissions between guard checks. Covers every unbounded emission
-// loop - notably chain-accelerator walks, which emit point-by-point through
-// EmitOne - so a divergent rule observes a deadline within ~256 emissions.
+// loop, so a divergent rule observes a deadline within ~256 emissions.
 constexpr uint64_t kSinkGuardStrideMask = 255;
 
 bool AnyCoverage(const std::set<PredicateId>& preds, const Database& db) {
@@ -68,18 +67,6 @@ class FixpointDriver::Sink {
     IntervalSet clamped = extent.Intersect(window_);
     if (clamped.IsEmpty()) return Status::Ok();
     return Record(pred, tuple, db_->InsertSet(pred, tuple, clamped));
-  }
-
-  Result<bool> EmitOne(PredicateId pred, const Tuple& tuple,
-                       const Interval& iv) {
-    // Two intervals intersect to at most one interval: clip without any
-    // IntervalSet temporary.
-    auto part = iv.Intersect(window_);
-    if (!part.has_value()) return false;
-    IntervalSet fresh = db_->Insert(pred, tuple, *part);
-    bool any_new = !fresh.IsEmpty();
-    DMTL_RETURN_IF_ERROR(Record(pred, tuple, fresh));
-    return any_new;
   }
 
   // Provenance context: which rule is emitting, in which round.
@@ -157,21 +144,16 @@ Result<std::unique_ptr<FixpointDriver>> FixpointDriver::Create(
         d->positive_preds_[i].insert(a->predicate);
       }
     }
-    if (rule.head.aggregate.has_value()) {
-      DMTL_ASSIGN_OR_RETURN(
-          AggregateEvaluator agg,
-          AggregateEvaluator::Create(rule, options.enable_join_planning));
-      d->compiled_.push_back(CompiledRule{std::move(agg), std::nullopt});
-      continue;
-    }
-    DMTL_ASSIGN_OR_RETURN(
-        RuleEvaluator eval,
-        RuleEvaluator::Create(rule, options.enable_join_planning));
     std::optional<ChainAccelerator::ChainInfo> chain;
     if (options.enable_chain_acceleration) {
       chain = ChainAccelerator::Detect(rule, d->strat_.predicate_stratum);
     }
-    d->compiled_.push_back(CompiledRule{std::move(eval), std::move(chain)});
+    CompiledRule c;
+    DMTL_ASSIGN_OR_RETURN(c.vm, RuleVm::Create(rule, chain));
+    if (rule.head.aggregate.has_value()) {
+      DMTL_ASSIGN_OR_RETURN(c.agg, AggregateEvaluator::Create(rule));
+    }
+    d->compiled_.push_back(std::move(c));
   }
 
   d->stratum_body_preds_.resize(d->strat_.num_strata);
@@ -182,52 +164,24 @@ Result<std::unique_ptr<FixpointDriver>> FixpointDriver::Create(
     }
   }
 
-  // Lower each rule's plan to a flat bytecode program run by the dispatch
-  // loop. Declined rules (aggregate heads handled by AggregateEvaluator are
-  // not counted; see RuleCompiler::Declines for the rest) keep the AST
-  // walker - both executors emit identical derivations, so they can be
-  // mixed freely within one run. DMTL_DISABLE_RULE_COMPILE in the
-  // environment forces the interpreter everywhere (folded into the options
-  // by WithEnvOverrides) - the hook CI's compile-off lane uses to re-run
-  // the whole suite against the walker without touching call sites.
-  if (options.enable_rule_compile) {
-    d->vms_.resize(d->compiled_.size());
-    for (size_t i = 0; i < d->compiled_.size(); ++i) {
-      if (d->compiled_[i].is_aggregate()) continue;
-      std::string why;
-      d->vms_[i] = RuleVm::Create(std::get<RuleEvaluator>(d->compiled_[i].eval),
-                                  d->compiled_[i].chain, &why);
-      if (d->vms_[i] != nullptr) {
-        ++d->compiled_rules_;
-      } else {
-        ++d->vm_fallbacks_;
-      }
-    }
-  }
   return d;
 }
 
 void FixpointDriver::InvalidateCompiledState() {
-  for (auto& vm : vms_) {
-    if (vm != nullptr) vm->InvalidateCompiledState();
-  }
+  for (CompiledRule& c : compiled_) c.vm->InvalidateCompiledState();
   bound_db_ = nullptr;
 }
 
 FixpointDriver::Counters FixpointDriver::Snapshot() const {
   Counters c;
   for (const CompiledRule& rule : compiled_) {
-    const PlannerStats* ps = rule.planner_stats();
-    if (ps == nullptr) continue;
-    c.idx_built += ps->indexes_built.load(std::memory_order_relaxed);
-    c.probes += ps->index_probes.load(std::memory_order_relaxed);
-    c.probe_hits += ps->index_probe_hits.load(std::memory_order_relaxed);
-    c.pruned += ps->envelope_pruned.load(std::memory_order_relaxed);
-  }
-  for (const auto& vm : vms_) {
-    if (vm == nullptr) continue;
-    c.vm_disp += vm->dispatches();
-    c.vm_comp += vm->compiles();
+    const PlannerStats& ps = rule.vm->planner_stats();
+    c.idx_built += ps.indexes_built.load(std::memory_order_relaxed);
+    c.probes += ps.index_probes.load(std::memory_order_relaxed);
+    c.probe_hits += ps.index_probe_hits.load(std::memory_order_relaxed);
+    c.pruned += ps.envelope_pruned.load(std::memory_order_relaxed);
+    c.vm_disp += rule.vm->dispatches();
+    c.vm_comp += rule.vm->compiles();
   }
   c.bulk = IntervalSet::BulkMergeCount();
   return c;
@@ -243,13 +197,10 @@ Status FixpointDriver::Run(Database* db, const Interval& window,
   }
   // Chain guard-allowed sets are only stable within one run: guard
   // predicates grow between runs.
-  for (auto& vm : vms_) {
-    if (vm != nullptr) vm->ClearChainCache();
-  }
+  for (CompiledRule& c : compiled_) c.vm->ClearChainCache();
   const Counters base = Snapshot();
   stats->num_strata = strat_.num_strata;
-  stats->compiled_rules = compiled_rules_;
-  stats->vm_fallbacks = vm_fallbacks_;
+  stats->compiled_rules = compiled_.size();
   stats->stratum_wall_seconds.resize(strat_.num_strata, 0.0);
 
   Status status = Status::Ok();
@@ -267,10 +218,8 @@ Status FixpointDriver::Run(Database* db, const Interval& window,
   stats->bulk_merges += now.bulk - base.bulk;
   stats->rule_plan_cost.clear();
   for (const CompiledRule& c : compiled_) {
-    if (const PlannerStats* ps = c.planner_stats()) {
-      stats->rule_plan_cost.push_back(
-          ps->last_plan_cost.load(std::memory_order_relaxed));
-    }
+    stats->rule_plan_cost.push_back(
+        c.vm->planner_stats().last_plan_cost.load(std::memory_order_relaxed));
   }
   return status;
 }
@@ -294,9 +243,6 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
   Database next_delta;
   Sink sink(db, &next_delta, window, provenance, options_.max_intervals,
             stats, guard);
-  // Guard-allowed caches for chain rules live for the whole stratum.
-  std::unordered_map<size_t, ChainAccelerator::AllowedCache> chain_caches;
-
   // Failure handling: every round runs inside RunProtected, and any round
   // failure goes through fail_round, which subtracts the round's delta
   // from the store. next_delta holds exactly the coverage inserted since
@@ -342,7 +288,7 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
       std::vector<RoundTask> tasks;
       for (size_t id : rule_ids) {
         const CompiledRule& c = compiled_[id];
-        if (c.is_aggregate()) {
+        if (c.agg.has_value()) {
           // Aggregates run once, before round 0's plain rules: their
           // inputs are strictly below this stratum, so one evaluation is
           // complete, and the stratum's plain rules may read their output
@@ -353,10 +299,19 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
           }
           ++stats->rule_evaluations;
           sink.SetContext(id, 0);
+          std::vector<WitnessRow> witnesses;
+          DMTL_RETURN_IF_ERROR(c.vm->Evaluate(
+              *db, nullptr, -1,
+              [&witnesses](const Tuple& tuple,
+                           const IntervalSet& extent) -> Status {
+                witnesses.emplace_back(tuple, extent);
+                return Status::Ok();
+              },
+              guard));
           const PredicateId head = c.rule().head.predicate;
-          DMTL_RETURN_IF_ERROR(std::get<AggregateEvaluator>(c.eval).Evaluate(
-              *db, [&sink, head](const Tuple& tuple,
-                                 const IntervalSet& extent) -> Status {
+          DMTL_RETURN_IF_ERROR(c.agg->Evaluate(
+              witnesses, [&sink, head](const Tuple& tuple,
+                                       const IntervalSet& extent) -> Status {
                 return sink.Emit(head, tuple, extent);
               }));
           continue;
@@ -365,7 +320,7 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
         t.rule_id = id;
         if (round == 0 && seeds == nullptr) {
           t.initial = true;
-        } else if (c.chain.has_value()) {
+        } else if (c.vm->has_chain()) {
           if (round == 0 && !AnyCoverage(positive_preds_[id], *seeds)) {
             continue;
           }
@@ -378,9 +333,9 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
         }
         tasks.push_back(std::move(t));
       }
-      DMTL_RETURN_IF_ERROR(RunRound(tasks, *db, round_delta, window,
-                                    &chain_caches, round, &sink, stats,
-                                    guard));
+      DMTL_RETURN_IF_ERROR(
+          RunRound(tasks, *db, round_delta, window, round, &sink, stats,
+                   guard));
       // Round-end check: a guard trip observed mid-round by a truncating
       // path (operator scans return partial unions) latches; catching it
       // here guarantees the round is discarded even if every Status path
@@ -409,11 +364,10 @@ std::vector<int> FixpointDriver::DeltaOccurrences(
     if (lit.kind != BodyLiteral::Kind::kMetric || lit.negated) continue;
     lit.metric.CollectRelationalAtoms(&all_atoms);
   }
-  const auto& eval = std::get<RuleEvaluator>(c.eval);
-  for (int occ = 0; occ < eval.num_positive_occurrences(); ++occ) {
+  for (size_t occ = 0; occ < all_atoms.size(); ++occ) {
     const Relation* changed = delta.Find(all_atoms[occ]->predicate);
     if (changed == nullptr || changed->IsEmpty()) continue;
-    occurrences.push_back(occ);
+    occurrences.push_back(static_cast<int>(occ));
   }
   return occurrences;
 }
@@ -422,16 +376,14 @@ std::vector<int> FixpointDriver::DeltaOccurrences(
 // goes through `sink` straight away, so a later task of the round already
 // reads what an earlier one derived; the semi-naive positions stay those of
 // the round-start `delta`.
-Status FixpointDriver::RunRound(
-    const std::vector<RoundTask>& tasks, const Database& db,
-    const Database& delta, const Interval& window,
-    std::unordered_map<size_t, ChainAccelerator::AllowedCache>* chain_caches,
-    size_t round, Sink* sink, EngineStats* stats,
-    const ExecutionGuard* guard) {
+Status FixpointDriver::RunRound(const std::vector<RoundTask>& tasks,
+                                const Database& db, const Database& delta,
+                                const Interval& window, size_t round,
+                                Sink* sink, EngineStats* stats,
+                                const ExecutionGuard* guard) {
   for (const RoundTask& t : tasks) {
-    const CompiledRule& c = compiled_[t.rule_id];
-    const PredicateId head = c.rule().head.predicate;
-    RuleVm* vm = vms_.empty() ? nullptr : vms_[t.rule_id].get();
+    RuleVm& vm = *compiled_[t.rule_id].vm;
+    const PredicateId head = vm.rule().head.predicate;
     if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
     sink->SetContext(t.rule_id, round);
     stats->rule_evaluations +=
@@ -441,32 +393,16 @@ Status FixpointDriver::RunRound(
       return sink->Emit(head, tuple, extent);
     };
     if (t.chain) {
-      if (vm != nullptr && vm->has_chain()) {
-        size_t extensions = 0;
-        DMTL_RETURN_IF_ERROR(
-            vm->ExtendChain(db, delta, window, emit, guard, &extensions));
-        stats->chain_extensions += extensions;
-        continue;
+      size_t extensions = 0;
+      DMTL_RETURN_IF_ERROR(
+          vm.ExtendChain(db, delta, window, emit, guard, &extensions));
+      stats->chain_extensions += extensions;
+    } else if (t.initial) {
+      DMTL_RETURN_IF_ERROR(vm.Evaluate(db, nullptr, -1, emit, guard));
+    } else {
+      for (int occ : t.delta_occurrences) {
+        DMTL_RETURN_IF_ERROR(vm.Evaluate(db, &delta, occ, emit, guard));
       }
-      DMTL_RETURN_IF_ERROR(ChainAccelerator::Extend(
-          c.rule(), *c.chain, db, delta, window, &(*chain_caches)[t.rule_id],
-          [&](const Tuple& tuple, const Interval& iv) -> Result<bool> {
-            ++stats->chain_extensions;
-            return sink->EmitOne(head, tuple, iv);
-          }));
-      continue;
-    }
-    const auto& eval = std::get<RuleEvaluator>(c.eval);
-    if (t.initial) {
-      DMTL_RETURN_IF_ERROR(
-          vm != nullptr ? vm->Evaluate(db, nullptr, -1, emit, guard)
-                        : eval.Evaluate(db, nullptr, -1, emit, guard));
-      continue;
-    }
-    for (int occ : t.delta_occurrences) {
-      DMTL_RETURN_IF_ERROR(
-          vm != nullptr ? vm->Evaluate(db, &delta, occ, emit, guard)
-                        : eval.Evaluate(db, &delta, occ, emit, guard));
     }
   }
   return Status::Ok();

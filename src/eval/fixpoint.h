@@ -4,8 +4,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "src/analysis/stratifier.h"
@@ -13,8 +11,6 @@
 #include "src/common/execution_guard.h"
 #include "src/common/status.h"
 #include "src/eval/aggregate_eval.h"
-#include "src/eval/chain_accel.h"
-#include "src/eval/rule_eval.h"
 #include "src/eval/seminaive.h"
 #include "src/eval/vm.h"
 #include "src/storage/database.h"
@@ -24,7 +20,7 @@ namespace dmtl {
 // The stratum-by-stratum semi-naive chase, shared by batch materialization
 // (Materialize builds one per call) and the streaming engine
 // (IncrementalMaterializer keeps one for the session's lifetime). It owns
-// the stratification, one compiled evaluator per rule and the rule VMs.
+// the stratification and one rule VM per rule.
 //
 // Every run is sequential and single-threaded; a driver serves one caller
 // at a time.
@@ -66,24 +62,13 @@ class FixpointDriver {
   void InvalidateCompiledState();
 
  private:
-  // One compiled rule: either a plain evaluator (with an optional chain
-  // acceleration description) or an aggregate evaluator.
+  // One compiled rule: its VM, plus the grouping of its witness rows when
+  // the head aggregates.
   struct CompiledRule {
-    std::variant<RuleEvaluator, AggregateEvaluator> eval;
-    std::optional<ChainAccelerator::ChainInfo> chain;
+    std::unique_ptr<RuleVm> vm;
+    std::optional<AggregateEvaluator> agg;
 
-    bool is_aggregate() const {
-      return std::holds_alternative<AggregateEvaluator>(eval);
-    }
-    const Rule& rule() const {
-      return is_aggregate() ? std::get<AggregateEvaluator>(eval).rule()
-                            : std::get<RuleEvaluator>(eval).rule();
-    }
-    const PlannerStats* planner_stats() const {
-      return is_aggregate()
-                 ? std::get<AggregateEvaluator>(eval).planner_stats()
-                 : std::get<RuleEvaluator>(eval).planner_stats();
-    }
+    const Rule& rule() const { return vm->rule(); }
   };
 
   // Every evaluation of one rule within a round. Task lists are built from
@@ -92,13 +77,13 @@ class FixpointDriver {
   struct RoundTask {
     size_t rule_id = 0;
     bool initial = false;                // full (non-delta) evaluation
-    bool chain = false;                  // use the chain accelerator
+    bool chain = false;                  // run the VM's chain kernel
     std::vector<int> delta_occurrences;  // semi-naive positions to re-evaluate
   };
 
   class Sink;
 
-  // Counter totals across the persistent evaluators; a run reports the
+  // Counter totals across the persistent VMs; a run reports the
   // difference between its exit and entry totals.
   struct Counters {
     uint64_t idx_built = 0, probes = 0, probe_hits = 0, pruned = 0;
@@ -112,10 +97,8 @@ class FixpointDriver {
                     std::vector<DerivationRecord>* provenance,
                     EngineStats* stats, const ExecutionGuard* guard);
   Status RunRound(const std::vector<RoundTask>& tasks, const Database& db,
-                  const Database& delta, const Interval& window,
-                  std::unordered_map<size_t, ChainAccelerator::AllowedCache>*
-                      chain_caches,
-                  size_t round, Sink* sink, EngineStats* stats,
+                  const Database& delta, const Interval& window, size_t round,
+                  Sink* sink, EngineStats* stats,
                   const ExecutionGuard* guard);
   // The positive occurrences of plain rule `id` whose predicate has
   // coverage in `delta`.
@@ -125,9 +108,6 @@ class FixpointDriver {
   EngineOptions options_;
   Stratification strat_;
   std::vector<CompiledRule> compiled_;
-  std::vector<std::unique_ptr<RuleVm>> vms_;  // empty when compile is off
-  size_t compiled_rules_ = 0;
-  size_t vm_fallbacks_ = 0;
   // Predicates of each rule's positive relational atoms, and their union
   // per stratum: what a seed must touch to wake a rule or a stratum.
   std::vector<std::set<PredicateId>> positive_preds_;

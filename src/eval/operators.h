@@ -1,9 +1,11 @@
 #ifndef DMTL_EVAL_OPERATORS_H_
 #define DMTL_EVAL_OPERATORS_H_
 
+#include <functional>
 #include <vector>
 
 #include "src/ast/atom.h"
+#include "src/common/status.h"
 #include "src/eval/bindings.h"
 #include "src/storage/database.h"
 
@@ -35,6 +37,10 @@ struct ExtentSource {
   // extent is never observable in results.
   const ExecutionGuard* guard = nullptr;
 };
+
+// Receives one derived (tuple, extent) pair from rule evaluation.
+using EmitFn =
+    std::function<Status(const Tuple& tuple, const IntervalSet& extent)>;
 
 // Applies a unary MTL operator transform to an extent set.
 IntervalSet ApplyUnaryOp(MtlOp op, const Interval& rho,

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <set>
 
-#include "src/analysis/safety.h"
+#include "src/eval/aggregate_eval.h"
 
 namespace dmtl {
 
@@ -77,44 +77,6 @@ const char* OpCodeToString(OpCode op) {
   return "?";
 }
 
-std::optional<std::string> RuleCompiler::Declines(const RuleEvaluator& eval) {
-  const Rule& rule = eval.rule();
-  if (!eval.planning_enabled()) {
-    return "join planning disabled (compiled programs bake in the plan)";
-  }
-  if (rule.head.aggregate.has_value()) {
-    return "aggregate head (AggregateEvaluator owns these)";
-  }
-  if (rule.head.args.size() > 64) return "head arity exceeds 64";
-  for (const BodyLiteral& lit : rule.body) {
-    if (lit.kind != BodyLiteral::Kind::kMetric) continue;
-    std::vector<const RelationalAtom*> atoms;
-    lit.metric.CollectRelationalAtoms(&atoms);
-    for (const RelationalAtom* atom : atoms) {
-      if (atom->args.size() > 64) return "atom arity exceeds 64";
-    }
-  }
-  // Every head variable must be statically bound by the row pipeline
-  // (positive literals, assignment targets, timestamp variables) - the
-  // compiled head projection reads registers unconditionally. The
-  // interpreter reports such rules with a runtime UnsafeRule error, so
-  // declining just preserves that path.
-  std::set<int> bound = PositiveLiteralVars(rule);
-  for (const BodyLiteral& lit : rule.body) {
-    if (lit.kind != BodyLiteral::Kind::kBuiltin) continue;
-    if (lit.builtin.kind == BuiltinAtom::Kind::kAssign ||
-        lit.builtin.kind == BuiltinAtom::Kind::kTimestamp) {
-      bound.insert(lit.builtin.var);
-    }
-  }
-  for (const Term& t : rule.head.args) {
-    if (t.is_variable() && !bound.count(t.var())) {
-      return "head variable not statically bound";
-    }
-  }
-  return std::nullopt;
-}
-
 RuleProgram RuleCompiler::Compile(const RuleEvaluator& eval,
                                   const Database& db, const Database* delta,
                                   int delta_occurrence) {
@@ -123,7 +85,7 @@ RuleProgram RuleCompiler::Compile(const RuleEvaluator& eval,
   prog.num_vars = rule.num_vars();
 
   RuleEvaluator::ExecutionPlan plan =
-      eval.BuildPlan(db, delta, delta_occurrence, eval.planner_stats_.get());
+      eval.BuildPlan(db, delta, delta_occurrence, eval.planner_stats());
   prog.plan_cost = plan.total_cost;
 
   std::vector<Instr> body;
@@ -204,7 +166,9 @@ RuleProgram RuleCompiler::Compile(const RuleEvaluator& eval,
   body.push_back(Instr{OpCode::kEmit, 0});
 
   prog.head.pred = rule.head.predicate;
-  for (const Term& t : rule.head.args) {
+  const bool aggregate = rule.head.aggregate.has_value();
+  for (const Term& t : aggregate ? AggregateEvaluator::WitnessTerms(rule)
+                                 : rule.head.args) {
     ValueRef r;
     if (t.is_constant()) {
       r.const_index = InternConst(&prog.consts, t.value());
@@ -213,7 +177,7 @@ RuleProgram RuleCompiler::Compile(const RuleEvaluator& eval,
     }
     prog.head.args.push_back(r);
   }
-  prog.head.ops = rule.head.ops;
+  if (!aggregate) prog.head.ops = rule.head.ops;
 
   prog.code.reserve(prog.atoms.size() + body.size());
   for (size_t s = 0; s < prog.atoms.size(); ++s) {
@@ -254,11 +218,6 @@ ChainProgram RuleCompiler::CompileChain(
     }
   }
   return cp;
-}
-
-Interval RuleCompiler::ExpandPruneWindow(Interval window,
-                                         const std::vector<OpPathStep>& path) {
-  return RuleEvaluator::ExpandPruneWindow(window, path);
 }
 
 std::string RuleProgram::Dump(const Rule& rule) const {
@@ -331,6 +290,7 @@ std::string RuleProgram::Dump(const Rule& rule) const {
                rule.body[instr.arg].ToString(rule.var_names);
         break;
       case OpCode::kEmit: {
+        if (rule.head.aggregate.has_value()) out += "witness ";
         out += PredicateName(head.pred) + "(";
         for (size_t k = 0; k < head.args.size(); ++k) {
           if (k > 0) out += ", ";

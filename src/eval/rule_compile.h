@@ -1,9 +1,6 @@
 #ifndef DMTL_EVAL_RULE_COMPILE_H_
 #define DMTL_EVAL_RULE_COMPILE_H_
 
-#include <optional>
-#include <string>
-
 #include "src/eval/bytecode.h"
 #include "src/eval/chain_accel.h"
 #include "src/eval/rule_eval.h"
@@ -15,38 +12,21 @@ namespace dmtl {
 // evaluator already computed: the literal order comes from
 // RuleEvaluator::BuildPlan against the current relation statistics, shapes
 // and operator paths from its literal plans, and the stage order (builtins,
-// negation, timestamp splits) from its stage lists. The compiled program
-// therefore enumerates the same candidates in the same order as the staged
-// interpreter running the same plan.
+// negation, timestamp splits) from its stage lists.
 class RuleCompiler {
  public:
-  // Why the compiler refuses a rule (the engine falls back to the AST
-  // walker and counts it in EngineStats::vm_fallbacks). nullopt: compilable.
-  static std::optional<std::string> Declines(const RuleEvaluator& eval);
-
   // Compiles the variant of `eval` that restricts `delta_occurrence` (-1:
-  // the full pass) to `delta`, planning against the sizes in `db`.
-  // `eval` must not be declined. Planner stats (index builds, plan cost)
-  // are charged to the evaluator's shared PlannerStats like an interpreted
-  // pass would.
+  // the full pass) to `delta`, planning against the sizes in `db`. Planner
+  // stats (index builds, plan cost) are charged to the evaluator's shared
+  // PlannerStats. An aggregate rule compiles like any other, except that
+  // its emit projects AggregateEvaluator::WitnessTerms with no head
+  // operators: one witness row per body binding, at the raw row extent.
   static RuleProgram Compile(const RuleEvaluator& eval, const Database& db,
                              const Database* delta, int delta_occurrence);
 
   // Compiles the chain walk of a rule ChainAccelerator::Detect accepted.
   static ChainProgram CompileChain(const Rule& rule,
                                    const ChainAccelerator::ChainInfo& info);
-
-  // Runtime mirror of the evaluator's private hull-dilation helper, used by
-  // the VM to compute per-row prune windows.
-  static Interval ExpandPruneWindow(Interval window,
-                                    const std::vector<OpPathStep>& path);
-
-  // The VM charges its probe/prune counters to the evaluator's shared
-  // planner stats exactly like an interpreted pass. Null when planning is
-  // off (declined rules never reach the VM).
-  static PlannerStats* MutableStats(const RuleEvaluator& eval) {
-    return eval.planner_stats_.get();
-  }
 };
 
 }  // namespace dmtl

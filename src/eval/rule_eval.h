@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,9 +28,8 @@ struct PlannerStats {
   std::atomic<double> last_plan_cost{0.0};
 };
 
-// Evaluates one rule bottom-up against a database (optionally with a
-// semi-naive delta restriction on a single positive relational-atom
-// occurrence). Staged pipeline:
+// Plans one rule for the rule compiler (src/eval/rule_compile.h). Plan()
+// partitions the body into the row pipeline's stages:
 //
 //   1. positive literals: enumerate tuple groundings, intersect extents;
 //   2. early builtins (assignments/comparisons not depending on
@@ -45,19 +43,20 @@ struct PlannerStats {
 // The head's boxminus/boxplus operator chain is applied as a dilation to
 // the final extent.
 //
-// Stage 1 runs through a cost-based join planner by default: positive
+// Stage 1 is ordered by a cost-based join planner (BuildPlan): positive
 // literals are reordered by estimated selectivity (the semi-naive delta
 // literal pinned first), each atom probes an on-demand bound-signature
 // index over its bound argument positions (Relation::GetIndex), and
 // candidate tuples whose temporal envelope cannot intersect the row's
-// accumulated extent are skipped before unification. The planner is a pure
-// optimization: the produced rows - and therefore the materialization - are
-// identical with it on or off (EngineOptions::enable_join_planning).
+// accumulated extent are skipped before unification. The plan never
+// changes what a rule derives, only the order it enumerates candidates in.
 class RuleEvaluator {
  public:
+  // Relations smaller than this are scanned rather than indexed.
+  static constexpr size_t kMinTuplesForIndex = 8;
+
   // Validates the rule shape and precomputes the stage plan.
-  static Result<RuleEvaluator> Create(const Rule& rule,
-                                      bool enable_join_planning = true);
+  static Result<RuleEvaluator> Create(const Rule& rule);
 
   RuleEvaluator(RuleEvaluator&&) = default;
   RuleEvaluator& operator=(RuleEvaluator&&) = default;
@@ -70,34 +69,20 @@ class RuleEvaluator {
 
   const Rule& rule() const { return rule_; }
 
-  // Null when join planning is disabled. Shared across copies.
-  const PlannerStats* planner_stats() const { return planner_stats_.get(); }
-  bool planning_enabled() const { return planning_; }
-
-  using EmitFn =
-      std::function<Status(const Tuple& tuple, const IntervalSet& extent)>;
-
-  // Runs stages 1-5 and emits one (head tuple, extent) per surviving row.
-  // `delta_occurrence` in [0, num_positive_occurrences) restricts that
-  // occurrence to `delta`; -1 evaluates fully. Not usable on aggregate
-  // heads (see AggregateEvaluator). A non-null `guard` is checked every
-  // few thousand candidate tuples and between stages, so one huge join
-  // cannot outlive a deadline or ignore cancellation; on a trip the
-  // evaluation returns the guard's error mid-rule and the engine rolls the
-  // round back.
-  Status Evaluate(const Database& db, const Database* delta,
-                  int delta_occurrence, const EmitFn& emit,
-                  const ExecutionGuard* guard = nullptr) const;
-
-  // Like Evaluate but stops after stage 5, returning the surviving rows.
-  Status EvaluateRows(const Database& db, const Database* delta,
-                      int delta_occurrence, std::vector<BindingRow>* rows,
-                      const ExecutionGuard* guard = nullptr) const;
+  // Shared across copies.
+  PlannerStats* planner_stats() const { return planner_stats_.get(); }
 
   // Human-readable description of the join order, index signatures, and
   // prunability the planner would choose for a full (non-delta) pass over
   // `db`. Builds any indexes it would probe.
   std::string ExplainPlan(const Database& db) const;
+
+  // Expands a row-extent hull through an atom's root-to-atom operator
+  // path, yielding a superset of the time points the atom can contribute
+  // from. Tuples whose stored extent cannot intersect it are skipped by
+  // enumeration (prunable atoms only).
+  static Interval ExpandPruneWindow(Interval window,
+                                    const std::vector<OpPathStep>& path);
 
  private:
   // The rule compiler lowers this evaluator's plan into flat bytecode
@@ -108,7 +93,7 @@ class RuleEvaluator {
   // How a positive literal's extent is computed once its atoms are ground.
   // Single-atom shapes take a fast path that reuses the interval set found
   // during enumeration (replicating EvalMetricExtent's arithmetic exactly);
-  // everything else falls back to EvalMetricExtent.
+  // everything else goes through EvalMetricExtent.
   enum class LiteralShape : uint8_t {
     kBareAtom,    // the literal is a single relational atom
     kUnaryChain,  // nested unary MTL ops around a single relational atom
@@ -132,7 +117,7 @@ class RuleEvaluator {
     LiteralShape shape = LiteralShape::kGeneral;
   };
 
-  // The dynamic plan for one EvaluateRows call: literal order plus the
+  // The dynamic plan for one compiled variant: literal order plus the
   // index each atom probes, resolved against the current relation sizes.
   struct ExecutionPlan {
     struct AtomProbe {
@@ -154,21 +139,8 @@ class RuleEvaluator {
 
   Status Plan();
 
-  // Hull-level mirror of ChildWindow: expands the row-extent hull through
-  // the atom's root-to-atom operator path, yielding a superset of the time
-  // points the atom can contribute from. Tuples whose stored extent cannot
-  // intersect it are skipped by enumeration (prunable atoms only).
-  static Interval ExpandPruneWindow(Interval window,
-                                    const std::vector<PathStep>& path);
-
   ExecutionPlan BuildPlan(const Database& db, const Database* delta,
                           int delta_occurrence, PlannerStats* stats) const;
-
-  // Stage 1 under the planner: reordered, index-probed, envelope-pruned.
-  Status EvaluatePositivePlanned(const Database& db, const Database* delta,
-                                 int delta_occurrence,
-                                 std::vector<BindingRow>* rows,
-                                 const ExecutionGuard* guard) const;
 
   Rule rule_;
   // Indices into rule_.body per stage.
@@ -182,8 +154,7 @@ class RuleEvaluator {
   std::vector<int> occurrence_start_;
   int num_occurrences_ = 0;
 
-  // Join planner state (parallel to positive_literals_; empty when off).
-  bool planning_ = true;
+  // Join planner state (parallel to positive_literals_).
   std::vector<LiteralPlan> literal_plans_;
   std::shared_ptr<PlannerStats> planner_stats_;
 };

@@ -141,9 +141,6 @@ std::string DerivationRecord::ToString(const Program& program) const {
 
 EngineOptions EngineOptions::WithEnvOverrides() const {
   EngineOptions out = *this;
-  if (std::getenv("DMTL_DISABLE_RULE_COMPILE") != nullptr) {
-    out.enable_rule_compile = false;
-  }
   if (std::getenv("DMTL_DISABLE_STREAMING") != nullptr) {
     out.enable_streaming = false;
   }
@@ -192,11 +189,10 @@ std::string EngineStats::ToString() const {
                     " derived_intervals=" + std::to_string(derived_intervals) +
                     " chain_extensions=" + std::to_string(chain_extensions) +
                     " wall_seconds=" + std::to_string(wall_seconds);
-  if (compiled_rules + vm_dispatches + vm_fallbacks > 0) {
+  if (compiled_rules + vm_dispatches > 0) {
     out += " compiled_rules=" + std::to_string(compiled_rules) +
            " vm_dispatches=" + std::to_string(vm_dispatches) +
-           " vm_recompiles=" + std::to_string(vm_recompiles) +
-           " vm_fallbacks=" + std::to_string(vm_fallbacks);
+           " vm_recompiles=" + std::to_string(vm_recompiles);
   }
   out += " delta_intervals=" + std::to_string(delta_intervals) +
          " bulk_merges=" + std::to_string(bulk_merges);

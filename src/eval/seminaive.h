@@ -63,26 +63,6 @@ struct EngineOptions {
   // semi-naively; for the ablation benchmark.
   bool naive_evaluation = false;
 
-  // Cost-based join planning for positive body literals: literals are
-  // reordered by estimated selectivity (the semi-naive delta literal pinned
-  // first), atoms probe on-demand bound-signature indexes
-  // (Relation::GetIndex), and candidates whose temporal envelope cannot
-  // intersect the row extent are pruned before unification. A pure
-  // optimization - the materialized database is identical with it on or
-  // off; disable only for the ablation benchmark.
-  bool enable_join_planning = true;
-
-  // Compile each rule's plan to a flat register program executed by a
-  // dispatch loop (src/eval/bytecode.h, RuleVm) instead of walking the AST
-  // every round. The compiled program bakes in the cost-based literal
-  // order, per-atom index keys, and static unification plans; variants are
-  // recompiled when relations outgrow their compile-time sizes. Exact: the
-  // materialized database (and Series/provenance coverage) is identical
-  // with it on or off. Rules the compiler declines - aggregate heads,
-  // planning disabled - fall back to the AST walker and are counted in
-  // EngineStats::vm_fallbacks.
-  bool enable_rule_compile = true;
-
   // When set, every newly derived fact piece is appended here with the
   // rule that produced it - the "why" behind each contract state change
   // (the explainability the paper argues for, as data). Opt-in: a full
@@ -98,11 +78,10 @@ struct EngineOptions {
 
   // The one override point folding the DMTL_DISABLE_* environment lanes
   // into an option set (docs/ENGINE.md, "Environment flags"):
-  //   DMTL_DISABLE_RULE_COMPILE=1  -> enable_rule_compile = false
   //   DMTL_DISABLE_STREAMING=1     -> enable_streaming = false
   // The engine resolves options through this exactly once per run (at
   // Materialize entry / session creation); nothing else in the codebase
-  // reads those variables. Env can only turn features off, never force one
+  // reads that variable. Env can only turn features off, never force one
   // on that the caller disabled.
   EngineOptions WithEnvOverrides() const;
 
@@ -160,23 +139,22 @@ struct EngineStats {
   // the CLI prints this on guard trips and budget exhaustion.
   std::string StopDiagnostics() const;
 
-  // --- join planner (enable_join_planning) --------------------------------
+  // --- join planner --------------------------------------------------------
   size_t planner_indexes_built = 0;  // bound-signature indexes materialized
   size_t planner_index_probes = 0;   // index lookups issued
   size_t planner_probe_hits = 0;     // lookups that found a posting list
   size_t planner_pruned_tuples = 0;  // candidates skipped by envelope/hull
   // Estimated cost of each rule's most recent plan, indexed like
-  // program.rules(); empty when planning is off.
+  // program.rules().
   std::vector<double> rule_plan_cost;
 
   // --- semi-naive rounds --------------------------------------------------
   size_t delta_intervals = 0;      // total intervals across fixpoint deltas
   size_t bulk_merges = 0;          // IntervalSet bulk coalescing sweeps
 
-  // --- rule compilation (enable_rule_compile) -----------------------------
+  // --- rule compilation ----------------------------------------------------
   size_t compiled_rules = 0;   // rules lowered to bytecode programs
   size_t vm_dispatches = 0;    // compiled executions (evaluate + chain)
-  size_t vm_fallbacks = 0;     // rules declined: evaluated by the AST walker
   size_t vm_recompiles = 0;    // program (re)compilations, incl. replans
 
   // Wall time per stratum (index = stratum number).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/analysis/safety.h"
 #include "src/common/fault_injector.h"
 #include "src/eval/builtin_eval.h"
 #include "src/eval/rule_compile.h"
@@ -10,11 +11,10 @@ namespace dmtl {
 
 namespace {
 
-// Mirrors of the interpreter's enumeration constants (rule_eval.cc): same
-// index threshold so the scan/index decision matches at equal relation
-// sizes, same guard stride so deadline observation latency is comparable.
-constexpr size_t kVmMinTuplesForIndex = 8;
-constexpr uint64_t kVmGuardStrideMask = 4095;
+// Candidates between guard checks inside a dispatch. Cheap enough that one
+// huge join observes a deadline within milliseconds, rare enough to be
+// invisible in profiles (an atomic load + clock read per 4096 candidates).
+constexpr uint64_t kGuardStrideMask = 4095;
 
 // Upper bound on punctual chain points emitted per batch: caps the interval
 // scratch buffer and bounds how far a walk can run between guard polls and
@@ -115,20 +115,18 @@ std::optional<int64_t> FirstCoveredStep(const IntervalSet* s,
 
 }  // namespace
 
-std::unique_ptr<RuleVm> RuleVm::Create(
-    const RuleEvaluator& eval,
-    const std::optional<ChainAccelerator::ChainInfo>& chain,
-    std::string* decline_reason) {
-  std::optional<std::string> why = RuleCompiler::Declines(eval);
-  if (why.has_value()) {
-    if (decline_reason != nullptr) *decline_reason = *why;
-    return nullptr;
-  }
-  std::unique_ptr<RuleVm> vm(new RuleVm(eval));
+Result<std::unique_ptr<RuleVm>> RuleVm::Create(
+    const Rule& rule,
+    const std::optional<ChainAccelerator::ChainInfo>& chain) {
+  // The head projection reads registers unconditionally: every head
+  // variable must be bound by the body.
+  DMTL_RETURN_IF_ERROR(CheckSafety(rule));
+  DMTL_ASSIGN_OR_RETURN(RuleEvaluator eval, RuleEvaluator::Create(rule));
+  std::unique_ptr<RuleVm> vm(new RuleVm(std::move(eval)));
   if (chain.has_value()) {
-    vm->chain_ = RuleCompiler::CompileChain(eval.rule(), *chain);
+    vm->chain_ = RuleCompiler::CompileChain(rule, *chain);
   }
-  vm->variants_.resize(eval.num_positive_occurrences() + 1);
+  vm->variants_.resize(vm->eval_.num_positive_occurrences() + 1);
   return vm;
 }
 
@@ -146,7 +144,8 @@ RuleVm::Variant& RuleVm::EnsureCompiled(int delta_occurrence,
       if (a.is_delta) continue;
       const Relation* rel = db.Find(a.pred);
       size_t n = rel == nullptr ? 0 : rel->NumTuples();
-      if (n >= std::max(kVmMinTuplesForIndex, 4 * a.num_tuples_at_compile)) {
+      if (n >= std::max(RuleEvaluator::kMinTuplesForIndex,
+                        4 * a.num_tuples_at_compile)) {
         need = true;
         break;
       }
@@ -179,7 +178,7 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
     RtAtom& ra = v.atoms[slot];
     if (ra.rel == nullptr) ra.rel = db.Find(a.pred);
     if (ra.rel != nullptr && ra.index == nullptr && a.signature != 0 &&
-        ra.rel->NumTuples() >= kVmMinTuplesForIndex) {
+        ra.rel->NumTuples() >= RuleEvaluator::kMinTuplesForIndex) {
       bool built_now = false;
       ra.index = ra.rel->GetIndex(a.signature, &built_now);
       if (built_now) ++built;
@@ -204,10 +203,10 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   out_.clear();
   Status status = Exec(prog.prologue, kAll);
   // Flush buffered derivations only now that enumeration is done (see out_
-  // in vm.h); mirrors the interpreter's emit-after-staging order exactly.
-  // The fault site fires between flushed emissions, so an injected failure
-  // lands with part of this dispatch's output already in the sink - the
-  // round-barrier rollback must undo exactly that partial flush.
+  // in vm.h). The fault site fires between flushed emissions, so an
+  // injected failure lands with part of this dispatch's output already in
+  // the sink - the round-barrier rollback must undo exactly that partial
+  // flush.
   if (status.ok()) {
     for (const auto& [tuple, extent] : out_) {
       status = FaultInjector::Fire("vm.dispatch");
@@ -218,12 +217,11 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   }
   out_.clear();
 
-  if (PlannerStats* stats = RuleCompiler::MutableStats(eval_)) {
-    stats->indexes_built.fetch_add(built, std::memory_order_relaxed);
-    stats->index_probes.fetch_add(probes_, std::memory_order_relaxed);
-    stats->index_probe_hits.fetch_add(hits_, std::memory_order_relaxed);
-    stats->envelope_pruned.fetch_add(pruned_, std::memory_order_relaxed);
-  }
+  PlannerStats* stats = eval_.planner_stats();
+  stats->indexes_built.fetch_add(built, std::memory_order_relaxed);
+  stats->index_probes.fetch_add(probes_, std::memory_order_relaxed);
+  stats->index_probe_hits.fetch_add(hits_, std::memory_order_relaxed);
+  stats->envelope_pruned.fetch_add(pruned_, std::memory_order_relaxed);
   return status;
 }
 
@@ -238,11 +236,11 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       if (a.is_delta) {
         rel = delta_ == nullptr ? nullptr : delta_->Find(a.pred);
         if (rel != nullptr && a.signature != 0 &&
-            rel->NumTuples() >= kVmMinTuplesForIndex) {
+            rel->NumTuples() >= RuleEvaluator::kMinTuplesForIndex) {
           bool built_now = false;
           index = rel->GetIndex(a.signature, &built_now);
-          if (built_now && RuleCompiler::MutableStats(eval_) != nullptr) {
-            RuleCompiler::MutableStats(eval_)->indexes_built.fetch_add(
+          if (built_now) {
+            eval_.planner_stats()->indexes_built.fetch_add(
                 1, std::memory_order_relaxed);
           }
         }
@@ -260,14 +258,14 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       if (a.prunable) {
         Interval hull = cur.Hull();
         if (!(hull.lo_infinite() && hull.hi_infinite())) {
-          w = RuleCompiler::ExpandPruneWindow(hull, a.path);
+          w = RuleEvaluator::ExpandPruneWindow(hull, a.path);
         }
       }
 
       auto try_tuple = [&](const Tuple& tuple, const IntervalSet& set,
                            bool probing) -> Status {
         if (guard_ != nullptr &&
-            (++guard_counter_ & kVmGuardStrideMask) == 0) {
+            (++guard_counter_ & kGuardStrideMask) == 0) {
           DMTL_RETURN_IF_ERROR(guard_->Check());
         }
         if (tuple.size() != a.arity) return Status::Ok();
@@ -370,8 +368,8 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       const LiteralCode& lc = prog.literals[instr.arg];
       const IntervalSet* leaf = leaf_[instr.arg];
       IntervalSet& slot = extents_[ip];
-      // Windowed chain evaluation, replicating the interpreter (and
-      // EvalRec): child windows root-to-leaf, operators leaf-to-root.
+      // Windowed chain evaluation, replicating EvalRec: child windows
+      // root-to-leaf, operators leaf-to-root.
       IntervalSet window = cur;
       for (const OpPathStep& s : lc.path) {
         window = ChildWindow(s.op, s.range, window);
@@ -435,7 +433,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       Status status = Status::Ok();
       for (const Rational& p : points) {
         if (guard_ != nullptr &&
-            (++guard_counter_ & kVmGuardStrideMask) == 0) {
+            (++guard_counter_ & kGuardStrideMask) == 0) {
           status = guard_->Check();
           if (!status.ok()) break;
         }
@@ -482,7 +480,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
 }
 
 Status RuleVm::ExtendChain(const Database& db, const Database& delta,
-                           const Interval& window, const EmitSetFn& emit,
+                           const Interval& window, const EmitFn& emit,
                            const ExecutionGuard* guard, size_t* extensions) {
   ++dispatches_;
   const ChainProgram& cp = *chain_;
@@ -513,8 +511,7 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
 
     // Allowed set: guard extents minus blocker extents, clamped to the walk
     // window. Guards only observe the projected head positions, so every
-    // tuple agreeing on the projection shares one cached set (the
-    // interpreter caches per full tuple).
+    // tuple agreeing on the projection shares one cached set.
     proj_key_.clear();
     for (size_t pos : cp.guard_projection) proj_key_.push_back(tuple[pos]);
     auto [it, inserted] = allowed_cache_.try_emplace(proj_key_);
@@ -553,8 +550,8 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
         // Interior-of-a-run shortcut. A batch emitted last round arrives
         // here as a run of grid-consecutive seed points; for every seed but
         // the run's end in walk direction, the next grid point is itself a
-        // seed - already in the store - so the point-by-point walker emits
-        // it, sees fresh == false, and stops: exactly one extension. Skip
+        // seed - already in the store - so a point-by-point walk would emit
+        // it, find nothing fresh, and stop: exactly one extension. Skip
         // the component search and coverage probes for those.
         const Rational next = seed.lo().value + cp.step;
         const Interval* adj = nullptr;
@@ -584,9 +581,8 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
         DMTL_RETURN_IF_ERROR(WalkGrid(db, tuple, seed.lo().value, allowed,
                                       emit, guard, extensions));
       } else {
-        // Interval seeds keep the interpreter's shift-and-clip frontier
-        // loop (components coalesce, so it converges in a few passes), but
-        // emit each pass as one set instead of one call per component.
+        // Interval seeds iterate shift-and-clip (components coalesce, so it
+        // converges in a few passes), emitting each pass as one set.
         IntervalSet covered{seed};
         IntervalSet frontier{seed};
         while (!frontier.IsEmpty()) {
@@ -610,7 +606,7 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
 
 Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
                         const Rational& seed, const IntervalSet& allowed,
-                        const EmitSetFn& emit, const ExecutionGuard* guard,
+                        const EmitFn& emit, const ExecutionGuard* guard,
                         size_t* extensions) {
   const Rational& step = chain_->step;
   const PredicateId head = eval_.rule().head.predicate;
@@ -632,9 +628,9 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
     std::optional<int64_t> n = FirstCoveredStep(derived, t, step, k_cap);
 
     if (n.has_value() && *n == 0) {
-      // The next grid point is already derived: the point-by-point walker
-      // emits it (a no-op insert), observes fresh == false, and stops - it
-      // still counts as one extension.
+      // The next grid point is already derived: a point-by-point walk would
+      // emit it (a no-op insert), find nothing fresh, and stop - it still
+      // counts as one extension.
       *extensions += 1;
       return Status::Ok();
     }

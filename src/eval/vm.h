@@ -1,7 +1,6 @@
 #ifndef DMTL_EVAL_VM_H_
 #define DMTL_EVAL_VM_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,60 +15,56 @@
 
 namespace dmtl {
 
-// Dispatch-loop executor for compiled rule programs - the semi-naive
-// engine's replacement for the AST walker (EngineOptions::enable_rule_compile).
+// Dispatch-loop executor for compiled rule programs: the engine's one rule
+// executor.
 //
 // One RuleVm per rule. Programs are compiled lazily per semi-naive delta
 // occurrence on first dispatch and recompiled when a store-backed relation
 // outgrows its compile-time size snapshot 4x (the plan's literal order is a
 // function of relation sizes; correctness never depends on it). Execution is
 // a depth-first walk over the flat program: variables bind into one register
-// file and unbind on backtrack, so the per-candidate Bindings copies and
-// per-stage row vectors of the interpreter disappear. The DFS visits
-// candidates in exactly the order the staged interpreter does for the same
-// plan, and threads the same machinery - delta restriction, envelope
-// pruning, and guard polls at the same candidate stride.
+// file and unbind on backtrack, with no per-candidate allocation. Every
+// candidate passes the semi-naive delta restriction, envelope pruning and a
+// guard poll every few thousand candidates.
 //
 // Chain-accelerated rules additionally get a batched closure kernel
 // (ExtendChain): instead of one emit per grid point, it computes how many
 // consecutive grid points stay inside the guard-allowed component and ahead
 // of already-derived coverage (exact rational arithmetic), and emits them as
-// one set per batch. The derived coverage - and the interpreter-visible
-// chain_extensions count - are identical to the point-by-point walk.
+// one set per batch. The derived coverage - and the chain_extensions count -
+// are those of walking the grid one point at a time.
 //
 // Not thread-safe: a VM belongs to one engine run (or session), which
 // drives it from one thread at a time.
 class RuleVm {
  public:
-  using EmitFn = RuleEvaluator::EmitFn;
-  using EmitSetFn =
-      std::function<Status(const Tuple& tuple, const IntervalSet& extent)>;
+  // Checks the rule's safety, plans it and builds its VM. With `chain`
+  // set (a ChainAccelerator::Detect result for the rule) the VM also runs
+  // ExtendChain.
+  static Result<std::unique_ptr<RuleVm>> Create(
+      const Rule& rule,
+      const std::optional<ChainAccelerator::ChainInfo>& chain = std::nullopt);
 
-  // Builds a VM for `eval` (copying it; planner stats stay shared). Returns
-  // nullptr - with the reason in `decline_reason` - for rule shapes the
-  // compiler declines; the engine then keeps the AST walker for this rule.
-  static std::unique_ptr<RuleVm> Create(
-      const RuleEvaluator& eval,
-      const std::optional<ChainAccelerator::ChainInfo>& chain,
-      std::string* decline_reason);
-
-  // Drop-in for RuleEvaluator::Evaluate with identical semantics: emits the
-  // same (tuple, extent) sequence the interpreter would for the same plan.
+  // Runs the rule once: every body binding, in the compiled plan's order,
+  // with occurrence `delta_occurrence` (-1: none) restricted to `delta`.
+  // Emits one (head tuple, extent) per binding after the enumeration is
+  // done - for an aggregate rule, one witness row (AggregateEvaluator). A
+  // non-null `guard` is polled every few thousand candidates; on a trip the
+  // dispatch returns the guard's error.
   Status Evaluate(const Database& db, const Database* delta,
                   int delta_occurrence, const EmitFn& emit,
                   const ExecutionGuard* guard = nullptr);
 
   bool has_chain() const { return chain_.has_value(); }
 
-  // Batched replacement for ChainAccelerator::Extend. `extensions` is
-  // advanced by exactly the number of per-point emissions the point-by-point
-  // walker performs (including the already-covered point that stops a walk).
-  // `emit` must insert into `db`: the walk reads the head's derived
-  // coverage back from it at every batch boundary, so its own emissions
-  // stop it exactly where the point-by-point walker's freshness signal
-  // would.
+  // Extends every chain-predicate tuple in `delta` to its closure within
+  // `window`. `extensions` is advanced by the number of grid points a
+  // point-by-point walk would emit, counting the already-covered point
+  // that stops a walk. `emit` must insert into `db`: the walk reads the
+  // head's derived coverage back from it at every batch boundary, so its
+  // own emissions stop it where it rejoins derived coverage.
   Status ExtendChain(const Database& db, const Database& delta,
-                     const Interval& window, const EmitSetFn& emit,
+                     const Interval& window, const EmitFn& emit,
                      const ExecutionGuard* guard, size_t* extensions);
 
   // VM entries: Evaluate calls plus ExtendChain calls.
@@ -78,6 +73,7 @@ class RuleVm {
   uint64_t compiles() const { return compiles_; }
 
   const Rule& rule() const { return eval_.rule(); }
+  const PlannerStats& planner_stats() const { return *eval_.planner_stats(); }
 
   // Compiles (if needed) and pretty-prints the full-evaluation variant
   // against `db`, plus the chain kernel when one exists.
@@ -113,7 +109,7 @@ class RuleVm {
     bool compiled = false;
   };
 
-  explicit RuleVm(const RuleEvaluator& eval) : eval_(eval) {}
+  explicit RuleVm(RuleEvaluator eval) : eval_(std::move(eval)) {}
 
   Variant& EnsureCompiled(int delta_occurrence, const Database& db,
                           const Database* delta);
@@ -124,10 +120,10 @@ class RuleVm {
 
   Status WalkGrid(const Database& db, const Tuple& tuple,
                   const Rational& seed, const IntervalSet& allowed,
-                  const EmitSetFn& emit, const ExecutionGuard* guard,
+                  const EmitFn& emit, const ExecutionGuard* guard,
                   size_t* extensions);
 
-  RuleEvaluator eval_;  // private copy; planner stats shared with the engine
+  RuleEvaluator eval_;
   std::optional<ChainProgram> chain_;
   // Guard-allowed sets keyed by the head tuple's guard projection. Guards
   // live strictly below the rule's stratum, so entries stay valid for the
@@ -150,13 +146,10 @@ class RuleVm {
   std::vector<const IntervalSet*> leaf_;          // per literal slot
   std::vector<std::vector<Rational>> ts_points_;  // per body index
   Tuple key_, head_, proj_key_;
-  // Emissions buffered during the DFS and flushed after it returns. The
-  // staged interpreter only emits once every row has been enumerated, so
-  // the relations it iterates never mutate under it; the DFS interleaves
-  // enumeration with head derivation, and for a self-recursive rule the
-  // sequential sink would otherwise grow the posting list (or rehash the
-  // relation) being walked. Buffering restores the interpreter's
-  // enumerate-then-emit discipline - and its exact emission order.
+  // Emissions buffered during the DFS and flushed after it returns. The DFS
+  // interleaves enumeration with head derivation, and for a self-recursive
+  // rule the sink would otherwise grow the posting list (or rehash the
+  // relation) being walked.
   std::vector<std::pair<Tuple, IntervalSet>> out_;
   std::vector<Interval> batch_;
   uint64_t guard_counter_ = 0;

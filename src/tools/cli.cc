@@ -42,10 +42,8 @@ constexpr char kUsage[] =
     "  --max T         derivation horizon upper bound (rational)\n"
     "  --no-accel      disable chain acceleration\n"
     "  --naive         naive (non-semi-naive) evaluation\n"
-    "  --no-plan       disable cost-based join planning\n"
-    "  --no-compile    disable rule compilation (AST-walking evaluator)\n"
-    "  --dump-bytecode print each compiled rule's bytecode program after\n"
-    "                  the run (declined rules report their reason)\n"
+    "  --dump-bytecode print each rule's compiled bytecode program after\n"
+    "                  the run\n"
     "  --deadline-ms N wall-clock budget for materialization; on a trip the\n"
     "                  run exits with code 3 and prints stop diagnostics\n"
     "  --explain-plan  print each rule's join order, probed index\n"
@@ -140,10 +138,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       options.engine.enable_chain_acceleration = false;
     } else if (arg == "--naive") {
       options.engine.naive_evaluation = true;
-    } else if (arg == "--no-plan") {
-      options.engine.enable_join_planning = false;
-    } else if (arg == "--no-compile") {
-      options.engine.enable_rule_compile = false;
     } else if (arg == "--dump-bytecode") {
       options.dump_bytecode = true;
     } else if (arg == "--explain-plan") {
@@ -225,7 +219,7 @@ void PrintJoinPlans(const Program& program, const Database& db,
   out << "% join plans (over the materialized database):\n";
   const std::vector<Rule>& rules = program.rules();
   for (size_t i = 0; i < rules.size(); ++i) {
-    auto eval = RuleEvaluator::Create(rules[i], /*enable_join_planning=*/true);
+    auto eval = RuleEvaluator::Create(rules[i]);
     if (!eval.ok()) continue;
     out << "% rule " << i << ":\n";
     std::string plan = eval->ExplainPlan(db);
@@ -244,9 +238,8 @@ void PrintJoinPlans(const Program& program, const Database& db,
 }
 
 // Prints each rule's compiled bytecode program against the materialized
-// database (the variant a full non-delta pass would run now). Rules the
-// compiler declines report the reason instead. Comment-prefixed so the
-// output stays a loadable program.
+// database (the variant a full non-delta pass would run now).
+// Comment-prefixed so the output stays a loadable program.
 Status PrintBytecode(const Program& program, const Database& db,
                      const EngineOptions& engine, std::ostream& out) {
   DMTL_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
@@ -254,23 +247,12 @@ Status PrintBytecode(const Program& program, const Database& db,
   const std::vector<Rule>& rules = program.rules();
   for (size_t i = 0; i < rules.size(); ++i) {
     out << "% rule " << i << ": " << rules[i].ToString() << "\n";
-    if (rules[i].head.aggregate.has_value()) {
-      out << "%   declined: aggregate head (AggregateEvaluator)\n";
-      continue;
-    }
-    DMTL_ASSIGN_OR_RETURN(
-        RuleEvaluator eval,
-        RuleEvaluator::Create(rules[i], engine.enable_join_planning));
     std::optional<ChainAccelerator::ChainInfo> chain;
     if (engine.enable_chain_acceleration) {
       chain = ChainAccelerator::Detect(rules[i], strat.predicate_stratum);
     }
-    std::string why;
-    std::unique_ptr<RuleVm> vm = RuleVm::Create(eval, chain, &why);
-    if (vm == nullptr) {
-      out << "%   declined: " << why << "\n";
-      continue;
-    }
+    DMTL_ASSIGN_OR_RETURN(std::unique_ptr<RuleVm> vm,
+                          RuleVm::Create(rules[i], chain));
     std::string text = vm->DumpBytecode(db);
     size_t start = 0;
     while (start < text.size()) {

@@ -2,25 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include "src/eval/vm.h"
 #include "src/parser/parser.h"
+#include "tests/testing/oracle_eval.h"
 
 namespace dmtl {
 namespace {
 
+// Runs an aggregate rule the way the engine does - the rule VM emits one
+// witness row per body binding and AggregateEvaluator groups them - and
+// returns the derived facts as a rendered database, after checking them
+// against the test oracle's evaluation of the same rule.
 std::string Derive(const char* rule_text, const char* facts_text) {
   auto rule = Parser::ParseRule(rule_text);
   EXPECT_TRUE(rule.ok()) << rule.status();
   auto db = Parser::ParseDatabase(facts_text);
   EXPECT_TRUE(db.ok()) << db.status();
-  auto eval = AggregateEvaluator::Create(*rule);
-  EXPECT_TRUE(eval.ok()) << eval.status();
+  auto vm = RuleVm::Create(*rule);
+  EXPECT_TRUE(vm.ok()) << vm.status();
+  auto agg = AggregateEvaluator::Create(*rule);
+  EXPECT_TRUE(agg.ok()) << agg.status();
+  if (!rule.ok() || !db.ok() || !vm.ok() || !agg.ok()) return "";
+
+  std::vector<WitnessRow> witnesses;
+  Status status = (*vm)->Evaluate(
+      *db, nullptr, -1,
+      [&](const Tuple& tuple, const IntervalSet& extent) -> Status {
+        witnesses.emplace_back(tuple, extent);
+        return Status::Ok();
+      });
+  EXPECT_TRUE(status.ok()) << status;
   Database derived;
-  Status status = eval->Evaluate(
-      *db, [&](const Tuple& tuple, const IntervalSet& extent) -> Status {
+  status = agg->Evaluate(
+      witnesses, [&](const Tuple& tuple, const IntervalSet& extent) -> Status {
         derived.InsertSet(rule->head.predicate, tuple, extent);
         return Status::Ok();
       });
   EXPECT_TRUE(status.ok()) << status;
+
+  Database oracle;
+  status = OracleDerive(
+      *rule, *db, [&](const Tuple& tuple, const IntervalSet& extent) {
+        oracle.InsertSet(rule->head.predicate, tuple, extent);
+        return Status::Ok();
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(derived.ToString(), oracle.ToString())
+      << "VM and oracle diverged on " << rule_text;
   return derived.ToString();
 }
 
@@ -78,6 +106,27 @@ TEST(AggregateEvalTest, NoContributionsNoFacts) {
 TEST(AggregateEvalTest, RejectsNonAggregateRule) {
   auto rule = Parser::ParseRule("p(X) :- q(X) .");
   EXPECT_FALSE(AggregateEvaluator::Create(*rule).ok());
+}
+
+// Two accounts contribute the same S over overlapping intervals. The
+// witness rows keep A, so both count where the intervals overlap; a
+// projection onto S alone would merge them into one contribution.
+TEST(AggregateEvalTest, EqualContributionsFromTwoAccountsBothCount) {
+  EXPECT_EQ(Derive("event(msum(S)) :- eventContrib(A, S) .",
+                   "eventContrib(a, 2.0)@[0,6] . eventContrib(b, 2.0)@[4,10] ."),
+            "event(2)@{[0,4) (6,10]}\nevent(4)@{[4,6]}\n");
+}
+
+// Negation trims a witness before aggregation, and the head boxminus
+// dilates each aggregated segment into the past. d's contribution holds
+// only where d is not blocked, (8,10]: the sum is 1 on [0,4) and (6,8], 4
+// on [4,6] and 6 on (8,10]. boxminus[0,2] load holding at t means load
+// holds throughout [t-2,t], so each segment reaches 2 further back.
+TEST(AggregateEvalTest, NegatedBodyAndHeadBoxMinus) {
+  EXPECT_EQ(Derive("boxminus[0,2] load(msum(S)) :- c(A, S), not blocked(A) .",
+                   "c(a, 1)@[0,10] . c(b, 3)@[4,6] . c(d, 5)@[0,10] . "
+                   "blocked(d)@[0,8] ."),
+            "load(1)@{[-2,4) (4,8]}\nload(4)@{[2,6]}\nload(6)@{(6,10]}\n");
 }
 
 TEST(AggregateEvalTest, OpenIntervalEdgesSegmentExactly) {

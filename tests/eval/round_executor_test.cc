@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <random>
 #include <sstream>
 
 #include "src/chain/replayer.h"
@@ -24,6 +23,7 @@
 #include "src/engine/reasoner.h"
 #include "src/eval/seminaive.h"
 #include "src/parser/parser.h"
+#include "tests/testing/program_fuzzer.h"
 
 namespace dmtl {
 namespace {
@@ -130,64 +130,7 @@ void ExpectProvenanceExact(const Program& program, const Database& input,
       << label << ": provenance does not cover exactly the derived facts";
 }
 
-// --- randomized synthetic programs (mirrors differential_test's fragment) --
-
-class ProgramFuzzer {
- public:
-  explicit ProgramFuzzer(uint64_t seed) : rng_(seed) {}
-
-  std::string Generate() {
-    std::ostringstream out;
-    int num_edb = 2 + Pick(2);
-    int num_derived = 2 + Pick(3);
-    for (int d = 0; d < num_derived; ++d) {
-      out << "d" << d << "(X) :- " << LowerAtom(d, num_edb) << Guard(num_edb)
-          << " .\n";
-      int step = 1 + Pick(2);
-      const char* op = Pick(2) == 0 ? "boxminus" : "diamondminus";
-      out << "d" << d << "(X) :- " << op << "[" << step << "," << step
-          << "] d" << d << "(X), not p0(X) .\n";
-      if (Pick(2) == 0) {
-        out << "d" << d << "(X) :- diamondminus[0," << (1 + Pick(3)) << "] "
-            << LowerAtom(d, num_edb) << " .\n";
-      }
-    }
-    for (int p = 0; p < num_edb; ++p) {
-      int facts = 1 + Pick(4);
-      for (int f = 0; f < facts; ++f) {
-        int lo = Pick(12);
-        int hi = lo + Pick(4);
-        out << "p" << p << "(c" << Pick(3) << ")@[" << lo << "," << hi
-            << "] .\n";
-      }
-    }
-    return out.str();
-  }
-
- private:
-  int Pick(int n) { return static_cast<int>(rng_() % n); }
-
-  std::string LowerAtom(int d, int num_edb) {
-    if (d > 0 && Pick(2) == 0) {
-      return "d" + std::to_string(Pick(d)) + "(X)";
-    }
-    return "p" + std::to_string(Pick(num_edb)) + "(X)";
-  }
-
-  std::string Guard(int num_edb) {
-    switch (Pick(3)) {
-      case 0:
-        return "";
-      case 1:
-        return ", not p" + std::to_string(Pick(num_edb)) + "(X)";
-      default:
-        return ", diamondminus[0,2] p" + std::to_string(Pick(num_edb)) +
-               "(X)";
-    }
-  }
-
-  std::mt19937_64 rng_;
-};
+// --- randomized synthetic programs (tests/testing/program_fuzzer.h) ------
 
 EngineOptions FuzzOptions() {
   EngineOptions options;

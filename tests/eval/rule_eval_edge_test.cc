@@ -1,11 +1,16 @@
 // Edge cases of rule evaluation beyond the happy paths: empty relations,
 // constants in heads, duplicate literals, negated binary operators,
-// multiple timestamp splits, and assignment/filter interplay.
+// multiple timestamp splits, assignment/filter interplay, and atoms wider
+// than an index signature.
 
 #include <gtest/gtest.h>
 
-#include "src/eval/rule_eval.h"
+#include <sstream>
+
+#include "src/eval/seminaive.h"
+#include "src/eval/vm.h"
 #include "src/parser/parser.h"
+#include "tests/testing/oracle_eval.h"
 
 namespace dmtl {
 namespace {
@@ -15,10 +20,11 @@ std::string Derive(const char* rule_text, const char* facts_text) {
   EXPECT_TRUE(rule.ok()) << rule.status();
   auto db = Parser::ParseDatabase(facts_text);
   EXPECT_TRUE(db.ok()) << db.status();
-  auto eval = RuleEvaluator::Create(*rule);
-  EXPECT_TRUE(eval.ok()) << eval.status();
+  auto vm = RuleVm::Create(*rule);
+  EXPECT_TRUE(vm.ok()) << vm.status();
+  if (!vm.ok()) return "";
   Database derived;
-  Status status = eval->Evaluate(
+  Status status = (*vm)->Evaluate(
       *db, nullptr, -1,
       [&](const Tuple& tuple, const IntervalSet& extent) -> Status {
         derived.InsertSet(rule->head.predicate, tuple, extent);
@@ -91,8 +97,9 @@ TEST(RuleEvalEdgeTest, AssignmentAsEqualityFilterOnAtomVariable) {
 TEST(RuleEvalEdgeTest, EvaluationErrorsPropagate) {
   auto rule = Parser::ParseRule("q(A, C) :- p(A, X), C = X / 0.0 .");
   auto db = Parser::ParseDatabase("p(a, 1.0)@1 .");
-  auto eval = RuleEvaluator::Create(*rule);
-  Status status = eval->Evaluate(
+  auto vm = RuleVm::Create(*rule);
+  ASSERT_TRUE(vm.ok()) << vm.status();
+  Status status = (*vm)->Evaluate(
       *db, nullptr, -1,
       [](const Tuple&, const IntervalSet&) { return Status::Ok(); });
   EXPECT_EQ(status.code(), StatusCode::kEvalError);
@@ -101,8 +108,9 @@ TEST(RuleEvalEdgeTest, EvaluationErrorsPropagate) {
 TEST(RuleEvalEdgeTest, EmitErrorsPropagate) {
   auto rule = Parser::ParseRule("q(X) :- p(X) .");
   auto db = Parser::ParseDatabase("p(a)@1 .");
-  auto eval = RuleEvaluator::Create(*rule);
-  Status status = eval->Evaluate(
+  auto vm = RuleVm::Create(*rule);
+  ASSERT_TRUE(vm.ok()) << vm.status();
+  Status status = (*vm)->Evaluate(
       *db, nullptr, -1, [](const Tuple&, const IntervalSet&) {
         return Status::ResourceExhausted("budget");
       });
@@ -117,9 +125,10 @@ TEST(RuleEvalEdgeTest, ArityMismatchedTuplesAreSkipped) {
   db.Insert("p", {Value::Symbol("a"), Value::Symbol("b")},
             Interval::Point(Rational(1)));
   auto rule = Parser::ParseRule("q(X) :- p(X) .");
-  auto eval = RuleEvaluator::Create(*rule);
+  auto vm = RuleVm::Create(*rule);
+  ASSERT_TRUE(vm.ok()) << vm.status();
   Database derived;
-  ASSERT_TRUE(eval->Evaluate(db, nullptr, -1,
+  ASSERT_TRUE((*vm)->Evaluate(db, nullptr, -1,
                              [&](const Tuple& tuple,
                                  const IntervalSet& extent) -> Status {
                                derived.InsertSet(rule->head.predicate,
@@ -146,6 +155,48 @@ TEST(RuleEvalEdgeTest, WindowOperatorsAcrossGaps) {
   EXPECT_EQ(Derive("q(X) :- boxminus[0,2] p(X) .",
                    "p(a)@[0,1] . p(a)@[3,4] ."),
             "");
+}
+
+// A 70-argument join: index signatures cover positions 0-63 only, so the
+// join on positions 64-69 is unified per candidate. b holds ten tuples
+// (past the indexing threshold) keyed on position 0; only the even ones
+// also agree with a on positions 64-69.
+TEST(RuleEvalEdgeTest, SeventyArgumentAtomsRunOnTheVm) {
+  auto args = [](const std::string& first, const std::string& mid,
+                 const std::string& tail) {
+    std::string out = first;
+    for (int i = 1; i < 64; ++i) out += ", " + mid + std::to_string(i);
+    for (int i = 64; i < 70; ++i) out += ", " + tail;
+    return out;
+  };
+  std::ostringstream text;
+  text << "r(X0, X64) :- a(" << args("X0", "X", "X64") << "), b("
+       << args("X0", "Y", "X64") << ") .\n";
+  for (int t = 0; t < 10; ++t) {
+    const std::string key = "s" + std::to_string(t);
+    const std::string tail = "m" + std::to_string(t);
+    text << "a(" << args(key, "x", tail) << ")@[0,10] .\n";
+    text << "b(" << args(key, "y", t % 2 == 0 ? tail : "mz") << ")@[" << t
+         << "," << (t + 1) << "] .\n";
+  }
+  auto unit = Parser::Parse(text.str());
+  ASSERT_TRUE(unit.ok()) << unit.status();
+
+  Database vm_db = unit->database;
+  EngineStats stats;
+  ASSERT_TRUE(Materialize(unit->program, &vm_db, {}, &stats).ok());
+  EXPECT_EQ(stats.compiled_rules, 1u);
+  Database oracle_db = unit->database;
+  ASSERT_TRUE(OracleMaterialize(unit->program, &oracle_db, {}).ok());
+  EXPECT_EQ(vm_db.ToString(), oracle_db.ToString());
+
+  const Relation* r = vm_db.Find("r");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->NumTuples(), 5u);
+  EXPECT_TRUE(vm_db.Holds("r", {Value::Symbol("s4"), Value::Symbol("m4")},
+                          Rational(9, 2)));
+  EXPECT_FALSE(vm_db.Holds("r", {Value::Symbol("s3"), Value::Symbol("m3")},
+                           Rational(7, 2)));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "src/eval/rule_eval.h"
+#include "src/eval/vm.h"
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,11 @@ std::string Derive(const char* rule_text, const char* facts_text) {
   EXPECT_TRUE(rule.ok()) << rule.status();
   auto db = Parser::ParseDatabase(facts_text);
   EXPECT_TRUE(db.ok()) << db.status();
-  auto eval = RuleEvaluator::Create(*rule);
-  EXPECT_TRUE(eval.ok()) << eval.status();
+  auto vm = RuleVm::Create(*rule);
+  EXPECT_TRUE(vm.ok()) << vm.status();
+  if (!vm.ok()) return "";
   Database derived;
-  Status status = eval->Evaluate(
+  Status status = (*vm)->Evaluate(
       *db, nullptr, -1,
       [&](const Tuple& tuple, const IntervalSet& extent) -> Status {
         derived.InsertSet(rule->head.predicate, tuple, extent);
@@ -90,8 +91,9 @@ TEST(RuleEvalTest, TimestampSplitsPunctualExtents) {
 TEST(RuleEvalTest, TimestampOnIntervalExtentFails) {
   auto rule = Parser::ParseRule("at(A, T) :- p(A), timestamp(T) .");
   auto db = Parser::ParseDatabase("p(x)@[1,5] .");
-  auto eval = RuleEvaluator::Create(*rule);
-  Status status = eval->Evaluate(
+  auto vm = RuleVm::Create(*rule);
+  ASSERT_TRUE(vm.ok()) << vm.status();
+  Status status = (*vm)->Evaluate(
       *db, nullptr, -1,
       [](const Tuple&, const IntervalSet&) { return Status::Ok(); });
   EXPECT_FALSE(status.ok());
@@ -131,9 +133,10 @@ TEST(RuleEvalTest, DeltaRestrictionLimitsDerivations) {
   Database delta;
   delta.Insert("p", {Value::Symbol("x")},
                Interval::Closed(Rational(8), Rational(10)));
-  auto eval = RuleEvaluator::Create(*rule);
+  auto vm = RuleVm::Create(*rule);
+  ASSERT_TRUE(vm.ok()) << vm.status();
   Database derived;
-  Status status = eval->Evaluate(
+  Status status = (*vm)->Evaluate(
       *db, &delta, 0,
       [&](const Tuple& tuple, const IntervalSet& extent) -> Status {
         derived.InsertSet(rule->head.predicate, tuple, extent);

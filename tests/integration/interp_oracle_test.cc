@@ -1,17 +1,18 @@
-// The AST interpreter as a differential oracle for the rule compiler: every
-// materialization the compiled VM produces must be byte-identical to the
-// staged interpreter's - database contents, value-change series, and
-// provenance - at every pool width. Runs over the shipped contract
-// program(s), a directed recursion suite, and the randomized fuzz fragment,
-// plus a fault-injection case proving the round barrier rolls back a
-// partially flushed VM dispatch. These tests build a separate ctest lane
-// (label InterpOracle, binary dmtl_oracle_tests).
+// The test oracle as a differential check on the engine: every
+// materialization the rule VM produces must match the oracle's
+// (tests/testing/oracle_eval.h: unplanned, unindexed, no bytecode, no
+// chain acceleration) on the same input - database contents and
+// value-change series byte for byte, and provenance as coverage per
+// (predicate, tuple), since the oracle's rounds are its own. Runs over the
+// shipped contract program(s), a directed recursion suite, and the
+// randomized fuzz fragment, plus a fault-injection case proving the round
+// barrier rolls back a partially flushed VM dispatch. These tests build a
+// separate ctest lane (label InterpOracle, binary dmtl_oracle_tests).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <random>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "src/eval/seminaive.h"
 #include "src/parser/parser.h"
 #include "src/storage/serialize.h"
+#include "tests/testing/oracle_eval.h"
+#include "tests/testing/program_fuzzer.h"
 #include "tests/testing/recursion_cases.h"
 
 namespace dmtl {
@@ -31,18 +34,20 @@ namespace {
 struct OracleRun {
   std::string database;    // SerializeDatabase of the fixpoint
   std::string series;      // Reasoner::Series of every relation
-  std::string provenance;  // every DerivationRecord, in emission order
+  std::string provenance;  // derived pieces, unioned per (predicate, tuple)
 };
 
-// One materialization with everything observable captured as text.
+// One materialization - by the engine, or by the oracle - with everything
+// observable captured as text.
 OracleRun RunOnce(const Program& program, const Database& facts,
-                  EngineOptions options, bool compile) {
-  options.enable_rule_compile = compile;
+                  EngineOptions options, bool oracle) {
   std::vector<DerivationRecord> provenance;
   options.provenance = &provenance;
   Database db = facts;
-  Status status = Materialize(program, &db, options);
-  EXPECT_TRUE(status.ok()) << status;
+  Status status = oracle
+                      ? OracleMaterialize(program, &db, options, &provenance)
+                      : Materialize(program, &db, options);
+  EXPECT_TRUE(status.ok()) << status << " (oracle=" << oracle << ")";
 
   OracleRun out;
   out.database = SerializeDatabase(db);
@@ -55,26 +60,30 @@ OracleRun RunOnce(const Program& program, const Database& facts,
     }
   }
   out.series = series.str();
-  std::ostringstream prov;
+  std::map<std::string, IntervalSet> coverage;
   for (const DerivationRecord& record : provenance) {
-    prov << record.ToString(program) << "\n";
+    coverage[PredicateName(record.predicate) + TupleToString(record.tuple)]
+        .Insert(record.piece);
+  }
+  std::ostringstream prov;
+  for (const auto& [fact, set] : coverage) {
+    prov << fact << "@" << set.ToString() << "\n";
   }
   out.provenance = prov.str();
   return out;
 }
 
-// The oracle contract: compile-on and compile-off runs must match byte for
-// byte on all three artifacts, provenance attribution included - the VM
-// emits in exactly the interpreter's order.
+// The oracle contract: the engine and the oracle must match on all three
+// artifacts.
 void ExpectExecutorsAgree(const Program& program, const Database& facts,
                           const EngineOptions& options,
                           const std::string& what) {
   SCOPED_TRACE(what);
-  OracleRun vm = RunOnce(program, facts, options, /*compile=*/true);
-  OracleRun interp = RunOnce(program, facts, options, /*compile=*/false);
-  EXPECT_EQ(vm.database, interp.database);
-  EXPECT_EQ(vm.series, interp.series);
-  EXPECT_EQ(vm.provenance, interp.provenance);
+  OracleRun vm = RunOnce(program, facts, options, /*oracle=*/false);
+  OracleRun oracle = RunOnce(program, facts, options, /*oracle=*/true);
+  EXPECT_EQ(vm.database, oracle.database);
+  EXPECT_EQ(vm.series, oracle.series);
+  EXPECT_EQ(vm.provenance, oracle.provenance);
 }
 
 // --- shipped programs ------------------------------------------------------
@@ -135,7 +144,7 @@ TEST_P(InterpOracleRecursionTest, ExecutorsAgree) {
   ExpectExecutorsAgree(unit->program, unit->database, options,
                        GetParam().name);
   // The same program with chain acceleration off drives every recursive
-  // round through Evaluate (no ExtendChain batching).
+  // round of the engine through Evaluate (no ExtendChain batching).
   EngineOptions no_accel = options;
   no_accel.enable_chain_acceleration = false;
   ExpectExecutorsAgree(unit->program, unit->database, no_accel,
@@ -148,70 +157,10 @@ INSTANTIATE_TEST_SUITE_P(Cases, InterpOracleRecursionTest,
 
 // --- randomized fuzz suite --------------------------------------------------
 
-// Same safe fragment as tests/integration/differential_test.cc (random
-// layered programs with chain rules, negation guards, and metric windows),
-// here pitted executor-against-executor instead of strategy-vs-strategy.
-class OracleFuzzer {
- public:
-  explicit OracleFuzzer(uint64_t seed) : rng_(seed) {}
-
-  std::string Generate() {
-    std::ostringstream out;
-    int num_edb = 2 + Pick(2);
-    int num_derived = 2 + Pick(3);
-    for (int d = 0; d < num_derived; ++d) {
-      out << "d" << d << "(X) :- " << LowerAtom(d, num_edb) << Guard(num_edb)
-          << " .\n";
-      int step = 1 + Pick(2);
-      const char* op = Pick(2) == 0 ? "boxminus" : "diamondminus";
-      out << "d" << d << "(X) :- " << op << "[" << step << "," << step
-          << "] d" << d << "(X), not p0(X) .\n";
-      if (Pick(2) == 0) {
-        out << "d" << d << "(X) :- diamondminus[0," << (1 + Pick(3)) << "] "
-            << LowerAtom(d, num_edb) << " .\n";
-      }
-    }
-    for (int p = 0; p < num_edb; ++p) {
-      int facts = 1 + Pick(4);
-      for (int f = 0; f < facts; ++f) {
-        int lo = Pick(12);
-        int hi = lo + Pick(4);
-        out << "p" << p << "(c" << Pick(3) << ")@[" << lo << "," << hi
-            << "] .\n";
-      }
-    }
-    return out.str();
-  }
-
- private:
-  int Pick(int n) { return static_cast<int>(rng_() % n); }
-
-  std::string LowerAtom(int d, int num_edb) {
-    if (d > 0 && Pick(2) == 0) {
-      return "d" + std::to_string(Pick(d)) + "(X)";
-    }
-    return "p" + std::to_string(Pick(num_edb)) + "(X)";
-  }
-
-  std::string Guard(int num_edb) {
-    switch (Pick(3)) {
-      case 0:
-        return "";
-      case 1:
-        return ", not p" + std::to_string(Pick(num_edb)) + "(X)";
-      default:
-        return ", diamondminus[0,2] p" + std::to_string(Pick(num_edb)) +
-               "(X)";
-    }
-  }
-
-  std::mt19937_64 rng_;
-};
-
 class InterpOracleFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(InterpOracleFuzzTest, ExecutorsAgree) {
-  OracleFuzzer fuzzer(GetParam());
+  ProgramFuzzer fuzzer(GetParam());
   std::string text = fuzzer.Generate();
   auto unit = Parser::Parse(text);
   ASSERT_TRUE(unit.ok()) << unit.status() << "\nprogram:\n" << text;
@@ -233,9 +182,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InterpOracleFuzzTest,
 // clean re-run from the partial database must reach the unfaulted
 // fixpoint.
 TEST(InterpOracleFaultTest, MidDispatchFailureRollsBackToBarrier) {
-  if (std::getenv("DMTL_DISABLE_RULE_COMPILE") != nullptr) {
-    GTEST_SKIP() << "rule compilation disabled by environment";
-  }
   constexpr char kText[] =
       "a(A) :- deposit(A) .\n"
       "b(A) :- deposit(A) .\n"

@@ -621,7 +621,6 @@ TEST(StreamingSessionTest, OneDriverServesAdvancesSlidesAndHeal) {
       "c(X) :- diamondminus[1,1] c(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options = Opts(0);
-  options.engine.enable_rule_compile = true;
   options.track_provenance = true;
   auto session = StreamingSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
@@ -667,8 +666,7 @@ TEST(StreamingSessionTest, OneDriverServesAdvancesSlidesAndHeal) {
 // streams. Every third advance is a checkpoint compared byte-for-byte
 // against a cold replay, and past the warm-up every advance is followed by
 // a slide, itself checked the same way. The whole lane re-runs under the
-// DMTL_DISABLE_RULE_COMPILE / DMTL_DISABLE_STREAMING environment lanes in
-// CI.
+// DMTL_DISABLE_STREAMING environment lane in CI.
 // ---------------------------------------------------------------------------
 
 // Same safe fragment the scale-invariance/differential suites fuzz -

@@ -16,8 +16,8 @@ struct RecursionCase {
 // during-iteration hazard), mutual recursion, mixed chain steps, negation
 // over derived state, metric windows on recursive results, two-operator
 // unary chains, a since body whose left operand holds vacuously (p never
-// holds near q, yet r holds wherever q does), and an aggregate head (a
-// VM-declined rule mixed among compiled ones).
+// holds near q, yet r holds wherever q does), and an aggregate head mixed
+// among plain rules.
 inline constexpr RecursionCase kRecursionCases[] = {
     {"transitive_closure",
      "reach(X, Y) :- edge(X, Y) .\n"

@@ -220,17 +220,21 @@ TEST_F(CliTest, ExitCodesDistinguishFailureClasses) {
   EXPECT_EQ(ExitCodeForStatus(Status::NotFound("x")), 1);
 }
 
-TEST_F(CliTest, NoPlanMatchesDefaultRun) {
+// The rule VM is the only executor: the flags that once switched to the
+// AST walker are unknown options (a usage error), and the default run
+// still derives the join.
+TEST_F(CliTest, RemovedExecutorFlagsAreRejected) {
   std::string path = WriteFile("join.dmtl",
                                "r(X, Z) :- p(X, Y), q(Y, Z) .\n"
                                "p(a, b)@[0,4] . p(a, c)@[10,12] .\n"
                                "q(b, d)@[1,2] . q(c, e)@[50,60] .\n");
-  auto [on_status, on_out] = Run({"run", path});
-  ASSERT_TRUE(on_status.ok()) << on_status;
-  auto [off_status, off_out] = Run({"run", path, "--no-plan"});
-  ASSERT_TRUE(off_status.ok()) << off_status;
-  EXPECT_EQ(on_out, off_out);
-  EXPECT_NE(on_out.find("r(a, d)@[1, 2] ."), std::string::npos) << on_out;
+  auto [status, out] = Run({"run", path});
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(out.find("r(a, d)@[1, 2] ."), std::string::npos) << out;
+  for (const char* flag : {"--no-plan", "--no-compile"}) {
+    auto [flag_status, flag_out] = Run({"run", path, flag});
+    EXPECT_EQ(ExitCodeForStatus(flag_status), 2) << flag;
+  }
 }
 
 TEST_F(CliTest, ExplainPlanPrintsJoinOrderAndCounters) {

@@ -174,8 +174,8 @@ def check_comparable(base, cand):
         return (f"baseline guards_enabled={bg} but candidate "
                 f"guards_enabled={cg} (guarded and unguarded timings are "
                 f"not like-with-like)")
-    # Every engine feature flag the benches record (enable_rule_compile,
-    # enable_streaming, and any future enable_* the context grows) selects
+    # Every engine feature flag the benches record (enable_streaming, and
+    # any future enable_* the context grows) selects
     # a different execution path, so cross-flag timings measure the feature toggle, not a
     # regression. The check is generic: a new flag added to the context is
     # automatically part of the like-with-like contract, no edit here.
