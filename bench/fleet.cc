@@ -29,7 +29,6 @@
 #include "src/contracts/eth_perp_program.h"
 #include "src/fleet/server.h"
 #include "src/fleet/workload.h"
-#include "src/validation/parallel_sessions.h"
 #include "bench/bench_util.h"
 
 namespace {

@@ -21,9 +21,10 @@ constexpr uint64_t kGuardStrideMask = 4095;
 // budget checks.
 constexpr int64_t kChainBatchPoints = 2048;
 // Chain walks poll the guard once per 256 batches (grid walks) or frontier
-// passes (interval seeds), the Sink's emission stride: the 267-event/7200 s
-// session walks ~850k batches, and a clock read per batch cost more than
-// the 2% the guard may add.
+// passes (interval seeds), the Sink's emission stride. A grid batch runs on
+// across allowed components, so the 267-event/14400 s session walks only a
+// few thousand batches; the stride keeps a clock read off each of the many
+// short walks that stop after one batch.
 constexpr uint64_t kChainGuardStrideMask = 255;
 
 // True when an upper bound ends strictly before time t.
@@ -46,6 +47,24 @@ const Interval* FindComponent(const IntervalSet& set, const Rational& t) {
       [&](const Interval& iv) { return UpperEndsBefore(iv.hi(), t); });
   if (it == set.end() || !it->Contains(t)) return nullptr;
   return it;
+}
+
+// Steps the cursor `comp` (a component of `allowed`) in walk direction to
+// the component holding t, or nullptr when no component holds it. t must not
+// lie behind `comp` in walk direction. Components with no grid point between
+// two grid points are stepped over, as a fresh bisect would.
+const Interval* StepCursor(const IntervalSet& allowed, const Interval* comp,
+                           const Rational& t, bool fwd) {
+  if (fwd) {
+    while (comp != allowed.end() && UpperEndsBefore(comp->hi(), t)) ++comp;
+    if (comp == allowed.end()) return nullptr;
+  } else {
+    while (LowerStartsAfter(comp->lo(), t)) {
+      if (comp == allowed.begin()) return nullptr;
+      --comp;
+    }
+  }
+  return comp->Contains(t) ? comp : nullptr;
 }
 
 // Largest k >= 0 such that t + k*step stays inside `comp` (t must be in
@@ -609,23 +628,42 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
                         const EmitFn& emit, const ExecutionGuard* guard,
                         size_t* extensions) {
   const Rational& step = chain_->step;
+  const bool fwd = !step.is_negative();
   const PredicateId head = eval_.rule().head.predicate;
   Rational t = seed + step;
+  // Cursor: the allowed component holding the latest batched point. The walk
+  // only moves in grid direction, so one bisect places it and every later
+  // lookup steps on from there.
+  const Interval* comp = FindComponent(allowed, t);
+  if (comp == nullptr) return Status::Ok();  // walked out of allowed time
   while (true) {
-    const Interval* comp = FindComponent(allowed, t);
-    if (comp == nullptr) return Status::Ok();  // walked out of allowed time
+    // Batch: the consecutive grid points from t that stay in allowed time,
+    // up to the batch cap. The run crosses component boundaries whenever
+    // the next component in walk direction holds the next grid point - a
+    // point-grid guard makes every component a single point.
+    batch_.clear();
+    Rational p = t;
+    while (batch_.size() < static_cast<size_t>(kChainBatchPoints)) {
+      const Interval* at = StepCursor(allowed, comp, p, fwd);
+      if (at == nullptr) break;
+      comp = at;
+      int64_t take =
+          kChainBatchPoints - static_cast<int64_t>(batch_.size());
+      std::optional<int64_t> within = StepsWithin(*comp, p, step);
+      if (within.has_value() && *within < take) take = *within + 1;
+      for (int64_t i = 0; i < take; ++i) {
+        batch_.push_back(Interval::Point(p));
+        p = p + step;
+      }
+    }
+    if (batch_.empty()) return Status::Ok();  // walked out of allowed time
 
-    // Batch size: how many consecutive grid points stay inside this allowed
-    // component (grids cross gaps, so the component is re-searched per
-    // batch) and ahead of already-derived coverage. The coverage is
-    // re-fetched per batch: the walk's own emissions extend (and may move)
-    // it.
-    std::optional<int64_t> within = StepsWithin(*comp, t, step);
-    int64_t k_cap = kChainBatchPoints - 1;
-    if (within.has_value() && *within < k_cap) k_cap = *within;
+    // Stop ahead of already-derived coverage. It is re-fetched per batch:
+    // the walk's own emissions extend (and may move) it.
     const IntervalSet* derived = nullptr;
     if (const Relation* rel = db.Find(head)) derived = rel->Find(tuple);
-    std::optional<int64_t> n = FirstCoveredStep(derived, t, step, k_cap);
+    const int64_t run = static_cast<int64_t>(batch_.size());
+    std::optional<int64_t> n = FirstCoveredStep(derived, t, step, run - 1);
 
     if (n.has_value() && *n == 0) {
       // The next grid point is already derived: a point-by-point walk would
@@ -635,13 +673,8 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
       return Status::Ok();
     }
 
-    const int64_t m = n.has_value() ? *n : k_cap + 1;
-    batch_.clear();
-    Rational p = t;
-    for (int64_t i = 0; i < m; ++i) {
-      batch_.push_back(Interval::Point(p));
-      p = p + step;
-    }
+    const int64_t m = n.has_value() ? *n : run;
+    batch_.erase(batch_.begin() + m, batch_.end());
     DMTL_RETURN_IF_ERROR(emit(tuple, IntervalSet::FromIntervals(batch_)));
     *extensions += static_cast<size_t>(m);
     if (n.has_value()) {

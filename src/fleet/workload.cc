@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 
 namespace dmtl {
 
@@ -66,6 +68,22 @@ std::vector<FleetOp> SessionToOps(const Session& session) {
   const Rational last = times.empty() ? start : Rational(times.back());
   if (last < end) ops.push_back(FleetOp::Advance(end));
   return ops;
+}
+
+std::vector<WorkloadConfig> ShardConfigs(const WorkloadConfig& base,
+                                         int num_shards) {
+  std::vector<WorkloadConfig> shards;
+  if (num_shards <= 0) return shards;
+  shards.reserve(num_shards);
+  for (int i = 0; i < num_shards; ++i) {
+    WorkloadConfig config = base;
+    config.name = base.name + "-shard" + std::to_string(i);
+    // Disjoint seeds give every shard its own accounts and order flow; the
+    // stride keeps neighboring shards' streams uncorrelated.
+    config.seed = base.seed + static_cast<uint64_t>(i) * 0x9E3779B9u + 1;
+    shards.push_back(std::move(config));
+  }
+  return shards;
 }
 
 }  // namespace dmtl

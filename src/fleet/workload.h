@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/chain/events.h"
+#include "src/chain/workload.h"
 #include "src/storage/database.h"
 
 namespace dmtl {
@@ -59,6 +60,14 @@ struct FleetOp {
 // coverage a batch run over SessionToDatabase(session) derives; the fleet
 // workload generator builds its per-session queues from this.
 std::vector<FleetOp> SessionToOps(const Session& session);
+
+// Derives `num_shards` independent account-sharded session configs from a
+// base config: same shape and volume, disjoint seeds, suffixed names.
+// Trading sessions are independent of one another (every contract predicate
+// is keyed by account, and accounts never interact across sessions), so a
+// fleet of such shards is the engine's parallel axis.
+std::vector<WorkloadConfig> ShardConfigs(const WorkloadConfig& base,
+                                         int num_shards);
 
 }  // namespace dmtl
 

@@ -63,23 +63,26 @@ IntervalSet IntervalSet::FromIntervals(const std::vector<Interval>& ivs) {
   IntervalSet out;
   if (ivs.empty()) return out;
   g_bulk_merges.fetch_add(1, std::memory_order_relaxed);
-  // Small batches are the overwhelmingly common shape (WalkGrid emits one
-  // batch per grid cell, usually 1-2 clips). Normalized insertion straight
-  // into the output skips the heap copy + sort of the general path; the
-  // result is the same canonical component list either way.
-  if (ivs.size() == 1) {
-    out.intervals_.push_back(ivs[0]);
+  // The caller, RuleVm::WalkGrid, passes the grid points of one batch in
+  // walk order: ascending, or descending for a negative step. A list
+  // already in start order either way round is appended straight into the
+  // output, skipping the heap copy + sort of the general path; the result
+  // is the same canonical component list either way.
+  auto starts_before = [](const Interval& a, const Interval& b) {
+    return a.StartsBefore(b);
+  };
+  if (std::is_sorted(ivs.begin(), ivs.end(), starts_before)) {
+    for (const Interval& iv : ivs) AppendCoalesce(&out.intervals_, iv);
     return out;
   }
-  if (ivs.size() <= 8) {
-    for (const Interval& iv : ivs) out.Add(iv);
+  if (std::is_sorted(ivs.rbegin(), ivs.rend(), starts_before)) {
+    for (auto it = ivs.rbegin(); it != ivs.rend(); ++it) {
+      AppendCoalesce(&out.intervals_, *it);
+    }
     return out;
   }
   std::vector<Interval> sorted = ivs;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.StartsBefore(b);
-            });
+  std::sort(sorted.begin(), sorted.end(), starts_before);
   for (const Interval& iv : sorted) AppendCoalesce(&out.intervals_, iv);
   return out;
 }

@@ -22,7 +22,6 @@
 #include "src/storage/serialize.h"
 #include "src/storage/snapshot.h"
 #include "src/streaming/session.h"
-#include "src/validation/parallel_sessions.h"
 
 namespace dmtl {
 

@@ -5,6 +5,7 @@
 #include "src/analysis/stratifier.h"
 #include "src/eval/seminaive.h"
 #include "src/parser/parser.h"
+#include "tests/testing/oracle_eval.h"
 
 namespace dmtl {
 namespace {
@@ -131,11 +132,11 @@ TEST_P(ChainAccelDifferentialTest, AcceleratedEqualsNaiveChain) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChainAccelDifferentialTest,
                          ::testing::Values(1, 2, 5, 13));
 
-// The time mirror t -> 60 - t of every stored interval.
-Database Mirror60(const Database& db) {
-  auto mirror = [](const Bound& b) {
+// The time mirror t -> horizon - t of every stored interval.
+Database Mirror(const Database& db, const Rational& horizon) {
+  auto mirror = [&](const Bound& b) {
     Bound out = b;
-    if (!b.infinite) out.value = Rational(60) - b.value;
+    if (!b.infinite) out.value = horizon - b.value;
     return out;
   };
   Database out;
@@ -184,7 +185,8 @@ TEST(ChainAccelTest, FutureChainMirrorsPastChain) {
     EXPECT_EQ(results[i].ToString(), plain.ToString()) << i;
     extensions[i] = stats.chain_extensions;
   }
-  EXPECT_EQ(Mirror60(results[0]).ToString(), results[1].ToString());
+  EXPECT_EQ(Mirror(results[0], Rational(60)).ToString(),
+            results[1].ToString());
   EXPECT_GT(extensions[0], 0u);
   EXPECT_EQ(extensions[0], extensions[1]);
 }
@@ -204,6 +206,155 @@ TEST(ChainAccelTest, IntervalSeedsWalkByShifting) {
   EXPECT_TRUE(db.Holds("p", {Value::Symbol("x")}, Rational(5)));
   EXPECT_FALSE(db.Holds("p", {Value::Symbol("x")}, Rational(6)));
 }
+
+// Point-grid guards. The guard g(A) is kept alive by a punctual persistence
+// rule, so it holds on isolated points and every allowed component of p's
+// chain is a single point - the shape of the paper's rules 13, 35 and 39,
+// whose guard isOpen(A) is such a grid. As in rule 13, p's rule also negates
+// a predicate built on g (halt), which puts g strictly below p's stratum and
+// makes the rule a chain. Fact times are in half units so a guard grid can
+// sit off the chain's phase.
+struct GridFact {
+  const char* pred;
+  int lo_half;
+  int hi_half;
+};
+
+struct PointGridCase {
+  const char* name;
+  std::vector<GridFact> facts;
+  int horizon;  // the window is [0, horizon]
+  // Counts, equal for the past chain and its mirror, of the engine whose
+  // chain batches stopped at the end of each allowed component (one
+  // emission per guard point): the extensions stay, the bulk merges fall.
+  size_t parent_extensions;
+  uint64_t parent_bulk_merges;
+};
+
+void PrintTo(const PointGridCase& c, std::ostream* os) { *os << c.name; }
+
+std::string HalfTime(int half) {
+  std::string out = std::to_string(half / 2);
+  if (half % 2 != 0) out += ".5";
+  return out;
+}
+
+// The chain program over `c`'s facts; `future` writes its time mirror
+// t -> horizon - t, whose chains walk with a negative step.
+std::string PointGridProgram(const PointGridCase& c, bool future) {
+  std::string text =
+      future ? "g(A) :- start(A) .\n"
+               "g(A) :- boxplus[1,1] g(A), not stop(A) .\n"
+               "halt(A) :- g(A), block(A) .\n"
+               "p(A) :- seed(A) .\n"
+               "p(A) :- diamondplus[1,1] p(A), g(A), not halt(A) .\n"
+             : "g(A) :- start(A) .\n"
+               "g(A) :- boxminus[1,1] g(A), not stop(A) .\n"
+               "halt(A) :- g(A), block(A) .\n"
+               "p(A) :- seed(A) .\n"
+               "p(A) :- diamondminus[1,1] p(A), g(A), not halt(A) .\n";
+  // block sits off every guard grid, so halt stays empty.
+  std::vector<GridFact> facts = c.facts;
+  facts.push_back({"block", 2 * c.horizon - 1, 2 * c.horizon - 1});
+  for (const GridFact& f : facts) {
+    int lo = f.lo_half;
+    int hi = f.hi_half;
+    if (future) {
+      lo = 2 * c.horizon - f.hi_half;
+      hi = 2 * c.horizon - f.lo_half;
+    }
+    text += std::string(f.pred) + "(x)@[" + HalfTime(lo) + "," +
+            HalfTime(hi) + "] .\n";
+  }
+  return text;
+}
+
+class PointGridChainTest : public ::testing::TestWithParam<PointGridCase> {};
+
+TEST_P(PointGridChainTest, BatchesAcrossGuardPoints) {
+  const PointGridCase& c = GetParam();
+  EngineOptions on;
+  on.min_time = Rational(0);
+  on.max_time = Rational(c.horizon);
+  EngineOptions off = on;
+  off.enable_chain_acceleration = false;
+  Database results[2];
+  EngineStats stats[2];
+  for (int i = 0; i < 2; ++i) {
+    auto unit = Parser::Parse(PointGridProgram(c, i == 1));
+    ASSERT_TRUE(unit.ok()) << unit.status();
+    results[i] = unit->database;
+    Database plain = unit->database;
+    Database oracle = unit->database;
+    ASSERT_TRUE(Materialize(unit->program, &results[i], on, &stats[i]).ok());
+    ASSERT_TRUE(Materialize(unit->program, &plain, off).ok());
+    ASSERT_TRUE(OracleMaterialize(unit->program, &oracle, on).ok());
+    EXPECT_EQ(results[i].ToString(), plain.ToString()) << i;
+    EXPECT_EQ(results[i].ToString(), oracle.ToString()) << i;
+    EXPECT_EQ(stats[i].chain_extensions, c.parent_extensions) << i;
+    EXPECT_LT(stats[i].bulk_merges, c.parent_bulk_merges) << i;
+  }
+  EXPECT_EQ(Mirror(results[0], Rational(c.horizon)).ToString(),
+            results[1].ToString());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, PointGridChainTest,
+    ::testing::Values(
+        // One unbroken guard grid, 0..39.
+        PointGridCase{"contiguous",
+                      {{"start", 0, 0}, {"stop", 80, 80}, {"seed", 6, 6}},
+                      60,
+                      146,
+                      37},
+        // The guard misses the point 20: the seed at 3 stops at 19 and the
+        // seed at 25 starts afresh; a walk hopping the gap would derive
+        // 20..24.
+        PointGridCase{"gap",
+                      {{"start", 0, 0},
+                       {"start", 42, 42},
+                       {"stop", 40, 40},
+                       {"stop", 80, 80},
+                       {"seed", 6, 6},
+                       {"seed", 50, 50}},
+                      60,
+                      126,
+                      37},
+        // The guard grid sits half a step off the chain's grid: integer
+        // seeds never extend, the seed at 3.5 walks the guard's phase.
+        PointGridCase{"offset_phase",
+                      {{"start", 1, 1},
+                       {"stop", 80, 80},
+                       {"seed", 6, 6},
+                       {"seed", 7, 7}},
+                      60,
+                      224,
+                      59},
+        // Two guard phases interleave: between two of the chain's grid
+        // points lies a guard point holding none of them, which the walk
+        // must step over.
+        PointGridCase{"interleaved_phases",
+                      {{"start", 0, 0},
+                       {"start", 1, 1},
+                       {"stop", 80, 81},
+                       {"seed", 6, 6}},
+                      60,
+                      222,
+                      42},
+        // A grid longer than one batch: the walk resumes mid-grid after the
+        // batch cap, past a gap at 2500.
+        PointGridCase{"longer_than_a_batch",
+                      {{"start", 0, 0},
+                       {"start", 5002, 5002},
+                       {"stop", 5000, 5000},
+                       {"seed", 2, 2},
+                       {"seed", 5010, 5010}},
+                      3000,
+                      11974,
+                      3003}),
+    [](const ::testing::TestParamInfo<PointGridCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dmtl

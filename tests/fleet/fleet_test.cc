@@ -22,7 +22,6 @@
 #include "src/fleet/workload.h"
 #include "src/storage/serialize.h"
 #include "src/streaming/session.h"
-#include "src/validation/parallel_sessions.h"
 
 namespace dmtl {
 namespace {

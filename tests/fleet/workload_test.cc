@@ -1,4 +1,4 @@
-#include "src/validation/parallel_sessions.h"
+#include "src/fleet/workload.h"
 
 #include <gtest/gtest.h>
 

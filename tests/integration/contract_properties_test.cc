@@ -17,6 +17,18 @@
 namespace dmtl {
 namespace {
 
+// Stored-interval budget for one session. Seeds 101-606 derive 40,333 to
+// 41,726 intervals over their 120 input facts; 170,000 is about 4x the
+// largest, so an engine fault that over-derives stops as kResourceExhausted
+// within a few hundred MB instead of growing the process to gigabytes.
+constexpr size_t kMaxIntervals = 170'000;
+
+EngineOptions BudgetedOptions(const Session& session) {
+  EngineOptions options = SessionEngineOptions(session);
+  options.max_intervals = kMaxIntervals;
+  return options;
+}
+
 struct RunResult {
   Session session;
   Database db;
@@ -40,8 +52,7 @@ RunResult RunSeed(uint64_t seed) {
   auto program = EthPerpProgram();
   EXPECT_TRUE(program.ok());
   out.db = SessionToDatabase(out.session);
-  Status status =
-      Materialize(*program, &out.db, SessionEngineOptions(out.session));
+  Status status = Materialize(*program, &out.db, BudgetedOptions(out.session));
   EXPECT_TRUE(status.ok()) << status;
   auto trades = ExtractTrades(out.db);
   EXPECT_TRUE(trades.ok()) << trades.status();
@@ -122,8 +133,7 @@ TEST_P(ContractPropertyTest, RematerializationIsIdempotent) {
   std::string before = run.db.ToString();
   auto program = EthPerpProgram();
   ASSERT_TRUE(
-      Materialize(*program, &run.db, SessionEngineOptions(run.session))
-          .ok());
+      Materialize(*program, &run.db, BudgetedOptions(run.session)).ok());
   EXPECT_EQ(run.db.ToString(), before);
 }
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -79,6 +80,26 @@ TEST_P(BulkKernelFuzzTest, FromIntervalsMatchesInsertReference) {
     EXPECT_EQ(bulk, reference)
         << "bulk=" << bulk.ToString() << " ref=" << reference.ToString();
     EXPECT_EQ(bulk.ToString(), reference.ToString());
+  }
+}
+
+TEST_P(BulkKernelFuzzTest, FromIntervalsOfOrderedStreamsMatchesReference) {
+  // Chain walks pass their batches in walk order, ascending or descending;
+  // those skip the sort. Either order must still coalesce touching and
+  // overlapping neighbours like Insert does.
+  IntervalFuzzer fuzz(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    std::vector<Interval> stream = fuzz.Stream(1 + fuzz.PickSize(24));
+    std::sort(stream.begin(), stream.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.StartsBefore(b);
+              });
+    IntervalSet reference = InsertReference(stream);
+    EXPECT_EQ(IntervalSet::FromIntervals(stream).ToString(),
+              reference.ToString());
+    std::reverse(stream.begin(), stream.end());
+    EXPECT_EQ(IntervalSet::FromIntervals(stream).ToString(),
+              reference.ToString());
   }
 }
 
