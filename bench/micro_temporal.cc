@@ -1,6 +1,9 @@
 // Experiment B1 - microbenchmarks of the temporal substrate: interval set
 // insertion/coalescing, intersections (including the asymmetric fast path
-// that rule evaluation leans on), and the MTL operator transforms.
+// that rule evaluation leans on), and the MTL operator transforms. The
+// BM_Grid* rows (EXPERIMENTS.md B16) run the kernels the contract's
+// per-second persistence grids go through on one 14,400-point step-1 grid,
+// the 4-hour paper window.
 
 #include <benchmark/benchmark.h>
 
@@ -201,6 +204,63 @@ void BM_UnionWithDelta(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * calls);
 }
 BENCHMARK(BM_UnionWithDelta)->Arg(0)->Arg(1)->Arg(2);
+
+// --- Point grids -------------------------------------------------------------
+// One account's per-second state over the paper window, built point by
+// point at the frontier.
+constexpr int kGridPoints = 14400;
+
+void BM_GridIntersectWindow(benchmark::State& state) {
+  IntervalSet grid = TickChain(kGridPoints);
+  Interval window = Interval::Closed(Rational(3600), Rational(10800));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grid.Intersect(window));
+  }
+}
+BENCHMARK(BM_GridIntersectWindow);
+
+// Two grids on one phase, offset by a second: a persistence extent against
+// its own [1,1]-shifted window.
+void BM_GridIntersectGrid(benchmark::State& state) {
+  IntervalSet grid = TickChain(kGridPoints);
+  IntervalSet shifted = grid.Shift(Rational(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grid.Intersect(shifted));
+  }
+}
+BENCHMARK(BM_GridIntersectGrid);
+
+void BM_GridDiamondMinus(benchmark::State& state) {
+  IntervalSet grid = TickChain(kGridPoints);
+  Interval rho = Interval::Point(Rational(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grid.DiamondMinus(rho));
+  }
+}
+BENCHMARK(BM_GridDiamondMinus);
+
+// The grid built by 14,400 frontier inserts, each returning its delta.
+void BM_GridFrontierAppend(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TickChain(kGridPoints));
+  }
+  state.SetItemsProcessed(state.iterations() * kGridPoints);
+}
+BENCHMARK(BM_GridFrontierAppend);
+
+// `not change(A)`: the grid minus a sparse event set (267 points, the
+// paper session's event count).
+void BM_GridSubtractSparse(benchmark::State& state) {
+  IntervalSet grid = TickChain(kGridPoints);
+  IntervalSet events;
+  for (int i = 0; i < 267; ++i) {
+    events.Add(Interval::Point(Rational((i * 7919) % kGridPoints)));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grid.Subtract(events));
+  }
+}
+BENCHMARK(BM_GridSubtractSparse);
 
 void BM_ContainsBinarySearch(benchmark::State& state) {
   IntervalSet set = TickChain(static_cast<int>(state.range(0)));

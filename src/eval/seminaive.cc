@@ -346,8 +346,7 @@ class IncrementalMaterializer::Impl {
               // Tuples whose coverage ended before the band - the common
               // case once the stream has history - fail on one bound
               // compare instead of a full intersection.
-              const Bound& hi =
-                  (row.extent->begin() + (row.extent->size() - 1))->hi();
+              const Bound hi = row.extent->Hull().hi();
               if (!band->lo().infinite && !hi.infinite &&
                   !(band->lo().value < hi.value)) {
                 continue;

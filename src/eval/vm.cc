@@ -16,15 +16,16 @@ namespace {
 // invisible in profiles (an atomic load + clock read per 4096 candidates).
 constexpr uint64_t kGuardStrideMask = 4095;
 
-// Upper bound on punctual chain points emitted per batch: caps the interval
-// scratch buffer and bounds how far a walk can run between guard polls and
-// budget checks.
-constexpr int64_t kChainBatchPoints = 2048;
-// Chain walks poll the guard once per 256 batches (grid walks) or frontier
-// passes (interval seeds), the Sink's emission stride. A grid batch runs on
-// across allowed components, so the 267-event/14400 s session walks only a
-// few thousand batches; the stride keeps a clock read off each of the many
-// short walks that stop after one batch.
+using Component = IntervalSet::Component;
+
+// Upper bound on the grid points of one chain emission: a walk emits one
+// point run per allowed stretch, cut at this length, which bounds how far
+// it can run between guard polls and budget checks.
+constexpr int64_t kChainRunPoints = int64_t{1} << 16;
+// Chain walks poll the guard once per 256 emissions (grid walks) or
+// frontier passes (interval seeds), the Sink's emission stride: a clock
+// read on each of the many short walks that stop after one emission would
+// show in the profile.
 constexpr uint64_t kChainGuardStrideMask = 255;
 
 // True when an upper bound ends strictly before time t.
@@ -39,13 +40,14 @@ inline bool LowerStartsAfter(const Bound& lo, const Rational& t) {
   return lo.open ? lo.value >= t : lo.value > t;
 }
 
-// The component of `set` containing t, or nullptr. Binary search over the
-// normalized (sorted, disjoint) component list.
-const Interval* FindComponent(const IntervalSet& set, const Rational& t) {
-  const Interval* it = std::partition_point(
-      set.begin(), set.end(),
-      [&](const Interval& iv) { return UpperEndsBefore(iv.hi(), t); });
-  if (it == set.end() || !it->Contains(t)) return nullptr;
+// The component of `set` holding t, or nullptr. Binary search over the
+// normalized (sorted, disjoint) component hulls.
+const Component* FindComponent(const IntervalSet& set, const Rational& t) {
+  const IntervalSet::ComponentVec& comps = set.components();
+  const Component* it = std::partition_point(
+      comps.begin(), comps.end(),
+      [&](const Component& c) { return UpperEndsBefore(c.hull.hi(), t); });
+  if (it == comps.end() || !it->Contains(t)) return nullptr;
   return it;
 }
 
@@ -53,14 +55,15 @@ const Interval* FindComponent(const IntervalSet& set, const Rational& t) {
 // the component holding t, or nullptr when no component holds it. t must not
 // lie behind `comp` in walk direction. Components with no grid point between
 // two grid points are stepped over, as a fresh bisect would.
-const Interval* StepCursor(const IntervalSet& allowed, const Interval* comp,
-                           const Rational& t, bool fwd) {
+const Component* StepCursor(const IntervalSet& allowed, const Component* comp,
+                            const Rational& t, bool fwd) {
+  const IntervalSet::ComponentVec& comps = allowed.components();
   if (fwd) {
-    while (comp != allowed.end() && UpperEndsBefore(comp->hi(), t)) ++comp;
-    if (comp == allowed.end()) return nullptr;
+    while (comp != comps.end() && UpperEndsBefore(comp->hull.hi(), t)) ++comp;
+    if (comp == comps.end()) return nullptr;
   } else {
-    while (LowerStartsAfter(comp->lo(), t)) {
-      if (comp == allowed.begin()) return nullptr;
+    while (LowerStartsAfter(comp->hull.lo(), t)) {
+      if (comp == comps.begin()) return nullptr;
       --comp;
     }
   }
@@ -69,10 +72,13 @@ const Interval* StepCursor(const IntervalSet& allowed, const Interval* comp,
 
 // Largest k >= 0 such that t + k*step stays inside `comp` (t must be in
 // comp); nullopt when comp is unbounded in the walk direction.
-std::optional<int64_t> StepsWithin(const Interval& comp, const Rational& t,
+std::optional<int64_t> StepsWithin(const Component& comp, const Rational& t,
                                    const Rational& step) {
+  // A walk whose step is not a whole number of the run's steps leaves the
+  // run's grid right after t.
+  if (comp.is_run() && !(Abs(step) / comp.step).is_integer()) return 0;
   const bool fwd = !step.is_negative();
-  const Bound& b = fwd ? comp.hi() : comp.lo();
+  const Bound& b = fwd ? comp.hull.hi() : comp.hull.lo();
   if (b.infinite) return std::nullopt;
   Rational span = fwd ? b.value - t : t - b.value;
   Rational q = span / Abs(step);
@@ -82,6 +88,33 @@ std::optional<int64_t> StepsWithin(const Interval& comp, const Rational& t,
   return k;
 }
 
+// Smallest k in [k, k_cap] with t + k*step in component `c`, where k is
+// the first step that reaches c's near end; nullopt when there is none.
+std::optional<int64_t> FirstStepInto(const Component& c, const Rational& t,
+                                     const Rational& step, int64_t k,
+                                     int64_t k_cap) {
+  const Rational p = t + Rational(k) * step;
+  const Rational mag = Abs(step);
+  // On a dense component, or a run whose grid the walk's grid refines into
+  // (every later walk point inside the hull shares p's phase), p decides.
+  if (!c.is_run() || (mag / c.step).is_integer()) {
+    if (c.Contains(p)) return k;
+    return std::nullopt;
+  }
+  // Otherwise the walk meets the run at isolated points: test the run's
+  // points in walk order from p on.
+  const bool fwd = !step.is_negative();
+  const Rational at = (p - c.first()) / c.step;  // p on the run's grid
+  for (int64_t j = fwd ? std::max<int64_t>(0, at.Ceil())
+                       : std::min(c.count - 1, at.Floor());
+       j >= 0 && j < c.count; j += fwd ? 1 : -1) {
+    const Rational q = (fwd ? c.At(j) - t : t - c.At(j)) / mag;
+    if (Rational(k_cap) < q) return std::nullopt;
+    if (q.is_integer()) return q.numerator();
+  }
+  return std::nullopt;
+}
+
 // Smallest k in [0, k_cap] with t + k*step covered by `s`, walking the
 // normalized components in grid direction; nullopt when no grid point within
 // the cap is covered.
@@ -89,45 +122,37 @@ std::optional<int64_t> FirstCoveredStep(const IntervalSet* s,
                                         const Rational& t,
                                         const Rational& step, int64_t k_cap) {
   if (s == nullptr || s->IsEmpty()) return std::nullopt;
+  const IntervalSet::ComponentVec& comps = s->components();
   const Rational mag = Abs(step);
-  if (!step.is_negative()) {
-    const Interval* it = std::partition_point(
-        s->begin(), s->end(),
-        [&](const Interval& iv) { return UpperEndsBefore(iv.hi(), t); });
-    for (; it != s->end(); ++it) {
-      int64_t k = 0;
-      if (!it->lo().infinite) {
-        if (t < it->lo().value) {
-          Rational q = (it->lo().value - t) / mag;
-          k = q.Ceil();
-          if (it->lo().open && q.is_integer()) ++k;
-        } else if (it->lo().open && t == it->lo().value) {
-          k = 1;
-        }
-      }
-      // Components ascend, so the candidate step only grows from here.
-      if (k > k_cap) return std::nullopt;
-      if (it->Contains(t + Rational(k) * mag)) return k;
-    }
-    return std::nullopt;
-  }
-  const Interval* it = std::partition_point(
-      s->begin(), s->end(),
-      [&](const Interval& iv) { return !LowerStartsAfter(iv.lo(), t); });
-  while (it != s->begin()) {
-    --it;
+  const bool fwd = !step.is_negative();
+  const Component* it =
+      fwd ? std::partition_point(comps.begin(), comps.end(),
+                                 [&](const Component& c) {
+                                   return UpperEndsBefore(c.hull.hi(), t);
+                                 })
+          : std::partition_point(comps.begin(), comps.end(),
+                                 [&](const Component& c) {
+                                   return !LowerStartsAfter(c.hull.lo(), t);
+                                 });
+  while (fwd ? it != comps.end() : it != comps.begin()) {
+    const Component& c = fwd ? *it++ : *--it;
+    // The first step at or past the component's near end.
+    const Bound& near = fwd ? c.hull.lo() : c.hull.hi();
     int64_t k = 0;
-    if (!it->hi().infinite) {
-      if (t > it->hi().value) {
-        Rational q = (t - it->hi().value) / mag;
+    if (!near.infinite) {
+      const Rational gap = fwd ? near.value - t : t - near.value;
+      if (!gap.is_negative() && !gap.is_zero()) {
+        Rational q = gap / mag;
         k = q.Ceil();
-        if (it->hi().open && q.is_integer()) ++k;
-      } else if (it->hi().open && t == it->hi().value) {
+        if (near.open && q.is_integer()) ++k;
+      } else if (near.open && gap.is_zero()) {
         k = 1;
       }
     }
+    // Components ascend in walk direction, so the candidate step only grows
+    // from here.
     if (k > k_cap) return std::nullopt;
-    if (it->Contains(t - Rational(k) * mag)) return k;
+    if (auto hit = FirstStepInto(c, t, step, k, k_cap)) return hit;
   }
   return std::nullopt;
 }
@@ -360,7 +385,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
         // arrives with the All extent - so the intersection IS the leaf.
         // Walk it in place instead of copying the stored set per candidate
         // (safe: emissions are buffered, the store cannot move under us).
-        if (cur.size() == 1 && cur.begin()->Contains(leaf->Hull())) {
+        if (cur.size() == 1 && cur.Hull().Contains(leaf->Hull())) {
           return Exec(ip + 1, *leaf);
         }
         slot = leaf->Intersect(cur);
@@ -373,7 +398,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
         const MetricAtom& metric = eval_.rule().body[lc.body_index].metric;
         IntervalSet extent = EvalMetricExtent(metric, *regs_, source, cur);
         if (extent.IsEmpty()) return Status::Ok();
-        if (cur.size() == 1 && cur.begin()->Contains(extent.Hull())) {
+        if (cur.size() == 1 && cur.Hull().Contains(extent.Hull())) {
           slot = std::move(extent);
         } else {
           slot = cur.Intersect(extent);
@@ -398,7 +423,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
         extent = ApplyUnaryOp(it->op, it->range, extent);
       }
       if (extent.IsEmpty()) return Status::Ok();
-      if (cur.size() == 1 && cur.begin()->Contains(extent.Hull())) {
+      if (cur.size() == 1 && cur.Hull().Contains(extent.Hull())) {
         slot = std::move(extent);
       } else {
         slot = cur.Intersect(extent);
@@ -553,57 +578,32 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
     const IntervalSet& allowed = it->second;
     if (allowed.IsEmpty()) continue;
 
-    const Interval* comps = seed_set.begin();
-    const size_t num_seeds = seed_set.size();
     const bool fwd = !cp.step.is_negative();
-    // Cursor over `allowed` for the shortcut's membership probes. Seeds are
-    // visited in ascending time whatever the sign of step, so the probed
-    // point (seed + step) ascends too and the cursor only moves forward:
-    // the first probe bisects, every later one steps on from there instead
-    // of bisecting again.
-    const Interval* allowed_at = nullptr;
-    const Interval* const allowed_end = allowed.end();
-    for (size_t si = 0; si < num_seeds; ++si) {
-      const Interval& seed = comps[si];
-      if (seed.IsPunctual()) {
-        // Interior-of-a-run shortcut. A batch emitted last round arrives
-        // here as a run of grid-consecutive seed points; for every seed but
-        // the run's end in walk direction, the next grid point is itself a
-        // seed - already in the store - so a point-by-point walk would emit
-        // it, find nothing fresh, and stop: exactly one extension. Skip
-        // the component search and coverage probes for those.
-        const Rational next = seed.lo().value + cp.step;
-        const Interval* adj = nullptr;
-        if (fwd) {
-          if (si + 1 < num_seeds && comps[si + 1].IsPunctual()) {
-            adj = &comps[si + 1];
-          }
-        } else if (si > 0 && comps[si - 1].IsPunctual()) {
-          adj = &comps[si - 1];
+    const Rational mag = Abs(cp.step);
+    for (const Component& seed : seed_set.components()) {
+      if (seed.is_run() && seed.step == mag) {
+        // A run on the walk's grid, as a walk emitted it last round. For
+        // every point but the run's end in walk direction, the next grid
+        // point is itself a seed - already in the store - so a
+        // point-by-point walk would emit it, find nothing fresh, and stop:
+        // one extension where that next point is allowed, none where it is
+        // not. Only the end walks on.
+        const IntervalSet nexts = IntervalSet::Run(
+            fwd ? seed.At(1) : seed.first(), mag, seed.count - 1);
+        *extensions += nexts.Intersect(allowed).size();
+        DMTL_RETURN_IF_ERROR(WalkGrid(db, tuple,
+                                      fwd ? seed.last() : seed.first(),
+                                      allowed, emit, guard, extensions));
+      } else if (seed.is_run() || seed.hull.IsPunctual()) {
+        for (int64_t k = 0; k < seed.count; ++k) {
+          DMTL_RETURN_IF_ERROR(WalkGrid(db, tuple, seed.At(k), allowed, emit,
+                                        guard, extensions));
         }
-        if (adj != nullptr && adj->lo().value == next) {
-          auto ends_before = [&](const Interval& iv) {
-            return UpperEndsBefore(iv.hi(), next);
-          };
-          if (allowed_at == nullptr) {
-            allowed_at = std::partition_point(allowed.begin(), allowed_end,
-                                              ends_before);
-          }
-          while (allowed_at != allowed_end && ends_before(*allowed_at)) {
-            ++allowed_at;
-          }
-          if (allowed_at != allowed_end && allowed_at->Contains(next)) {
-            *extensions += 1;
-            continue;
-          }
-        }
-        DMTL_RETURN_IF_ERROR(WalkGrid(db, tuple, seed.lo().value, allowed,
-                                      emit, guard, extensions));
       } else {
         // Interval seeds iterate shift-and-clip (components coalesce, so it
         // converges in a few passes), emitting each pass as one set.
-        IntervalSet covered{seed};
-        IntervalSet frontier{seed};
+        IntervalSet covered{seed.hull};
+        IntervalSet frontier{seed.hull};
         while (!frontier.IsEmpty()) {
           IntervalSet shifted =
               frontier.Shift(cp.step).Intersect(allowed).Subtract(covered);
@@ -631,38 +631,35 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
   const bool fwd = !step.is_negative();
   const PredicateId head = eval_.rule().head.predicate;
   Rational t = seed + step;
-  // Cursor: the allowed component holding the latest batched point. The walk
-  // only moves in grid direction, so one bisect places it and every later
-  // lookup steps on from there.
-  const Interval* comp = FindComponent(allowed, t);
+  // Cursor: the allowed component holding the latest stretch point. The
+  // walk only moves in grid direction, so one bisect places it and every
+  // later lookup steps on from there.
+  const Component* comp = FindComponent(allowed, t);
   if (comp == nullptr) return Status::Ok();  // walked out of allowed time
   while (true) {
-    // Batch: the consecutive grid points from t that stay in allowed time,
-    // up to the batch cap. The run crosses component boundaries whenever
-    // the next component in walk direction holds the next grid point - a
-    // point-grid guard makes every component a single point.
-    batch_.clear();
+    // Stretch: the consecutive grid points from t that stay in allowed
+    // time, up to the emission cap. It crosses component boundaries
+    // whenever the next component in walk direction holds the next grid
+    // point - a point-grid guard makes every component a single point or a
+    // run.
+    int64_t run = 0;
     Rational p = t;
-    while (batch_.size() < static_cast<size_t>(kChainBatchPoints)) {
-      const Interval* at = StepCursor(allowed, comp, p, fwd);
+    while (run < kChainRunPoints) {
+      const Component* at = StepCursor(allowed, comp, p, fwd);
       if (at == nullptr) break;
       comp = at;
-      int64_t take =
-          kChainBatchPoints - static_cast<int64_t>(batch_.size());
+      int64_t take = kChainRunPoints - run;
       std::optional<int64_t> within = StepsWithin(*comp, p, step);
       if (within.has_value() && *within < take) take = *within + 1;
-      for (int64_t i = 0; i < take; ++i) {
-        batch_.push_back(Interval::Point(p));
-        p = p + step;
-      }
+      run += take;
+      p = p + Rational(take) * step;
     }
-    if (batch_.empty()) return Status::Ok();  // walked out of allowed time
+    if (run == 0) return Status::Ok();  // walked out of allowed time
 
-    // Stop ahead of already-derived coverage. It is re-fetched per batch:
-    // the walk's own emissions extend (and may move) it.
+    // Stop ahead of already-derived coverage. It is re-fetched per
+    // stretch: the walk's own emissions extend (and may move) it.
     const IntervalSet* derived = nullptr;
     if (const Relation* rel = db.Find(head)) derived = rel->Find(tuple);
-    const int64_t run = static_cast<int64_t>(batch_.size());
     std::optional<int64_t> n = FirstCoveredStep(derived, t, step, run - 1);
 
     if (n.has_value() && *n == 0) {
@@ -674,8 +671,9 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
     }
 
     const int64_t m = n.has_value() ? *n : run;
-    batch_.erase(batch_.begin() + m, batch_.end());
-    DMTL_RETURN_IF_ERROR(emit(tuple, IntervalSet::FromIntervals(batch_)));
+    const Rational lowest = fwd ? t : t + Rational(m - 1) * step;
+    DMTL_RETURN_IF_ERROR(
+        emit(tuple, IntervalSet::Run(lowest, Abs(step), m)));
     *extensions += static_cast<size_t>(m);
     if (n.has_value()) {
       *extensions += 1;  // the covered point that stopped the walk

@@ -29,10 +29,11 @@ namespace dmtl {
 //
 // Chain-accelerated rules additionally get a batched closure kernel
 // (ExtendChain): instead of one emit per grid point, it computes how many
-// consecutive grid points stay inside the guard-allowed component and ahead
-// of already-derived coverage (exact rational arithmetic), and emits them as
-// one set per batch. The derived coverage - and the chain_extensions count -
-// are those of walking the grid one point at a time.
+// consecutive grid points stay inside guard-allowed time and ahead of
+// already-derived coverage (exact rational arithmetic), and emits them as
+// one point run per allowed stretch; a seed run on the walk's grid is taken
+// whole. The derived coverage - and the chain_extensions count - are those
+// of walking the grid one point at a time.
 //
 // Not thread-safe: a VM belongs to one engine run (or session), which
 // drives it from one thread at a time.
@@ -151,7 +152,6 @@ class RuleVm {
   // rule the sink would otherwise grow the posting list (or rehash the
   // relation) being walked.
   std::vector<std::pair<Tuple, IntervalSet>> out_;
-  std::vector<Interval> batch_;
   uint64_t guard_counter_ = 0;
   uint64_t probes_ = 0, hits_ = 0, pruned_ = 0, built_ = 0;
 };

@@ -7,41 +7,41 @@
 #include <type_traits>
 #include <utility>
 
-#include "src/temporal/interval.h"
-
 namespace dmtl {
 
-// A vector of Intervals with inline storage for the first two elements.
+// A vector of trivially copyable elements (IntervalSet components) with
+// inline storage for the first two.
 //
-// The contract workload is dominated by interval sets of size 1-2 (punctual
-// row extents, single clamped emissions, Insert deltas); storing those
-// inline makes the IntervalSet temporaries on the emit/intersect hot path
-// allocation-free. Larger sets spill to a heap buffer exactly like
-// std::vector.
+// The contract workload is dominated by interval sets of 1-2 components
+// (punctual row extents, single clamped emissions, Insert deltas, one point
+// run per persistence grid); storing those inline makes the IntervalSet
+// temporaries on the emit/intersect hot path allocation-free. Larger sets
+// spill to a heap buffer exactly like std::vector.
 //
-// Interval has no default constructor but is trivially copyable, so the
-// inline slots are raw storage and every element transfer is a memcpy;
-// nothing is ever destroyed element-wise.
-class SmallIntervalVec {
+// The element type need not be default-constructible, so the inline slots
+// are raw storage and every element transfer is a memcpy; nothing is ever
+// destroyed element-wise.
+template <typename T>
+class SmallVec {
  public:
   static constexpr size_t kInlineCapacity = 2;
 
-  using value_type = Interval;
-  using iterator = Interval*;
-  using const_iterator = const Interval*;
+  using value_type = T;
+  using iterator = T*;
+  using const_iterator = const T*;
 
-  SmallIntervalVec() = default;
-  ~SmallIntervalVec() { ReleaseHeap(); }
+  SmallVec() = default;
+  ~SmallVec() { ReleaseHeap(); }
 
-  SmallIntervalVec(const SmallIntervalVec& other) { CopyFrom(other); }
-  SmallIntervalVec& operator=(const SmallIntervalVec& other) {
+  SmallVec(const SmallVec& other) { CopyFrom(other); }
+  SmallVec& operator=(const SmallVec& other) {
     if (this == &other) return *this;
     size_ = 0;
     CopyFrom(other);
     return *this;
   }
-  SmallIntervalVec(SmallIntervalVec&& other) noexcept { StealFrom(&other); }
-  SmallIntervalVec& operator=(SmallIntervalVec&& other) noexcept {
+  SmallVec(SmallVec&& other) noexcept { StealFrom(&other); }
+  SmallVec& operator=(SmallVec&& other) noexcept {
     if (this == &other) return *this;
     ReleaseHeap();
     heap_ = nullptr;
@@ -54,17 +54,17 @@ class SmallIntervalVec {
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return capacity_; }
 
-  Interval* data() { return heap_ != nullptr ? heap_ : InlinePtr(); }
-  const Interval* data() const {
+  T* data() { return heap_ != nullptr ? heap_ : InlinePtr(); }
+  const T* data() const {
     return heap_ != nullptr ? heap_ : InlinePtr();
   }
 
-  Interval& operator[](size_t i) { return data()[i]; }
-  const Interval& operator[](size_t i) const { return data()[i]; }
-  Interval& front() { return data()[0]; }
-  const Interval& front() const { return data()[0]; }
-  Interval& back() { return data()[size_ - 1]; }
-  const Interval& back() const { return data()[size_ - 1]; }
+  T& operator[](size_t i) { return data()[i]; }
+  const T& operator[](size_t i) const { return data()[i]; }
+  T& front() { return data()[0]; }
+  const T& front() const { return data()[0]; }
+  T& back() { return data()[size_ - 1]; }
+  const T& back() const { return data()[size_ - 1]; }
 
   iterator begin() { return data(); }
   iterator end() { return data() + size_; }
@@ -72,64 +72,67 @@ class SmallIntervalVec {
   const_iterator end() const { return data() + size_; }
 
   void clear() { size_ = 0; }
+  void pop_back() { --size_; }
+  // Drops every element from index n on (n <= size()).
+  void truncate(size_t n) { size_ = n; }
 
   void reserve(size_t n) {
     if (n > capacity_) Grow(n);
   }
 
-  void push_back(const Interval& iv) {
+  void push_back(const T& iv) {
     if (size_ == capacity_) Grow(size_ + 1);
-    std::memcpy(static_cast<void*>(data() + size_), &iv, sizeof(Interval));
+    std::memcpy(static_cast<void*>(data() + size_), &iv, sizeof(T));
     ++size_;
   }
 
   // Inserts `iv` before position `pos` (an index, not an iterator, so the
   // call survives the reallocation it may trigger).
-  void insert_at(size_t pos, const Interval& iv) {
+  void insert_at(size_t pos, const T& iv) {
     if (size_ == capacity_) Grow(size_ + 1);
-    Interval* d = data();
+    T* d = data();
     std::memmove(static_cast<void*>(d + pos + 1), d + pos,
-                 (size_ - pos) * sizeof(Interval));
-    std::memcpy(static_cast<void*>(d + pos), &iv, sizeof(Interval));
+                 (size_ - pos) * sizeof(T));
+    std::memcpy(static_cast<void*>(d + pos), &iv, sizeof(T));
     ++size_;
   }
 
   // Erases the index range [first, last).
   void erase_range(size_t first, size_t last) {
-    Interval* d = data();
+    T* d = data();
     std::memmove(static_cast<void*>(d + first), d + last,
-                 (size_ - last) * sizeof(Interval));
+                 (size_ - last) * sizeof(T));
     size_ -= last - first;
   }
 
-  void swap(SmallIntervalVec& other) noexcept {
-    SmallIntervalVec tmp(std::move(other));
+  void swap(SmallVec& other) noexcept {
+    SmallVec tmp(std::move(other));
     other = std::move(*this);
     *this = std::move(tmp);
   }
 
-  friend bool operator==(const SmallIntervalVec& a,
-                         const SmallIntervalVec& b) {
+  friend bool operator==(const SmallVec& a,
+                         const SmallVec& b) {
     if (a.size_ != b.size_) return false;
     for (size_t i = 0; i < a.size_; ++i) {
       if (!(a[i] == b[i])) return false;
     }
     return true;
   }
-  friend bool operator!=(const SmallIntervalVec& a,
-                         const SmallIntervalVec& b) {
+  friend bool operator!=(const SmallVec& a,
+                         const SmallVec& b) {
     return !(a == b);
   }
 
  private:
-  static_assert(std::is_trivially_copyable_v<Interval>,
-                "SmallIntervalVec moves elements with memcpy");
+  static_assert(std::is_trivially_copyable_v<T>,
+                "SmallVec moves elements with memcpy");
 
-  Interval* InlinePtr() {
-    return std::launder(reinterpret_cast<Interval*>(inline_buf_));
+  T* InlinePtr() {
+    return std::launder(reinterpret_cast<T*>(inline_buf_));
   }
-  const Interval* InlinePtr() const {
-    return std::launder(reinterpret_cast<const Interval*>(inline_buf_));
+  const T* InlinePtr() const {
+    return std::launder(reinterpret_cast<const T*>(inline_buf_));
   }
 
   void ReleaseHeap() { ::operator delete(heap_); }
@@ -138,23 +141,23 @@ class SmallIntervalVec {
     size_t cap = capacity_ * 2;
     if (cap < need) cap = need;
     auto* fresh =
-        static_cast<Interval*>(::operator new(cap * sizeof(Interval)));
-    std::memcpy(static_cast<void*>(fresh), data(), size_ * sizeof(Interval));
+        static_cast<T*>(::operator new(cap * sizeof(T)));
+    std::memcpy(static_cast<void*>(fresh), data(), size_ * sizeof(T));
     ReleaseHeap();
     heap_ = fresh;
     capacity_ = cap;
   }
 
-  void CopyFrom(const SmallIntervalVec& other) {
+  void CopyFrom(const SmallVec& other) {
     reserve(other.size_);
     std::memcpy(static_cast<void*>(data()), other.data(),
-                other.size_ * sizeof(Interval));
+                other.size_ * sizeof(T));
     size_ = other.size_;
   }
 
   // Takes `other`'s buffer (or memcpys its inline elements), leaving it
   // empty. Requires *this to own no heap buffer.
-  void StealFrom(SmallIntervalVec* other) {
+  void StealFrom(SmallVec* other) {
     if (other->heap_ != nullptr) {
       heap_ = other->heap_;
       capacity_ = other->capacity_;
@@ -162,15 +165,15 @@ class SmallIntervalVec {
       other->capacity_ = kInlineCapacity;
     } else {
       std::memcpy(static_cast<void*>(InlinePtr()), other->InlinePtr(),
-                  other->size_ * sizeof(Interval));
+                  other->size_ * sizeof(T));
     }
     size_ = other->size_;
     other->size_ = 0;
   }
 
-  alignas(Interval) unsigned char inline_buf_[kInlineCapacity *
-                                              sizeof(Interval)];
-  Interval* heap_ = nullptr;  // engaged once the inline capacity spills
+  alignas(T) unsigned char inline_buf_[kInlineCapacity *
+                                              sizeof(T)];
+  T* heap_ = nullptr;  // engaged once the inline capacity spills
   size_t size_ = 0;
   size_t capacity_ = kInlineCapacity;
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -62,10 +63,20 @@ void ExpectAtRoundBarrier(const EngineOptions& tripped_options,
   EXPECT_EQ(tripped_db.ToString(), ref_db.ToString());
 }
 
+// The chain walk emits the divergent grid as point runs, one O(1) emission
+// per 65536 points, so the default interval budget would stop the run
+// within milliseconds. Lifting it leaves the deadline or the cancellation
+// as the only way out.
+EngineOptions UnbudgetedOptions() {
+  EngineOptions options;
+  options.max_intervals = std::numeric_limits<size_t>::max();
+  return options;
+}
+
 TEST(GuardTest, DeadlineTripsOnDivergentProgram) {
   Parser::ParsedUnit unit = ParseDivergent();
   Database db = unit.database;
-  EngineOptions options;
+  EngineOptions options = UnbudgetedOptions();
   options.deadline = std::chrono::milliseconds(50);
   EngineStats stats;
   Status status = Materialize(unit.program, &db, options, &stats);
@@ -94,7 +105,7 @@ TEST(GuardTest, DeadlineLeavesDatabaseAtRoundBarrier) {
 TEST(GuardTest, CancellationFromAnotherThread) {
   Parser::ParsedUnit unit = ParseDivergent();
   Database db = unit.database;
-  EngineOptions options;
+  EngineOptions options = UnbudgetedOptions();
   options.cancel_token = std::make_shared<CancellationToken>();
   std::thread canceller([token = options.cancel_token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

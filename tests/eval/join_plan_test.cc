@@ -108,6 +108,12 @@ TEST(JoinPlanTest, RecursiveTransitiveClosureAgrees) {
                      "transitive closure");
 }
 
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (13,103), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 52'000;
+
 TEST(JoinPlanTest, EthPerpSessionAgrees) {
   WorkloadConfig config;
   config.name = "planner-eq";
@@ -122,6 +128,7 @@ TEST(JoinPlanTest, EthPerpSessionAgrees) {
   ASSERT_TRUE(program.ok()) << program.status();
   Database input = SessionToDatabase(*session);
   EngineOptions options = SessionEngineOptions(*session);
+  options.max_intervals = kContractIntervalBudget;
   ExpectPlannerSound(*program, input, options, "ETH-PERP session");
   // Every rule runs on the VM, the event aggregate included.
   Database db = input;

@@ -232,6 +232,12 @@ TEST(RoundExecutorTest, RecursiveTransitiveClosure) {
 
 // The full contract program on a synthetic trading session - the paper's
 // workload, including aggregates, negation, and the accelerated chains.
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (13,103), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 52'000;
+
 TEST(RoundExecutorTest, EthPerpSessionRerunsAndStaysExact) {
   WorkloadConfig config;
   config.name = "round-executor";
@@ -246,6 +252,7 @@ TEST(RoundExecutorTest, EthPerpSessionRerunsAndStaysExact) {
   ASSERT_TRUE(program.ok()) << program.status();
   Database input = SessionToDatabase(*session);
   EngineOptions options = SessionEngineOptions(*session);
+  options.max_intervals = kContractIntervalBudget;
   ExpectRerunIdentical(*program, input, options, "frs", "ETH-PERP session");
   ExpectProvenanceExact(*program, input, options, "ETH-PERP session");
 }

@@ -462,6 +462,12 @@ INSTANTIATE_TEST_SUITE_P(Cases, SplitRecursionTest,
                          ::testing::ValuesIn(kRecursionCases),
                          [](const auto& info) { return info.param.name; });
 
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (98,689), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 400'000;
+
 TEST(SplitInvarianceTest, EthPerpSession) {
   WorkloadConfig config;
   config.name = "split-invariance";
@@ -477,8 +483,9 @@ TEST(SplitInvarianceTest, EthPerpSession) {
   const std::vector<Fact> facts = DatabaseFacts(input);
   // The price step function is the non-punctual input; it must be cut.
   ASSERT_GT(SplitFacts(facts).size(), facts.size());
-  ExpectSplitMergeInvariant(*program, input, facts,
-                            SessionEngineOptions(*session), "ETH-PERP");
+  EngineOptions options = SessionEngineOptions(*session);
+  options.max_intervals = kContractIntervalBudget;
+  ExpectSplitMergeInvariant(*program, input, facts, options, "ETH-PERP");
 }
 
 // Directed rational inputs: a non-integral rule bound, fact endpoint or

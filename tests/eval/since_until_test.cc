@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/temporal/interval_set.h"
+#include "tests/testing/membership_oracle.h"
 
 namespace dmtl {
 namespace {
@@ -107,6 +108,35 @@ std::vector<BinaryCase> Cases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SinceUntilPropertyTest,
                          ::testing::ValuesIn(Cases()));
+
+// M1 and M2 with point runs (and dense neighbours) against the membership
+// oracle: a run M1 only carries the s == t witnesses and punctual gaps.
+TEST(SinceUntilTest, RunInputsMatchMembershipOracle) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    RunSetFuzzer fuzz(seed);
+    for (int i = 0; i < 3; ++i) {
+      const ExplicitSet e1 = fuzz.Next();
+      const ExplicitSet e2 = fuzz.Next();
+      const Interval rho = fuzz.Rho();
+      const IntervalSet m1 = ToIntervalSet(e1);
+      const IntervalSet m2 = ToIntervalSet(e2);
+      std::vector<Rational> crit = membership::Criticals(e1);
+      for (const Rational& c : membership::Criticals(e2)) crit.push_back(c);
+      crit = membership::Spread(crit, rho);
+      for (bool until : {false, true}) {
+        IntervalSet got = until ? m1.Until(m2, rho) : m1.Since(m2, rho);
+        EXPECT_EQ(membership::Disagreement(
+                      got, crit,
+                      [&](const Rational& t) {
+                        return membership::SinceAt(e1, e2, rho, t, until);
+                      }),
+                  "")
+            << (until ? "until" : "since") << " rho=" << rho.ToString()
+            << " m1=" << e1.ToString() << " m2=" << e2.ToString();
+      }
+    }
+  }
+}
 
 TEST(SinceUntilTest, SinceBasicShape) {
   // M2 at 2, M1 on [2,10], rho [0,5]: Since holds on [2,7].

@@ -116,6 +116,12 @@ void ExpectRestartIsInvisible(const Program& program,
   EXPECT_EQ((*restored)->window_min(), (*twin)->window_min()) << label;
 }
 
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (12,790), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 52'000;
+
 TEST(SnapshotRestoreTest, EthPerpMidStreamRestart) {
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok()) << program.status();
@@ -132,6 +138,7 @@ TEST(SnapshotRestoreTest, EthPerpMidStreamRestart) {
 
   SessionOptions options;
   options.start_time = Rational(session->start_time);
+  options.engine.max_intervals = kContractIntervalBudget;
   for (size_t cut : {ops.size() / 3, ops.size() / 2, ops.size() - 1}) {
     ExpectRestartIsInvisible(program.value(), ops, cut, options, options,
                              "frs", "eth-perp cut=" + std::to_string(cut));
@@ -155,6 +162,7 @@ TEST(SnapshotRestoreTest, DegradedRestoreIsStillByteIdentical) {
 
   SessionOptions fast;
   fast.start_time = Rational(session->start_time);
+  fast.engine.max_intervals = kContractIntervalBudget;
   SessionOptions degraded = fast;
   degraded.engine.enable_chain_acceleration = false;
   ExpectRestartIsInvisible(program.value(), ops, ops.size() / 2, fast,

@@ -17,6 +17,12 @@
 namespace dmtl {
 namespace {
 
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (64,560), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 260'000;
+
 struct SessionOutcome {
   SeriesComparison frs;
   TradeErrorReport trades;
@@ -33,8 +39,9 @@ SessionOutcome RunAndCompare(const WorkloadConfig& config,
   auto program = EthPerpProgram(params);
   EXPECT_TRUE(program.ok()) << program.status();
   Database db = SessionToDatabase(*session);
-  Status status =
-      Materialize(*program, &db, SessionEngineOptions(*session));
+  EngineOptions options = SessionEngineOptions(*session);
+  options.max_intervals = kContractIntervalBudget;
+  Status status = Materialize(*program, &db, options);
   EXPECT_TRUE(status.ok()) << status;
 
   // Reference side (the Subgraph stand-in).
@@ -113,6 +120,7 @@ TEST(EndToEndTest, AccelerationDoesNotChangeContractResults) {
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok());
   EngineOptions on = SessionEngineOptions(*session);
+  on.max_intervals = kContractIntervalBudget;
   EngineOptions off = on;
   off.enable_chain_acceleration = false;
   Database db_on = SessionToDatabase(*session);
@@ -133,9 +141,9 @@ TEST(EndToEndTest, MarginAtWithdrawalMatchesReference) {
   ASSERT_TRUE(session.ok());
   auto program = EthPerpProgram();
   Database db = SessionToDatabase(*session);
-  ASSERT_TRUE(Materialize(*program, &db,
-                          SessionEngineOptions(*session))
-                  .ok());
+  EngineOptions options = SessionEngineOptions(*session);
+  options.max_intervals = kContractIntervalBudget;
+  ASSERT_TRUE(Materialize(*program, &db, options).ok());
   auto subgraph = Subgraph::Index(*session);
   ASSERT_TRUE(subgraph.ok());
   for (const MarketEvent& e : session->events) {

@@ -91,6 +91,12 @@ void ExpectExecutorsAgree(const Program& program, const Database& facts,
 // Every program shipped under programs/ runs against small generated
 // contract sessions (the shipped files carry rules, not facts): a balanced
 // one and a short one opening at a large skew.
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (34,131), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 140'000;
+
 TEST(InterpOracleProgramsTest, ShippedProgramsAgree) {
   ASSERT_TRUE(std::filesystem::exists("programs"))
       << "run from the repository root (ctest does)";
@@ -114,6 +120,7 @@ TEST(InterpOracleProgramsTest, ShippedProgramsAgree) {
     ASSERT_TRUE(session.ok()) << session.status();
     Database facts = SessionToDatabase(*session);
     EngineOptions options = SessionEngineOptions(*session);
+    options.max_intervals = kContractIntervalBudget;
     for (const auto& entry :
          std::filesystem::directory_iterator("programs")) {
       if (entry.path().extension() != ".dmtl") continue;

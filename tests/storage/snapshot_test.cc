@@ -95,6 +95,12 @@ struct MidStream {
   SessionSnapshot snapshot;
 };
 
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (6,064), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 25'000;
+
 MidStream EthPerpMidStream() {
   MidStream out;
   auto program = EthPerpProgram();
@@ -110,6 +116,7 @@ MidStream EthPerpMidStream() {
   std::vector<FleetOp> ops = SessionToOps(*trading);
   SessionOptions options;
   options.start_time = Rational(trading->start_time);
+  options.engine.max_intervals = kContractIntervalBudget;
   auto session = EngineSession::Create(program.value(), options);
   EXPECT_TRUE(session.ok()) << session.status();
   out.session = std::move(session).value();

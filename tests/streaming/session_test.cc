@@ -341,6 +341,12 @@ TEST(StreamingSessionTest, FailedAdvanceHealsTransparently) {
   ExpectMatchesColdReplay(s, "q", "after heal");
 }
 
+// Interval budget of the contract runs below, in pieces: about 4x the
+// largest passing run (100,596), so a kernel or chain-walk fault that
+// over-derives fails fast on ResourceExhausted instead of growing the store
+// until the machine runs out of memory.
+constexpr size_t kContractIntervalBudget = 400'000;
+
 TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok()) << program.status();
@@ -356,15 +362,16 @@ TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
 
   SessionOptions options;
   options.start_time = Rational(chain_session.start_time);
+  options.engine.max_intervals = kContractIntervalBudget;
   auto session = StreamingSession::Create(*program, options);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(ReplaySessionStream(chain_session, session->get()).ok());
 
   Database batch = SessionToDatabase(chain_session);
   EngineStats stats;
-  ASSERT_TRUE(Materialize(*program, &batch,
-                          SessionEngineOptions(chain_session), &stats)
-                  .ok());
+  EngineOptions batch_options = SessionEngineOptions(chain_session);
+  batch_options.max_intervals = kContractIntervalBudget;
+  ASSERT_TRUE(Materialize(*program, &batch, batch_options, &stats).ok());
   EXPECT_EQ(SerializeDatabase((*session)->db()), SerializeDatabase(batch))
       << "streamed ETH-PERP session diverged from the batch replay";
   ExpectMatchesColdReplay(**session, "frs", "eth-perp final checkpoint");
@@ -391,6 +398,7 @@ TEST(StreamingSessionTest, EthPerpLiveWindowKeepsSuffixAndMatchesColdReplay) {
   SessionOptions options;
   options.start_time = Rational(chain.start_time);
   options.track_provenance = true;
+  options.engine.max_intervals = kContractIntervalBudget;
   auto created = StreamingSession::Create(*program, options);
   ASSERT_TRUE(created.ok()) << created.status();
   StreamingSession& s = **created;

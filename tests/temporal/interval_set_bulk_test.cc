@@ -8,10 +8,12 @@
 // over a tiny grid (every touching boundary, every open/closed mix, both
 // infinities) and by fuzzing each of its shapes, and the engine's disjoint
 // delta append (Relation::InsertDisjoint) against UnionWith, index
-// envelopes included. The streams deliberately straddle the
-// inline capacity of SmallIntervalVec (2 intervals) so both the inline
-// representation and the heap spill are exercised, including copies, moves,
-// and equality across representations.
+// envelopes included. Sets with point runs (steps 1, 1/3 and 7, dense
+// neighbours closed and open) go through every set kernel and are checked
+// against the membership oracle, which shares none of them. The streams
+// deliberately straddle the inline capacity of SmallVec (2 components) so
+// both the inline representation and the heap spill are exercised,
+// including copies, moves, and equality across representations.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 
 #include "src/storage/database.h"
 #include "src/temporal/interval_set.h"
+#include "tests/testing/membership_oracle.h"
 
 namespace dmtl {
 namespace {
@@ -357,6 +360,74 @@ TEST(DisjointAppendTest, DatabaseCountsTheAppend) {
   EXPECT_EQ(db.approx_intervals(), before + 2);
   EXPECT_EQ(db.Find(p)->Find({Value::Int(1)})->ToString(), "{[0,3] [5,5]}");
   EXPECT_EQ(db.NumIntervals(), 2u);
+}
+
+// Point runs through every set kernel, against the membership oracle; and
+// equal sets compare equal however they were built (the grouping into runs
+// is canonical).
+TEST_P(BulkKernelFuzzTest, RunInputsMatchMembershipOracle) {
+  RunSetFuzzer fuzz(GetParam());
+  for (int i = 0; i < 40; ++i) {
+    const ExplicitSet ea = fuzz.Next();
+    const ExplicitSet eb = fuzz.Next();
+    const IntervalSet a = ToIntervalSet(ea);
+    const IntervalSet b = ToIntervalSet(eb);
+    std::vector<Rational> crit = membership::Criticals(ea);
+    for (const Rational& c : membership::Criticals(eb)) crit.push_back(c);
+    auto in_a = [&](const Rational& t) { return membership::Member(ea, t); };
+    auto in_b = [&](const Rational& t) { return membership::Member(eb, t); };
+    auto check = [&](const IntervalSet& got, const char* what,
+                     const std::function<bool(const Rational&)>& expected) {
+      EXPECT_EQ(membership::Disagreement(got, crit, expected), "")
+          << what << ": a=" << ea.ToString() << " b=" << eb.ToString();
+    };
+    check(a, "build a", in_a);
+    check(b, "build b", in_b);
+
+    IntervalSet merged = a;
+    merged.UnionWith(b);
+    check(merged, "UnionWith",
+          [&](const Rational& t) { return in_a(t) || in_b(t); });
+    IntervalSet swept = a;
+    IntervalSet fresh = swept.UnionWithDelta(b);
+    check(fresh, "UnionWithDelta delta",
+          [&](const Rational& t) { return in_b(t) && !in_a(t); });
+    IntervalSet inserted = a;
+    IntervalSet insert_deltas;
+    for (const Interval& iv : b) insert_deltas.UnionWith(inserted.Insert(iv));
+    check(insert_deltas, "Insert deltas",
+          [&](const Rational& t) { return in_b(t) && !in_a(t); });
+    IntervalSet reversed = b;
+    reversed.UnionWith(a);
+    EXPECT_EQ(swept, merged) << ea.ToString() << " | " << eb.ToString();
+    EXPECT_EQ(inserted, merged) << ea.ToString() << " | " << eb.ToString();
+    EXPECT_EQ(reversed, merged) << ea.ToString() << " | " << eb.ToString();
+    EXPECT_EQ(IntervalSet::FromIntervals(merged.intervals()), merged);
+    EXPECT_EQ(merged.size(), merged.intervals().size());
+
+    check(a.Intersect(b), "Intersect",
+          [&](const Rational& t) { return in_a(t) && in_b(t); });
+    check(a.Subtract(b), "Subtract",
+          [&](const Rational& t) { return in_a(t) && !in_b(t); });
+    check(a.Complement(), "Complement",
+          [&](const Rational& t) { return !in_a(t); });
+    const Interval window = eb.dense.empty()
+                                ? Interval::Closed(eb.runs[0].lo,
+                                                   eb.runs[0].lo + Rational(3))
+                                : eb.dense[0];
+    check(a.Intersect(window), "Intersect(Interval)", [&](const Rational& t) {
+      return in_a(t) &&
+             membership::InBounds(window.lo(), window.hi(), t);
+    });
+    bool b_in_a = true;
+    for (const Rational& t : membership::Samples(crit)) {
+      EXPECT_EQ(a.Contains(t), in_a(t))
+          << "Contains " << t.ToString() << ": a=" << ea.ToString();
+      if (in_b(t) && !in_a(t)) b_in_a = false;
+    }
+    EXPECT_EQ(a.ContainsSet(b), b_in_a)
+        << "ContainsSet: a=" << ea.ToString() << " b=" << eb.ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BulkKernelFuzzTest,

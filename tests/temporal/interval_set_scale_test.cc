@@ -7,7 +7,7 @@
 // boxminus/boxplus, since/until). Both sides are normalized sets, so the
 // comparison is component for component. The factors 1/3 and 7/2 push
 // integral inputs onto non-integral endpoints; half-integral inputs cover
-// the mixed streams.
+// the mixed streams. Half the fuzzed sets carry a point run.
 
 #include <gtest/gtest.h>
 
@@ -50,8 +50,14 @@ class KernelFuzzer {
     return integral ? NextIntegral() : NextMixed();
   }
 
+  // n intervals, and half the time a point run on step 1, 1/3 or 7.
   IntervalSet Set(int n, bool integral) {
     IntervalSet out;
+    if (Pick(2) == 0) {
+      const Rational steps[] = {Rational(1), Rational(1, 3), Rational(7)};
+      out = IntervalSet::Run(Rational(Pick(31) - 15, integral ? 1 : 2),
+                             steps[Pick(3)], 2 + Pick(6));
+    }
     for (int i = 0; i < n; ++i) out.Add(Next(integral));
     return out;
   }

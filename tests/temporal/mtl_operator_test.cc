@@ -3,12 +3,16 @@
 //   M, t |= boxminus_rho M      iff M at all s with t - s in rho
 //   M, t |= diamondminus_rho M  iff M at some s with t - s in rho
 // plus the mirrored future operators. A brute-force model checker over a
-// fine rational grid serves as the oracle for the property sweeps.
+// fine rational grid serves as the oracle for the property sweeps; the
+// IntervalSet transforms of sets with point runs are checked against the
+// membership oracle (tests/testing/membership_oracle.h).
 
 #include <gtest/gtest.h>
 
 #include "src/ast/atom.h"
 #include "src/temporal/interval.h"
+#include "src/temporal/interval_set.h"
+#include "tests/testing/membership_oracle.h"
 
 namespace dmtl {
 namespace {
@@ -189,6 +193,52 @@ std::vector<OperatorCase> AllCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MtlOperatorPropertyTest,
                          ::testing::ValuesIn(AllCases()));
+
+// Sets with point runs: a punctual window shifts a run, one at least a step
+// wide fills it into one interval, a narrower one leaves a sliver per
+// point; boxes keep a run only under a punctual window.
+TEST(MtlOperatorRunTest, SetTransformsMatchMembershipOracle) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    RunSetFuzzer fuzz(seed);
+    for (int i = 0; i < 6; ++i) {
+      const ExplicitSet e = fuzz.Next();
+      const Interval rho = fuzz.Rho();
+      const IntervalSet set = ToIntervalSet(e);
+      const std::vector<Rational> crit =
+          membership::Spread(membership::Criticals(e), rho);
+      struct Op {
+        const char* name;
+        IntervalSet got;
+        bool future;
+        bool diamond;
+      };
+      const Op ops[] = {
+          {"diamondminus", set.DiamondMinus(rho), false, true},
+          {"boxminus", set.BoxMinus(rho), false, false},
+          {"diamondplus", set.DiamondPlus(rho), true, true},
+          {"boxplus", set.BoxPlus(rho), true, false},
+      };
+      for (const Op& op : ops) {
+        EXPECT_EQ(membership::Disagreement(
+                      op.got, crit,
+                      [&](const Rational& t) {
+                        return membership::MetricAt(e, rho, t, op.future,
+                                                    op.diamond);
+                      }),
+                  "")
+            << op.name << " rho=" << rho.ToString() << " set=" << e.ToString();
+      }
+      const Rational delta = rho.lo().value;
+      EXPECT_EQ(membership::Disagreement(
+                    set.Shift(delta), membership::Spread(crit, rho),
+                    [&](const Rational& t) {
+                      return membership::Member(e, t - delta);
+                    }),
+                "")
+          << "shift " << delta.ToString() << " set=" << e.ToString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dmtl

@@ -186,11 +186,14 @@ TEST_F(CliTest, UsageErrors) {
 
 TEST_F(CliTest, DeadlineFlagTripsOnDivergentProgram) {
   // No horizon: the chain rule propagates forever, so only the deadline
-  // stops the run. The failure must carry the stop diagnostics on stderr.
+  // stops the run. The seed is an interval, so the coverage grows by one
+  // coalesced pass at a time (a punctual seed's grid is emitted as point
+  // runs that reach the default interval budget within milliseconds). The
+  // failure must carry the stop diagnostics on stderr.
   std::string path = WriteFile("divergent.dmtl",
                                "open(A) :- deposit(A) .\n"
                                "open(A) :- boxminus open(A) .\n"
-                               "deposit(x)@2 .\n");
+                               "deposit(x)@[2,3] .\n");
   auto [status, err] = RunErr({"run", path, "--deadline-ms", "50"});
   ASSERT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(err.find("stop_reason=deadline"), std::string::npos) << err;
