@@ -1,14 +1,13 @@
-// Experiment B7 - engine ablations for the design choices DESIGN.md calls
-// out: (a) chain acceleration on/off, (b) semi-naive vs naive evaluation.
-// All variants must produce identical materializations; the ablation
-// quantifies the cost of turning each optimization off.
+// Experiment B7 - engine ablation for the design choice DESIGN.md calls
+// out: chain acceleration on/off. Both variants must produce identical
+// materializations; the ablation quantifies the cost of turning the
+// accelerator off.
 //
 // Timing: one untimed warm-up run first (the first run of a process pays
 // for page faults and cold caches no later run sees), then kRuns rounds
 // that each run every configuration once, in turn, so host drift lands on
 // every configuration alike. Each row is the median of its kRuns runs.
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -23,7 +22,6 @@ constexpr int kRuns = 5;
 struct Config {
   const char* label;
   bool accel;
-  bool naive;
 };
 
 double RunWith(const Session& session, const Program& program,
@@ -31,15 +29,8 @@ double RunWith(const Session& session, const Program& program,
   Database db = SessionToDatabase(session);
   EngineOptions options = SessionEngineOptions(session);
   options.enable_chain_acceleration = config.accel;
-  options.naive_evaluation = config.naive;
   bench::Check(Materialize(program, &db, options, stats), "materialize");
   return stats->wall_seconds;
-}
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 }  // namespace
@@ -61,9 +52,8 @@ int main() {
   const Program program = bench::Check(EthPerpProgram(), "program");
 
   const Config configs[] = {
-      {"semi-naive + accel", true, false},
-      {"semi-naive, no acceleration", false, false},
-      {"naive re-evaluation", false, true},
+      {"semi-naive + accel", true},
+      {"semi-naive, no acceleration", false},
   };
   constexpr size_t kConfigs = sizeof(configs) / sizeof(configs[0]);
 
@@ -78,7 +68,7 @@ int main() {
     }
   }
   double median[kConfigs];
-  for (size_t c = 0; c < kConfigs; ++c) median[c] = Median(times[c]);
+  for (size_t c = 0; c < kConfigs; ++c) median[c] = bench::Median(times[c]);
 
   std::printf("%-32s %12s %10s %12s\n", "configuration", "runtime(s)",
               "rounds", "rule evals");
@@ -90,8 +80,6 @@ int main() {
               kRuns);
   std::printf("\nspeedup from chain acceleration: %.1fx\n",
               median[1] / median[0]);
-  std::printf("speedup of semi-naive over naive: %.1fx\n",
-              median[2] / median[1]);
   std::printf("planner: %zu indexes, %zu probes (%zu hits), %zu tuples "
               "pruned\n",
               stats[0].planner_indexes_built, stats[0].planner_index_probes,

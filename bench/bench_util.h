@@ -1,6 +1,7 @@
 #ifndef DMTL_BENCH_BENCH_UTIL_H_
 #define DMTL_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -32,6 +33,54 @@ template <typename T>
 const T& Check(const Result<T>& result, const char* what) {
   Check(result.status(), what);
   return result.value();
+}
+
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+// One materialization point timed by in-process repetition: each run starts
+// from a fresh copy of the input, and runs repeat at least kMinTimedRuns
+// times and until they add up to kMinTimedSeconds, so a point that takes a
+// few ms is timed over a few hundred ms like a slow one. The point's figure
+// is the median run. Every run must derive the same pieces in the same
+// rounds as the first, or the harness aborts.
+constexpr size_t kMinTimedRuns = 5;
+constexpr double kMinTimedSeconds = 0.3;
+
+struct TimedPoint {
+  double median_s = 0;
+  size_t runs = 0;
+  Database db;        // the first run's result
+  EngineStats stats;  // the first run's counters
+};
+
+inline TimedPoint TimeMaterialize(const Program& program,
+                                  const Database& input,
+                                  const EngineOptions& options) {
+  TimedPoint out;
+  std::vector<double> walls;
+  double total_s = 0;
+  while (walls.size() < kMinTimedRuns || total_s < kMinTimedSeconds) {
+    Database db = input;
+    EngineStats stats;
+    Check(Materialize(program, &db, options, &stats), "materialize");
+    if (walls.empty()) {
+      out.db = std::move(db);
+      out.stats = stats;
+    } else if (stats.derived_intervals != out.stats.derived_intervals ||
+               stats.rounds != out.stats.rounds) {
+      std::fprintf(stderr, "FATAL repeated run did different work\n");
+      std::exit(1);
+    }
+    walls.push_back(stats.wall_seconds);
+    total_s += stats.wall_seconds;
+  }
+  out.median_s = Median(walls);
+  out.runs = walls.size();
+  return out;
 }
 
 // One fully-executed session: both the DatalogMTL materialization and the
@@ -190,20 +239,15 @@ inline const char* BuildType() {
 }
 
 // Emits the provenance context block every BENCH_*.json artifact carries:
-// which revision and build type produced the numbers, whether the runs
-// were timed with an armed ExecutionGuard (deadline/cancel token), and
-// the resolved engine feature set (EngineOptions::WithEnvOverrides - the
-// single point folding the DMTL_DISABLE_* CI lanes into the options), so
+// which revision and build type produced the numbers, and whether the runs
+// were timed with an armed ExecutionGuard (deadline/cancel token), so
 // bench_diff.py can refuse like-for-unlike comparisons. bench_diff.py
 // ignores string fields, so these never trip the regression gate.
-inline void WriteContext(JsonBuilder* json, bool guards_enabled = false,
-                         const EngineOptions& resolved =
-                             EngineOptions::FromEnv()) {
+inline void WriteContext(JsonBuilder* json, bool guards_enabled = false) {
   json->BeginObject("context");
   json->Field("git_sha", GitSha());
   json->Field("build_type", BuildType());
   json->Field("guards_enabled", guards_enabled);
-  json->Field("enable_streaming", resolved.enable_streaming);
   json->EndObject();
 }
 

@@ -2,7 +2,8 @@
 // as the session grows in events and window length. Shows how the engine's
 // work scales with the trading activity (facts derived ~ accounts x ticks)
 // and that event-driven fixpoint rounds stay proportional to events.
-// Results land in BENCH_contract_scaling.json.
+// Each point's sequential_s is the median of repeated in-process runs
+// (bench::TimeMaterialize). Results land in BENCH_contract_scaling.json.
 
 #include <chrono>
 #include <cstdio>
@@ -15,8 +16,9 @@ int main() {
   using namespace dmtl;
   const size_t hw_threads = ThreadPool::ResolveThreads(0);
   std::printf("=== contract scaling: events x window sweep ===\n");
-  std::printf("%8s %8s %10s %10s %14s %10s\n", "events", "trades",
-              "window(s)", "wall(s)", "derived facts", "rounds");
+  std::printf("%8s %8s %10s %10s %6s %14s %10s\n", "events", "trades",
+              "window(s)", "wall(s)", "runs", "derived facts", "rounds");
+  const Program program = bench::Check(EthPerpProgram(), "program");
   struct Point {
     int events;
     int trades;
@@ -40,15 +42,19 @@ int main() {
     config.duration_s = pt.window;
     config.initial_skew = -1000.0;
     config.seed = 99;
-    bench::ExecutedSession seq = bench::Execute(config);
-    std::printf("%8d %8d %10d %10.3f %14zu %10zu\n", pt.events, pt.trades,
-                pt.window, seq.stats.wall_seconds,
+    const Session session =
+        bench::Check(GenerateSession(config), "generate session");
+    bench::TimedPoint seq = bench::TimeMaterialize(
+        program, SessionToDatabase(session), SessionEngineOptions(session));
+    std::printf("%8d %8d %10d %10.4f %6zu %14zu %10zu\n", pt.events,
+                pt.trades, pt.window, seq.median_s, seq.runs,
                 seq.stats.derived_intervals, seq.stats.rounds);
     json.BeginObject()
         .Field("events", pt.events)
         .Field("trades", pt.trades)
         .Field("window_s", pt.window)
-        .Field("sequential_s", seq.stats.wall_seconds)
+        .Field("sequential_s", seq.median_s)
+        .Field("runs", seq.runs)
         .Field("derived", seq.stats.derived_intervals)
         .Field("rounds", seq.stats.rounds)
         .EndObject();

@@ -1,7 +1,9 @@
 // Experiment B8 - engine stress on canonical DatalogMTL recursion patterns
 // (iTemporal-style synthetic programs): materialization cost per pattern as
 // depth and data volume grow. Complements the contract-specific benches
-// with engine-general coverage. Results land in BENCH_engine_stress.json.
+// with engine-general coverage. Each row's runtime_s is the median of
+// repeated in-process runs (bench::TimeMaterialize). Results land in
+// BENCH_engine_stress.json.
 
 #include <cstdio>
 
@@ -19,8 +21,8 @@ int main() {
   bench::WriteContext(&json);
 
   std::printf("=== engine stress: synthetic DatalogMTL patterns ===\n");
-  std::printf("%-20s %6s %7s %9s %12s %14s %8s\n", "pattern", "depth",
-              "facts", "timeline", "runtime(s)", "derived", "out");
+  std::printf("%-20s %6s %7s %9s %12s %6s %14s %8s\n", "pattern", "depth",
+              "facts", "timeline", "runtime(s)", "runs", "derived", "out");
 
   const SynthPattern patterns[] = {
       SynthPattern::kLinearChain, SynthPattern::kStarJoin,
@@ -52,23 +54,22 @@ int main() {
       EngineOptions options;
       options.min_time = Rational(0);
       options.max_time = Rational(synth.horizon);
-      Database db = unit->database;
-      EngineStats stats;
-      bench::Check(Materialize(unit->program, &db, options, &stats),
-                   "materialize");
-      const Relation* out_rel = db.Find(synth.output_predicate);
+      bench::TimedPoint run =
+          bench::TimeMaterialize(unit->program, unit->database, options);
+      const Relation* out_rel = run.db.Find(synth.output_predicate);
       size_t out_count = out_rel == nullptr ? 0 : out_rel->NumIntervals();
-      std::printf("%-20s %6d %7d %9lld %12.4f %14zu %8zu\n",
+      std::printf("%-20s %6d %7d %9lld %12.5f %6zu %14zu %8zu\n",
                   SynthPatternToString(pattern), size.depth, size.facts,
-                  static_cast<long long>(size.timeline), stats.wall_seconds,
-                  stats.derived_intervals, out_count);
+                  static_cast<long long>(size.timeline), run.median_s,
+                  run.runs, run.stats.derived_intervals, out_count);
       json.BeginObject()
           .Field("pattern", SynthPatternToString(pattern))
           .Field("depth", size.depth)
           .Field("facts", size.facts)
           .Field("timeline", static_cast<size_t>(size.timeline))
-          .Field("runtime_s", stats.wall_seconds)
-          .Field("derived", stats.derived_intervals)
+          .Field("runtime_s", run.median_s)
+          .Field("runs", run.runs)
+          .Field("derived", run.stats.derived_intervals)
           .Field("out", out_count)
           .EndObject();
     }

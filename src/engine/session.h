@@ -1,26 +1,27 @@
 #ifndef DMTL_ENGINE_SESSION_H_
 #define DMTL_ENGINE_SESSION_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/ast/program.h"
 #include "src/common/status.h"
+#include "src/eval/incremental.h"
 #include "src/eval/seminaive.h"
 #include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dmtl {
 
-// Configuration shared by every session shape.
+// Configuration of one session.
 struct SessionOptions {
   // Engine knobs (chain acceleration, budgets...).
   // min_time / max_time / provenance are managed by the session and must be
-  // left unset. enable_streaming = false (or DMTL_DISABLE_STREAMING=1)
-  // selects the batch shape: the identical external contract, re-derived by
-  // a cold batch materialization per operation.
+  // left unset.
   EngineOptions engine;
 
   // Initial window minimum and watermark: the session derives nothing below
@@ -37,27 +38,45 @@ struct SessionOptions {
   bool track_provenance = true;
 };
 
-// The unified session surface: one vocabulary for every long-lived
-// materialization shape the engine offers.
+// A cold batch run over a session's current inputs - the oracle the
+// session tests compare against, byte for byte.
+struct ReplayResult {
+  Database db;
+  std::vector<DerivationRecord> provenance;
+  EngineStats stats;
+};
+
+// A live, long-lived materialization session: chain events arrive one at a
+// time through Push / PushStep, Advance(t) raises the watermark and
+// incrementally derives the new consequences, and Slide (or the horizon
+// option) expires old coverage out the back of the window.
 //
 //   Create / Restore  -> Result<std::unique_ptr<EngineSession>>
 //   Push / Advance / Slide -> Status
 //   Snapshot          -> Result<SessionSnapshot>
 //
-// Batch one-shot sessions (cold re-materialization per operation),
-// incremental streaming sessions, and fleet-hosted sessions (src/fleet/)
-// all implement it, so callers - cli, benches, the fleet server - program
-// against one API instead of the three shapes that existed before.
+// A persistent IncrementalMaterializer (src/eval/incremental.h) derives
+// only the new band per advance. The cli, the benches and the fleet server
+// (src/fleet/, which holds one session per contract) all program against
+// this class.
 //
-// Invariant (shared by every implementation, checked by the streaming and
-// snapshot tests): after any operation sequence, db() is byte-identical to
-// one cold Materialize over input_log() with min_time = window_min() and
-// max_time = watermark().
+// Invariant (checked by the session and snapshot tests): after any
+// operation sequence, db() is byte-identical to ColdReplay().db - one cold
+// Materialize over input_log() with min_time = window_min() and max_time =
+// watermark().
+//
+// Step channels. Chain feeds like the price oracle are step functions: the
+// pushed value holds until the next update, whose time is unknown when the
+// value arrives. PushStep models that without violating watermark finality:
+// the session keeps one open channel per predicate and logs the step's
+// coverage lazily - a point at the step time, an extension piece up to each
+// watermark the channel lives through, and a closing piece when the next
+// step arrives. The logged pieces union to exactly the ClosedOpen step
+// intervals a batch loader would write.
 class EngineSession {
  public:
-  // Builds a fresh session at options.start_time. The implementation is
-  // chosen by the resolved options (see SessionOptions::engine): streaming
-  // by default, batch when streaming is disabled.
+  // Builds a fresh session at options.start_time. The program must be
+  // streaming-eligible (see IncrementalMaterializer::Create).
   static Result<std::unique_ptr<EngineSession>> Create(
       const Program& program, const SessionOptions& options);
 
@@ -74,20 +93,19 @@ class EngineSession {
       const Program& program, const SessionOptions& options,
       const SessionSnapshot& snapshot);
 
-  virtual ~EngineSession() = default;
+  ~EngineSession();
 
   EngineSession(const EngineSession&) = delete;
   EngineSession& operator=(const EngineSession&) = delete;
 
   // Logs and inserts one input fact. After the first Advance, the fact's
   // interval must lie strictly above the watermark.
-  virtual Status Push(const Fact& fact) = 0;
+  Status Push(const Fact& fact);
 
   // Steps the predicate's channel to `args` at time `t` (strictly after the
   // channel's previous step / extension). Pushing the same args again is a
   // no-op: the step simply continues.
-  virtual Status PushStep(PredicateId pred, Tuple args,
-                          const Rational& t) = 0;
+  Status PushStep(PredicateId pred, Tuple args, const Rational& t);
   Status PushStep(std::string_view pred, Tuple args, const Rational& t) {
     return PushStep(InternPredicate(pred), std::move(args), t);
   }
@@ -96,30 +114,60 @@ class EngineSession {
   // and derives every consequence in the new band. With `horizon` set, then
   // slides the window minimum up to t - *horizon. Per-operation engine
   // stats (this event's work only) land in `stats` when given.
-  virtual Status Advance(const Rational& t, EngineStats* stats = nullptr) = 0;
+  Status Advance(const Rational& t, EngineStats* stats = nullptr);
 
   // Slides the window minimum up to `new_min` (window_min < new_min <=
   // watermark): expired coverage is retracted, its consequences un-derived,
   // provenance pruned, and the boundary region re-derived.
-  virtual Status Slide(const Rational& new_min,
-                       EngineStats* stats = nullptr) = 0;
+  Status Slide(const Rational& new_min, EngineStats* stats = nullptr);
 
   // Checkpoints the session state a cold replay cannot rebuild (window
   // position, input log, step channels) at the current round barrier.
   // Refused while the database is an under-approximation after a failed
   // operation (the next operation heals first).
-  virtual Result<SessionSnapshot> Snapshot() const = 0;
+  Result<SessionSnapshot> Snapshot() const;
 
-  virtual const Database& db() const = 0;
-  virtual const std::vector<DerivationRecord>& provenance() const = 0;
-  virtual const Rational& watermark() const = 0;
-  virtual const Rational& window_min() const = 0;
+  // Runs a cold batch materialization over input_log() in a fresh database
+  // - the byte-identity oracle for the current checkpoint.
+  Result<ReplayResult> ColdReplay() const;
+
+  const Database& db() const { return db_; }
+  const std::vector<DerivationRecord>& provenance() const {
+    return provenance_;
+  }
+  const Rational& watermark() const { return inc_->watermark(); }
+  const Rational& window_min() const { return inc_->window_min(); }
   // The logged inputs, clamped by past slides (step channels appear as
   // their logged pieces).
-  virtual const std::vector<Fact>& input_log() const = 0;
+  const std::vector<Fact>& input_log() const { return inc_->input_log(); }
 
- protected:
-  EngineSession() = default;
+ private:
+  EngineSession();
+
+  struct Channel {
+    Tuple args;
+    Rational logged_hi;  // time through which coverage has been logged
+  };
+
+  static Result<std::unique_ptr<EngineSession>> Build(
+      const Program& program, const SessionOptions& options,
+      const SessionSnapshot* snapshot);
+
+  Status ExtendChannels(const Rational& t);
+  uint64_t Fingerprint() const;
+
+  Program program_;
+  // ProgramFingerprint(program_), printed and hashed on first use (the
+  // restore check or the first Snapshot) and reused by every later
+  // Snapshot; a session that never checkpoints never pays for it.
+  mutable std::optional<uint64_t> fingerprint_;
+  SessionOptions options_;
+  Database db_;
+  std::vector<DerivationRecord> provenance_;
+  std::unique_ptr<IncrementalMaterializer> inc_;
+
+  // Ordered so channel extensions log in a deterministic order.
+  std::map<PredicateId, Channel> channels_;
 };
 
 }  // namespace dmtl

@@ -325,8 +325,6 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
             continue;
           }
           t.chain = true;
-        } else if (options_.naive_evaluation) {
-          t.initial = true;
         } else {
           t.delta_occurrences = DeltaOccurrences(id, round_delta);
           if (t.delta_occurrences.empty()) continue;

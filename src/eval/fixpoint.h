@@ -27,9 +27,8 @@ namespace dmtl {
 class FixpointDriver {
  public:
   // Validates the program (arities, safety, stratification) and compiles
-  // every rule. `options` must already be environment-resolved
-  // (EngineOptions::WithEnvOverrides); its window bounds are not read -
-  // each run names its own window.
+  // every rule. The window bounds in `options` are not read - each run
+  // names its own window.
   static Result<std::unique_ptr<FixpointDriver>> Create(
       const Program& program, const EngineOptions& options);
 
@@ -39,7 +38,7 @@ class FixpointDriver {
   // a round adds nothing.
   //
   //  * seeds == nullptr (batch): round 0 evaluates every plain rule in
-  //    full. naive_evaluation re-runs that full pass every round.
+  //    full.
   //  * seeds != nullptr (seeded): a stratum runs only when a positive body
   //    predicate has coverage in `seeds`, and round 0 evaluates just the
   //    occurrences (and chain and aggregate rules) that `seeds` reaches.

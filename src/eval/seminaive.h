@@ -55,40 +55,17 @@ struct EngineOptions {
   // database guarantee as a deadline trip. Unset = not cancellable.
   std::shared_ptr<CancellationToken> cancel_token;
 
-  // Bulk-extends self-propagation chains (see ChainAccelerator). Exact;
-  // disable only for the ablation benchmark.
+  // Bulk-extends self-propagation chains (see ChainAccelerator). Exact.
+  // Turned off by the fleet's degraded retry (src/fleet/server.cc),
+  // `dmtl_cli --no-accel`, the engine benches (B7 ablation, micro_eval) and
+  // the test references.
   bool enable_chain_acceleration = true;
-
-  // Evaluate naively (re-derive everything each round) instead of
-  // semi-naively; for the ablation benchmark.
-  bool naive_evaluation = false;
 
   // When set, every newly derived fact piece is appended here with the
   // rule that produced it - the "why" behind each contract state change
   // (the explainability the paper argues for, as data). Opt-in: a full
   // trading session derives millions of pieces.
   std::vector<DerivationRecord>* provenance = nullptr;
-
-  // Incremental advances for long-lived sessions (StreamingSession /
-  // EngineSession). Off, a session keeps its external contract but re-runs
-  // a cold batch materialization per operation - the batch one-shot shape
-  // and the CI equivalence lane. Consulted by sessions only; Materialize
-  // ignores it. Env override: DMTL_DISABLE_STREAMING=1.
-  bool enable_streaming = true;
-
-  // The one override point folding the DMTL_DISABLE_* environment lanes
-  // into an option set (docs/ENGINE.md, "Environment flags"):
-  //   DMTL_DISABLE_STREAMING=1     -> enable_streaming = false
-  // The engine resolves options through this exactly once per run (at
-  // Materialize entry / session creation); nothing else in the codebase
-  // reads that variable. Env can only turn features off, never force one
-  // on that the caller disabled.
-  EngineOptions WithEnvOverrides() const;
-
-  // Defaults resolved against the environment - what a run with default
-  // options will actually execute. Benchmarks record this set in their
-  // context block so bench_diff.py can refuse like-for-unlike comparisons.
-  static EngineOptions FromEnv();
 };
 
 // Why a materialization stopped. Anything but kCompleted comes with the

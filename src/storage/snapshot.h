@@ -36,7 +36,7 @@ namespace dmtl {
 // every fact-shaped field, so snapshots stay human-readable and parseable
 // with the ordinary parser. Size follows the input log, not the database.
 struct SessionSnapshot {
-  // An open step channel (see StreamingSession::PushStep): the held value
+  // An open step channel (see EngineSession::PushStep): the held value
   // and the time through which its coverage has been logged.
   struct Channel {
     PredicateId predicate = 0;

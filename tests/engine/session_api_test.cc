@@ -1,6 +1,6 @@
-// Unified session API contract: EngineSession::Create resolves to the
-// streaming or batch implementation behind one vocabulary, both shapes obey
-// the same external semantics, and option conflicts fail loudly.
+// Session API contract: an EngineSession agrees with a cold batch replay
+// of its inputs, its convenience overloads and snapshots work, and option
+// conflicts fail loudly.
 
 #include <gtest/gtest.h>
 
@@ -26,12 +26,12 @@ SessionOptions Opts(int64_t start) {
   return options;
 }
 
-// Drives the same schedule through a session created with the given
-// options and returns the final database text.
-std::string DriveSchedule(const Program& program,
-                          const SessionOptions& options) {
-  auto session = EngineSession::Create(program, options);
-  EXPECT_TRUE(session.ok()) << session.status();
+TEST(EngineSessionTest, StreamingAndBatchShapesAgreeByteForByte) {
+  // The incremental session and one cold batch Materialize over its input
+  // log (ColdReplay) agree after pushes, advances and a slide.
+  Program program = TestProgram();
+  auto session = EngineSession::Create(program, Opts(0));
+  ASSERT_TRUE(session.ok()) << session.status();
   EngineSession& s = **session;
   EXPECT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Closed(Rational(1), Rational(3))))
@@ -44,17 +44,10 @@ std::string DriveSchedule(const Program& program,
   EXPECT_TRUE(s.Slide(Rational(2)).ok());
   EXPECT_EQ(s.watermark(), Rational(8));
   EXPECT_EQ(s.window_min(), Rational(2));
-  return SerializeDatabase(s.db());
-}
-
-TEST(EngineSessionTest, StreamingAndBatchShapesAgreeByteForByte) {
-  Program program = TestProgram();
-  SessionOptions streaming = Opts(0);
-  streaming.engine.enable_streaming = true;
-  SessionOptions batch = Opts(0);
-  batch.engine.enable_streaming = false;
-  std::string streamed = DriveSchedule(program, streaming);
-  EXPECT_EQ(streamed, DriveSchedule(program, batch));
+  auto cold = s.ColdReplay();
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  std::string streamed = SerializeDatabase(s.db());
+  EXPECT_EQ(streamed, SerializeDatabase(cold->db));
   EXPECT_NE(streamed.find("q(a)"), std::string::npos);
   EXPECT_NE(streamed.find("q(b)"), std::string::npos);
 }

@@ -1,6 +1,6 @@
 // The sequential round executor: every fixpoint round is one ordered pass
-// over the round's tasks (naive evaluation is the initial full task, every
-// later round one task per rule with a fresh delta), so a materialization
+// over the round's tasks (round 0 is one full task per rule, every later
+// round one task per rule with a fresh delta), so a materialization
 // is a pure function of (program, input, options). Two properties follow
 // and are checked here on randomized programs (the safe fragment the
 // differential test fuzzes) and on directed recursive and contract cases:
@@ -23,6 +23,7 @@
 #include "src/engine/reasoner.h"
 #include "src/eval/seminaive.h"
 #include "src/parser/parser.h"
+#include "tests/testing/oracle_eval.h"
 #include "tests/testing/program_fuzzer.h"
 
 namespace dmtl {
@@ -179,28 +180,32 @@ TEST(RoundExecutorTest, WithoutChainAccelerationRerunsAndStaysExact) {
                         "no-accel fuzz program:\n" + text);
 }
 
-// Naive evaluation runs every round as the one full initial task: it must
-// derive the same facts with the same provenance coverage as semi-naive,
-// and re-run as reproducibly.
+// The test oracle's naive loop (tests/testing/oracle_eval.h) runs every
+// rule as one full task each round: the engine's semi-naive run must derive
+// the same facts with the same provenance coverage, and the oracle's own
+// provenance must be exact.
 TEST(RoundExecutorTest, NaiveTaskMatchesSemiNaiveCoverage) {
   std::string text = ProgramFuzzer(11).Generate();
   auto unit = Parser::Parse(text);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  EngineOptions naive = FuzzOptions();
-  naive.naive_evaluation = true;
-  naive.enable_chain_acceleration = false;
   RunResult semi =
       MaterializeRun(unit->program, unit->database, FuzzOptions(), "d0");
-  RunResult full = MaterializeRun(unit->program, unit->database, naive, "d0");
-  EXPECT_EQ(semi.db_text, full.db_text) << text;
-  EXPECT_EQ(semi.series_text, full.series_text) << text;
+  Database naive = unit->database;
+  std::vector<DerivationRecord> naive_provenance;
+  ASSERT_TRUE(OracleMaterialize(unit->program, &naive, FuzzOptions(),
+                                &naive_provenance, OracleLoop::kNaive)
+                  .ok());
+  EXPECT_EQ(semi.db_text, naive.ToString()) << text;
+  EXPECT_EQ(semi.series_text, SeriesText(naive, "d0")) << text;
+  const std::string naive_coverage =
+      Render(ProvenanceCoverage(naive_provenance, "naive"));
   EXPECT_EQ(Render(ProvenanceCoverage(semi.provenance, "semi-naive")),
-            Render(ProvenanceCoverage(full.provenance, "naive")))
+            naive_coverage)
       << text;
-  ExpectRerunIdentical(unit->program, unit->database, naive, "d0",
-                       "naive fuzz program:\n" + text);
-  ExpectProvenanceExact(unit->program, unit->database, naive,
-                        "naive fuzz program:\n" + text);
+  EXPECT_EQ(naive_coverage, Render(DerivedCoverage(naive, unit->database)))
+      << "naive oracle provenance does not cover exactly the derived "
+         "facts:\n"
+      << text;
 }
 
 // Mutually recursive rules in one stratum: a later rule sees an earlier

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/parser/parser.h"
+#include "tests/testing/oracle_eval.h"
 
 namespace dmtl {
 namespace {
@@ -92,11 +93,14 @@ TEST(SemiNaiveTest, NaiveAndSemiNaiveAgree) {
       "open(A) :- boxminus open(A), not close(A) .\n"
       "edge(a, b)@[0,10] . edge(b, c)@[2,8] . edge(c, a)@[4,6] .\n"
       "deposit(x)@1 . close(x)@9 .";
-  EngineOptions seminaive = Window(0, 12);
-  EngineOptions naive = Window(0, 12);
-  naive.naive_evaluation = true;
-  naive.enable_chain_acceleration = false;
-  EXPECT_EQ(RunText(text, seminaive), RunText(text, naive));
+  // The naive side is the test oracle's own naive loop.
+  auto unit = Parser::Parse(text);
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  Database naive = unit->database;
+  ASSERT_TRUE(OracleMaterialize(unit->program, &naive, Window(0, 12), nullptr,
+                                OracleLoop::kNaive)
+                  .ok());
+  EXPECT_EQ(RunText(text, Window(0, 12)), naive.ToString());
 }
 
 TEST(SemiNaiveTest, AccelerationOnAndOffAgree) {

@@ -21,7 +21,6 @@
 #include "src/fleet/server.h"
 #include "src/fleet/workload.h"
 #include "src/storage/serialize.h"
-#include "src/streaming/session.h"
 
 namespace dmtl {
 namespace {
@@ -103,12 +102,12 @@ TEST(FleetWorkloadTest, SessionToOpsMatchesInteractiveReplay) {
   SessionOptions sopts;
   sopts.start_time = Rational(session->start_time);
   sopts.track_provenance = false;
-  auto replayed = StreamingSession::Create(program.value(), sopts);
+  auto replayed = EngineSession::Create(program.value(), sopts);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   ASSERT_TRUE(ReplaySessionStream(*session, replayed->get()).ok());
 
   // The same session compiled to FleetOps and fed op-by-op.
-  auto driven = StreamingSession::Create(program.value(), sopts);
+  auto driven = EngineSession::Create(program.value(), sopts);
   ASSERT_TRUE(driven.ok()) << driven.status();
   EngineSession& s = **driven;
   for (const FleetOp& op : SessionToOps(*session)) {

@@ -1,29 +1,42 @@
 // Randomized differential testing of the engine: generate random (but
 // stratifiable and safe by construction) temporal programs and fact
-// databases, then check that all three evaluation strategies - semi-naive
-// with chain acceleration, semi-naive without, and naive re-evaluation -
-// produce the exact same materialization. This is the safety net under the
-// engine's two main optimizations.
+// databases, then check that all three evaluation strategies - the engine's
+// semi-naive run with chain acceleration and without, and the test oracle's
+// naive re-evaluation (tests/testing/oracle_eval.h) - produce the exact
+// same materialization. This is the safety net under the engine's two main
+// optimizations.
 
 #include <gtest/gtest.h>
 
 
 #include "src/eval/seminaive.h"
 #include "src/parser/parser.h"
+#include "tests/testing/oracle_eval.h"
 #include "tests/testing/program_fuzzer.h"
 
 namespace dmtl {
 namespace {
 
-std::string MaterializeWith(const Parser::ParsedUnit& unit,
-                            bool accel, bool naive) {
+EngineOptions Window() {
   EngineOptions options;
   options.min_time = Rational(0);
   options.max_time = Rational(40);
+  return options;
+}
+
+std::string MaterializeWith(const Parser::ParsedUnit& unit, bool accel) {
+  EngineOptions options = Window();
   options.enable_chain_acceleration = accel;
-  options.naive_evaluation = naive;
   Database db = unit.database;
   Status status = Materialize(unit.program, &db, options);
+  EXPECT_TRUE(status.ok()) << status;
+  return db.ToString();
+}
+
+std::string OracleNaive(const Parser::ParsedUnit& unit) {
+  Database db = unit.database;
+  Status status = OracleMaterialize(unit.program, &db, Window(), nullptr,
+                                    OracleLoop::kNaive);
   EXPECT_TRUE(status.ok()) << status;
   return db.ToString();
 }
@@ -36,10 +49,9 @@ TEST_P(DifferentialTest, AllStrategiesAgree) {
   auto unit = Parser::Parse(text);
   ASSERT_TRUE(unit.ok()) << unit.status() << "\nprogram:\n" << text;
 
-  std::string accel = MaterializeWith(*unit, /*accel=*/true, /*naive=*/false);
-  std::string plain = MaterializeWith(*unit, /*accel=*/false,
-                                      /*naive=*/false);
-  std::string naive = MaterializeWith(*unit, /*accel=*/false, /*naive=*/true);
+  std::string accel = MaterializeWith(*unit, /*accel=*/true);
+  std::string plain = MaterializeWith(*unit, /*accel=*/false);
+  std::string naive = OracleNaive(*unit);
   EXPECT_EQ(accel, plain) << "chain acceleration diverged on:\n" << text;
   EXPECT_EQ(plain, naive) << "semi-naive diverged from naive on:\n" << text;
 }
@@ -58,8 +70,8 @@ TEST(DifferentialDirectedTest, MixedStepChains) {
       "p0(a)@[0,1] . p1(a)@7 . p0(b)@4 .\n";
   auto unit = Parser::Parse(text);
   ASSERT_TRUE(unit.ok());
-  std::string accel = MaterializeWith(*unit, true, false);
-  std::string plain = MaterializeWith(*unit, false, false);
+  std::string accel = MaterializeWith(*unit, true);
+  std::string plain = MaterializeWith(*unit, false);
   EXPECT_EQ(accel, plain);
   // Spot-check the step-2 hop: d0(a) holds at 0..1, then 2,3 via the
   // chain, 4,5, skips nothing until the blocker at 7 kills the odd chain

@@ -2,7 +2,7 @@
 // and window slides, the live session's database, Series() output, and
 // per-tuple provenance coverage must be byte-identical to one cold batch
 // materialization over the same logged inputs and window - at every
-// checkpoint, at every thread width. The fuzz lane drives randomized
+// checkpoint. The fuzz lane drives randomized
 // programs through randomized streams with a slide after every advance;
 // the fault tests prove a failed advance or slide heals transparently.
 
@@ -21,11 +21,11 @@
 #include "src/common/fault_injector.h"
 #include "src/contracts/eth_perp_program.h"
 #include "src/engine/reasoner.h"
+#include "src/engine/session.h"
 #include "src/eval/incremental.h"
 #include "src/parser/parser.h"
 #include "src/storage/serialize.h"
 #include "src/storage/snapshot.h"
-#include "src/streaming/session.h"
 
 namespace dmtl {
 namespace {
@@ -55,7 +55,7 @@ std::string SeriesText(const Database& db, std::string_view pred) {
   return out.str();
 }
 
-void ExpectMatchesColdReplay(const StreamingSession& session,
+void ExpectMatchesColdReplay(const EngineSession& session,
                              std::string_view series_pred,
                              const std::string& label) {
   auto cold = session.ColdReplay();
@@ -81,9 +81,9 @@ TEST(StreamingSessionTest, IncrementalAdvanceMatchesColdReplay) {
       "q(X) :- diamondminus[0,2] p(X) .\n"
       "r(X) :- boxminus[1,1] q(X), not p(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto session = StreamingSession::Create(unit->program, Opts(0));
+  auto session = EngineSession::Create(unit->program, Opts(0));
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Closed(Rational(1), Rational(3))))
@@ -112,9 +112,9 @@ TEST(StreamingSessionTest, RecursiveChainStreamsAcrossAdvances) {
       "d(X) :- p(X) .\n"
       "d(X) :- diamondminus[2,2] d(X), not stop(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto session = StreamingSession::Create(unit->program, Opts(0));
+  auto session = EngineSession::Create(unit->program, Opts(0));
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Point(Rational(1))))
@@ -130,9 +130,9 @@ TEST(StreamingSessionTest, SlideRetractsAndRederives) {
       "q(X) :- diamondminus[0,3] p(X) .\n"
       "r(X) :- boxminus[1,2] q(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto session = StreamingSession::Create(unit->program, Opts(0));
+  auto session = EngineSession::Create(unit->program, Opts(0));
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Closed(Rational(1), Rational(2))))
@@ -161,9 +161,9 @@ TEST(StreamingSessionTest, HorizonAutoSlides) {
   ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options = Opts(0);
   options.horizon = Rational(5);
-  auto session = StreamingSession::Create(unit->program, options);
+  auto session = EngineSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   for (int64_t t = 1; t <= 12; ++t) {
     ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
@@ -180,9 +180,9 @@ TEST(StreamingSessionTest, HorizonAutoSlides) {
 TEST(StreamingSessionTest, StepChannelsMatchBatchStepFunctions) {
   auto unit = Parser::Parse("q(X) :- diamondminus[0,2] price(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto session = StreamingSession::Create(unit->program, Opts(0));
+  auto session = EngineSession::Create(unit->program, Opts(0));
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.PushStep("price", {Value::Double(10.0)}, Rational(0)).ok());
   ASSERT_TRUE(s.Advance(Rational(3)).ok());
@@ -209,9 +209,9 @@ TEST(StreamingSessionTest, StepChannelsMatchBatchStepFunctions) {
 TEST(StreamingSessionTest, FlushDisciplineAndWatermarkChecks) {
   auto unit = Parser::Parse("q(X) :- p(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto session = StreamingSession::Create(unit->program, Opts(0));
+  auto session = EngineSession::Create(unit->program, Opts(0));
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   // Before the first advance, facts anywhere (even sub-window) are fine.
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
@@ -249,46 +249,34 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedAtCreate) {
        }) {
     auto unit = Parser::Parse(text);
     if (!unit.ok()) continue;  // parser-level rejection also acceptable
-    auto session = StreamingSession::Create(unit->program, Opts(0));
+    auto session = EngineSession::Create(unit->program, Opts(0));
     EXPECT_FALSE(session.ok()) << "accepted ineligible program:\n" << text;
   }
 }
 
 TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
-  // With streaming off, a fresh session and a restore check eligibility
-  // without building an evaluator. Both must refuse what the streaming
-  // Create refuses, with the same first error: option, safety,
-  // stratification and rule-walk failures alike (the later cases fail two
-  // checks, so the order shows).
-  struct Case {
-    const char* text;
-    bool naive;
-  };
-  for (const Case& c : {
-           Case{"q(X) :- diamondplus[0,2] p(X) .\n", false},
-           Case{"q(X) :- p(X) since[0,3] r(X) .\n", false},
-           Case{"q(X) :- not p(X), X = 1 .\n", false},
-           Case{"q(X, Y) :- p(X) .\n", false},
-           Case{"q(X, Y) :- diamondplus[0,1] p(X) .\n", false},
-           Case{"q(X) :- p(X), not q(X) .\nr(X) :- boxplus[0,1] q(X) .\n",
-                false},
-           Case{"q(X) :- diamondminus[0,2] p(X) .\n", true},
+  // A fresh session and a restore must both refuse what
+  // IncrementalMaterializer::Create refuses, with the same first error:
+  // safety, stratification and rule-walk failures alike (the later cases
+  // fail two checks, so the order shows).
+  for (const char* text : {
+           "q(X) :- diamondplus[0,2] p(X) .\n",
+           "q(X) :- p(X) since[0,3] r(X) .\n",
+           "q(X) :- not p(X), X = 1 .\n",
+           "q(X, Y) :- p(X) .\n",
+           "q(X, Y) :- diamondplus[0,1] p(X) .\n",
+           "q(X) :- p(X), not q(X) .\nr(X) :- boxplus[0,1] q(X) .\n",
        }) {
-    SCOPED_TRACE(c.text);
-    auto unit = Parser::Parse(c.text);
+    SCOPED_TRACE(text);
+    auto unit = Parser::Parse(text);
     ASSERT_TRUE(unit.ok()) << unit.status();
-    SessionOptions streaming = Opts(0);
-    streaming.engine.naive_evaluation = c.naive;
-    streaming.engine.enable_streaming = true;
+    SessionOptions options = Opts(0);
     Database scratch;
-    EngineOptions engine = streaming.engine;
+    EngineOptions engine = options.engine;
     engine.min_time = Rational(0);
     auto reference =
         IncrementalMaterializer::Create(unit->program, &scratch, engine);
     ASSERT_FALSE(reference.ok());
-    EXPECT_EQ(IncrementalMaterializer::CheckEligible(unit->program, engine)
-                  .ToString(),
-              reference.status().ToString());
 
     SessionSnapshot snapshot;
     snapshot.program_fingerprint = ProgramFingerprint(unit->program);
@@ -296,17 +284,12 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
     snapshot.advanced = true;
     snapshot.input_log.push_back(
         Fact::Make("p", {Value::Symbol("a")}, Interval::Point(Rational(1))));
-    for (bool on : {true, false}) {
-      SessionOptions options = streaming;
-      options.engine.enable_streaming = on;
-      auto fresh = StreamingSession::Create(unit->program, options);
-      ASSERT_FALSE(fresh.ok()) << "streaming=" << on;
-      EXPECT_EQ(fresh.status().ToString(), reference.status().ToString());
-      auto restored =
-          StreamingSession::Restore(unit->program, options, snapshot);
-      ASSERT_FALSE(restored.ok()) << "streaming=" << on;
-      EXPECT_EQ(restored.status().ToString(), reference.status().ToString());
-    }
+    auto fresh = EngineSession::Create(unit->program, options);
+    ASSERT_FALSE(fresh.ok());
+    EXPECT_EQ(fresh.status().ToString(), reference.status().ToString());
+    auto restored = EngineSession::Restore(unit->program, options, snapshot);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().ToString(), reference.status().ToString());
   }
 }
 
@@ -315,9 +298,9 @@ TEST(StreamingSessionTest, FailedAdvanceHealsTransparently) {
       "q(X) :- diamondminus[0,2] p(X) .\n"
       "r(X) :- boxminus[1,1] q(X) .\n");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto session = StreamingSession::Create(unit->program, Opts(0));
+  auto session = EngineSession::Create(unit->program, Opts(0));
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Closed(Rational(1), Rational(3))))
@@ -331,11 +314,9 @@ TEST(StreamingSessionTest, FailedAdvanceHealsTransparently) {
                      Status::Internal("injected round failure"));
   Status failed = s.Advance(Rational(8));
   FaultInjector::Reset();
-  if (s.streaming_enabled()) {
-    EXPECT_FALSE(failed.ok());
-    // The watermark did not move; the store rolled back to the barrier.
-    EXPECT_EQ(s.watermark(), Rational(4));
-  }
+  EXPECT_FALSE(failed.ok());
+  // The watermark did not move; the store rolled back to the barrier.
+  EXPECT_EQ(s.watermark(), Rational(4));
   // The next operation heals (cold rebuild) and completes normally.
   ASSERT_TRUE(s.Advance(Rational(8)).ok());
   ExpectMatchesColdReplay(s, "q", "after heal");
@@ -363,7 +344,7 @@ TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
   SessionOptions options;
   options.start_time = Rational(chain_session.start_time);
   options.engine.max_intervals = kContractIntervalBudget;
-  auto session = StreamingSession::Create(*program, options);
+  auto session = EngineSession::Create(*program, options);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(ReplaySessionStream(chain_session, session->get()).ok());
 
@@ -399,9 +380,9 @@ TEST(StreamingSessionTest, EthPerpLiveWindowKeepsSuffixAndMatchesColdReplay) {
   options.start_time = Rational(chain.start_time);
   options.track_provenance = true;
   options.engine.max_intervals = kContractIntervalBudget;
-  auto created = StreamingSession::Create(*program, options);
+  auto created = EngineSession::Create(*program, options);
   ASSERT_TRUE(created.ok()) << created.status();
-  StreamingSession& s = **created;
+  EngineSession& s = **created;
   const Rational start(chain.start_time);
   ASSERT_TRUE(s.Push(Fact::Make("start", {}, Interval::Point(start))).ok());
   ASSERT_TRUE(s.Push(Fact::Make("marketEnd", {},
@@ -466,10 +447,8 @@ TEST(StreamingSessionTest, EthPerpLiveWindowKeepsSuffixAndMatchesColdReplay) {
   }
   ExpectMatchesColdReplay(s, "frs", "eth-perp live window final");
   EXPECT_GE(slides, 100);
-  if (s.streaming_enabled()) {
-    EXPECT_GT(kept * 4, slides * 3)
-        << kept << " of " << slides << " slides kept the stored suffix";
-  }
+  EXPECT_GT(kept * 4, slides * 3)
+      << kept << " of " << slides << " slides kept the stored suffix";
 }
 
 TEST(StreamingSessionTest, PersistenceChainRootedBelowWindowHeals) {
@@ -483,9 +462,9 @@ TEST(StreamingSessionTest, PersistenceChainRootedBelowWindowHeals) {
   ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options = Opts(0);
   options.track_provenance = true;
-  auto session = StreamingSession::Create(unit->program, options);
+  auto session = EngineSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Point(Rational(1))))
@@ -520,9 +499,9 @@ TEST(StreamingSessionTest, NegatedLookBackWidensTheCutOffBand) {
   ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options = Opts(0);
   options.track_provenance = true;
-  auto session = StreamingSession::Create(unit->program, options);
+  auto session = EngineSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.Push(Fact::Make("q", {Value::Symbol("a")},
                                 Interval::Point(Rational(3))))
@@ -538,9 +517,7 @@ TEST(StreamingSessionTest, NegatedLookBackWidensTheCutOffBand) {
 
   EngineStats stats;
   ASSERT_TRUE(s.Slide(Rational(4), &stats).ok());
-  if (s.streaming_enabled()) {
-    EXPECT_TRUE(stats.retract_suffix_kept);
-  }
+  EXPECT_TRUE(stats.retract_suffix_kept);
   EXPECT_TRUE(s.db().Holds("n", {Value::Symbol("a")}, Rational(8)));
   ExpectMatchesColdReplay(s, "n", "after sliding past the look-back");
 }
@@ -554,9 +531,9 @@ TEST(StreamingSessionTest, KeptSuffixClipsStraddlingProvenance) {
   ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options = Opts(0);
   options.track_provenance = true;
-  auto session = StreamingSession::Create(unit->program, options);
+  auto session = EngineSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
                                 Interval::Closed(Rational(0), Rational(19))))
@@ -564,9 +541,7 @@ TEST(StreamingSessionTest, KeptSuffixClipsStraddlingProvenance) {
   ASSERT_TRUE(s.Advance(Rational(20)).ok());
   EngineStats stats;
   ASSERT_TRUE(s.Slide(Rational(4), &stats).ok());
-  if (s.streaming_enabled()) {
-    EXPECT_TRUE(stats.retract_suffix_kept);
-  }
+  EXPECT_TRUE(stats.retract_suffix_kept);
   ExpectMatchesColdReplay(s, "q", "after the slide");
   EXPECT_EQ(ProvenanceCoverage(s.provenance()), "q(a) @ {[4,19]}\n");
 }
@@ -578,9 +553,9 @@ TEST(StreamingSessionTest, FailedSlideHealsOnNextAdvance) {
   ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options = Opts(0);
   options.track_provenance = true;
-  auto session = StreamingSession::Create(unit->program, options);
+  auto session = EngineSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
 
   for (int64_t t = 1; t <= 20; t += 2) {
     ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
@@ -600,9 +575,7 @@ TEST(StreamingSessionTest, FailedSlideHealsOnNextAdvance) {
   EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed;
   EXPECT_EQ(s.window_min(), Rational(6));
   // The streaming store is suspect until the next operation heals it.
-  if (s.streaming_enabled()) {
-    EXPECT_FALSE(s.Snapshot().ok());
-  }
+  EXPECT_FALSE(s.Snapshot().ok());
 
   ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
                                 Interval::Point(Rational(21))))
@@ -630,9 +603,9 @@ TEST(StreamingSessionTest, OneDriverServesAdvancesSlidesAndHeal) {
   ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options = Opts(0);
   options.track_provenance = true;
-  auto session = StreamingSession::Create(unit->program, options);
+  auto session = EngineSession::Create(unit->program, options);
   ASSERT_TRUE(session.ok()) << session.status();
-  StreamingSession& s = **session;
+  EngineSession& s = **session;
   const Value a = Value::Symbol("a");
 
   ASSERT_TRUE(s.Push(Fact::Make("g", {a}, Interval::Point(Rational(3)))).ok());
@@ -646,9 +619,7 @@ TEST(StreamingSessionTest, OneDriverServesAdvancesSlidesAndHeal) {
 
   EngineStats kept;
   ASSERT_TRUE(s.Slide(Rational(5), &kept).ok());
-  if (s.streaming_enabled()) {
-    EXPECT_TRUE(kept.retract_suffix_kept);
-  }
+  EXPECT_TRUE(kept.retract_suffix_kept);
   ExpectMatchesColdReplay(s, "a", "after the slide that keeps the suffix");
   EXPECT_EQ(s.db().Find("b"), nullptr);
   EXPECT_FALSE(s.db().Holds("a", {a}, Rational(7)));
@@ -673,8 +644,7 @@ TEST(StreamingSessionTest, OneDriverServesAdvancesSlidesAndHeal) {
 // Retraction-equivalence fuzz lane: random eligible programs, random fact
 // streams. Every third advance is a checkpoint compared byte-for-byte
 // against a cold replay, and past the warm-up every advance is followed by
-// a slide, itself checked the same way. The whole lane re-runs under the
-// DMTL_DISABLE_STREAMING environment lane in CI.
+// a slide, itself checked the same way.
 // ---------------------------------------------------------------------------
 
 // Same safe fragment the scale-invariance/differential suites fuzz -
@@ -770,9 +740,9 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
   for (uint64_t schedule : {1, 2, 8}) {
     SessionOptions options = Opts(0);
     options.track_provenance = true;
-    auto session = StreamingSession::Create(unit->program, options);
+    auto session = EngineSession::Create(unit->program, options);
     ASSERT_TRUE(session.ok()) << session.status() << "\nprogram:\n" << text;
-    StreamingSession& s = **session;
+    EngineSession& s = **session;
 
     // Deterministic per-schedule RNG for advance strides and slide points.
     std::mt19937_64 rng(GetParam() * 977 + schedule);

@@ -329,7 +329,8 @@ Status OracleDerive(const Rule& rule, const Database& db,
 
 Status OracleMaterialize(const Program& program, Database* db,
                          const EngineOptions& options,
-                         std::vector<DerivationRecord>* provenance) {
+                         std::vector<DerivationRecord>* provenance,
+                         OracleLoop loop) {
   DMTL_RETURN_IF_ERROR(program.CheckArities());
   DMTL_RETURN_IF_ERROR(CheckSafety(program));
   DMTL_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
@@ -379,7 +380,7 @@ Status OracleMaterialize(const Program& program, Database* db,
           if (round == 0) DMTL_RETURN_IF_ERROR(run(id, nullptr, -1));
           continue;
         }
-        if (round == 0 || options.naive_evaluation) {
+        if (round == 0 || loop == OracleLoop::kNaive) {
           DMTL_RETURN_IF_ERROR(run(id, nullptr, -1));
           continue;
         }

@@ -25,14 +25,19 @@
 
 namespace dmtl {
 
+// The oracle's fixpoint loop per stratum: every round re-evaluates each
+// rule in full (naive), or rounds after the first restrict one positive
+// atom occurrence at a time to the previous round's fresh coverage.
+enum class OracleLoop { kSemiNaive, kNaive };
+
 // Materializes `program` over `db` in place, deriving only inside
-// [options.min_time, options.max_time]. Reads the window,
-// naive_evaluation and max_rounds; every other option is ignored. Each
-// freshly covered piece is appended to `provenance` when it is non-null,
-// with the oracle's own round numbers.
+// [options.min_time, options.max_time]. Reads the window and max_rounds;
+// every other option is ignored. Each freshly covered piece is appended to
+// `provenance` when it is non-null, with the oracle's own round numbers.
 Status OracleMaterialize(const Program& program, Database* db,
                          const EngineOptions& options,
-                         std::vector<DerivationRecord>* provenance = nullptr);
+                         std::vector<DerivationRecord>* provenance = nullptr,
+                         OracleLoop loop = OracleLoop::kSemiNaive);
 
 // Evaluates one rule over `db` in full, as one stratum-free pass, and
 // emits each (head tuple, extent). An aggregate rule emits its aggregates.

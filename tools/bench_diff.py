@@ -174,26 +174,6 @@ def check_comparable(base, cand):
         return (f"baseline guards_enabled={bg} but candidate "
                 f"guards_enabled={cg} (guarded and unguarded timings are "
                 f"not like-with-like)")
-    # Every engine feature flag the benches record (enable_streaming, and
-    # any future enable_* the context grows) selects
-    # a different execution path, so cross-flag timings measure the feature toggle, not a
-    # regression. The check is generic: a new flag added to the context is
-    # automatically part of the like-with-like contract, no edit here.
-    # A flag only one side names (an artifact from before the field existed,
-    # or after it was deleted with its path) is noted, not refused.
-    flags = sorted(k for k in set(base_ctx) | set(cand_ctx)
-                   if k.startswith("enable_"))
-    for flag in flags:
-        bv = base_ctx.get(flag)
-        cv = cand_ctx.get(flag)
-        if bv is not None and cv is not None and bv != cv:
-            return (f"baseline {flag}={bv} but candidate {flag}={cv} "
-                    f"(runs with different engine feature flags are not "
-                    f"like-with-like; re-run one side with the matching "
-                    f"setting)")
-        if (bv is None) != (cv is None):
-            print(f"  note  {flag}: baseline={bv!r} candidate={cv!r} "
-                  f"(one artifact predates the field)")
     return None
 
 
