@@ -1,6 +1,6 @@
 // Experiment B2 - microbenchmarks of rule evaluation: joins, negation,
-// temporal self-propagation, aggregation, full small-program
-// materialization, and sequential-vs-parallel fixpoint rounds. A custom
+// temporal self-propagation, aggregation, parsing, and the rule VM's
+// dispatch loop on a recursive join. A custom
 // main mirrors the results into BENCH_micro_eval.json (google-benchmark's
 // JSON format) unless the caller already passed --benchmark_out.
 
@@ -90,27 +90,6 @@ void BM_ChainPropagationAccelerated(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainPropagationAccelerated)->Arg(1024)->Arg(8192);
 
-void BM_ChainPropagationTickByTick(benchmark::State& state) {
-  int ticks = static_cast<int>(state.range(0));
-  auto program = Parser::ParseProgram(
-      "open(A) :- deposit(A) .\n"
-      "open(A) :- boxminus open(A), not close(A) .");
-  Database db;
-  for (int a = 0; a < 8; ++a) {
-    db.Insert("deposit", {Value::Int(a)}, Interval::Point(Rational(a)));
-  }
-  EngineOptions options;
-  options.min_time = Rational(0);
-  options.max_time = Rational(ticks);
-  options.enable_chain_acceleration = false;
-  for (auto _ : state) {
-    Database out = db;
-    benchmark::DoNotOptimize(Materialize(*program, &out, options));
-  }
-  state.SetItemsProcessed(state.iterations() * ticks * 8);
-}
-BENCHMARK(BM_ChainPropagationTickByTick)->Arg(1024);
-
 void BM_TemporalAggregation(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Database db;
@@ -139,19 +118,17 @@ void BM_ParseEthPerpProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseEthPerpProgram);
 
-// The rule VM's dispatch loop on a recursive join workload (chain
-// acceleration is off to keep every round in the per-rule executor).
+// The rule VM's dispatch loop on a recursive join workload (no rule is a
+// chain, so every round runs in the per-rule executor).
 void BM_VmDispatch(benchmark::State& state) {
   Database db = EdgeFacts(96);
   auto program = Parser::ParseProgram(
       "reach(X, Y) :- edge(X, Y) .\n"
       "reach(X, Z) :- reach(X, Y), edge(Y, Z) .\n"
       "near(X, Z) :- diamondminus[0,5] reach(X, Z), not edge(X, Z) .");
-  EngineOptions options;
-  options.enable_chain_acceleration = false;
   for (auto _ : state) {
     Database out = db;
-    benchmark::DoNotOptimize(Materialize(*program, &out, options));
+    benchmark::DoNotOptimize(Materialize(*program, &out));
   }
 }
 BENCHMARK(BM_VmDispatch);

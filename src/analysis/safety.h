@@ -11,7 +11,7 @@ namespace dmtl {
 // Variables bound by the positive relational literals of the rule body -
 // the bindings stage-1 join enumeration produces, regardless of the order
 // the literals are evaluated in. CheckSafety seeds its boundness analysis
-// with this set, and the join planner (RuleEvaluator::Plan) relies on the
+// with this set, and the join planner (RulePlanner::Plan) relies on the
 // same set when reordering positive literals: any order is safe because
 // builtins, negation, and the head only ever depend on variables that are
 // positively bound *after all* positive literals have been enumerated.

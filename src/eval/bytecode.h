@@ -19,7 +19,7 @@ namespace dmtl {
 // with no per-candidate allocation: variables bind into one shared register
 // file and are unset on backtrack.
 //
-// The row pipeline runs RuleEvaluator's stages in order: positive literals
+// The row pipeline runs RulePlanner's stages in order: positive literals
 // (in plan order), early builtins, negated literals, timestamp splits, late
 // builtins, head emission.
 
@@ -108,7 +108,7 @@ struct AtomCode {
   size_t num_tuples_at_compile = 0;
 };
 
-// RuleEvaluator::LiteralShape, for the compiled path.
+// RulePlanner::LiteralShape, for the compiled path.
 enum class LitShape : uint8_t { kBareAtom, kUnaryChain, kGeneral };
 
 struct LiteralCode {

@@ -22,7 +22,8 @@ namespace dmtl {
 // progression is walked directly.
 //
 // This is an optimization only - it derives exactly the facts the naive
-// fixpoint would (the ablation bench verifies equality of materializations).
+// fixpoint would (the test oracle, which walks chains tick by tick, checks
+// the materializations are equal).
 class ChainAccelerator {
  public:
   struct ChainInfo {

@@ -144,12 +144,10 @@ Result<std::unique_ptr<FixpointDriver>> FixpointDriver::Create(
         d->positive_preds_[i].insert(a->predicate);
       }
     }
-    std::optional<ChainAccelerator::ChainInfo> chain;
-    if (options.enable_chain_acceleration) {
-      chain = ChainAccelerator::Detect(rule, d->strat_.predicate_stratum);
-    }
     CompiledRule c;
-    DMTL_ASSIGN_OR_RETURN(c.vm, RuleVm::Create(rule, chain));
+    DMTL_ASSIGN_OR_RETURN(
+        c.vm, RuleVm::Create(rule, ChainAccelerator::Detect(
+                                       rule, d->strat_.predicate_stratum)));
     if (rule.head.aggregate.has_value()) {
       DMTL_ASSIGN_OR_RETURN(c.agg, AggregateEvaluator::Create(rule));
     }

@@ -77,36 +77,36 @@ const char* OpCodeToString(OpCode op) {
   return "?";
 }
 
-RuleProgram RuleCompiler::Compile(const RuleEvaluator& eval,
+RuleProgram RuleCompiler::Compile(const RulePlanner& planner,
                                   const Database& db, const Database* delta,
                                   int delta_occurrence) {
-  const Rule& rule = eval.rule_;
+  const Rule& rule = planner.rule_;
   RuleProgram prog;
   prog.num_vars = rule.num_vars();
 
-  RuleEvaluator::ExecutionPlan plan =
-      eval.BuildPlan(db, delta, delta_occurrence, eval.planner_stats());
+  RulePlanner::ExecutionPlan plan =
+      planner.BuildPlan(db, delta, delta_occurrence, planner.planner_stats());
   prog.plan_cost = plan.total_cost;
 
   std::vector<Instr> body;
   std::vector<char> bound(rule.num_vars(), 0);
-  for (const RuleEvaluator::ExecutionPlan::Step& step : plan.steps) {
+  for (const RulePlanner::ExecutionPlan::Step& step : plan.steps) {
     const size_t lit_slot = prog.literals.size();
-    const size_t body_index = eval.positive_literals_[step.p];
-    const RuleEvaluator::LiteralPlan& lplan = eval.literal_plans_[step.p];
+    const size_t body_index = planner.positive_literals_[step.p];
+    const RulePlanner::LiteralPlan& lplan = planner.literal_plans_[step.p];
 
     LiteralCode lc;
     lc.body_index = body_index;
     lc.delta_offset = step.literal_delta_offset;
     switch (lplan.shape) {
-      case RuleEvaluator::LiteralShape::kBareAtom:
+      case RulePlanner::LiteralShape::kBareAtom:
         lc.shape = LitShape::kBareAtom;
         break;
-      case RuleEvaluator::LiteralShape::kUnaryChain:
+      case RulePlanner::LiteralShape::kUnaryChain:
         lc.shape = LitShape::kUnaryChain;
         lc.path = lplan.atoms[0].path;
         break;
-      case RuleEvaluator::LiteralShape::kGeneral:
+      case RulePlanner::LiteralShape::kGeneral:
         lc.shape = LitShape::kGeneral;
         break;
     }
@@ -145,22 +145,22 @@ RuleProgram RuleCompiler::Compile(const RuleEvaluator& eval,
                            static_cast<uint32_t>(prog.atoms.size())});
       prog.atoms.push_back(std::move(ac));
     }
-    body.push_back(Instr{lplan.shape == RuleEvaluator::LiteralShape::kUnaryChain
+    body.push_back(Instr{lplan.shape == RulePlanner::LiteralShape::kUnaryChain
                              ? OpCode::kApplyUnaryChain
                              : OpCode::kIntersectTemporal,
                          static_cast<uint32_t>(lit_slot)});
   }
 
-  for (size_t i : eval.early_builtins_) {
+  for (size_t i : planner.early_builtins_) {
     body.push_back(Instr{OpCode::kEvalBuiltin, static_cast<uint32_t>(i)});
   }
-  for (size_t i : eval.negated_literals_) {
+  for (size_t i : planner.negated_literals_) {
     body.push_back(Instr{OpCode::kNegate, static_cast<uint32_t>(i)});
   }
-  for (size_t i : eval.timestamp_builtins_) {
+  for (size_t i : planner.timestamp_builtins_) {
     body.push_back(Instr{OpCode::kSplitTimestamp, static_cast<uint32_t>(i)});
   }
-  for (size_t i : eval.late_builtins_) {
+  for (size_t i : planner.late_builtins_) {
     body.push_back(Instr{OpCode::kEvalBuiltin, static_cast<uint32_t>(i)});
   }
   body.push_back(Instr{OpCode::kEmit, 0});

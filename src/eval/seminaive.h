@@ -55,12 +55,6 @@ struct EngineOptions {
   // database guarantee as a deadline trip. Unset = not cancellable.
   std::shared_ptr<CancellationToken> cancel_token;
 
-  // Bulk-extends self-propagation chains (see ChainAccelerator). Exact.
-  // Turned off by the fleet's degraded retry (src/fleet/server.cc),
-  // `dmtl_cli --no-accel`, the engine benches (B7 ablation, micro_eval) and
-  // the test references.
-  bool enable_chain_acceleration = true;
-
   // When set, every newly derived fact piece is appended here with the
   // rule that produced it - the "why" behind each contract state change
   // (the explainability the paper argues for, as data). Opt-in: a full

@@ -165,12 +165,12 @@ Result<std::unique_ptr<RuleVm>> RuleVm::Create(
   // The head projection reads registers unconditionally: every head
   // variable must be bound by the body.
   DMTL_RETURN_IF_ERROR(CheckSafety(rule));
-  DMTL_ASSIGN_OR_RETURN(RuleEvaluator eval, RuleEvaluator::Create(rule));
-  std::unique_ptr<RuleVm> vm(new RuleVm(std::move(eval)));
+  DMTL_ASSIGN_OR_RETURN(RulePlanner planner, RulePlanner::Create(rule));
+  std::unique_ptr<RuleVm> vm(new RuleVm(std::move(planner)));
   if (chain.has_value()) {
     vm->chain_ = RuleCompiler::CompileChain(rule, *chain);
   }
-  vm->variants_.resize(vm->eval_.num_positive_occurrences() + 1);
+  vm->variants_.resize(vm->planner_.num_positive_occurrences() + 1);
   return vm;
 }
 
@@ -188,7 +188,7 @@ RuleVm::Variant& RuleVm::EnsureCompiled(int delta_occurrence,
       if (a.is_delta) continue;
       const Relation* rel = db.Find(a.pred);
       size_t n = rel == nullptr ? 0 : rel->NumTuples();
-      if (n >= std::max(RuleEvaluator::kMinTuplesForIndex,
+      if (n >= std::max(RulePlanner::kMinTuplesForIndex,
                         4 * a.num_tuples_at_compile)) {
         need = true;
         break;
@@ -196,7 +196,7 @@ RuleVm::Variant& RuleVm::EnsureCompiled(int delta_occurrence,
     }
   }
   if (need) {
-    v.prog = RuleCompiler::Compile(eval_, db, delta, delta_occurrence);
+    v.prog = RuleCompiler::Compile(planner_, db, delta, delta_occurrence);
     v.atoms.assign(v.prog.atoms.size(), RtAtom{});
     v.compiled = true;
     ++compiles_;
@@ -222,7 +222,7 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
     RtAtom& ra = v.atoms[slot];
     if (ra.rel == nullptr) ra.rel = db.Find(a.pred);
     if (ra.rel != nullptr && ra.index == nullptr && a.signature != 0 &&
-        ra.rel->NumTuples() >= RuleEvaluator::kMinTuplesForIndex) {
+        ra.rel->NumTuples() >= RulePlanner::kMinTuplesForIndex) {
       bool built_now = false;
       ra.index = ra.rel->GetIndex(a.signature, &built_now);
       if (built_now) ++built;
@@ -239,7 +239,7 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   extents_.resize(prog.code.size());
   windows_.resize(prog.atoms.size());
   leaf_.assign(prog.literals.size(), nullptr);
-  ts_points_.resize(eval_.rule().body.size());
+  ts_points_.resize(planner_.rule().body.size());
   guard_counter_ = 0;
   probes_ = hits_ = pruned_ = 0;
 
@@ -261,7 +261,7 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   }
   out_.clear();
 
-  PlannerStats* stats = eval_.planner_stats();
+  PlannerStats* stats = planner_.planner_stats();
   stats->indexes_built.fetch_add(built, std::memory_order_relaxed);
   stats->index_probes.fetch_add(probes_, std::memory_order_relaxed);
   stats->index_probe_hits.fetch_add(hits_, std::memory_order_relaxed);
@@ -280,11 +280,11 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       if (a.is_delta) {
         rel = delta_ == nullptr ? nullptr : delta_->Find(a.pred);
         if (rel != nullptr && a.signature != 0 &&
-            rel->NumTuples() >= RuleEvaluator::kMinTuplesForIndex) {
+            rel->NumTuples() >= RulePlanner::kMinTuplesForIndex) {
           bool built_now = false;
           index = rel->GetIndex(a.signature, &built_now);
           if (built_now) {
-            eval_.planner_stats()->indexes_built.fetch_add(
+            planner_.planner_stats()->indexes_built.fetch_add(
                 1, std::memory_order_relaxed);
           }
         }
@@ -302,7 +302,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       if (a.prunable) {
         Interval hull = cur.Hull();
         if (!(hull.lo_infinite() && hull.hi_infinite())) {
-          w = RuleEvaluator::ExpandPruneWindow(hull, a.path);
+          w = RulePlanner::ExpandPruneWindow(hull, a.path);
         }
       }
 
@@ -395,7 +395,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
         source.delta = delta_;
         source.delta_occurrence = lc.delta_offset;
         source.guard = guard_;
-        const MetricAtom& metric = eval_.rule().body[lc.body_index].metric;
+        const MetricAtom& metric = planner_.rule().body[lc.body_index].metric;
         IntervalSet extent = EvalMetricExtent(metric, *regs_, source, cur);
         if (extent.IsEmpty()) return Status::Ok();
         if (cur.size() == 1 && cur.Hull().Contains(extent.Hull())) {
@@ -433,7 +433,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
     }
 
     case OpCode::kEvalBuiltin: {
-      const BuiltinAtom& b = eval_.rule().body[instr.arg].builtin;
+      const BuiltinAtom& b = planner_.rule().body[instr.arg].builtin;
       // An assignment may bind its target; undo on the way out so a later
       // candidate of an upstream atom re-executes it against clean state.
       const bool is_assign = b.kind == BuiltinAtom::Kind::kAssign;
@@ -453,7 +453,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
     }
 
     case OpCode::kNegate: {
-      const BodyLiteral& lit = eval_.rule().body[instr.arg];
+      const BodyLiteral& lit = planner_.rule().body[instr.arg];
       ExtentSource source;
       source.full = db_;
       source.guard = guard_;
@@ -464,13 +464,13 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
     }
 
     case OpCode::kSplitTimestamp: {
-      const BuiltinAtom& b = eval_.rule().body[instr.arg].builtin;
+      const BuiltinAtom& b = planner_.rule().body[instr.arg].builtin;
       std::vector<Rational>& points = ts_points_[instr.arg];
       points.clear();
       if (!cur.IsPunctualOnly(&points)) {
         return Status::EvalError(
             "timestamp() requires a punctual join extent; got " +
-            cur.ToString() + " in rule: " + eval_.rule().ToString());
+            cur.ToString() + " in rule: " + planner_.rule().ToString());
       }
       const bool was_bound = regs_->IsBound(b.var);
       IntervalSet& slot = extents_[ip];
@@ -565,13 +565,13 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
       IntervalSet computed{window};
       for (size_t i : cp.positive_guards) {
         computed = computed.Intersect(EvalMetricExtent(
-            eval_.rule().body[i].metric, binding, source, computed));
+            planner_.rule().body[i].metric, binding, source, computed));
         if (computed.IsEmpty()) break;
       }
       for (size_t i : cp.negated_guards) {
         if (computed.IsEmpty()) break;
         computed = computed.Subtract(EvalMetricExtent(
-            eval_.rule().body[i].metric, binding, source, computed));
+            planner_.rule().body[i].metric, binding, source, computed));
       }
       it->second = std::move(computed);
     }
@@ -580,6 +580,7 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
 
     const bool fwd = !cp.step.is_negative();
     const Rational mag = Abs(cp.step);
+    IntervalSet frontier;  // the tuple's dense seed components
     for (const Component& seed : seed_set.components()) {
       if (seed.is_run() && seed.step == mag) {
         // A run on the walk's grid, as a walk emitted it last round. For
@@ -600,24 +601,31 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
                                         guard, extensions));
         }
       } else {
-        // Interval seeds iterate shift-and-clip (components coalesce, so it
-        // converges in a few passes), emitting each pass as one set.
-        IntervalSet covered{seed.hull};
-        IntervalSet frontier{seed.hull};
-        while (!frontier.IsEmpty()) {
-          IntervalSet shifted =
-              frontier.Shift(cp.step).Intersect(allowed).Subtract(covered);
-          if (shifted.IsEmpty()) break;
-          *extensions += shifted.size();
-          DMTL_RETURN_IF_ERROR(emit(tuple, shifted));
-          if (guard != nullptr &&
-              (++guard_counter_ & kChainGuardStrideMask) == 0) {
-            DMTL_RETURN_IF_ERROR(guard->Check());
-          }
-          covered.UnionWith(shifted);
-          frontier = std::move(shifted);
-        }
+        frontier.UnionWith(IntervalSet(seed.hull));
       }
+    }
+    // Dense seeds walk together by shift-and-clip, one step per pass, each
+    // pass emitted as one set. A pass keeps only what the head tuple does
+    // not hold yet - the store, not just this walk's earlier passes - so,
+    // as in WalkGrid, the walk stops where it rejoins derived coverage, and
+    // overlapping seeds never re-walk one stretch.
+    const PredicateId head = planner_.rule().head.predicate;
+    while (!frontier.IsEmpty()) {
+      IntervalSet next = frontier.Shift(cp.step).Intersect(allowed);
+      if (next.IsEmpty()) break;
+      const Relation* rel = db.Find(head);
+      const IntervalSet* derived = rel != nullptr ? rel->Find(tuple) : nullptr;
+      if (derived != nullptr) {
+        next = next.Subtract(derived->Intersect(next.Hull()));
+        if (next.IsEmpty()) break;
+      }
+      *extensions += next.size();
+      DMTL_RETURN_IF_ERROR(emit(tuple, next));
+      if (guard != nullptr &&
+          (++guard_counter_ & kChainGuardStrideMask) == 0) {
+        DMTL_RETURN_IF_ERROR(guard->Check());
+      }
+      frontier = std::move(next);
     }
   }
   return Status::Ok();
@@ -629,7 +637,7 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
                         size_t* extensions) {
   const Rational& step = chain_->step;
   const bool fwd = !step.is_negative();
-  const PredicateId head = eval_.rule().head.predicate;
+  const PredicateId head = planner_.rule().head.predicate;
   Rational t = seed + step;
   // Cursor: the allowed component holding the latest stretch point. The
   // walk only moves in grid direction, so one bisect places it and every
@@ -688,8 +696,8 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
 
 std::string RuleVm::DumpBytecode(const Database& db) {
   Variant& v = EnsureCompiled(-1, db, nullptr);
-  std::string out = v.prog.Dump(eval_.rule());
-  if (chain_.has_value()) out += chain_->Dump(eval_.rule());
+  std::string out = v.prog.Dump(planner_.rule());
+  if (chain_.has_value()) out += chain_->Dump(planner_.rule());
   return out;
 }
 

@@ -167,17 +167,10 @@ SessionOptions FleetServer::BuildSessionOptions(const Hosted& h,
                                                 bool degraded) const {
   SessionOptions so;
   so.engine = options_.engine;
-  if (options_.session_deadline.has_value()) {
-    so.engine.deadline = options_.session_deadline;
-  }
-  if (options_.session_max_intervals > 0) {
-    so.engine.max_intervals = options_.session_max_intervals;
-  }
   if (degraded) {
-    // The degraded retry: drop the acceleration that may have misbehaved
-    // and the deadline that may have tripped; the interval budget stays (it bounds memory, and a
-    // session that exhausts it degraded is genuinely over quota).
-    so.engine.enable_chain_acceleration = false;
+    // The degraded retry drops the deadline that may have tripped. The
+    // interval budget stays: it bounds memory, and a session that exhausts
+    // it degraded is genuinely over quota.
     so.engine.deadline.reset();
   }
   so.start_time = h.start_time;

@@ -1,7 +1,6 @@
 #ifndef DMTL_FLEET_SERVER_H_
 #define DMTL_FLEET_SERVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -48,17 +47,15 @@ struct FleetOptions {
   // Scheduler workers: 0 = hardware concurrency, 1 = sequential.
   int num_threads = 0;
 
-  // Per-session engine knobs (acceleration, budgets...).
-  // min_time/max_time/provenance must be unset (the sessions manage them),
-  // exactly like SessionOptions::engine.
-  EngineOptions engine;
-
+  // Per-session engine knobs. min_time/max_time/provenance must be unset
+  // (the sessions manage them), exactly like SessionOptions::engine.
+  //
   // Admission control, reusing the engine's guard machinery: each operation
-  // of each session runs under this deadline and interval budget. A trip
-  // stops the operation at a round barrier (rollback included); the server
-  // then evicts the session and warm-restarts it from its last snapshot.
-  std::optional<std::chrono::milliseconds> session_deadline;
-  size_t session_max_intervals = 0;  // 0 = the engine default
+  // of each session runs under engine.deadline and engine.max_intervals. A
+  // trip stops the operation at a round barrier (rollback included); the
+  // server then evicts the session and warm-restarts it from its last
+  // snapshot.
+  EngineOptions engine;
 
   // Operations executed per scheduler slice before the session yields the
   // worker - the fairness quantum. Advances dominate slice cost.
@@ -70,8 +67,8 @@ struct FleetOptions {
   // restart replays at most N advances.
   size_t snapshot_every_advances = 16;
 
-  // Evict-and-retry policy: a session whose op or warm reactivation fails is restored from its last
-  // snapshot with chain acceleration off and no deadline, and the op tail
+  // Evict-and-retry policy: a session whose op or warm reactivation fails
+  // is restored from its last snapshot with no deadline, and the op tail
   // is replayed once. A second failure (or retry_evicted = false, or a
   // cancellation) is final.
   bool retry_evicted = true;

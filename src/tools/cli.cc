@@ -16,7 +16,7 @@
 #include "src/engine/reasoner.h"
 #include "src/engine/session.h"
 #include "src/eval/chain_accel.h"
-#include "src/eval/rule_eval.h"
+#include "src/eval/planner.h"
 #include "src/eval/vm.h"
 #include "src/fleet/server.h"
 #include "src/fleet/workload.h"
@@ -39,7 +39,6 @@ constexpr char kUsage[] =
     "options for run:\n"
     "  --min T         derivation horizon lower bound (rational)\n"
     "  --max T         derivation horizon upper bound (rational)\n"
-    "  --no-accel      disable chain acceleration\n"
     "  --dump-bytecode print each rule's compiled bytecode program after\n"
     "                  the run\n"
     "  --deadline-ms N wall-clock budget for materialization; on a trip the\n"
@@ -132,8 +131,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       } else {
         options.at = value;
       }
-    } else if (arg == "--no-accel") {
-      options.engine.enable_chain_acceleration = false;
     } else if (arg == "--dump-bytecode") {
       options.dump_bytecode = true;
     } else if (arg == "--explain-plan") {
@@ -215,10 +212,10 @@ void PrintJoinPlans(const Program& program, const Database& db,
   out << "% join plans (over the materialized database):\n";
   const std::vector<Rule>& rules = program.rules();
   for (size_t i = 0; i < rules.size(); ++i) {
-    auto eval = RuleEvaluator::Create(rules[i]);
-    if (!eval.ok()) continue;
+    auto planner = RulePlanner::Create(rules[i]);
+    if (!planner.ok()) continue;
     out << "% rule " << i << ":\n";
-    std::string plan = eval->ExplainPlan(db);
+    std::string plan = planner->ExplainPlan(db);
     size_t start = 0;
     while (start < plan.size()) {
       size_t end = plan.find('\n', start);
@@ -237,18 +234,16 @@ void PrintJoinPlans(const Program& program, const Database& db,
 // database (the variant a full non-delta pass would run now).
 // Comment-prefixed so the output stays a loadable program.
 Status PrintBytecode(const Program& program, const Database& db,
-                     const EngineOptions& engine, std::ostream& out) {
+                     std::ostream& out) {
   DMTL_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
   out << "% bytecode (over the materialized database):\n";
   const std::vector<Rule>& rules = program.rules();
   for (size_t i = 0; i < rules.size(); ++i) {
     out << "% rule " << i << ": " << rules[i].ToString() << "\n";
-    std::optional<ChainAccelerator::ChainInfo> chain;
-    if (engine.enable_chain_acceleration) {
-      chain = ChainAccelerator::Detect(rules[i], strat.predicate_stratum);
-    }
-    DMTL_ASSIGN_OR_RETURN(std::unique_ptr<RuleVm> vm,
-                          RuleVm::Create(rules[i], chain));
+    DMTL_ASSIGN_OR_RETURN(
+        std::unique_ptr<RuleVm> vm,
+        RuleVm::Create(rules[i], ChainAccelerator::Detect(
+                                     rules[i], strat.predicate_stratum)));
     std::string text = vm->DumpBytecode(db);
     size_t start = 0;
     while (start < text.size()) {
@@ -468,11 +463,9 @@ Status CommandFleet(const CliOptions& options, std::ostream& out,
 
   FleetOptions fopts;
   fopts.num_threads = options.threads.value_or(1);
-  fopts.engine = options.engine;
   // --deadline-ms is admission control here: a per-operation budget for
   // each hosted session, not one deadline for the whole drain.
-  fopts.session_deadline = options.engine.deadline;
-  fopts.engine.deadline.reset();
+  fopts.engine = options.engine;
   DMTL_ASSIGN_OR_RETURN(std::unique_ptr<FleetServer> server,
                         FleetServer::Create(fopts));
   DMTL_RETURN_IF_ERROR(server->RegisterProgram("eth-perp", program));
@@ -630,7 +623,7 @@ Status CommandRun(const CliOptions& options, std::ostream& out,
     PrintJoinPlans(unit.program, db, stats, out);
   }
   if (options.dump_bytecode) {
-    DMTL_RETURN_IF_ERROR(PrintBytecode(unit.program, db, options.engine, out));
+    DMTL_RETURN_IF_ERROR(PrintBytecode(unit.program, db, out));
   }
   if (options.stats) {
     out << "% " << stats.ToString() << "\n";

@@ -12,7 +12,7 @@ namespace dmtl {
 // The `dmtl_cli` command-line reasoner, factored as a library function so
 // tests can drive it without spawning processes.
 //
-//   dmtl_cli run FILE...     [--min T] [--max T] [--no-accel]
+//   dmtl_cli run FILE...     [--min T] [--max T]
 //                            [--query PRED] [--at TIME] [--stats]
 //                            [--output FILE]
 //   dmtl_cli check FILE...                  validate, stratify, report

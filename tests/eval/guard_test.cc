@@ -19,19 +19,24 @@ constexpr char kDivergent[] =
     "open(A) :- boxminus open(A) .\n"
     "deposit(x)@2 .\n";
 
-Parser::ParsedUnit ParseDivergent() {
-  auto unit = Parser::Parse(kDivergent);
+// A divergent cycle of two predicates, for the round-barrier consistency
+// tests: neither rule is a self-chain, so the run advances one fixpoint
+// round - one time point - at a time.
+constexpr char kStepped[] =
+    "a(A) :- deposit(A) .\n"
+    "b(A) :- deposit(A) .\n"
+    "a(A) :- boxminus b(A) .\n"
+    "b(A) :- boxminus a(A) .\n"
+    "deposit(x)@2 .\n";
+
+Parser::ParsedUnit ParseText(const char* text) {
+  auto unit = Parser::Parse(text);
   EXPECT_TRUE(unit.ok()) << unit.status();
   return *unit;
 }
 
-// Options used by the round-barrier consistency tests: chain acceleration
-// off so the divergent rule advances one fixpoint round at a time.
-EngineOptions SteppedOptions() {
-  EngineOptions options;
-  options.enable_chain_acceleration = false;
-  return options;
-}
+Parser::ParsedUnit ParseDivergent() { return ParseText(kDivergent); }
+Parser::ParsedUnit ParseStepped() { return ParseText(kStepped); }
 
 // Re-runs the same configuration capped at the completed rounds of a
 // tripped run and asserts the tripped database matches that barrier state
@@ -39,7 +44,7 @@ EngineOptions SteppedOptions() {
 void ExpectAtRoundBarrier(const EngineOptions& tripped_options,
                           const EngineStats& tripped_stats,
                           const Database& tripped_db) {
-  Parser::ParsedUnit unit = ParseDivergent();
+  Parser::ParsedUnit unit = ParseStepped();
   if (tripped_stats.stopped_round == 0) {
     // Tripped during the stratum's initial full round: nothing of this
     // stratum may have survived.
@@ -92,9 +97,9 @@ TEST(GuardTest, DeadlineTripsOnDivergentProgram) {
 }
 
 TEST(GuardTest, DeadlineLeavesDatabaseAtRoundBarrier) {
-  Parser::ParsedUnit unit = ParseDivergent();
+  Parser::ParsedUnit unit = ParseStepped();
   Database db = unit.database;
-  EngineOptions options = SteppedOptions();
+  EngineOptions options;
   options.deadline = std::chrono::milliseconds(50);
   EngineStats stats;
   Status status = Materialize(unit.program, &db, options, &stats);
@@ -152,9 +157,9 @@ TEST(GuardTest, PreCancelledRunLeavesDatabaseUntouched) {
 }
 
 TEST(GuardTest, MaxRoundsTripThenHorizonRerunCompletes) {
-  Parser::ParsedUnit unit = ParseDivergent();
+  Parser::ParsedUnit unit = ParseStepped();
   Database db = unit.database;
-  EngineOptions options = SteppedOptions();
+  EngineOptions options;
   options.max_rounds = 5;
   EngineStats stats;
   Status status = Materialize(unit.program, &db, options, &stats);
@@ -168,21 +173,21 @@ TEST(GuardTest, MaxRoundsTripThenHorizonRerunCompletes) {
 
   // A follow-up run with a horizon completes from the partial database
   // and lands on the same result as a clean horizon run.
-  EngineOptions horizon = SteppedOptions();
+  EngineOptions horizon;
   horizon.min_time = Rational(0);
   horizon.max_time = Rational(10);
   Status rerun = Materialize(unit.program, &db, horizon);
   ASSERT_TRUE(rerun.ok()) << rerun;
 
-  Database fresh = ParseDivergent().database;
+  Database fresh = ParseStepped().database;
   ASSERT_TRUE(Materialize(unit.program, &fresh, horizon).ok());
   EXPECT_EQ(db.ToString(), fresh.ToString());
 }
 
 TEST(GuardTest, MaxIntervalsTripIsRoundBarrierConsistent) {
-  Parser::ParsedUnit unit = ParseDivergent();
+  Parser::ParsedUnit unit = ParseStepped();
   Database db = unit.database;
-  EngineOptions options = SteppedOptions();
+  EngineOptions options;
   options.max_intervals = db.NumIntervals() + 3;
   EngineStats stats;
   Status status = Materialize(unit.program, &db, options, &stats);

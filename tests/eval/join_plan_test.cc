@@ -19,7 +19,7 @@
 #include "src/chain/replayer.h"
 #include "src/chain/workload.h"
 #include "src/contracts/eth_perp_program.h"
-#include "src/eval/rule_eval.h"
+#include "src/eval/planner.h"
 #include "src/eval/seminaive.h"
 #include "src/parser/parser.h"
 #include "tests/testing/oracle_eval.h"
@@ -205,7 +205,7 @@ TEST(JoinPlanTest, ExplainPlanDescribesOrderIndexesAndPruning) {
   }
   auto unit = Parser::Parse(text.str());
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto eval = RuleEvaluator::Create(unit->program.rules()[0]);
+  auto eval = RulePlanner::Create(unit->program.rules()[0]);
   ASSERT_TRUE(eval.ok()) << eval.status();
 
   std::string plan = eval->ExplainPlan(unit->database);

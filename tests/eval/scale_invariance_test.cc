@@ -199,18 +199,13 @@ TEST_P(ScaleRecursionTest, ScaledRunIsScaledOriginal) {
   options.max_time = Rational(20);
   ExpectScaleInvariant(unit->program, unit->database, options,
                        GetParam().name);
-  EngineOptions no_accel = options;
-  no_accel.enable_chain_acceleration = false;
-  ExpectScaleInvariant(unit->program, unit->database, no_accel,
-                       std::string(GetParam().name) + "/no-accel");
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ScaleRecursionTest,
                          ::testing::ValuesIn(kRecursionCases),
                          [](const auto& info) { return info.param.name; });
 
-// The same fuzz seeds and recursion shapes under integer time shifts, with
-// chain acceleration on and off.
+// The same fuzz seeds and recursion shapes under integer time shifts.
 class ShiftFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ShiftFuzzTest, ShiftedRunIsShiftedOriginal) {
@@ -223,9 +218,6 @@ TEST_P(ShiftFuzzTest, ShiftedRunIsShiftedOriginal) {
   options.max_time = Rational(40);
   ExpectShiftInvariant(unit->program, unit->database, options,
                        "fuzz program:\n" + text);
-  options.enable_chain_acceleration = false;
-  ExpectShiftInvariant(unit->program, unit->database, options,
-                       "fuzz program (no-accel):\n" + text);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShiftFuzzTest,
@@ -241,10 +233,6 @@ TEST_P(ShiftRecursionTest, ShiftedRunIsShiftedOriginal) {
   options.max_time = Rational(20);
   ExpectShiftInvariant(unit->program, unit->database, options,
                        GetParam().name);
-  EngineOptions no_accel = options;
-  no_accel.enable_chain_acceleration = false;
-  ExpectShiftInvariant(unit->program, unit->database, no_accel,
-                       std::string(GetParam().name) + "/no-accel");
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ShiftRecursionTest,
@@ -433,9 +421,6 @@ TEST_P(SplitFuzzTest, SplitAndMergedInputsMaterializeIdentically) {
   ASSERT_FALSE(facts.empty());
   ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
                             "fuzz program:\n" + text);
-  options.enable_chain_acceleration = false;
-  ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
-                            "fuzz program (no-accel):\n" + text);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SplitFuzzTest,
@@ -453,9 +438,6 @@ TEST_P(SplitRecursionTest, SplitAndMergedInputsMaterializeIdentically) {
   ASSERT_FALSE(facts.empty());
   ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
                             GetParam().name);
-  options.enable_chain_acceleration = false;
-  ExpectSplitMergeInvariant(unit->program, unit->database, facts, options,
-                            std::string(GetParam().name) + "/no-accel");
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, SplitRecursionTest,

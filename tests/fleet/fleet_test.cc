@@ -461,7 +461,7 @@ TEST(FleetServerTest, DeadlineEvictionRecoversDegraded) {
   // deadline. The degraded warm restart drops the deadline, so the session
   // still completes - with retried=true telling the operator it was over
   // budget.
-  fopts.session_deadline = std::chrono::milliseconds(0);
+  fopts.engine.deadline = std::chrono::milliseconds(0);
   auto server = FleetServer::Create(fopts);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)->RegisterProgram("eth-perp", program.value()).ok());

@@ -3,11 +3,13 @@
 // byte-identical - database text, Series() output, and provenance coverage
 // - to an uninterrupted twin, and match the checkpointed session right
 // after the restore. Enforced with and without a sliding window in play,
-// and across the encode/decode text codec (not just the in-memory struct). A degraded restore (different engine knobs than
-// the twin) must not change a single byte either.
+// and across the encode/decode text codec (not just the in-memory struct).
+// A degraded restore (a different deadline and interval budget than the
+// twin) must not change a single byte either.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -163,8 +165,12 @@ TEST(SnapshotRestoreTest, DegradedRestoreIsStillByteIdentical) {
   SessionOptions fast;
   fast.start_time = Rational(session->start_time);
   fast.engine.max_intervals = kContractIntervalBudget;
+  fast.engine.deadline = std::chrono::minutes(10);
+  // As the fleet's degraded retry does: no deadline. The interval budget
+  // differs too; neither trips, so neither may show in the bytes.
   SessionOptions degraded = fast;
-  degraded.engine.enable_chain_acceleration = false;
+  degraded.engine.deadline.reset();
+  degraded.engine.max_intervals = 2 * kContractIntervalBudget;
   ExpectRestartIsInvisible(program.value(), ops, ops.size() / 2, fast,
                            degraded, "frs", "degraded restore");
 }

@@ -13,6 +13,7 @@
 #include "src/contracts/trade_extractor.h"
 #include "src/engine/reasoner.h"
 #include "src/validation/compare.h"
+#include "tests/testing/oracle_eval.h"
 
 namespace dmtl {
 namespace {
@@ -119,15 +120,15 @@ TEST(EndToEndTest, AccelerationDoesNotChangeContractResults) {
   ASSERT_TRUE(session.ok());
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok());
-  EngineOptions on = SessionEngineOptions(*session);
-  on.max_intervals = kContractIntervalBudget;
-  EngineOptions off = on;
-  off.enable_chain_acceleration = false;
-  Database db_on = SessionToDatabase(*session);
-  Database db_off = SessionToDatabase(*session);
-  ASSERT_TRUE(Materialize(*program, &db_on, on).ok());
-  ASSERT_TRUE(Materialize(*program, &db_off, off).ok());
-  EXPECT_EQ(db_on.ToString(), db_off.ToString());
+  EngineOptions options = SessionEngineOptions(*session);
+  options.max_intervals = kContractIntervalBudget;
+  Database engine = SessionToDatabase(*session);
+  Database oracle = SessionToDatabase(*session);
+  EngineStats stats;
+  ASSERT_TRUE(Materialize(*program, &engine, options, &stats).ok());
+  ASSERT_TRUE(OracleMaterialize(*program, &oracle, options).ok());
+  EXPECT_GT(stats.chain_extensions, 0u);
+  EXPECT_EQ(engine.ToString(), oracle.ToString());
 }
 
 TEST(EndToEndTest, MarginAtWithdrawalMatchesReference) {

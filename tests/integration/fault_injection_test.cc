@@ -24,11 +24,10 @@ Parser::ParsedUnit ParseTwin() {
   return *unit;
 }
 
-// Chain acceleration off so rounds advance one step at a time; horizon so
-// the clean fixpoint terminates.
+// Neither rule is a self-chain, so rounds advance one step at a time; the
+// horizon makes the clean fixpoint terminate.
 EngineOptions TwinOptions() {
   EngineOptions options;
-  options.enable_chain_acceleration = false;
   options.min_time = Rational(0);
   options.max_time = Rational(10);
   return options;

@@ -150,12 +150,6 @@ TEST_P(InterpOracleRecursionTest, ExecutorsAgree) {
   options.max_time = Rational(20);
   ExpectExecutorsAgree(unit->program, unit->database, options,
                        GetParam().name);
-  // The same program with chain acceleration off drives every recursive
-  // round of the engine through Evaluate (no ExtendChain batching).
-  EngineOptions no_accel = options;
-  no_accel.enable_chain_acceleration = false;
-  ExpectExecutorsAgree(unit->program, unit->database, no_accel,
-                       std::string(GetParam().name) + "/no-accel");
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, InterpOracleRecursionTest,
@@ -189,6 +183,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InterpOracleFuzzTest,
 // clean re-run from the partial database must reach the unfaulted
 // fixpoint.
 TEST(InterpOracleFaultTest, MidDispatchFailureRollsBackToBarrier) {
+  // A two-predicate cycle: no rule is a self-chain, so every round runs
+  // through Evaluate (no ExtendChain batching).
   constexpr char kText[] =
       "a(A) :- deposit(A) .\n"
       "b(A) :- deposit(A) .\n"
@@ -200,7 +196,6 @@ TEST(InterpOracleFaultTest, MidDispatchFailureRollsBackToBarrier) {
   EngineOptions options;
   options.min_time = Rational(0);
   options.max_time = Rational(10);
-  options.enable_chain_acceleration = false;  // all rounds through Evaluate
 
   auto clean = [&]() {
     Database db = unit->database;

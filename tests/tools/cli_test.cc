@@ -234,7 +234,8 @@ TEST_F(CliTest, RemovedExecutorFlagsAreRejected) {
   auto [status, out] = Run({"run", path});
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_NE(out.find("r(a, d)@[1, 2] ."), std::string::npos) << out;
-  for (const char* flag : {"--no-plan", "--no-compile", "--naive"}) {
+  for (const char* flag : {"--no-plan", "--no-compile", "--naive",
+                           "--no-accel"}) {
     auto [flag_status, flag_out] = Run({"run", path, flag});
     EXPECT_EQ(ExitCodeForStatus(flag_status), 2) << flag;
   }
