@@ -1,6 +1,7 @@
 // Experiment B2 - microbenchmarks of rule evaluation: joins, negation,
-// temporal self-propagation, aggregation, parsing, and the rule VM's
-// dispatch loop on a recursive join. A custom
+// temporal self-propagation, aggregation, parsing, the rule VM's dispatch
+// loop on a recursive join, and streaming-session creation with and
+// without a shared compiled program. A custom
 // main mirrors the results into BENCH_micro_eval.json (google-benchmark's
 // JSON format) unless the caller already passed --benchmark_out.
 
@@ -11,7 +12,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/contracts/eth_perp_program.h"
 #include "src/engine/reasoner.h"
+#include "src/engine/session.h"
+#include "src/eval/compiled_program.h"
 
 namespace dmtl {
 namespace {
@@ -132,6 +136,40 @@ void BM_VmDispatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VmDispatch);
+
+// Creating and dropping one streaming session of the ETH-PERP contract:
+// the per-session setup a fleet pays at every create and reactivation.
+// BM_SessionCreate compiles the program for the session alone (the Program
+// overload); BM_SessionCreateShared reuses one CompiledProgram, as every
+// session hosted by a FleetServer does.
+SessionOptions EthPerpSessionOptions() {
+  SessionOptions options;
+  options.start_time = Rational(0);
+  options.track_provenance = false;
+  return options;
+}
+
+void BM_SessionCreate(benchmark::State& state) {
+  const Program program = bench::Check(EthPerpProgram(), "eth-perp program");
+  const SessionOptions options = EthPerpSessionOptions();
+  for (auto _ : state) {
+    auto session = EngineSession::Create(program, options);
+    benchmark::DoNotOptimize(session);
+  }
+}
+BENCHMARK(BM_SessionCreate);
+
+void BM_SessionCreateShared(benchmark::State& state) {
+  const std::shared_ptr<const CompiledProgram> program = bench::Check(
+      CompiledProgram::Create(bench::Check(EthPerpProgram(), "eth-perp")),
+      "compile eth-perp");
+  const SessionOptions options = EthPerpSessionOptions();
+  for (auto _ : state) {
+    auto session = EngineSession::Create(program, options);
+    benchmark::DoNotOptimize(session);
+  }
+}
+BENCHMARK(BM_SessionCreateShared);
 
 }  // namespace
 }  // namespace dmtl

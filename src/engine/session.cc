@@ -9,8 +9,8 @@ EngineSession::EngineSession() = default;
 EngineSession::~EngineSession() = default;
 
 Result<std::unique_ptr<EngineSession>> EngineSession::Build(
-    const Program& program, const SessionOptions& options,
-    const SessionSnapshot* snapshot) {
+    std::shared_ptr<const CompiledProgram> program,
+    const SessionOptions& options, const SessionSnapshot* snapshot) {
   if (options.engine.min_time.has_value() ||
       options.engine.max_time.has_value()) {
     return Status::InvalidArgument(
@@ -25,18 +25,18 @@ Result<std::unique_ptr<EngineSession>> EngineSession::Build(
     return Status::InvalidArgument("horizon must be positive");
   }
   std::unique_ptr<EngineSession> out(new EngineSession());
-  out->program_ = program;
+  out->program_ = std::move(program);
   out->options_ = options;
 
   if (snapshot != nullptr) {
-    if (snapshot->program_fingerprint != out->Fingerprint()) {
+    if (snapshot->program_fingerprint != out->program_->fingerprint()) {
       return Status::InvalidArgument(
           "snapshot was taken against a different program (fingerprint "
           "mismatch); restoring it would silently diverge");
     }
     // Window position, horizon, and provenance tracking come from the
     // checkpoint - they are session state, not tuning. Engine knobs stay
-    // the caller's, so a restore may run degraded (no acceleration) and
+    // the caller's, so a restore may run degraded (without a deadline) and
     // still be byte-identical.
     out->options_.start_time = snapshot->window_min;
     out->options_.horizon = snapshot->horizon;
@@ -51,12 +51,12 @@ Result<std::unique_ptr<EngineSession>> EngineSession::Build(
   engine.provenance =
       out->options_.track_provenance ? &out->provenance_ : nullptr;
   if (snapshot == nullptr) {
-    DMTL_ASSIGN_OR_RETURN(
-        out->inc_, IncrementalMaterializer::Create(program, &out->db_, engine));
+    DMTL_ASSIGN_OR_RETURN(out->inc_, IncrementalMaterializer::Create(
+                                         out->program_, &out->db_, engine));
   } else {
     DMTL_ASSIGN_OR_RETURN(
         out->inc_,
-        IncrementalMaterializer::Restore(program, &out->db_, engine,
+        IncrementalMaterializer::Restore(out->program_, &out->db_, engine,
                                          snapshot->input_log,
                                          snapshot->watermark,
                                          snapshot->advanced));
@@ -65,14 +65,30 @@ Result<std::unique_ptr<EngineSession>> EngineSession::Build(
 }
 
 Result<std::unique_ptr<EngineSession>> EngineSession::Create(
+    std::shared_ptr<const CompiledProgram> program,
+    const SessionOptions& options) {
+  return Build(std::move(program), options, nullptr);
+}
+
+Result<std::unique_ptr<EngineSession>> EngineSession::Create(
     const Program& program, const SessionOptions& options) {
-  return Build(program, options, nullptr);
+  DMTL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
+                        CompiledProgram::Create(program));
+  return Build(std::move(compiled), options, nullptr);
+}
+
+Result<std::unique_ptr<EngineSession>> EngineSession::Restore(
+    std::shared_ptr<const CompiledProgram> program,
+    const SessionOptions& options, const SessionSnapshot& snapshot) {
+  return Build(std::move(program), options, &snapshot);
 }
 
 Result<std::unique_ptr<EngineSession>> EngineSession::Restore(
     const Program& program, const SessionOptions& options,
     const SessionSnapshot& snapshot) {
-  return Build(program, options, &snapshot);
+  DMTL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
+                        CompiledProgram::Create(program));
+  return Build(std::move(compiled), options, &snapshot);
 }
 
 Status EngineSession::Push(const Fact& fact) { return inc_->Push(fact); }
@@ -140,7 +156,7 @@ Result<SessionSnapshot> EngineSession::Snapshot() const {
         "under-approximation; the next operation heals it first");
   }
   SessionSnapshot snap;
-  snap.program_fingerprint = Fingerprint();
+  snap.program_fingerprint = program_->fingerprint();
   snap.watermark = watermark();
   snap.window_min = window_min();
   snap.horizon = options_.horizon;
@@ -154,11 +170,6 @@ Result<SessionSnapshot> EngineSession::Snapshot() const {
   return snap;
 }
 
-uint64_t EngineSession::Fingerprint() const {
-  if (!fingerprint_.has_value()) fingerprint_ = ProgramFingerprint(program_);
-  return *fingerprint_;
-}
-
 Result<ReplayResult> EngineSession::ColdReplay() const {
   ReplayResult out;
   for (const Fact& f : input_log()) {
@@ -168,7 +179,7 @@ Result<ReplayResult> EngineSession::ColdReplay() const {
   o.min_time = window_min();
   o.max_time = watermark();
   o.provenance = options_.track_provenance ? &out.provenance : nullptr;
-  DMTL_RETURN_IF_ERROR(Materialize(program_, &out.db, o, &out.stats));
+  DMTL_RETURN_IF_ERROR(Materialize(*program_, &out.db, o, &out.stats));
   return out;
 }
 

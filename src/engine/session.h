@@ -10,6 +10,7 @@
 
 #include "src/ast/program.h"
 #include "src/common/status.h"
+#include "src/eval/compiled_program.h"
 #include "src/eval/incremental.h"
 #include "src/eval/seminaive.h"
 #include "src/storage/database.h"
@@ -19,7 +20,7 @@ namespace dmtl {
 
 // Configuration of one session.
 struct SessionOptions {
-  // Engine knobs (chain acceleration, budgets...).
+  // Engine knobs: budgets, deadline, cancellation.
   // min_time / max_time / provenance are managed by the session and must be
   // left unset.
   EngineOptions engine;
@@ -58,7 +59,9 @@ struct ReplayResult {
 // A persistent IncrementalMaterializer (src/eval/incremental.h) derives
 // only the new band per advance. The cli, the benches and the fleet server
 // (src/fleet/, which holds one session per contract) all program against
-// this class.
+// this class. A session runs a shared CompiledProgram: sessions of one
+// program - the fleet's thousands of account shards - validate, stratify,
+// plan and fingerprint it once between them.
 //
 // Invariant (checked by the session and snapshot tests): after any
 // operation sequence, db() is byte-identical to ColdReplay().db - one cold
@@ -78,6 +81,10 @@ class EngineSession {
   // Builds a fresh session at options.start_time. The program must be
   // streaming-eligible (see IncrementalMaterializer::Create).
   static Result<std::unique_ptr<EngineSession>> Create(
+      std::shared_ptr<const CompiledProgram> program,
+      const SessionOptions& options);
+  // Compiles `program` (CompiledProgram::Create) for this session alone.
+  static Result<std::unique_ptr<EngineSession>> Create(
       const Program& program, const SessionOptions& options);
 
   // Rebuilds a session from a checkpoint (see src/storage/snapshot.h):
@@ -87,8 +94,13 @@ class EngineSession {
   // uninterrupted twin's under any continuation schedule, and provenance
   // covers the same facts. The snapshot's program fingerprint must match
   // `program`. The snapshot's window/horizon/provenance settings take
-  // precedence over `options` (engine knobs - budgets,
-  // acceleration - come from `options`, so a restore may run degraded).
+  // precedence over `options`; the engine knobs come from `options`, so a
+  // restore may run degraded (without the deadline that tripped) and still
+  // be byte-identical.
+  static Result<std::unique_ptr<EngineSession>> Restore(
+      std::shared_ptr<const CompiledProgram> program,
+      const SessionOptions& options, const SessionSnapshot& snapshot);
+  // Compiles `program` (CompiledProgram::Create) for this session alone.
   static Result<std::unique_ptr<EngineSession>> Restore(
       const Program& program, const SessionOptions& options,
       const SessionSnapshot& snapshot);
@@ -150,17 +162,12 @@ class EngineSession {
   };
 
   static Result<std::unique_ptr<EngineSession>> Build(
-      const Program& program, const SessionOptions& options,
-      const SessionSnapshot* snapshot);
+      std::shared_ptr<const CompiledProgram> program,
+      const SessionOptions& options, const SessionSnapshot* snapshot);
 
   Status ExtendChannels(const Rational& t);
-  uint64_t Fingerprint() const;
 
-  Program program_;
-  // ProgramFingerprint(program_), printed and hashed on first use (the
-  // restore check or the first Snapshot) and reused by every later
-  // Snapshot; a session that never checkpoints never pays for it.
-  mutable std::optional<uint64_t> fingerprint_;
+  std::shared_ptr<const CompiledProgram> program_;
   SessionOptions options_;
   Database db_;
   std::vector<DerivationRecord> provenance_;

@@ -1,9 +1,9 @@
 #include "src/eval/fixpoint.h"
 
 #include <chrono>
+#include <set>
 #include <string>
 
-#include "src/analysis/safety.h"
 #include "src/common/fault_injector.h"
 
 namespace dmtl {
@@ -124,62 +124,30 @@ class FixpointDriver::Sink {
   uint64_t emissions_ = 0;
 };
 
-Result<std::unique_ptr<FixpointDriver>> FixpointDriver::Create(
-    const Program& program, const EngineOptions& options) {
-  DMTL_RETURN_IF_ERROR(program.CheckArities());
-  DMTL_RETURN_IF_ERROR(CheckSafety(program));
-  std::unique_ptr<FixpointDriver> d(new FixpointDriver(options));
-  DMTL_ASSIGN_OR_RETURN(d->strat_, Stratify(program));
-
-  const std::vector<Rule>& rules = program.rules();
-  d->compiled_.reserve(rules.size());
-  d->positive_preds_.resize(rules.size());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    const Rule& rule = rules[i];
-    for (const BodyLiteral& lit : rule.body) {
-      if (lit.kind != BodyLiteral::Kind::kMetric || lit.negated) continue;
-      std::vector<const RelationalAtom*> atoms;
-      lit.metric.CollectRelationalAtoms(&atoms);
-      for (const RelationalAtom* a : atoms) {
-        d->positive_preds_[i].insert(a->predicate);
-      }
-    }
-    CompiledRule c;
-    DMTL_ASSIGN_OR_RETURN(
-        c.vm, RuleVm::Create(rule, ChainAccelerator::Detect(
-                                       rule, d->strat_.predicate_stratum)));
-    if (rule.head.aggregate.has_value()) {
-      DMTL_ASSIGN_OR_RETURN(c.agg, AggregateEvaluator::Create(rule));
-    }
-    d->compiled_.push_back(std::move(c));
+FixpointDriver::FixpointDriver(const CompiledProgram& program,
+                               const EngineOptions& options)
+    : program_(program), options_(options) {
+  vms_.reserve(program.rules().size());
+  for (const CompiledProgram::CompiledRule& rule : program.rules()) {
+    vms_.emplace_back(rule);
   }
-
-  d->stratum_body_preds_.resize(d->strat_.num_strata);
-  for (int s = 0; s < d->strat_.num_strata; ++s) {
-    for (size_t id : d->strat_.rule_strata[s]) {
-      d->stratum_body_preds_[s].insert(d->positive_preds_[id].begin(),
-                                       d->positive_preds_[id].end());
-    }
-  }
-
-  return d;
 }
 
 void FixpointDriver::InvalidateCompiledState() {
-  for (CompiledRule& c : compiled_) c.vm->InvalidateCompiledState();
+  for (RuleVm& vm : vms_) vm.InvalidateCompiledState();
   bound_db_ = nullptr;
 }
 
 FixpointDriver::Counters FixpointDriver::Snapshot() const {
   Counters c;
-  for (const CompiledRule& rule : compiled_) {
-    const PlannerStats& ps = rule.vm->planner_stats();
-    c.idx_built += ps.indexes_built.load(std::memory_order_relaxed);
-    c.probes += ps.index_probes.load(std::memory_order_relaxed);
-    c.probe_hits += ps.index_probe_hits.load(std::memory_order_relaxed);
-    c.pruned += ps.envelope_pruned.load(std::memory_order_relaxed);
-    c.vm_disp += rule.vm->dispatches();
-    c.vm_comp += rule.vm->compiles();
+  for (const RuleVm& vm : vms_) {
+    const PlannerStats& ps = vm.planner_stats();
+    c.idx_built += ps.indexes_built;
+    c.probes += ps.index_probes;
+    c.probe_hits += ps.index_probe_hits;
+    c.pruned += ps.envelope_pruned;
+    c.vm_disp += vm.dispatches();
+    c.vm_comp += vm.compiles();
   }
   c.bulk = IntervalSet::BulkMergeCount();
   return c;
@@ -195,14 +163,15 @@ Status FixpointDriver::Run(Database* db, const Interval& window,
   }
   // Chain guard-allowed sets are only stable within one run: guard
   // predicates grow between runs.
-  for (CompiledRule& c : compiled_) c.vm->ClearChainCache();
+  for (RuleVm& vm : vms_) vm.ClearChainCache();
   const Counters base = Snapshot();
-  stats->num_strata = strat_.num_strata;
-  stats->compiled_rules = compiled_.size();
-  stats->stratum_wall_seconds.resize(strat_.num_strata, 0.0);
+  const int num_strata = program_.stratification().num_strata;
+  stats->num_strata = num_strata;
+  stats->compiled_rules = vms_.size();
+  stats->stratum_wall_seconds.resize(num_strata, 0.0);
 
   Status status = Status::Ok();
-  for (int s = 0; s < strat_.num_strata && status.ok(); ++s) {
+  for (int s = 0; s < num_strata && status.ok(); ++s) {
     status = RunStratum(s, db, window, seeds, provenance, stats, guard);
   }
 
@@ -215,9 +184,8 @@ Status FixpointDriver::Run(Database* db, const Interval& window,
   stats->vm_recompiles += now.vm_comp - base.vm_comp;
   stats->bulk_merges += now.bulk - base.bulk;
   stats->rule_plan_cost.clear();
-  for (const CompiledRule& c : compiled_) {
-    stats->rule_plan_cost.push_back(
-        c.vm->planner_stats().last_plan_cost.load(std::memory_order_relaxed));
+  for (const RuleVm& vm : vms_) {
+    stats->rule_plan_cost.push_back(vm.planner_stats().last_plan_cost);
   }
   return status;
 }
@@ -228,12 +196,14 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
                                   EngineStats* stats,
                                   const ExecutionGuard* guard) {
   auto stratum_start = std::chrono::steady_clock::now();
-  const std::vector<size_t>& rule_ids = strat_.rule_strata[s];
+  const std::vector<size_t>& rule_ids =
+      program_.stratification().rule_strata[s];
   if (rule_ids.empty()) return Status::Ok();
   // A seeded stratum can only derive something when some positive body
   // predicate carries seed coverage. This is what keeps steady-state event
   // latency flat: most strata never wake up for a quiet tick.
-  if (seeds != nullptr && !AnyCoverage(stratum_body_preds_[s], *seeds)) {
+  if (seeds != nullptr &&
+      !AnyCoverage(program_.stratum_body_preds(s), *seeds)) {
     return Status::Ok();
   }
 
@@ -285,20 +255,21 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
       DMTL_RETURN_IF_ERROR(FaultInjector::Fire("seminaive.round"));
       std::vector<RoundTask> tasks;
       for (size_t id : rule_ids) {
-        const CompiledRule& c = compiled_[id];
+        const CompiledProgram::CompiledRule& c = program_.rules()[id];
+        RuleVm& vm = vms_[id];
         if (c.agg.has_value()) {
           // Aggregates run once, before round 0's plain rules: their
           // inputs are strictly below this stratum, so one evaluation is
           // complete, and the stratum's plain rules may read their output
           // in round 0.
           if (round > 0) continue;
-          if (seeds != nullptr && !AnyCoverage(positive_preds_[id], *seeds)) {
+          if (seeds != nullptr && !AnyCoverage(c.positive_preds, *seeds)) {
             continue;
           }
           ++stats->rule_evaluations;
           sink.SetContext(id, 0);
           std::vector<WitnessRow> witnesses;
-          DMTL_RETURN_IF_ERROR(c.vm->Evaluate(
+          DMTL_RETURN_IF_ERROR(vm.Evaluate(
               *db, nullptr, -1,
               [&witnesses](const Tuple& tuple,
                            const IntervalSet& extent) -> Status {
@@ -318,8 +289,8 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
         t.rule_id = id;
         if (round == 0 && seeds == nullptr) {
           t.initial = true;
-        } else if (c.vm->has_chain()) {
-          if (round == 0 && !AnyCoverage(positive_preds_[id], *seeds)) {
+        } else if (vm.has_chain()) {
+          if (round == 0 && !AnyCoverage(c.positive_preds, *seeds)) {
             continue;
           }
           t.chain = true;
@@ -353,10 +324,9 @@ Status FixpointDriver::RunStratum(int s, Database* db, const Interval& window,
 
 std::vector<int> FixpointDriver::DeltaOccurrences(
     size_t id, const Database& delta) const {
-  const CompiledRule& c = compiled_[id];
   std::vector<int> occurrences;
   std::vector<const RelationalAtom*> all_atoms;
-  for (const BodyLiteral& lit : c.rule().body) {
+  for (const BodyLiteral& lit : program_.rules()[id].rule().body) {
     if (lit.kind != BodyLiteral::Kind::kMetric || lit.negated) continue;
     lit.metric.CollectRelationalAtoms(&all_atoms);
   }
@@ -378,7 +348,7 @@ Status FixpointDriver::RunRound(const std::vector<RoundTask>& tasks,
                                 Sink* sink, EngineStats* stats,
                                 const ExecutionGuard* guard) {
   for (const RoundTask& t : tasks) {
-    RuleVm& vm = *compiled_[t.rule_id].vm;
+    RuleVm& vm = vms_[t.rule_id];
     const PredicateId head = vm.rule().head.predicate;
     if (guard != nullptr) DMTL_RETURN_IF_ERROR(guard->Check());
     sink->SetContext(t.rule_id, round);

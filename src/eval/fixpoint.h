@@ -1,16 +1,11 @@
 #ifndef DMTL_EVAL_FIXPOINT_H_
 #define DMTL_EVAL_FIXPOINT_H_
 
-#include <memory>
-#include <optional>
-#include <set>
 #include <vector>
 
-#include "src/analysis/stratifier.h"
-#include "src/ast/program.h"
 #include "src/common/execution_guard.h"
 #include "src/common/status.h"
-#include "src/eval/aggregate_eval.h"
+#include "src/eval/compiled_program.h"
 #include "src/eval/seminaive.h"
 #include "src/eval/vm.h"
 #include "src/storage/database.h"
@@ -19,18 +14,19 @@ namespace dmtl {
 
 // The stratum-by-stratum semi-naive chase, shared by batch materialization
 // (Materialize builds one per call) and the streaming engine
-// (IncrementalMaterializer keeps one for the session's lifetime). It owns
-// the stratification and one rule VM per rule.
+// (IncrementalMaterializer keeps one for the session's lifetime). The
+// stratification and the rule plans are the CompiledProgram's; the driver
+// owns only per-run state: one rule VM per rule.
 //
 // Every run is sequential and single-threaded; a driver serves one caller
-// at a time.
+// at a time. Drivers of one compiled program may run on different threads
+// at once.
 class FixpointDriver {
  public:
-  // Validates the program (arities, safety, stratification) and compiles
-  // every rule. The window bounds in `options` are not read - each run
-  // names its own window.
-  static Result<std::unique_ptr<FixpointDriver>> Create(
-      const Program& program, const EngineOptions& options);
+  // A driver with a fresh VM for each rule of `program`, which must outlive
+  // it. The window bounds in `options` are not read - each run names its
+  // own window.
+  FixpointDriver(const CompiledProgram& program, const EngineOptions& options);
 
   // Runs every stratum to fixpoint over `db`, storing only coverage inside
   // `window`. Each stratum evaluates its aggregate rules once, then round 0,
@@ -61,15 +57,6 @@ class FixpointDriver {
   void InvalidateCompiledState();
 
  private:
-  // One compiled rule: its VM, plus the grouping of its witness rows when
-  // the head aggregates.
-  struct CompiledRule {
-    std::unique_ptr<RuleVm> vm;
-    std::optional<AggregateEvaluator> agg;
-
-    const Rule& rule() const { return vm->rule(); }
-  };
-
   // Every evaluation of one rule within a round. Task lists are built from
   // round-start state in rule-index order, so a round's emission order is
   // fixed.
@@ -89,8 +76,6 @@ class FixpointDriver {
     uint64_t vm_disp = 0, vm_comp = 0, bulk = 0;
   };
 
-  explicit FixpointDriver(const EngineOptions& options) : options_(options) {}
-
   Status RunStratum(int s, Database* db, const Interval& window,
                     Database* seeds,
                     std::vector<DerivationRecord>* provenance,
@@ -104,13 +89,9 @@ class FixpointDriver {
   std::vector<int> DeltaOccurrences(size_t id, const Database& delta) const;
   Counters Snapshot() const;
 
+  const CompiledProgram& program_;
   EngineOptions options_;
-  Stratification strat_;
-  std::vector<CompiledRule> compiled_;
-  // Predicates of each rule's positive relational atoms, and their union
-  // per stratum: what a seed must touch to wake a rule or a stratum.
-  std::vector<std::set<PredicateId>> positive_preds_;
-  std::vector<std::set<PredicateId>> stratum_body_preds_;
+  std::vector<RuleVm> vms_;  // indexed like program_.rules()
   const Database* bound_db_ = nullptr;  // the database the VMs last ran on
 };
 

@@ -15,16 +15,6 @@ namespace dmtl {
 
 namespace {
 
-// Forward reaches gathered by the streaming eligibility walk.
-struct StreamingReach {
-  Rational reach;  // max forward reach R over positive atoms
-  bool reach_inf = false;
-  // The same maximum over every relational atom, negated ones included:
-  // the retraction cut-off's band width (see SlideStore).
-  Rational cutoff;
-  bool cutoff_inf = false;
-};
-
 // The option half of streaming eligibility.
 Status CheckStreamingOptions(const EngineOptions& options) {
   if (!options.min_time.has_value()) {
@@ -38,104 +28,28 @@ Status CheckStreamingOptions(const EngineOptions& options) {
   return Status::Ok();
 }
 
-// Walks one body literal's operator path, summing the upper range bounds
-// down to each relational atom: the atom's reach, i.e. how far into the
-// past a head at t reads it.
-// `any_positive` is set when a positive relational atom is reached.
-Status WalkMetric(const MetricAtom& m, Rational hi, bool hi_inf,
-                  bool positive, size_t rule_index, bool* any_positive,
-                  StreamingReach* reach) {
-  switch (m.kind()) {
-    case MetricAtom::Kind::kRelational: {
-      if (hi_inf) reach->cutoff_inf = true;
-      else if (reach->cutoff < hi) reach->cutoff = hi;
-      if (positive) {
-        *any_positive = true;
-        if (hi_inf) reach->reach_inf = true;
-        else if (reach->reach < hi) reach->reach = hi;
-      }
-      return Status::Ok();
-    }
-    case MetricAtom::Kind::kTruth:
-    case MetricAtom::Kind::kFalsity:
-      return Status::Ok();
-    case MetricAtom::Kind::kUnary: {
-      if (m.op() == MtlOp::kDiamondPlus || m.op() == MtlOp::kBoxPlus) {
-        return Status::InvalidArgument(
-            "rule " + std::to_string(rule_index) +
-            ": future operators are not streaming-eligible (coverage "
-            "below the watermark would not be final)");
-      }
-      const Interval& r = m.range();
-      if (r.lo().infinite || r.lo().value < Rational(0)) {
-        return Status::InvalidArgument(
-            "rule " + std::to_string(rule_index) +
-            ": operator range reaches into the future");
-      }
-      const bool ninf = hi_inf || r.hi().infinite;
-      const Rational nhi = ninf ? hi : hi + r.hi().value;
-      return WalkMetric(m.left(), nhi, ninf, positive, rule_index,
-                        any_positive, reach);
-    }
-    case MetricAtom::Kind::kBinary:
-      return Status::InvalidArgument(
-          "rule " + std::to_string(rule_index) +
-          ": since/until are not streaming-eligible");
-  }
-  return Status::Internal("unknown metric atom kind");
-}
-
-// The rule half of streaming eligibility: no head operators, past-directed
-// body operators, and a positive relational atom in every rule.
-Status WalkStreamingRules(const Program& program, StreamingReach* reach) {
-  const auto& rules = program.rules();
-  for (size_t i = 0; i < rules.size(); ++i) {
-    const Rule& rule = rules[i];
-    if (!rule.head.ops.empty()) {
-      return Status::InvalidArgument(
-          "rule " + std::to_string(i) +
-          ": head operators are not streaming-eligible (they derive "
-          "outside the body match, breaking watermark finality)");
-    }
-    bool any_positive = false;
-    for (const BodyLiteral& lit : rule.body) {
-      if (lit.kind != BodyLiteral::Kind::kMetric) continue;
-      DMTL_RETURN_IF_ERROR(WalkMetric(lit.metric, Rational(0), false,
-                                      !lit.negated, i, &any_positive, reach));
-    }
-    if (!any_positive) {
-      return Status::InvalidArgument(
-          "rule " + std::to_string(i) +
-          ": no positive relational atom; its derivations could never be "
-          "reached by a streaming delta");
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 // ===========================================================================
 // IncrementalMaterializer: the streaming engine. Keeps one FixpointDriver -
-// compiled rules and VMs - alive across watermark advances and seeds each
-// advance's run with the boundary band and the fresh inputs.
+// its rule VMs over the shared compiled program - alive across watermark
+// advances and seeds each advance's run with the boundary band and the
+// fresh inputs.
 // ===========================================================================
 
 class IncrementalMaterializer::Impl {
  public:
-  Impl(Database* db, const EngineOptions& options)
-      : db_(db),
+  // `program` must be streaming-eligible and `options` checked.
+  Impl(std::shared_ptr<const CompiledProgram> program, Database* db,
+       const EngineOptions& options)
+      : program_(std::move(program)),
+        reach_(program_->streaming_reach()),
+        driver_(*program_, options),
+        db_(db),
         options_(options),
         cur_min_(options.min_time.value_or(Rational(0))),
-        watermark_(cur_min_) {}
-
-  Status Init(const Program& program) {
-    DMTL_RETURN_IF_ERROR(CheckStreamingOptions(options_));
-    DMTL_ASSIGN_OR_RETURN(driver_, FixpointDriver::Create(program, options_));
-    DMTL_RETURN_IF_ERROR(WalkStreamingRules(program, &reach_));
-    provenance_ = options_.provenance;
-    return Status::Ok();
-  }
+        watermark_(cur_min_),
+        provenance_(options.provenance) {}
 
   Status Push(const Fact& fact) {
     if (needs_rebuild_) DMTL_RETURN_IF_ERROR(Heal());
@@ -228,7 +142,7 @@ class IncrementalMaterializer::Impl {
     // O(history) to O(band) per event.
     Interval window = Interval::Closed(watermark_, t);
     Status status =
-        driver_->Run(db_, window, &carry, provenance_, stats, gptr);
+        driver_.Run(db_, window, &carry, provenance_, stats, gptr);
     FinalizeOpStats(start_time, guard, status, stats);
     if (!status.ok()) {
       // The store sits at a sound round barrier, but no longer matches a
@@ -373,7 +287,7 @@ class IncrementalMaterializer::Impl {
   // slide) leaves both suspect, so the next advance recompiles and starts
   // from a full-store scan.
   void InvalidateCaches() {
-    driver_->InvalidateCompiledState();
+    driver_.InvalidateCompiledState();
     band_cache_ = Database();
     band_cache_valid_ = false;
   }
@@ -384,7 +298,7 @@ class IncrementalMaterializer::Impl {
                   std::vector<DerivationRecord>* provenance,
                   EngineStats* stats) {
     ExecutionGuard guard(options_.deadline, options_.cancel_token);
-    Status status = driver_->Run(db, window, nullptr, provenance, stats,
+    Status status = driver_.Run(db, window, nullptr, provenance, stats,
                                  guard.enabled() ? &guard : nullptr);
     stats->guard_checks += guard.checks();
     RecordStopReason(status, stats);
@@ -535,13 +449,13 @@ class IncrementalMaterializer::Impl {
     RecordStopReason(status, stats);
   }
 
+  std::shared_ptr<const CompiledProgram> program_;
+  const StreamingReach& reach_;  // the program's
+  FixpointDriver driver_;
   Database* db_ = nullptr;
   EngineOptions options_;  // as given at Create (min/max untouched)
   Rational cur_min_;
   Rational watermark_;
-  std::unique_ptr<FixpointDriver> driver_;
-
-  StreamingReach reach_;  // from the eligibility walk at Init
 
   std::vector<Fact> inputs_;  // the log; clamped by retractions
   Database pending_fresh_;    // input fresh portions above the watermark
@@ -553,31 +467,32 @@ class IncrementalMaterializer::Impl {
   bool band_cache_valid_ = false;
   bool advanced_any_ = false;
   bool needs_rebuild_ = false;
-  std::vector<DerivationRecord>* provenance_ = nullptr;
+  std::vector<DerivationRecord>* provenance_;
 };
 
 IncrementalMaterializer::IncrementalMaterializer() = default;
 IncrementalMaterializer::~IncrementalMaterializer() = default;
 
 Result<std::unique_ptr<IncrementalMaterializer>>
-IncrementalMaterializer::Create(const Program& program, Database* db,
-                                const EngineOptions& options) {
+IncrementalMaterializer::Create(std::shared_ptr<const CompiledProgram> program,
+                                Database* db, const EngineOptions& options) {
   if (db == nullptr) {
     return Status::InvalidArgument("streaming requires a database");
   }
+  DMTL_RETURN_IF_ERROR(CheckStreamingOptions(options));
+  DMTL_RETURN_IF_ERROR(program->streaming_status());
   std::unique_ptr<IncrementalMaterializer> out(new IncrementalMaterializer());
-  out->impl_ = std::make_unique<Impl>(db, options);
-  DMTL_RETURN_IF_ERROR(out->impl_->Init(program));
+  out->impl_ = std::make_unique<Impl>(std::move(program), db, options);
   return out;
 }
 
 Result<std::unique_ptr<IncrementalMaterializer>>
-IncrementalMaterializer::Restore(const Program& program, Database* db,
-                                 const EngineOptions& options,
-                                 std::vector<Fact> input_log,
-                                 const Rational& watermark, bool advanced) {
+IncrementalMaterializer::Restore(
+    std::shared_ptr<const CompiledProgram> program, Database* db,
+    const EngineOptions& options, std::vector<Fact> input_log,
+    const Rational& watermark, bool advanced) {
   DMTL_ASSIGN_OR_RETURN(std::unique_ptr<IncrementalMaterializer> out,
-                        Create(program, db, options));
+                        Create(std::move(program), db, options));
   DMTL_RETURN_IF_ERROR(
       out->impl_->AdoptState(std::move(input_log), watermark, advanced));
   return out;

@@ -4,8 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/ast/program.h"
 #include "src/common/status.h"
+#include "src/eval/compiled_program.h"
 #include "src/eval/seminaive.h"
 #include "src/storage/database.h"
 
@@ -71,19 +71,21 @@ namespace dmtl {
 // the calling thread.
 class IncrementalMaterializer {
  public:
-  // Validates the program (arity, safety, stratification) and checks
-  // streaming eligibility: every body operator past-directed with finite
-  // non-negative lower range bounds, no head operators, no since/until, and
-  // at least one positive relational atom per non-aggregate rule.
+  // Checks the options, then the compiled program's streaming eligibility
+  // (CompiledProgram::streaming_status: every body operator past-directed
+  // with finite non-negative lower range bounds, no head operators, no
+  // since/until, and at least one positive relational atom per rule).
   // `options.min_time` must be set (the initial window minimum and
   // watermark); `options.max_time` must be unset (the evaluator
   // manages the horizon). `db` must outlive the evaluator and start empty -
   // all input arrives through Push. If `options.provenance` is set, records
   // accumulate there and are pruned on retraction, preserving the batch
   // invariant: provenance coverage per predicate unions to exactly the
-  // derived-minus-input coverage.
+  // derived-minus-input coverage. The evaluator shares `program` with
+  // every other run of it and keeps only its own state.
   static Result<std::unique_ptr<IncrementalMaterializer>> Create(
-      const Program& program, Database* db, const EngineOptions& options);
+      std::shared_ptr<const CompiledProgram> program, Database* db,
+      const EngineOptions& options);
 
   // Rebuilds a live evaluator from checkpointed session state (see
   // src/storage/snapshot.h). As with Create, `db` must start empty;
@@ -98,8 +100,9 @@ class IncrementalMaterializer {
   // the options' deadline and cancellation token, so Restore can fail like
   // any operation.
   static Result<std::unique_ptr<IncrementalMaterializer>> Restore(
-      const Program& program, Database* db, const EngineOptions& options,
-      std::vector<Fact> input_log, const Rational& watermark, bool advanced);
+      std::shared_ptr<const CompiledProgram> program, Database* db,
+      const EngineOptions& options, std::vector<Fact> input_log,
+      const Rational& watermark, bool advanced);
 
   ~IncrementalMaterializer();
 

@@ -12,7 +12,6 @@ namespace dmtl {
 
 Result<RulePlanner> RulePlanner::Create(const Rule& rule) {
   RulePlanner eval(rule);
-  eval.planner_stats_ = std::make_shared<PlannerStats>();
   DMTL_RETURN_IF_ERROR(eval.Plan());
   return eval;
 }
@@ -314,7 +313,7 @@ RulePlanner::ExecutionPlan RulePlanner::BuildPlan(
         bool built_now = false;
         probe.index = probe.rel->GetIndex(probe.signature, &built_now);
         if (built_now && stats != nullptr) {
-          stats->indexes_built.fetch_add(1, std::memory_order_relaxed);
+          ++stats->indexes_built;
         }
       }
       for (const Term& t : atom.args) {
@@ -326,7 +325,7 @@ RulePlanner::ExecutionPlan RulePlanner::BuildPlan(
     plan.steps.push_back(std::move(step));
   }
   if (stats != nullptr) {
-    stats->last_plan_cost.store(plan.total_cost, std::memory_order_relaxed);
+    stats->last_plan_cost = plan.total_cost;
   }
   return plan;
 }

@@ -1,9 +1,7 @@
 #ifndef DMTL_EVAL_PLANNER_H_
 #define DMTL_EVAL_PLANNER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,19 +11,18 @@
 
 namespace dmtl {
 
-// Runtime counters of the join planner, shared by every copy of one
-// planner. Relaxed atomics: a planner is only driven from its run's
-// thread, but a fleet session may move between scheduler workers from one
-// slice to the next; the atomics keep those handoffs race-free under TSan.
+// Runtime counters of the join planner. Each rule VM keeps its own (the
+// planner itself is shared by every run of a compiled program), so two
+// sessions of one program never mix their counts.
 struct PlannerStats {
-  std::atomic<uint64_t> indexes_built{0};
-  std::atomic<uint64_t> index_probes{0};
-  std::atomic<uint64_t> index_probe_hits{0};
+  uint64_t indexes_built = 0;
+  uint64_t index_probes = 0;
+  uint64_t index_probe_hits = 0;
   // Candidate tuples skipped by a temporal-envelope or hull precheck before
   // paying for unification + IntervalSet::Intersect.
-  std::atomic<uint64_t> envelope_pruned{0};
+  uint64_t envelope_pruned = 0;
   // Estimated cost of the most recent plan (see ExplainPlan for the model).
-  std::atomic<double> last_plan_cost{0.0};
+  double last_plan_cost = 0.0;
 };
 
 // Plans one rule for the rule compiler (src/eval/rule_compile.h). Plan()
@@ -68,9 +65,6 @@ class RulePlanner {
   int num_positive_occurrences() const { return num_occurrences_; }
 
   const Rule& rule() const { return rule_; }
-
-  // Shared across copies.
-  PlannerStats* planner_stats() const { return planner_stats_.get(); }
 
   // Human-readable description of the join order, index signatures, and
   // prunability the planner would choose for a full (non-delta) pass over
@@ -156,7 +150,6 @@ class RulePlanner {
 
   // Join planner state (parallel to positive_literals_).
   std::vector<LiteralPlan> literal_plans_;
-  std::shared_ptr<PlannerStats> planner_stats_;
 };
 
 }  // namespace dmtl

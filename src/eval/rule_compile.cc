@@ -79,13 +79,13 @@ const char* OpCodeToString(OpCode op) {
 
 RuleProgram RuleCompiler::Compile(const RulePlanner& planner,
                                   const Database& db, const Database* delta,
-                                  int delta_occurrence) {
+                                  int delta_occurrence, PlannerStats* stats) {
   const Rule& rule = planner.rule_;
   RuleProgram prog;
   prog.num_vars = rule.num_vars();
 
   RulePlanner::ExecutionPlan plan =
-      planner.BuildPlan(db, delta, delta_occurrence, planner.planner_stats());
+      planner.BuildPlan(db, delta, delta_occurrence, stats);
   prog.plan_cost = plan.total_cost;
 
   std::vector<Instr> body;

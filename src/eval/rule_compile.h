@@ -17,12 +17,13 @@ class RuleCompiler {
  public:
   // Compiles the variant of `planner` that restricts `delta_occurrence` (-1:
   // the full pass) to `delta`, planning against the sizes in `db`. Planner
-  // stats (index builds, plan cost) are charged to the planner's shared
-  // PlannerStats. An aggregate rule compiles like any other, except that
-  // its emit projects AggregateEvaluator::WitnessTerms with no head
-  // operators: one witness row per body binding, at the raw row extent.
+  // stats (index builds, plan cost) are charged to `stats`, the calling
+  // VM's own. An aggregate rule compiles like any other, except that its
+  // emit projects AggregateEvaluator::WitnessTerms with no head operators:
+  // one witness row per body binding, at the raw row extent.
   static RuleProgram Compile(const RulePlanner& planner, const Database& db,
-                             const Database* delta, int delta_occurrence);
+                             const Database* delta, int delta_occurrence,
+                             PlannerStats* stats);
 
   // Compiles the chain walk of a rule ChainAccelerator::Detect accepted.
   static ChainProgram CompileChain(const Rule& rule,

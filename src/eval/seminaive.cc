@@ -94,8 +94,15 @@ std::string EngineStats::ToString() const {
   return out;
 }
 
-Status Materialize(const Program& program, Database* db,
-                   const EngineOptions& options, EngineStats* stats) {
+namespace {
+
+// The one timed and finalized run behind both Materialize overloads. It
+// runs `compiled`, or, when that is null, compiles `source` first, so
+// wall_seconds counts the compile and a program that fails to compile
+// finalizes its stats like any other failure.
+Status MaterializeTimed(const Program* source, const CompiledProgram* compiled,
+                        Database* db, const EngineOptions& options,
+                        EngineStats* stats) {
   auto start_time = std::chrono::steady_clock::now();
   EngineStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -112,10 +119,14 @@ Status Materialize(const Program& program, Database* db,
         *options.max_time < *options.min_time) {
       return Status::InvalidArgument("max_time precedes min_time");
     }
-    DMTL_ASSIGN_OR_RETURN(std::unique_ptr<FixpointDriver> driver,
-                          FixpointDriver::Create(program, options));
-    return driver->Run(db, HorizonWindow(options), nullptr,
-                       options.provenance, stats, gptr);
+    std::shared_ptr<const CompiledProgram> owned;
+    if (compiled == nullptr) {
+      DMTL_ASSIGN_OR_RETURN(owned, CompiledProgram::Create(*source));
+      compiled = owned.get();
+    }
+    FixpointDriver driver(*compiled, options);
+    return driver.Run(db, HorizonWindow(options), nullptr, options.provenance,
+                      stats, gptr);
   }();
 
   stats->guard_checks = guard.checks();
@@ -126,6 +137,18 @@ Status Materialize(const Program& program, Database* db,
           .count();
   RecordStopReason(status, stats);
   return status;
+}
+
+}  // namespace
+
+Status Materialize(const CompiledProgram& program, Database* db,
+                   const EngineOptions& options, EngineStats* stats) {
+  return MaterializeTimed(nullptr, &program, db, options, stats);
+}
+
+Status Materialize(const Program& program, Database* db,
+                   const EngineOptions& options, EngineStats* stats) {
+  return MaterializeTimed(&program, nullptr, db, options, stats);
 }
 
 }  // namespace dmtl

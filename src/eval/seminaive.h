@@ -143,10 +143,11 @@ struct EngineStats {
   std::string ToString() const;
 };
 
-// Runs the DatalogMTL chase: checks arities/safety, stratifies, then
-// evaluates stratum by stratum to fixpoint, augmenting `db` in place with
-// every entailed fact (insert-only, per the paper's monotone execution
-// model).
+class CompiledProgram;
+
+// Runs the DatalogMTL chase: evaluates the compiled program stratum by
+// stratum to fixpoint, augmenting `db` in place with every entailed fact
+// (insert-only, per the paper's monotone execution model).
 //
 // Failure is graceful: on a deadline trip, cancellation, budget exhaustion,
 // or any evaluation fault, the partial work of the round in progress is
@@ -154,7 +155,16 @@ struct EngineStats {
 // (still a sound under-approximation of the fixpoint - re-running with a
 // horizon continues from it), and `stats` carries the stop diagnostics.
 // Materialize never throws. It evaluates on the calling thread; independent
-// runs (sessions) may proceed on different threads at once.
+// runs (sessions) may proceed on different threads at once, also runs of
+// one compiled program.
+Status Materialize(const CompiledProgram& program, Database* db,
+                   const EngineOptions& options = {},
+                   EngineStats* stats = nullptr);
+
+// Compiles `program` (checks arities and safety, stratifies, plans; see
+// CompiledProgram::Create) and runs the compiled program as above;
+// `stats->wall_seconds` includes the compile. A program that fails to
+// compile leaves `db` untouched and reports StopReason::kError.
 Status Materialize(const Program& program, Database* db,
                    const EngineOptions& options = {},
                    EngineStats* stats = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/analysis/safety.h"
 #include "src/common/fault_injector.h"
 #include "src/eval/builtin_eval.h"
 #include "src/eval/rule_compile.h"
@@ -159,20 +158,10 @@ std::optional<int64_t> FirstCoveredStep(const IntervalSet* s,
 
 }  // namespace
 
-Result<std::unique_ptr<RuleVm>> RuleVm::Create(
-    const Rule& rule,
-    const std::optional<ChainAccelerator::ChainInfo>& chain) {
-  // The head projection reads registers unconditionally: every head
-  // variable must be bound by the body.
-  DMTL_RETURN_IF_ERROR(CheckSafety(rule));
-  DMTL_ASSIGN_OR_RETURN(RulePlanner planner, RulePlanner::Create(rule));
-  std::unique_ptr<RuleVm> vm(new RuleVm(std::move(planner)));
-  if (chain.has_value()) {
-    vm->chain_ = RuleCompiler::CompileChain(rule, *chain);
-  }
-  vm->variants_.resize(vm->planner_.num_positive_occurrences() + 1);
-  return vm;
-}
+RuleVm::RuleVm(const CompiledProgram::CompiledRule& rule)
+    : planner_(&rule.planner),
+      chain_(rule.chain.has_value() ? &*rule.chain : nullptr),
+      variants_(rule.planner.num_positive_occurrences() + 1) {}
 
 RuleVm::Variant& RuleVm::EnsureCompiled(int delta_occurrence,
                                         const Database& db,
@@ -196,7 +185,8 @@ RuleVm::Variant& RuleVm::EnsureCompiled(int delta_occurrence,
     }
   }
   if (need) {
-    v.prog = RuleCompiler::Compile(planner_, db, delta, delta_occurrence);
+    v.prog = RuleCompiler::Compile(*planner_, db, delta, delta_occurrence,
+                                    &stats_);
     v.atoms.assign(v.prog.atoms.size(), RtAtom{});
     v.compiled = true;
     ++compiles_;
@@ -239,7 +229,7 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   extents_.resize(prog.code.size());
   windows_.resize(prog.atoms.size());
   leaf_.assign(prog.literals.size(), nullptr);
-  ts_points_.resize(planner_.rule().body.size());
+  ts_points_.resize(planner_->rule().body.size());
   guard_counter_ = 0;
   probes_ = hits_ = pruned_ = 0;
 
@@ -261,11 +251,10 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   }
   out_.clear();
 
-  PlannerStats* stats = planner_.planner_stats();
-  stats->indexes_built.fetch_add(built, std::memory_order_relaxed);
-  stats->index_probes.fetch_add(probes_, std::memory_order_relaxed);
-  stats->index_probe_hits.fetch_add(hits_, std::memory_order_relaxed);
-  stats->envelope_pruned.fetch_add(pruned_, std::memory_order_relaxed);
+  stats_.indexes_built += built;
+  stats_.index_probes += probes_;
+  stats_.index_probe_hits += hits_;
+  stats_.envelope_pruned += pruned_;
   return status;
 }
 
@@ -283,10 +272,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
             rel->NumTuples() >= RulePlanner::kMinTuplesForIndex) {
           bool built_now = false;
           index = rel->GetIndex(a.signature, &built_now);
-          if (built_now) {
-            planner_.planner_stats()->indexes_built.fetch_add(
-                1, std::memory_order_relaxed);
-          }
+          if (built_now) ++stats_.indexes_built;
         }
       } else {
         rel = variant_->atoms[instr.arg].rel;
@@ -395,7 +381,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
         source.delta = delta_;
         source.delta_occurrence = lc.delta_offset;
         source.guard = guard_;
-        const MetricAtom& metric = planner_.rule().body[lc.body_index].metric;
+        const MetricAtom& metric = planner_->rule().body[lc.body_index].metric;
         IntervalSet extent = EvalMetricExtent(metric, *regs_, source, cur);
         if (extent.IsEmpty()) return Status::Ok();
         if (cur.size() == 1 && cur.Hull().Contains(extent.Hull())) {
@@ -433,7 +419,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
     }
 
     case OpCode::kEvalBuiltin: {
-      const BuiltinAtom& b = planner_.rule().body[instr.arg].builtin;
+      const BuiltinAtom& b = planner_->rule().body[instr.arg].builtin;
       // An assignment may bind its target; undo on the way out so a later
       // candidate of an upstream atom re-executes it against clean state.
       const bool is_assign = b.kind == BuiltinAtom::Kind::kAssign;
@@ -453,7 +439,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
     }
 
     case OpCode::kNegate: {
-      const BodyLiteral& lit = planner_.rule().body[instr.arg];
+      const BodyLiteral& lit = planner_->rule().body[instr.arg];
       ExtentSource source;
       source.full = db_;
       source.guard = guard_;
@@ -464,13 +450,13 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
     }
 
     case OpCode::kSplitTimestamp: {
-      const BuiltinAtom& b = planner_.rule().body[instr.arg].builtin;
+      const BuiltinAtom& b = planner_->rule().body[instr.arg].builtin;
       std::vector<Rational>& points = ts_points_[instr.arg];
       points.clear();
       if (!cur.IsPunctualOnly(&points)) {
         return Status::EvalError(
             "timestamp() requires a punctual join extent; got " +
-            cur.ToString() + " in rule: " + planner_.rule().ToString());
+            cur.ToString() + " in rule: " + planner_->rule().ToString());
       }
       const bool was_bound = regs_->IsBound(b.var);
       IntervalSet& slot = extents_[ip];
@@ -565,13 +551,13 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
       IntervalSet computed{window};
       for (size_t i : cp.positive_guards) {
         computed = computed.Intersect(EvalMetricExtent(
-            planner_.rule().body[i].metric, binding, source, computed));
+            planner_->rule().body[i].metric, binding, source, computed));
         if (computed.IsEmpty()) break;
       }
       for (size_t i : cp.negated_guards) {
         if (computed.IsEmpty()) break;
         computed = computed.Subtract(EvalMetricExtent(
-            planner_.rule().body[i].metric, binding, source, computed));
+            planner_->rule().body[i].metric, binding, source, computed));
       }
       it->second = std::move(computed);
     }
@@ -609,7 +595,7 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
     // not hold yet - the store, not just this walk's earlier passes - so,
     // as in WalkGrid, the walk stops where it rejoins derived coverage, and
     // overlapping seeds never re-walk one stretch.
-    const PredicateId head = planner_.rule().head.predicate;
+    const PredicateId head = planner_->rule().head.predicate;
     while (!frontier.IsEmpty()) {
       IntervalSet next = frontier.Shift(cp.step).Intersect(allowed);
       if (next.IsEmpty()) break;
@@ -637,7 +623,7 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
                         size_t* extensions) {
   const Rational& step = chain_->step;
   const bool fwd = !step.is_negative();
-  const PredicateId head = planner_.rule().head.predicate;
+  const PredicateId head = planner_->rule().head.predicate;
   Rational t = seed + step;
   // Cursor: the allowed component holding the latest stretch point. The
   // walk only moves in grid direction, so one bisect places it and every
@@ -696,8 +682,8 @@ Status RuleVm::WalkGrid(const Database& db, const Tuple& tuple,
 
 std::string RuleVm::DumpBytecode(const Database& db) {
   Variant& v = EnsureCompiled(-1, db, nullptr);
-  std::string out = v.prog.Dump(planner_.rule());
-  if (chain_.has_value()) out += chain_->Dump(planner_.rule());
+  std::string out = v.prog.Dump(planner_->rule());
+  if (chain_ != nullptr) out += chain_->Dump(planner_->rule());
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef DMTL_EVAL_VM_H_
 #define DMTL_EVAL_VM_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -10,7 +9,7 @@
 
 #include "src/common/execution_guard.h"
 #include "src/eval/bytecode.h"
-#include "src/eval/chain_accel.h"
+#include "src/eval/compiled_program.h"
 #include "src/eval/planner.h"
 
 namespace dmtl {
@@ -35,16 +34,16 @@ namespace dmtl {
 // whole. The derived coverage - and the chain_extensions count - are those
 // of walking the grid one point at a time.
 //
+// The plan and the chain walk are the compiled program's, shared with
+// every other VM of the rule; the VM's own state is what it compiles
+// against its database (variants, the allowed-set cache) and its counters.
 // Not thread-safe: a VM belongs to one engine run (or session), which
 // drives it from one thread at a time.
 class RuleVm {
  public:
-  // Checks the rule's safety, plans it and builds its VM. With `chain`
-  // set (a ChainAccelerator::Detect result for the rule) the VM also runs
-  // ExtendChain.
-  static Result<std::unique_ptr<RuleVm>> Create(
-      const Rule& rule,
-      const std::optional<ChainAccelerator::ChainInfo>& chain = std::nullopt);
+  // A VM for one rule of a compiled program; `rule` must outlive it. A
+  // chain rule's VM also runs ExtendChain.
+  explicit RuleVm(const CompiledProgram::CompiledRule& rule);
 
   // Runs the rule once: every body binding, in the compiled plan's order,
   // with occurrence `delta_occurrence` (-1: none) restricted to `delta`.
@@ -56,7 +55,7 @@ class RuleVm {
                   int delta_occurrence, const EmitFn& emit,
                   const ExecutionGuard* guard = nullptr);
 
-  bool has_chain() const { return chain_.has_value(); }
+  bool has_chain() const { return chain_ != nullptr; }
 
   // Extends every chain-predicate tuple in `delta` to its closure within
   // `window`. `extensions` is advanced by the number of grid points a
@@ -74,10 +73,9 @@ class RuleVm {
   // Variants (re)compiled, including adaptive replans.
   uint64_t compiles() const { return compiles_; }
 
-  const Rule& rule() const { return planner_.rule(); }
-  const PlannerStats& planner_stats() const {
-    return *planner_.planner_stats();
-  }
+  const Rule& rule() const { return planner_->rule(); }
+  // This VM's planner counters (index builds, probes, last plan cost).
+  const PlannerStats& planner_stats() const { return stats_; }
 
   // Compiles (if needed) and pretty-prints the full-evaluation variant
   // against `db`, plus the chain kernel when one exists.
@@ -113,8 +111,6 @@ class RuleVm {
     bool compiled = false;
   };
 
-  explicit RuleVm(RulePlanner planner) : planner_(std::move(planner)) {}
-
   Variant& EnsureCompiled(int delta_occurrence, const Database& db,
                           const Database* delta);
 
@@ -127,8 +123,9 @@ class RuleVm {
                   const EmitFn& emit, const ExecutionGuard* guard,
                   size_t* extensions);
 
-  RulePlanner planner_;
-  std::optional<ChainProgram> chain_;
+  const RulePlanner* planner_;
+  const ChainProgram* chain_;  // null unless a chain rule
+  PlannerStats stats_;
   // Guard-allowed sets keyed by the head tuple's guard projection. Guards
   // live strictly below the rule's stratum, so entries stay valid for the
   // whole run (the rule only executes within its own stratum).
@@ -156,7 +153,7 @@ class RuleVm {
   // relation) being walked.
   std::vector<std::pair<Tuple, IntervalSet>> out_;
   uint64_t guard_counter_ = 0;
-  uint64_t probes_ = 0, hits_ = 0, pruned_ = 0, built_ = 0;
+  uint64_t probes_ = 0, hits_ = 0, pruned_ = 0;
 };
 
 }  // namespace dmtl

@@ -49,7 +49,7 @@ size_t SessionKeyHash::operator()(const SessionKey& key) const {
 // next_op).
 struct FleetServer::Hosted {
   SessionKey key;
-  const Program* program = nullptr;
+  std::shared_ptr<const CompiledProgram> program;
   Rational start_time;
   std::optional<Rational> horizon;
 
@@ -92,11 +92,14 @@ Status FleetServer::RegisterProgram(const std::string& name, Program program) {
   if (name.empty()) {
     return Status::InvalidArgument("program name must be non-empty");
   }
-  auto inserted = programs_.emplace(name, std::move(program));
-  if (!inserted.second) {
+  if (programs_.count(name) > 0) {
     return Status::InvalidArgument("program '" + name +
                                    "' is already registered");
   }
+  DMTL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
+                        CompiledProgram::Create(std::move(program)));
+  DMTL_RETURN_IF_ERROR(compiled->streaming_status());
+  programs_.emplace(name, std::move(compiled));
   return Status::Ok();
 }
 
@@ -111,9 +114,12 @@ Status FleetServer::Open(const SessionKey& key, const Rational& start_time,
     return Status::InvalidArgument("session " + key.ToString() +
                                    " is already open");
   }
+  if (horizon.has_value() && !(Rational(0) < *horizon)) {
+    return Status::InvalidArgument("horizon must be positive");
+  }
   auto hosted = std::make_unique<Hosted>();
   hosted->key = key;
-  hosted->program = &prog->second;
+  hosted->program = prog->second;
   hosted->start_time = start_time;
   hosted->horizon = std::move(horizon);
   hosted->report.key = key;
@@ -182,7 +188,7 @@ SessionOptions FleetServer::BuildSessionOptions(const Hosted& h,
 Status FleetServer::CreateSession(Hosted* h) {
   DMTL_ASSIGN_OR_RETURN(
       h->session,
-      EngineSession::Create(*h->program, BuildSessionOptions(*h, false)));
+      EngineSession::Create(h->program, BuildSessionOptions(*h, false)));
   return Status::Ok();
 }
 
@@ -234,7 +240,7 @@ Status FleetServer::RestoreWarm(Hosted* h, bool degraded) {
   DMTL_ASSIGN_OR_RETURN(SessionSnapshot snap, DecodeSnapshot(h->snapshot));
   DMTL_ASSIGN_OR_RETURN(
       h->session,
-      EngineSession::Restore(*h->program, BuildSessionOptions(*h, degraded),
+      EngineSession::Restore(h->program, BuildSessionOptions(*h, degraded),
                              snap));
   // Replay the op tail the checkpoint does not cover. Replayed work is not
   // re-counted in the throughput fields; ops_replayed carries its cost.
@@ -278,7 +284,9 @@ bool FleetServer::RunSlice(Hosted* h) {
     } else {
       Status created = CreateSession(h);
       if (!created.ok()) {
-        // Nothing to restore from: creation failures are always final.
+        // The program was validated at registration and the options at
+        // Create and Open, so only an internal fault gets here; with no
+        // snapshot to restore from, it is final.
         h->failed = true;
         h->report.status = created;
         return false;

@@ -135,14 +135,16 @@ class FleetServer {
   static Result<std::unique_ptr<FleetServer>> Create(
       const FleetOptions& options = {});
 
-  // Registers a rule set under `name`. Programs are compiled per session at
-  // first touch (inside Drain, so creation cost parallelizes); registering
-  // twice under one name is an error.
+  // Compiles a rule set once (CompiledProgram::Create) and registers it
+  // under `name`; every session of the name shares the compiled program.
+  // A program that fails to compile or is not streaming-eligible (see
+  // IncrementalMaterializer::Create) is refused here, with that error, so
+  // it never reaches Drain. Registering twice under one name is an error.
   Status RegisterProgram(const std::string& name, Program program);
 
   // Admits a session under `key` (whose key.program must be registered)
-  // with the given window start and optional sliding horizon. The session
-  // itself is created lazily on its first Drain slice.
+  // with the given window start and optional sliding horizon (positive).
+  // The session itself is created lazily on its first Drain slice.
   Status Open(const SessionKey& key, const Rational& start_time,
               std::optional<Rational> horizon = std::nullopt);
 
@@ -189,7 +191,7 @@ class FleetServer {
   SessionOptions BuildSessionOptions(const Hosted& h, bool degraded) const;
 
   FleetOptions options_;
-  std::map<std::string, Program> programs_;  // node-stable addresses
+  std::map<std::string, std::shared_ptr<const CompiledProgram>> programs_;
   std::vector<std::unique_ptr<Hosted>> hosted_;
   std::unordered_map<SessionKey, size_t, SessionKeyHash> registry_;
 };

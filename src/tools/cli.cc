@@ -9,14 +9,11 @@
 #include <sstream>
 
 #include "src/analysis/dot_export.h"
-#include "src/analysis/safety.h"
-#include "src/analysis/stratifier.h"
 #include "src/chain/workload.h"
 #include "src/contracts/eth_perp_program.h"
 #include "src/engine/reasoner.h"
 #include "src/engine/session.h"
-#include "src/eval/chain_accel.h"
-#include "src/eval/planner.h"
+#include "src/eval/compiled_program.h"
 #include "src/eval/vm.h"
 #include "src/fleet/server.h"
 #include "src/fleet/workload.h"
@@ -207,15 +204,13 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
 // Prints each rule's chosen join plan against the materialized database
 // (the plan a full non-delta pass would use now), then the run's planner
 // counters. Comment-prefixed so the output stays a loadable program.
-void PrintJoinPlans(const Program& program, const Database& db,
+void PrintJoinPlans(const CompiledProgram& program, const Database& db,
                     const EngineStats& stats, std::ostream& out) {
   out << "% join plans (over the materialized database):\n";
-  const std::vector<Rule>& rules = program.rules();
+  const std::vector<CompiledProgram::CompiledRule>& rules = program.rules();
   for (size_t i = 0; i < rules.size(); ++i) {
-    auto planner = RulePlanner::Create(rules[i]);
-    if (!planner.ok()) continue;
     out << "% rule " << i << ":\n";
-    std::string plan = planner->ExplainPlan(db);
+    std::string plan = rules[i].planner.ExplainPlan(db);
     size_t start = 0;
     while (start < plan.size()) {
       size_t end = plan.find('\n', start);
@@ -233,18 +228,14 @@ void PrintJoinPlans(const Program& program, const Database& db,
 // Prints each rule's compiled bytecode program against the materialized
 // database (the variant a full non-delta pass would run now).
 // Comment-prefixed so the output stays a loadable program.
-Status PrintBytecode(const Program& program, const Database& db,
-                     std::ostream& out) {
-  DMTL_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
+void PrintBytecode(const CompiledProgram& program, const Database& db,
+                   std::ostream& out) {
   out << "% bytecode (over the materialized database):\n";
-  const std::vector<Rule>& rules = program.rules();
+  const std::vector<CompiledProgram::CompiledRule>& rules = program.rules();
   for (size_t i = 0; i < rules.size(); ++i) {
-    out << "% rule " << i << ": " << rules[i].ToString() << "\n";
-    DMTL_ASSIGN_OR_RETURN(
-        std::unique_ptr<RuleVm> vm,
-        RuleVm::Create(rules[i], ChainAccelerator::Detect(
-                                     rules[i], strat.predicate_stratum)));
-    std::string text = vm->DumpBytecode(db);
+    out << "% rule " << i << ": " << rules[i].rule().ToString() << "\n";
+    RuleVm vm(rules[i]);
+    std::string text = vm.DumpBytecode(db);
     size_t start = 0;
     while (start < text.size()) {
       size_t end = text.find('\n', start);
@@ -253,7 +244,6 @@ Status PrintBytecode(const Program& program, const Database& db,
       start = end + 1;
     }
   }
-  return Status::Ok();
 }
 
 Result<Parser::ParsedUnit> LoadAll(const std::vector<std::string>& files) {
@@ -553,7 +543,9 @@ Status CommandRun(const CliOptions& options, std::ostream& out,
   EngineOptions engine = options.engine;
   std::vector<DerivationRecord> provenance;
   if (options.explain.has_value()) engine.provenance = &provenance;
-  Status run = Materialize(unit.program, &db, engine, &stats);
+  DMTL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
+                        CompiledProgram::Create(unit.program));
+  Status run = Materialize(*compiled, &db, engine, &stats);
   if (!run.ok()) {
     // Guard trips and budget exhaustion come with where-it-stopped
     // diagnostics; surface them next to the error itself.
@@ -619,12 +611,8 @@ Status CommandRun(const CliOptions& options, std::ostream& out,
   if (options.output.has_value()) {
     DMTL_RETURN_IF_ERROR(WriteDatabaseFile(db, *options.output));
   }
-  if (options.explain_plan) {
-    PrintJoinPlans(unit.program, db, stats, out);
-  }
-  if (options.dump_bytecode) {
-    DMTL_RETURN_IF_ERROR(PrintBytecode(unit.program, db, out));
-  }
+  if (options.explain_plan) PrintJoinPlans(*compiled, db, stats, out);
+  if (options.dump_bytecode) PrintBytecode(*compiled, db, out);
   if (options.stats) {
     out << "% " << stats.ToString() << "\n";
   }
@@ -633,9 +621,9 @@ Status CommandRun(const CliOptions& options, std::ostream& out,
 
 Status CommandCheck(const CliOptions& options, std::ostream& out) {
   DMTL_ASSIGN_OR_RETURN(Parser::ParsedUnit unit, LoadAll(options.files));
-  DMTL_RETURN_IF_ERROR(unit.program.CheckArities());
-  DMTL_RETURN_IF_ERROR(CheckSafety(unit.program));
-  DMTL_ASSIGN_OR_RETURN(Stratification strat, Stratify(unit.program));
+  DMTL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
+                        CompiledProgram::Create(unit.program));
+  const Stratification& strat = compiled->stratification();
   out << "OK: " << unit.program.size() << " rules, "
       << unit.database.NumIntervals() << " facts, " << strat.num_strata
       << " strata\n";

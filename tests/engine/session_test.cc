@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cstdlib>
 #include <map>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/chain/replayer.h"
@@ -22,7 +24,9 @@
 #include "src/contracts/eth_perp_program.h"
 #include "src/engine/reasoner.h"
 #include "src/engine/session.h"
+#include "src/eval/compiled_program.h"
 #include "src/eval/incremental.h"
+#include "src/fleet/workload.h"
 #include "src/parser/parser.h"
 #include "src/storage/serialize.h"
 #include "src/storage/snapshot.h"
@@ -255,10 +259,10 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedAtCreate) {
 }
 
 TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
-  // A fresh session and a restore must both refuse what
-  // IncrementalMaterializer::Create refuses, with the same first error:
-  // safety, stratification and rule-walk failures alike (the later cases
-  // fail two checks, so the order shows).
+  // A fresh session and a restore must both refuse what compiling the
+  // program and then IncrementalMaterializer::Create refuse, with the same
+  // first error: safety, stratification and rule-walk failures alike (the
+  // later cases fail two checks, so the order shows).
   for (const char* text : {
            "q(X) :- diamondplus[0,2] p(X) .\n",
            "q(X) :- p(X) since[0,3] r(X) .\n",
@@ -274,8 +278,12 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
     Database scratch;
     EngineOptions engine = options.engine;
     engine.min_time = Rational(0);
-    auto reference =
-        IncrementalMaterializer::Create(unit->program, &scratch, engine);
+    Status reference = [&]() -> Status {
+      DMTL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
+                            CompiledProgram::Create(unit->program));
+      return IncrementalMaterializer::Create(compiled, &scratch, engine)
+          .status();
+    }();
     ASSERT_FALSE(reference.ok());
 
     SessionSnapshot snapshot;
@@ -286,10 +294,10 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
         Fact::Make("p", {Value::Symbol("a")}, Interval::Point(Rational(1))));
     auto fresh = EngineSession::Create(unit->program, options);
     ASSERT_FALSE(fresh.ok());
-    EXPECT_EQ(fresh.status().ToString(), reference.status().ToString());
+    EXPECT_EQ(fresh.status().ToString(), reference.ToString());
     auto restored = EngineSession::Restore(unit->program, options, snapshot);
     ASSERT_FALSE(restored.ok());
-    EXPECT_EQ(restored.status().ToString(), reference.status().ToString());
+    EXPECT_EQ(restored.status().ToString(), reference.ToString());
   }
 }
 
@@ -356,6 +364,111 @@ TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
   EXPECT_EQ(SerializeDatabase((*session)->db()), SerializeDatabase(batch))
       << "streamed ETH-PERP session diverged from the batch replay";
   ExpectMatchesColdReplay(**session, "frs", "eth-perp final checkpoint");
+}
+
+// The planner counters one advance reports.
+struct PlannerCounts {
+  size_t indexes_built = 0;
+  size_t index_probes = 0;
+  size_t vm_recompiles = 0;
+  std::vector<double> rule_plan_cost;
+
+  bool operator==(const PlannerCounts&) const = default;
+};
+
+// Feeds `ops` to `session` and returns each advance's planner counters.
+// With `sync` set, waits there before every op, so a twin fed the same ops
+// on another thread runs each of its advances alongside this one's.
+std::vector<PlannerCounts> DriveCountingPlanner(
+    EngineSession* session, const std::vector<FleetOp>& ops,
+    std::barrier<>* sync) {
+  std::vector<PlannerCounts> out;
+  for (const FleetOp& op : ops) {
+    if (sync != nullptr) sync->arrive_and_wait();
+    Status status = Status::Ok();
+    switch (op.kind) {
+      case FleetOp::Kind::kPush:
+        status = session->Push(op.fact);
+        break;
+      case FleetOp::Kind::kStep:
+        status = session->PushStep(op.predicate, op.args, op.t);
+        break;
+      case FleetOp::Kind::kAdvance: {
+        EngineStats stats;
+        status = session->Advance(op.t, &stats);
+        out.push_back({stats.planner_indexes_built, stats.planner_index_probes,
+                       stats.vm_recompiles, stats.rule_plan_cost});
+        break;
+      }
+      case FleetOp::Kind::kSlide:
+        status = session->Slide(op.t);
+        break;
+    }
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  return out;
+}
+
+TEST(StreamingSessionTest, SharedProgramKeepsPlannerCountersPerSession) {
+  // Two sessions of one compiled program, advancing at the same time on two
+  // threads, must each count only their own planner work: the same counts,
+  // advance by advance, as one session alone.
+  auto program = EthPerpProgram();
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto compiled = CompiledProgram::Create(*program);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  WorkloadConfig config;
+  config.name = "shared-planner";
+  config.duration_s = 600;
+  config.num_events = 24;
+  config.num_trades = 6;
+  config.seed = 11;
+  auto generated = GenerateSession(config);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const std::vector<FleetOp> ops = SessionToOps(*generated);
+  SessionOptions options;
+  options.start_time = Rational(generated->start_time);
+  options.track_provenance = false;
+
+  auto alone = EngineSession::Create(*compiled, options);
+  ASSERT_TRUE(alone.ok()) << alone.status();
+  const std::vector<PlannerCounts> expected =
+      DriveCountingPlanner(alone->get(), ops, nullptr);
+  ASSERT_FALSE(expected.empty());
+  size_t probes = 0, built = 0;
+  for (const PlannerCounts& c : expected) {
+    probes += c.index_probes;
+    built += c.indexes_built;
+  }
+  ASSERT_GT(probes, 0u) << "the schedule never probes an index";
+  ASSERT_GT(built, 0u) << "the schedule never builds an index";
+
+  auto first = EngineSession::Create(*compiled, options);
+  auto second = EngineSession::Create(*compiled, options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(second.ok()) << second.status();
+  std::barrier<> sync(2);
+  std::vector<PlannerCounts> seen[2];
+  std::thread other([&] {
+    seen[1] = DriveCountingPlanner(second->get(), ops, &sync);
+  });
+  seen[0] = DriveCountingPlanner(first->get(), ops, &sync);
+  other.join();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(seen[i].size(), expected.size());
+    for (size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_TRUE(seen[i][k] == expected[k])
+          << "session " << i << ", advance " << k << ": indexes_built "
+          << seen[i][k].indexes_built << " vs " << expected[k].indexes_built
+          << ", index_probes " << seen[i][k].index_probes << " vs "
+          << expected[k].index_probes << ", vm_recompiles "
+          << seen[i][k].vm_recompiles << " vs " << expected[k].vm_recompiles;
+    }
+  }
+  EXPECT_EQ(SerializeDatabase((*first)->db()),
+            SerializeDatabase((*alone)->db()));
+  EXPECT_EQ(SerializeDatabase((*second)->db()),
+            SerializeDatabase((*alone)->db()));
 }
 
 TEST(StreamingSessionTest, EthPerpLiveWindowKeepsSuffixAndMatchesColdReplay) {

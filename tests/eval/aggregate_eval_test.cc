@@ -4,6 +4,7 @@
 
 #include "src/eval/vm.h"
 #include "src/parser/parser.h"
+#include "tests/testing/compile_rule.h"
 #include "tests/testing/oracle_eval.h"
 
 namespace dmtl {
@@ -18,7 +19,7 @@ std::string Derive(const char* rule_text, const char* facts_text) {
   EXPECT_TRUE(rule.ok()) << rule.status();
   auto db = Parser::ParseDatabase(facts_text);
   EXPECT_TRUE(db.ok()) << db.status();
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   EXPECT_TRUE(vm.ok()) << vm.status();
   auto agg = AggregateEvaluator::Create(*rule);
   EXPECT_TRUE(agg.ok()) << agg.status();

@@ -10,6 +10,7 @@
 #include "src/eval/seminaive.h"
 #include "src/eval/vm.h"
 #include "src/parser/parser.h"
+#include "tests/testing/compile_rule.h"
 #include "tests/testing/oracle_eval.h"
 
 namespace dmtl {
@@ -20,7 +21,7 @@ std::string Derive(const char* rule_text, const char* facts_text) {
   EXPECT_TRUE(rule.ok()) << rule.status();
   auto db = Parser::ParseDatabase(facts_text);
   EXPECT_TRUE(db.ok()) << db.status();
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   EXPECT_TRUE(vm.ok()) << vm.status();
   if (!vm.ok()) return "";
   Database derived;
@@ -97,7 +98,7 @@ TEST(RuleEvalEdgeTest, AssignmentAsEqualityFilterOnAtomVariable) {
 TEST(RuleEvalEdgeTest, EvaluationErrorsPropagate) {
   auto rule = Parser::ParseRule("q(A, C) :- p(A, X), C = X / 0.0 .");
   auto db = Parser::ParseDatabase("p(a, 1.0)@1 .");
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   ASSERT_TRUE(vm.ok()) << vm.status();
   Status status = (*vm)->Evaluate(
       *db, nullptr, -1,
@@ -108,7 +109,7 @@ TEST(RuleEvalEdgeTest, EvaluationErrorsPropagate) {
 TEST(RuleEvalEdgeTest, EmitErrorsPropagate) {
   auto rule = Parser::ParseRule("q(X) :- p(X) .");
   auto db = Parser::ParseDatabase("p(a)@1 .");
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   ASSERT_TRUE(vm.ok()) << vm.status();
   Status status = (*vm)->Evaluate(
       *db, nullptr, -1, [](const Tuple&, const IntervalSet&) {
@@ -125,7 +126,7 @@ TEST(RuleEvalEdgeTest, ArityMismatchedTuplesAreSkipped) {
   db.Insert("p", {Value::Symbol("a"), Value::Symbol("b")},
             Interval::Point(Rational(1)));
   auto rule = Parser::ParseRule("q(X) :- p(X) .");
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   ASSERT_TRUE(vm.ok()) << vm.status();
   Database derived;
   ASSERT_TRUE((*vm)->Evaluate(db, nullptr, -1,

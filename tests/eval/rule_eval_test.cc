@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/parser/parser.h"
+#include "tests/testing/compile_rule.h"
 
 namespace dmtl {
 namespace {
@@ -14,7 +15,7 @@ std::string Derive(const char* rule_text, const char* facts_text) {
   EXPECT_TRUE(rule.ok()) << rule.status();
   auto db = Parser::ParseDatabase(facts_text);
   EXPECT_TRUE(db.ok()) << db.status();
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   EXPECT_TRUE(vm.ok()) << vm.status();
   if (!vm.ok()) return "";
   Database derived;
@@ -91,7 +92,7 @@ TEST(RuleEvalTest, TimestampSplitsPunctualExtents) {
 TEST(RuleEvalTest, TimestampOnIntervalExtentFails) {
   auto rule = Parser::ParseRule("at(A, T) :- p(A), timestamp(T) .");
   auto db = Parser::ParseDatabase("p(x)@[1,5] .");
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   ASSERT_TRUE(vm.ok()) << vm.status();
   Status status = (*vm)->Evaluate(
       *db, nullptr, -1,
@@ -133,7 +134,7 @@ TEST(RuleEvalTest, DeltaRestrictionLimitsDerivations) {
   Database delta;
   delta.Insert("p", {Value::Symbol("x")},
                Interval::Closed(Rational(8), Rational(10)));
-  auto vm = RuleVm::Create(*rule);
+  auto vm = CompileRule(*rule);
   ASSERT_TRUE(vm.ok()) << vm.status();
   Database derived;
   Status status = (*vm)->Evaluate(

@@ -135,10 +135,20 @@ TEST(SemiNaiveTest, MaxIntervalsBudget) {
 }
 
 TEST(SemiNaiveTest, InvalidProgramsRejectedUpfront) {
-  auto unsafe = Parser::Parse("p(X, Y) :- q(X) .\n q(a)@1 .");
+  // The Program overload compiles inside the timed run, so a program that
+  // fails to compile still gets its stop diagnostics and wall time, and
+  // leaves the database as it was.
+  auto unsafe = Parser::Parse("p(X, Y) :- q(X) .\n q(a)@1 . q(b)@2 .");
   Database db1 = unsafe->database;
-  EXPECT_EQ(Materialize(unsafe->program, &db1).code(),
+  EngineStats stats;
+  stats.rounds = 99;
+  EXPECT_EQ(Materialize(unsafe->program, &db1, {}, &stats).code(),
             StatusCode::kUnsafeRule);
+  EXPECT_EQ(stats.stop_reason, StopReason::kError);
+  EXPECT_EQ(stats.rounds, 0u);
+  EXPECT_EQ(stats.intervals_at_stop, 2u);
+  EXPECT_GT(stats.wall_seconds, 0.0);
+  EXPECT_EQ(db1.ToString(), unsafe->database.ToString());
 
   auto unstrat = Parser::Parse(
       "p(X) :- b(X), not q(X) .\n"

@@ -17,10 +17,13 @@
 #include "src/common/fault_injector.h"
 #include "src/common/thread_pool.h"
 #include "src/contracts/eth_perp_program.h"
+#include "src/eval/compiled_program.h"
 #include "src/fleet/scheduler.h"
 #include "src/fleet/server.h"
 #include "src/fleet/workload.h"
+#include "src/parser/parser.h"
 #include "src/storage/serialize.h"
+#include "src/storage/snapshot.h"
 
 namespace dmtl {
 namespace {
@@ -233,6 +236,76 @@ TEST(FleetServerTest, PassivationReleasesAndReactivatesWarm) {
       << "passivated fleet session diverged from its batch twin";
 }
 
+TEST(FleetServerTest, WorkersShareOneCompiledProgram) {
+  // Every hosted session runs the one program compiled at registration:
+  // 64 sessions on 4 workers, created in round 1 and reactivated from
+  // their passivation checkpoints in round 2, each end byte-identical to
+  // its batch twin and checkpoint against the program's fingerprint.
+  auto program = EthPerpProgram();
+  ASSERT_TRUE(program.ok()) << program.status();
+  const uint64_t fingerprint = ProgramFingerprint(program.value());
+
+  FleetOptions fopts;
+  fopts.num_threads = 4;
+  fopts.passivate_drained = true;
+  auto server = FleetServer::Create(fopts);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->RegisterProgram("eth-perp", program.value()).ok());
+
+  const int kSessions = 64;
+  std::vector<Session> sessions;
+  std::vector<SessionKey> keys;
+  std::vector<std::vector<FleetOp>> second_halves;
+  for (const WorkloadConfig& config : ShardConfigs(SmallConfig(), kSessions)) {
+    auto session = GenerateSession(config);
+    ASSERT_TRUE(session.ok()) << session.status();
+    SessionKey key{"eth-perp", 0, config.name};
+    std::vector<FleetOp> ops = SessionToOps(*session);
+    const size_t half = ops.size() / 2;
+    ASSERT_TRUE((*server)->Open(key, Rational(session->start_time)).ok());
+    ASSERT_TRUE((*server)
+                    ->Enqueue(key, std::vector<FleetOp>(ops.begin(),
+                                                        ops.begin() + half))
+                    .ok());
+    second_halves.emplace_back(ops.begin() + half, ops.end());
+    sessions.push_back(*std::move(session));
+    keys.push_back(key);
+  }
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      for (int i = 0; i < kSessions; ++i) {
+        ASSERT_TRUE((*server)->Enqueue(keys[i], second_halves[i]).ok());
+      }
+    }
+    auto reports = (*server)->Drain();
+    ASSERT_TRUE(reports.ok()) << reports.status();
+    ASSERT_EQ(reports->size(), static_cast<size_t>(kSessions));
+    for (int i = 0; i < kSessions; ++i) {
+      const SessionReport& report = (*reports)[i];
+      ASSERT_TRUE(report.ok()) << keys[i].ToString() << ": " << report.status;
+      EXPECT_FALSE(report.retried) << keys[i].ToString();
+      EXPECT_EQ((*server)->Find(keys[i]), nullptr)
+          << keys[i].ToString() << " was not passivated";
+    }
+  }
+
+  auto compiled = CompiledProgram::Create(program.value());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  for (int i = 0; i < kSessions; ++i) {
+    auto checkpoint = (*server)->Checkpoint(keys[i]);
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+    EXPECT_EQ(checkpoint->program_fingerprint, fingerprint)
+        << keys[i].ToString();
+    SessionOptions sopts;
+    sopts.start_time = Rational(sessions[i].start_time);
+    auto restored = EngineSession::Restore(*compiled, sopts, *checkpoint);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(SerializeDatabase((*restored)->db()),
+              BatchText(program.value(), sessions[i]))
+        << keys[i].ToString() << " diverged from its batch twin";
+  }
+}
+
 TEST(FleetServerTest, RegistrationAndAdmissionErrors) {
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok());
@@ -251,12 +324,42 @@ TEST(FleetServerTest, RegistrationAndAdmissionErrors) {
   ASSERT_TRUE(fleet.RegisterProgram("p", program.value()).ok());
   EXPECT_FALSE(fleet.RegisterProgram("p", program.value()).ok());
 
+  // Programs are compiled at registration: an unsafe rule, a negation
+  // cycle and a rule a stream cannot run are refused there, with the
+  // compile error, and never reach Drain.
+  struct Refused {
+    const char* name;
+    const char* text;
+    StatusCode code;
+  };
+  for (const Refused& bad : {
+           Refused{"unsafe", "q(X, Y) :- p(X) .\n", StatusCode::kUnsafeRule},
+           Refused{"cycle",
+                   "a(X) :- p(X), not b(X) .\nb(X) :- p(X), not a(X) .\n",
+                   StatusCode::kNotStratifiable},
+           Refused{"future", "q(X) :- diamondplus[0,2] p(X) .\n",
+                   StatusCode::kInvalidArgument},
+       }) {
+    SCOPED_TRACE(bad.name);
+    auto unit = Parser::Parse(bad.text);
+    ASSERT_TRUE(unit.ok()) << unit.status();
+    Status registered = fleet.RegisterProgram(bad.name, unit->program);
+    EXPECT_EQ(registered.code(), bad.code) << registered;
+    EXPECT_FALSE(fleet.Open(SessionKey{bad.name, 0, "s0"}, Rational(0)).ok());
+  }
+  EXPECT_EQ(fleet.num_sessions(), 0u);
+  auto drained = fleet.Drain();
+  ASSERT_TRUE(drained.ok()) << drained.status();
+  EXPECT_TRUE(drained->empty());
+
   SessionKey unknown{"nope", 0, "s0"};
   EXPECT_FALSE(fleet.Open(unknown, Rational(0)).ok());
   EXPECT_FALSE(fleet.Enqueue(unknown, {}).ok());
   EXPECT_EQ(fleet.Find(unknown), nullptr);
 
   SessionKey key{"p", 0, "s0"};
+  EXPECT_FALSE(fleet.Open(key, Rational(0), Rational(0)).ok())
+      << "a horizon must be positive";
   ASSERT_TRUE(fleet.Open(key, Rational(0)).ok());
   EXPECT_FALSE(fleet.Open(key, Rational(0)).ok());
   // Open but never drained: no live session yet.
