@@ -102,14 +102,13 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(rep_); }
 
   const Status& status() const {
-    static const Status kOkStatus;
     if (ok()) return kOkStatus;
     return std::get<Status>(rep_);
   }
 
   const T& value() const& { return std::get<T>(rep_); }
   T& value() & { return std::get<T>(rep_); }
-  T&& value() && { return std::get<T>(std::move(rep_)); }
+  T value() && { return std::move(std::get<T>(rep_)); }
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
@@ -117,6 +116,9 @@ class Result {
   T* operator->() { return &value(); }
 
  private:
+  // A class constant, not a function-local static: the local's guarded
+  // initialization made GCC assume every Result could hold a Status.
+  static inline const Status kOkStatus;
   std::variant<T, Status> rep_;
 };
 

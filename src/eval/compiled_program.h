@@ -23,7 +23,7 @@ struct StreamingReach {
   Rational reach;  // max forward reach R over positive atoms
   bool reach_inf = false;
   // The same maximum over every relational atom, negated ones included:
-  // the retraction cut-off's band width (see IncrementalMaterializer).
+  // the slide cut-off's band width (see EngineSession).
   Rational cutoff;
   bool cutoff_inf = false;
 };

@@ -156,7 +156,10 @@ FixpointDriver::Counters FixpointDriver::Snapshot() const {
 Status FixpointDriver::Run(Database* db, const Interval& window,
                            Database* seeds,
                            std::vector<DerivationRecord>* provenance,
-                           EngineStats* stats, const ExecutionGuard* guard) {
+                           EngineStats* stats,
+                           std::chrono::steady_clock::time_point start) {
+  ExecutionGuard run_guard(options_.deadline, options_.cancel_token);
+  const ExecutionGuard* guard = run_guard.enabled() ? &run_guard : nullptr;
   if (db != bound_db_) {
     InvalidateCompiledState();
     bound_db_ = db;
@@ -187,6 +190,8 @@ Status FixpointDriver::Run(Database* db, const Interval& window,
   for (const RuleVm& vm : vms_) {
     stats->rule_plan_cost.push_back(vm.planner_stats().last_plan_cost);
   }
+  stats->guard_checks += run_guard.checks();
+  FinishRun(status, *db, start, stats);
   return status;
 }
 
@@ -374,7 +379,13 @@ Status FixpointDriver::RunRound(const std::vector<RoundTask>& tasks,
   return Status::Ok();
 }
 
-void RecordStopReason(const Status& status, EngineStats* stats) {
+void FinishRun(const Status& status, const Database& db,
+               std::chrono::steady_clock::time_point start,
+               EngineStats* stats) {
+  stats->intervals_at_stop = db.NumIntervals();
+  stats->wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   if (status.ok() || stats->stop_reason != StopReason::kCompleted) return;
   switch (status.code()) {
     case StatusCode::kDeadlineExceeded:

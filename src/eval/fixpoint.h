@@ -1,6 +1,7 @@
 #ifndef DMTL_EVAL_FIXPOINT_H_
 #define DMTL_EVAL_FIXPOINT_H_
 
+#include <chrono>
 #include <vector>
 
 #include "src/common/execution_guard.h"
@@ -13,8 +14,8 @@
 namespace dmtl {
 
 // The stratum-by-stratum semi-naive chase, shared by batch materialization
-// (Materialize builds one per call) and the streaming engine
-// (IncrementalMaterializer keeps one for the session's lifetime). The
+// (Materialize builds one per call) and streaming sessions (EngineSession
+// keeps one for the session's lifetime). The
 // stratification and the rule plans are the CompiledProgram's; the driver
 // owns only per-run state: one rule VM per rule.
 //
@@ -42,12 +43,16 @@ class FixpointDriver {
   //    strata see it.
   //
   // Emissions carry provenance into `provenance` when non-null. Counters
-  // are added to `stats`. On any failure the round in progress is rolled
-  // back (the store and `provenance` sit at the last completed round
-  // barrier) and `stats` names the stratum and round. Never throws.
+  // are added to `stats`. The run is guarded by a fresh ExecutionGuard
+  // over the options' deadline and cancellation token. On any failure the
+  // round in progress is rolled back (the store and `provenance` sit at
+  // the last completed round barrier) and `stats` names the stratum and
+  // round. Every exit finishes `stats` as FinishRun does, with wall time
+  // counted from `start`, and adds the guard's checks. Never throws.
   Status Run(Database* db, const Interval& window, Database* seeds,
              std::vector<DerivationRecord>* provenance, EngineStats* stats,
-             const ExecutionGuard* guard);
+             std::chrono::steady_clock::time_point start =
+                 std::chrono::steady_clock::now());
 
   // Drops the VMs' compiled programs, which hold relation and index
   // pointers into the database they last ran on. Run does this itself
@@ -95,9 +100,13 @@ class FixpointDriver {
   const Database* bound_db_ = nullptr;  // the database the VMs last ran on
 };
 
-// Maps a failed run's status onto stats->stop_reason, unless the run
-// already recorded a more specific reason (kMaxRounds).
-void RecordStopReason(const Status& status, EngineStats* stats);
+// Finishes a run's stop diagnostics: intervals_at_stop is `db`'s size,
+// wall_seconds the time since `start`, and a failed `status` maps onto
+// stop_reason, unless the run already recorded a more specific reason
+// (kMaxRounds).
+void FinishRun(const Status& status, const Database& db,
+               std::chrono::steady_clock::time_point start,
+               EngineStats* stats);
 
 }  // namespace dmtl
 

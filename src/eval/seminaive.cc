@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "src/eval/fixpoint.h"
 
@@ -96,10 +97,10 @@ std::string EngineStats::ToString() const {
 
 namespace {
 
-// The one timed and finalized run behind both Materialize overloads. It
-// runs `compiled`, or, when that is null, compiles `source` first, so
-// wall_seconds counts the compile and a program that fails to compile
-// finalizes its stats like any other failure.
+// The one run behind both Materialize overloads. It runs `compiled`, or,
+// when that is null, compiles `source` first, so wall_seconds counts the
+// compile and a program that fails to compile finalizes its stats like any
+// other failure.
 Status MaterializeTimed(const Program* source, const CompiledProgram* compiled,
                         Database* db, const EngineOptions& options,
                         EngineStats* stats) {
@@ -108,35 +109,26 @@ Status MaterializeTimed(const Program* source, const CompiledProgram* compiled,
   if (stats == nullptr) stats = &local_stats;
   *stats = EngineStats();
 
-  // The guard lives here (not in the driver) so every exit path - including
-  // validation errors before evaluation starts - finalizes diagnostics the
-  // same way.
-  ExecutionGuard guard(options.deadline, options.cancel_token);
-  const ExecutionGuard* gptr = guard.enabled() ? &guard : nullptr;
-
-  Status status = [&]() -> Status {
-    if (options.min_time.has_value() && options.max_time.has_value() &&
-        *options.max_time < *options.min_time) {
-      return Status::InvalidArgument("max_time precedes min_time");
-    }
-    std::shared_ptr<const CompiledProgram> owned;
-    if (compiled == nullptr) {
-      DMTL_ASSIGN_OR_RETURN(owned, CompiledProgram::Create(*source));
-      compiled = owned.get();
-    }
-    FixpointDriver driver(*compiled, options);
-    return driver.Run(db, HorizonWindow(options), nullptr, options.provenance,
-                      stats, gptr);
-  }();
-
-  stats->guard_checks = guard.checks();
-  stats->intervals_at_stop = db->NumIntervals();
-  stats->wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time)
-          .count();
-  RecordStopReason(status, stats);
-  return status;
+  // A run finishes its own stats; errors before it finish them here.
+  auto fail = [&](Status status) {
+    FinishRun(status, *db, start_time, stats);
+    return status;
+  };
+  if (options.min_time.has_value() && options.max_time.has_value() &&
+      *options.max_time < *options.min_time) {
+    return fail(Status::InvalidArgument("max_time precedes min_time"));
+  }
+  std::shared_ptr<const CompiledProgram> owned;
+  if (compiled == nullptr) {
+    Result<std::shared_ptr<const CompiledProgram>> created =
+        CompiledProgram::Create(*source);
+    if (!created.ok()) return fail(created.status());
+    owned = std::move(created).value();
+    compiled = owned.get();
+  }
+  FixpointDriver driver(*compiled, options);
+  return driver.Run(db, HorizonWindow(options), nullptr, options.provenance,
+                    stats, start_time);
 }
 
 }  // namespace

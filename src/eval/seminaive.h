@@ -41,8 +41,9 @@ struct EngineOptions {
   // Hard cap on fixpoint rounds per stratum.
   size_t max_rounds = 10'000'000;
 
-  // Wall-clock budget for the whole materialization, measured from the
-  // Materialize call; exceeded -> kDeadlineExceeded. Checked at round
+  // Wall-clock budget for each fixpoint run, measured from the run's start
+  // (a Materialize call's run starts once its program is compiled);
+  // exceeded -> kDeadlineExceeded. Checked at round
   // barriers, every few hundred emissions, and every few thousand candidate
   // tuples inside joins, so even one divergent rule observes it within
   // milliseconds. On a trip the database is left at the last completed
@@ -101,7 +102,7 @@ struct EngineStats {
   // Interval pieces discarded when the aborted round was rolled back.
   size_t rolled_back_intervals = 0;
   uint64_t guard_checks = 0;        // deadline/cancellation checks performed
-  // Streaming slides only (IncrementalMaterializer::Retract): true when the
+  // Streaming slides only (EngineSession::Slide): true when the
   // convergence cut-off held and the stored suffix above the cut-off was
   // kept; false when the slide rebuilt the whole window.
   bool retract_suffix_kept = false;

@@ -138,7 +138,7 @@ class FleetServer {
   // Compiles a rule set once (CompiledProgram::Create) and registers it
   // under `name`; every session of the name shares the compiled program.
   // A program that fails to compile or is not streaming-eligible (see
-  // IncrementalMaterializer::Create) is refused here, with that error, so
+  // CompiledProgram::streaming_status) is refused here, with that error, so
   // it never reaches Drain. Registering twice under one name is an error.
   Status RegisterProgram(const std::string& name, Program program);
 

@@ -1,7 +1,6 @@
 #include "src/temporal/interval_set.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <vector>
 
@@ -12,7 +11,9 @@ namespace {
 using Component = IntervalSet::Component;
 using ComponentVec = IntervalSet::ComponentVec;
 
-std::atomic<uint64_t> g_bulk_merges{0};
+// Per thread: one run stays on one thread, so its before/after difference
+// counts its own sweeps only.
+thread_local uint64_t g_bulk_merges = 0;
 
 // The complement flips inclusion at a cut point: the piece left of a closed
 // bound ends open at the same value, and vice versa.
@@ -123,7 +124,7 @@ bool IntervalSet::Component::Contains(const Rational& t) const {
 }
 
 uint64_t IntervalSet::BulkMergeCount() {
-  return g_bulk_merges.load(std::memory_order_relaxed);
+  return g_bulk_merges;
 }
 
 // --- the normalizer -------------------------------------------------------
@@ -254,7 +255,7 @@ void IntervalSet::AppendPoints(const Component& c, int64_t k0, int64_t k1) {
 IntervalSet IntervalSet::FromIntervals(const std::vector<Interval>& ivs) {
   IntervalSet out;
   if (ivs.empty()) return out;
-  g_bulk_merges.fetch_add(1, std::memory_order_relaxed);
+  ++g_bulk_merges;
   auto starts_before = [](const Interval& a, const Interval& b) {
     return a.StartsBefore(b);
   };
@@ -339,7 +340,7 @@ void IntervalSet::UnionWith(const IntervalSet& other) {
     return;
   }
   if (other.comps_.size() > 1) {
-    g_bulk_merges.fetch_add(1, std::memory_order_relaxed);
+    ++g_bulk_merges;
   }
   MergeTail(other, nullptr);
 }
@@ -355,7 +356,7 @@ IntervalSet IntervalSet::UnionWithDelta(const IntervalSet& other) {
   // Only a multi-component merge that added coverage counts as a bulk
   // sweep.
   if (other.comps_.size() > 1 && !fresh.IsEmpty()) {
-    g_bulk_merges.fetch_add(1, std::memory_order_relaxed);
+    ++g_bulk_merges;
   }
   return fresh;
 }

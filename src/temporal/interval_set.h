@@ -165,9 +165,10 @@ class IntervalSet {
   // True iff every piece is a single point; fills `points` if non-null.
   bool IsPunctualOnly(std::vector<Rational>* points = nullptr) const;
 
-  // Process-wide count of bulk coalescing sweeps (UnionWith/UnionWithDelta
-  // merges and FromIntervals builds), surfaced in EngineStats. Monotone and
-  // global: callers snapshot before/after the region they account.
+  // Count of bulk coalescing sweeps (UnionWith/UnionWithDelta merges and
+  // FromIntervals builds) made on the calling thread, surfaced in
+  // EngineStats. Monotone: callers snapshot before/after the region they
+  // account, which sweeps on other threads never enter.
   static uint64_t BulkMergeCount();
 
   // "{[1,3) [5,5]}".

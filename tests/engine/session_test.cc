@@ -25,7 +25,6 @@
 #include "src/engine/reasoner.h"
 #include "src/engine/session.h"
 #include "src/eval/compiled_program.h"
-#include "src/eval/incremental.h"
 #include "src/fleet/workload.h"
 #include "src/parser/parser.h"
 #include "src/storage/serialize.h"
@@ -260,7 +259,7 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedAtCreate) {
 
 TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
   // A fresh session and a restore must both refuse what compiling the
-  // program and then IncrementalMaterializer::Create refuse, with the same
+  // program and then its streaming eligibility check refuse, with the same
   // first error: safety, stratification and rule-walk failures alike (the
   // later cases fail two checks, so the order shows).
   for (const char* text : {
@@ -275,14 +274,10 @@ TEST(StreamingSessionTest, IneligibleProgramsAreRefusedOnEveryBranch) {
     auto unit = Parser::Parse(text);
     ASSERT_TRUE(unit.ok()) << unit.status();
     SessionOptions options = Opts(0);
-    Database scratch;
-    EngineOptions engine = options.engine;
-    engine.min_time = Rational(0);
     Status reference = [&]() -> Status {
       DMTL_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledProgram> compiled,
                             CompiledProgram::Create(unit->program));
-      return IncrementalMaterializer::Create(compiled, &scratch, engine)
-          .status();
+      return compiled->streaming_status();
     }();
     ASSERT_FALSE(reference.ok());
 
@@ -366,23 +361,24 @@ TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
   ExpectMatchesColdReplay(**session, "frs", "eth-perp final checkpoint");
 }
 
-// The planner counters one advance reports.
-struct PlannerCounts {
+// The per-session counters one advance reports.
+struct RunCounts {
   size_t indexes_built = 0;
   size_t index_probes = 0;
   size_t vm_recompiles = 0;
+  size_t bulk_merges = 0;
   std::vector<double> rule_plan_cost;
 
-  bool operator==(const PlannerCounts&) const = default;
+  bool operator==(const RunCounts&) const = default;
 };
 
-// Feeds `ops` to `session` and returns each advance's planner counters.
-// With `sync` set, waits there before every op, so a twin fed the same ops
-// on another thread runs each of its advances alongside this one's.
-std::vector<PlannerCounts> DriveCountingPlanner(
-    EngineSession* session, const std::vector<FleetOp>& ops,
-    std::barrier<>* sync) {
-  std::vector<PlannerCounts> out;
+// Feeds `ops` to `session` and returns each advance's counters. With
+// `sync` set, waits there before every op, so a twin fed the same ops on
+// another thread runs each of its advances alongside this one's.
+std::vector<RunCounts> DriveCounting(EngineSession* session,
+                                     const std::vector<FleetOp>& ops,
+                                     std::barrier<>* sync) {
+  std::vector<RunCounts> out;
   for (const FleetOp& op : ops) {
     if (sync != nullptr) sync->arrive_and_wait();
     Status status = Status::Ok();
@@ -397,7 +393,8 @@ std::vector<PlannerCounts> DriveCountingPlanner(
         EngineStats stats;
         status = session->Advance(op.t, &stats);
         out.push_back({stats.planner_indexes_built, stats.planner_index_probes,
-                       stats.vm_recompiles, stats.rule_plan_cost});
+                       stats.vm_recompiles, stats.bulk_merges,
+                       stats.rule_plan_cost});
         break;
       }
       case FleetOp::Kind::kSlide:
@@ -409,10 +406,53 @@ std::vector<PlannerCounts> DriveCountingPlanner(
   return out;
 }
 
+// Runs `ops` on one session alone, then on two sessions of `program` at
+// once on two threads, each op of one alongside the same op of the other,
+// and expects every concurrent advance to report the counts of the lone
+// one, and both databases to end equal to the lone session's. Returns the
+// lone session's counts.
+std::vector<RunCounts> ExpectConcurrentCountsMatchAlone(
+    const std::shared_ptr<const CompiledProgram>& program,
+    const SessionOptions& options, const std::vector<FleetOp>& ops) {
+  auto alone = EngineSession::Create(program, options);
+  EXPECT_TRUE(alone.ok()) << alone.status();
+  if (!alone.ok()) return {};
+  const std::vector<RunCounts> expected =
+      DriveCounting(alone->get(), ops, nullptr);
+
+  auto first = EngineSession::Create(program, options);
+  auto second = EngineSession::Create(program, options);
+  EXPECT_TRUE(first.ok() && second.ok());
+  if (!first.ok() || !second.ok()) return {};
+  std::barrier<> sync(2);
+  std::vector<RunCounts> seen[2];
+  std::thread other(
+      [&] { seen[1] = DriveCounting(second->get(), ops, &sync); });
+  seen[0] = DriveCounting(first->get(), ops, &sync);
+  other.join();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(seen[i].size(), expected.size());
+    for (size_t k = 0; k < expected.size() && k < seen[i].size(); ++k) {
+      EXPECT_TRUE(seen[i][k] == expected[k])
+          << "session " << i << ", advance " << k << ": indexes_built "
+          << seen[i][k].indexes_built << " vs " << expected[k].indexes_built
+          << ", index_probes " << seen[i][k].index_probes << " vs "
+          << expected[k].index_probes << ", vm_recompiles "
+          << seen[i][k].vm_recompiles << " vs " << expected[k].vm_recompiles
+          << ", bulk_merges " << seen[i][k].bulk_merges << " vs "
+          << expected[k].bulk_merges;
+    }
+  }
+  EXPECT_EQ(SerializeDatabase((*first)->db()),
+            SerializeDatabase((*alone)->db()));
+  EXPECT_EQ(SerializeDatabase((*second)->db()),
+            SerializeDatabase((*alone)->db()));
+  return expected;
+}
+
 TEST(StreamingSessionTest, SharedProgramKeepsPlannerCountersPerSession) {
   // Two sessions of one compiled program, advancing at the same time on two
-  // threads, must each count only their own planner work: the same counts,
-  // advance by advance, as one session alone.
+  // threads, must each count only their own planner work.
   auto program = EthPerpProgram();
   ASSERT_TRUE(program.ok()) << program.status();
   auto compiled = CompiledProgram::Create(*program);
@@ -425,50 +465,56 @@ TEST(StreamingSessionTest, SharedProgramKeepsPlannerCountersPerSession) {
   config.seed = 11;
   auto generated = GenerateSession(config);
   ASSERT_TRUE(generated.ok()) << generated.status();
-  const std::vector<FleetOp> ops = SessionToOps(*generated);
   SessionOptions options;
   options.start_time = Rational(generated->start_time);
   options.track_provenance = false;
 
-  auto alone = EngineSession::Create(*compiled, options);
-  ASSERT_TRUE(alone.ok()) << alone.status();
-  const std::vector<PlannerCounts> expected =
-      DriveCountingPlanner(alone->get(), ops, nullptr);
+  const std::vector<RunCounts> expected = ExpectConcurrentCountsMatchAlone(
+      *compiled, options, SessionToOps(*generated));
   ASSERT_FALSE(expected.empty());
   size_t probes = 0, built = 0;
-  for (const PlannerCounts& c : expected) {
+  for (const RunCounts& c : expected) {
     probes += c.index_probes;
     built += c.indexes_built;
   }
-  ASSERT_GT(probes, 0u) << "the schedule never probes an index";
-  ASSERT_GT(built, 0u) << "the schedule never builds an index";
+  EXPECT_GT(probes, 0u) << "the schedule never probes an index";
+  EXPECT_GT(built, 0u) << "the schedule never builds an index";
+}
 
-  auto first = EngineSession::Create(*compiled, options);
-  auto second = EngineSession::Create(*compiled, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_TRUE(second.ok()) << second.status();
-  std::barrier<> sync(2);
-  std::vector<PlannerCounts> seen[2];
-  std::thread other([&] {
-    seen[1] = DriveCountingPlanner(second->get(), ops, &sync);
-  });
-  seen[0] = DriveCountingPlanner(first->get(), ops, &sync);
-  other.join();
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_EQ(seen[i].size(), expected.size());
-    for (size_t k = 0; k < expected.size(); ++k) {
-      EXPECT_TRUE(seen[i][k] == expected[k])
-          << "session " << i << ", advance " << k << ": indexes_built "
-          << seen[i][k].indexes_built << " vs " << expected[k].indexes_built
-          << ", index_probes " << seen[i][k].index_probes << " vs "
-          << expected[k].index_probes << ", vm_recompiles "
-          << seen[i][k].vm_recompiles << " vs " << expected[k].vm_recompiles;
+TEST(StreamingSessionTest, ConcurrentSessionsCountOwnBulkMerges) {
+  // The same for EngineStats::bulk_merges. Every advance pushes three
+  // points per tuple, three apart, so the rule emits three-piece extents
+  // onto tuples already stored: each advance makes bulk merges.
+  auto unit = Parser::Parse(
+      "q(X) :- diamondminus[0,1] p(X) .\n"
+      "r(X) :- boxminus[0,1] q(X), not s(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto compiled = CompiledProgram::Create(unit->program);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  std::vector<FleetOp> ops;
+  for (int64_t band = 1; band <= 24; ++band) {
+    for (int k = 0; k < 48; ++k) {
+      const Value c = Value::Symbol("c" + std::to_string(k));
+      for (int64_t j = 0; j < 3; ++j) {
+        ops.push_back(FleetOp::Push(Fact::Make(
+            "p", {c}, Interval::Point(Rational(band * 10 + 3 * j + 1)))));
+      }
+      if (k % 3 == 0) {
+        ops.push_back(FleetOp::Push(
+            Fact::Make("s", {c}, Interval::Point(Rational(band * 10 + 5)))));
+      }
     }
+    ops.push_back(FleetOp::Advance(Rational(band * 10 + 10)));
   }
-  EXPECT_EQ(SerializeDatabase((*first)->db()),
-            SerializeDatabase((*alone)->db()));
-  EXPECT_EQ(SerializeDatabase((*second)->db()),
-            SerializeDatabase((*alone)->db()));
+  SessionOptions options = Opts(10);
+  options.track_provenance = false;
+
+  const std::vector<RunCounts> expected =
+      ExpectConcurrentCountsMatchAlone(*compiled, options, ops);
+  ASSERT_EQ(expected.size(), 24u);
+  for (size_t k = 1; k < expected.size(); ++k) {
+    EXPECT_GT(expected[k].bulk_merges, 0u) << "advance " << k;
+  }
 }
 
 TEST(StreamingSessionTest, EthPerpLiveWindowKeepsSuffixAndMatchesColdReplay) {
@@ -899,6 +945,85 @@ TEST_P(StreamingFuzzTest, CheckpointsMatchColdReplay) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingFuzzTest,
                          ::testing::Range<uint64_t>(1, 41));
+
+// Metamorphic property: the order of the Push calls among facts that share
+// a start time is invisible. A session fed every same-time group in a
+// seeded random order stays byte-identical to the session fed the stream's
+// own order, and to its cold replay, after every operation: each group of
+// pushes, each advance, and one slide.
+class StreamingPushOrderTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StreamingPushOrderTest, SameTimePushOrderIsInvisible) {
+  StreamFuzzer fuzzer(GetParam());
+  std::string text = fuzzer.GenerateProgram();
+  auto unit = Parser::Parse(text);
+  ASSERT_TRUE(unit.ok()) << unit.status() << "\nprogram:\n" << text;
+  // Forty facts on eight start times (1, 4, ..., 22): every group holds
+  // several facts.
+  std::vector<Fact> stream;
+  for (int f = 0; f < 40; ++f) {
+    const int lo = 1 + 3 * fuzzer.Pick(8);
+    stream.push_back(Fact::Make(
+        "p" + std::to_string(fuzzer.Pick(3)),
+        {Value::Symbol("c" + std::to_string(fuzzer.Pick(4)))},
+        Interval::Closed(Rational(lo), Rational(lo + fuzzer.Pick(5)))));
+  }
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Fact& a, const Fact& b) {
+                     return a.interval.lo().value < b.interval.lo().value;
+                   });
+  std::vector<Fact> permuted = stream;
+  std::mt19937_64 rng(GetParam() * 7919);
+  for (size_t b = 0; b < permuted.size();) {
+    size_t e = b + 1;
+    const Rational& lo = permuted[b].interval.lo().value;
+    while (e < permuted.size() && permuted[e].interval.lo().value == lo) ++e;
+    std::shuffle(permuted.begin() + b, permuted.begin() + e, rng);
+    b = e;
+  }
+
+  SessionOptions options = Opts(0);
+  auto in_order = EngineSession::Create(unit->program, options);
+  auto shuffled = EngineSession::Create(unit->program, options);
+  ASSERT_TRUE(in_order.ok()) << in_order.status();
+  ASSERT_TRUE(shuffled.ok()) << shuffled.status();
+  EngineSession& a = **in_order;
+  EngineSession& b = **shuffled;
+  auto expect_identical = [&](const std::string& label) {
+    const std::string want = SerializeDatabase(a.db());
+    EXPECT_EQ(SerializeDatabase(b.db()), want)
+        << label << ": push order changed the database\nprogram:\n"
+        << text;
+    auto cold = b.ColdReplay();
+    ASSERT_TRUE(cold.ok()) << label << ": " << cold.status();
+    EXPECT_EQ(SerializeDatabase(cold->db), want)
+        << label << ": diverged from cold replay\nprogram:\n" << text;
+  };
+
+  size_t next = 0;
+  for (int64_t watermark = 3; watermark <= 30; watermark += 3) {
+    const std::string label = "seed=" + std::to_string(GetParam()) +
+                              " watermark=" + std::to_string(watermark);
+    for (; next < stream.size() &&
+           stream[next].interval.lo().value < Rational(watermark);
+         ++next) {
+      ASSERT_TRUE(a.Push(stream[next]).ok());
+      ASSERT_TRUE(b.Push(permuted[next]).ok());
+    }
+    expect_identical(label + " (pushes)");
+    ASSERT_TRUE(a.Advance(Rational(watermark)).ok());
+    ASSERT_TRUE(b.Advance(Rational(watermark)).ok());
+    expect_identical(label + " (advance)");
+    if (watermark == 18) {
+      ASSERT_TRUE(a.Slide(Rational(8)).ok());
+      ASSERT_TRUE(b.Slide(Rational(8)).ok());
+      expect_identical(label + " (slide)");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StreamingPushOrderTest,
+                         ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace
 }  // namespace dmtl

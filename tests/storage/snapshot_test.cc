@@ -55,7 +55,9 @@ void ExpectSnapshotsEqual(const SessionSnapshot& a, const SessionSnapshot& b) {
   EXPECT_EQ(a.watermark, b.watermark);
   EXPECT_EQ(a.window_min, b.window_min);
   ASSERT_EQ(a.horizon.has_value(), b.horizon.has_value());
-  if (a.horizon.has_value()) EXPECT_EQ(*a.horizon, *b.horizon);
+  if (a.horizon.has_value()) {
+    EXPECT_EQ(*a.horizon, *b.horizon);
+  }
   EXPECT_EQ(a.advanced, b.advanced);
   EXPECT_EQ(a.track_provenance, b.track_provenance);
   ASSERT_EQ(a.channels.size(), b.channels.size());

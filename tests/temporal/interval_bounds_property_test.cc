@@ -66,7 +66,9 @@ TEST(IntervalBoundsPropertyTest, IntersectAgreesWithPointwiseAnd) {
       // Symmetry.
       auto y = b.Intersect(a);
       ASSERT_EQ(x.has_value(), y.has_value());
-      if (x.has_value()) ASSERT_EQ(*x, *y);
+      if (x.has_value()) {
+        ASSERT_EQ(*x, *y);
+      }
     }
   }
 }
