@@ -180,7 +180,14 @@ Status EngineSession::Advance(const Rational& t, EngineStats* stats_out) {
   EngineStats* stats = stats_out != nullptr ? stats_out : &local;
   *stats = EngineStats();
   const auto start_time = std::chrono::steady_clock::now();
-  if (needs_rebuild_) DMTL_RETURN_IF_ERROR(Heal());
+  if (needs_rebuild_) {
+    // A failed heal stops the operation: its stats report that run.
+    Status healed = Heal(stats);
+    if (!healed.ok()) {
+      FinishRun(healed, db_, start_time, stats);
+      return healed;
+    }
+  }
 
   // Seed delta: the boundary band of stored coverage plus the pending
   // input fresh portions. Any derivation landing in (W, t] has every
@@ -284,7 +291,14 @@ Status EngineSession::Slide(const Rational& new_min, EngineStats* stats_out) {
   EngineStats* stats = stats_out != nullptr ? stats_out : &local;
   *stats = EngineStats();
   const auto start_time = std::chrono::steady_clock::now();
-  if (needs_rebuild_) DMTL_RETURN_IF_ERROR(Heal());
+  if (needs_rebuild_) {
+    // A failed heal stops the operation: its stats report that run.
+    Status healed = Heal(stats);
+    if (!healed.ok()) {
+      FinishRun(healed, db_, start_time, stats);
+      return healed;
+    }
+  }
   if (!(window_min_ < new_min)) {
     return Status::InvalidArgument("window minimum must increase (" +
                                    window_min_.ToString() + " -> " +

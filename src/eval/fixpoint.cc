@@ -146,6 +146,7 @@ FixpointDriver::Counters FixpointDriver::Snapshot() const {
     c.probes += ps.index_probes;
     c.probe_hits += ps.index_probe_hits;
     c.pruned += ps.envelope_pruned;
+    c.candidates += ps.scan_candidates;
     c.vm_disp += vm.dispatches();
     c.vm_comp += vm.compiles();
   }
@@ -183,6 +184,7 @@ Status FixpointDriver::Run(Database* db, const Interval& window,
   stats->planner_index_probes += now.probes - base.probes;
   stats->planner_probe_hits += now.probe_hits - base.probe_hits;
   stats->planner_pruned_tuples += now.pruned - base.pruned;
+  stats->scan_candidates += now.candidates - base.candidates;
   stats->vm_dispatches += now.vm_disp - base.vm_disp;
   stats->vm_recompiles += now.vm_comp - base.vm_comp;
   stats->bulk_merges += now.bulk - base.bulk;

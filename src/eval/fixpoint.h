@@ -78,6 +78,7 @@ class FixpointDriver {
   // difference between its exit and entry totals.
   struct Counters {
     uint64_t idx_built = 0, probes = 0, probe_hits = 0, pruned = 0;
+    uint64_t candidates = 0;
     uint64_t vm_disp = 0, vm_comp = 0, bulk = 0;
   };
 

@@ -1,6 +1,7 @@
 #include "src/eval/operators.h"
 
 #include "src/common/execution_guard.h"
+#include "src/eval/planner.h"
 
 namespace dmtl {
 
@@ -65,10 +66,20 @@ IntervalSet RelationalExtent(const RelationalAtom& atom,
     }
     return out;
   }
-  for (const Relation::ScanEntry& row : rel->Rows()) {
+  // `not event(_)`: no argument is bound, so walk only the rows the
+  // time-ordered index finds meeting the window's hull.
+  const std::vector<Relation::ScanEntry>& rows = rel->Rows();
+  const bool windowed =
+      !(window_hull.lo_infinite() && window_hull.hi_infinite()) &&
+      rel->NumTuples() >= RulePlanner::kMinTuplesForIndex;
+  std::vector<uint32_t> hits;
+  if (windowed) rel->RowsMeeting(window_hull, atom.args.size(), &hits);
+  const size_t n = windowed ? hits.size() : rows.size();
+  for (size_t i = 0; i < n; ++i) {
     if (guard != nullptr && (++polled & 1023) == 0 && guard->Tripped()) {
       return out;  // truncated; the round-end check discards this round
     }
+    const Relation::ScanEntry& row = rows[windowed ? hits[i] : i];
     consider(*row.tuple, *row.extent);
   }
   return out;

@@ -21,6 +21,9 @@ struct PlannerStats {
   // Candidate tuples skipped by a temporal-envelope or hull precheck before
   // paying for unification + IntervalSet::Intersect.
   uint64_t envelope_pruned = 0;
+  // Candidate tuples handed to the per-tuple arity, hull and unification
+  // tests (index entries and scanned rows alike).
+  uint64_t scan_candidates = 0;
   // Estimated cost of the most recent plan (see ExplainPlan for the model).
   double last_plan_cost = 0.0;
 };

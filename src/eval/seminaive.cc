@@ -79,12 +79,14 @@ std::string EngineStats::ToString() const {
   }
   out += " delta_intervals=" + std::to_string(delta_intervals) +
          " bulk_merges=" + std::to_string(bulk_merges);
-  if (planner_indexes_built + planner_index_probes + planner_pruned_tuples >
+  if (planner_indexes_built + planner_index_probes + planner_pruned_tuples +
+          scan_candidates >
       0) {
     out += " planner_indexes=" + std::to_string(planner_indexes_built) +
            " planner_probes=" + std::to_string(planner_index_probes) +
            " planner_probe_hits=" + std::to_string(planner_probe_hits) +
-           " planner_pruned=" + std::to_string(planner_pruned_tuples);
+           " planner_pruned=" + std::to_string(planner_pruned_tuples) +
+           " scan_candidates=" + std::to_string(scan_candidates);
   }
   if (guard_checks > 0) {
     out += " guard_checks=" + std::to_string(guard_checks);

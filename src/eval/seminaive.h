@@ -116,6 +116,9 @@ struct EngineStats {
   size_t planner_index_probes = 0;   // index lookups issued
   size_t planner_probe_hits = 0;     // lookups that found a posting list
   size_t planner_pruned_tuples = 0;  // candidates skipped by envelope/hull
+  // Candidate tuples handed to the per-tuple arity, hull and unification
+  // tests: what a join walked after its index and time-index lookups.
+  size_t scan_candidates = 0;
   // Estimated cost of each rule's most recent plan, indexed like
   // program.rules().
   std::vector<double> rule_plan_cost;

@@ -228,10 +228,11 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   regs_.emplace(prog.num_vars);
   extents_.resize(prog.code.size());
   windows_.resize(prog.atoms.size());
+  scan_rows_.resize(prog.atoms.size());
   leaf_.assign(prog.literals.size(), nullptr);
   ts_points_.resize(planner_->rule().body.size());
   guard_counter_ = 0;
-  probes_ = hits_ = pruned_ = 0;
+  probes_ = hits_ = pruned_ = candidates_ = 0;
 
   static const IntervalSet kAll{Interval::All()};
   out_.clear();
@@ -255,6 +256,7 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
   stats_.index_probes += probes_;
   stats_.index_probe_hits += hits_;
   stats_.envelope_pruned += pruned_;
+  stats_.scan_candidates += candidates_;
   return status;
 }
 
@@ -294,6 +296,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
 
       auto try_tuple = [&](const Tuple& tuple, const IntervalSet& set,
                            bool probing) -> Status {
+        ++candidates_;
         if (guard_ != nullptr &&
             (++guard_counter_ & kGuardStrideMask) == 0) {
           DMTL_RETURN_IF_ERROR(guard_->Check());
@@ -355,7 +358,21 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
         }
         return Status::Ok();
       }
-      for (const Relation::ScanEntry& row : rel->Rows()) {
+      const std::vector<Relation::ScanEntry>& rows = rel->Rows();
+      if (a.signature == 0 && w.has_value() &&
+          rel->NumTuples() >= RulePlanner::kMinTuplesForIndex) {
+        // No argument is bound, so time is the only selective part: the
+        // time-ordered index hands over the rows whose hull may meet the
+        // window, and the rows it leaves out count as pruned here.
+        std::vector<uint32_t>& hits = scan_rows_[instr.arg];
+        pruned_ += rel->RowsMeeting(*w, a.arity, &hits);
+        for (uint32_t r : hits) {
+          DMTL_RETURN_IF_ERROR(try_tuple(*rows[r].tuple, *rows[r].extent,
+                                         false));
+        }
+        return Status::Ok();
+      }
+      for (const Relation::ScanEntry& row : rows) {
         DMTL_RETURN_IF_ERROR(try_tuple(*row.tuple, *row.extent, false));
       }
       return Status::Ok();

@@ -144,6 +144,7 @@ class RuleVm {
   std::optional<Bindings> regs_;
   std::vector<IntervalSet> extents_;             // per instruction slot
   std::vector<std::optional<Interval>> windows_;  // per atom slot
+  std::vector<std::vector<uint32_t>> scan_rows_;  // per atom slot
   std::vector<const IntervalSet*> leaf_;          // per literal slot
   std::vector<std::vector<Rational>> ts_points_;  // per body index
   Tuple key_, head_, proj_key_;
@@ -153,7 +154,7 @@ class RuleVm {
   // relation) being walked.
   std::vector<std::pair<Tuple, IntervalSet>> out_;
   uint64_t guard_counter_ = 0;
-  uint64_t probes_ = 0, hits_ = 0, pruned_ = 0;
+  uint64_t probes_ = 0, hits_ = 0, pruned_ = 0, candidates_ = 0;
 };
 
 }  // namespace dmtl

@@ -43,9 +43,10 @@ Relation& Relation::operator=(const Relation& other) {
   approx_intervals_ = other.approx_intervals_;
   stored_intervals_ = other.stored_intervals_;
   RebuildDerived();
-  // Bound-signature indexes point into the *source's* data_; drop them and
-  // let the next probe rebuild against our own storage.
+  // The indexes point into the *source's* data_; drop them and let the
+  // next probe rebuild against our own storage.
   indexes_.clear();
+  time_index_.reset();
   return *this;
 }
 
@@ -55,7 +56,9 @@ Relation::Relation(Relation&& other) noexcept
       stored_intervals_(other.stored_intervals_),
       rows_(std::move(other.rows_)),
       first_arg_index_(std::move(other.first_arg_index_)),
-      indexes_(std::move(other.indexes_)) {
+      indexes_(std::move(other.indexes_)),
+      time_index_(std::move(other.time_index_)),
+      time_index_builds_(other.time_index_builds_) {
   other.approx_intervals_ = 0;
   other.stored_intervals_ = 0;
 }
@@ -68,6 +71,8 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   rows_ = std::move(other.rows_);
   first_arg_index_ = std::move(other.first_arg_index_);
   indexes_ = std::move(other.indexes_);
+  time_index_ = std::move(other.time_index_);
+  time_index_builds_ = other.time_index_builds_;
   other.approx_intervals_ = 0;
   other.stored_intervals_ = 0;
   return *this;
@@ -126,6 +131,128 @@ size_t Relation::num_indexes() const {
   return indexes_.size();
 }
 
+void Relation::TimeIndex::Widen(const Tuple* tuple, const Interval& iv) {
+  auto it = pos_of.find(tuple);
+  if (it == pos_of.end()) return;  // appended after the build: in the tail
+  const size_t p = it->second;
+  if (!is_stale[p] && internal::CompareLower(iv.lo(), lo[p]) < 0) {
+    // The sorted order cannot take an earlier start in place.
+    is_stale[p] = true;
+    stale.push_back(row[p]);
+  }
+  // A later end only raises maxima, so it walks up in place until an
+  // ancestor already ends at or after it.
+  for (size_t node = leaves + p;
+       node != 0 && internal::CompareUpper(iv.hi(), max_hi[node]) > 0;
+       node /= 2) {
+    max_hi[node] = iv.hi();
+  }
+}
+
+void Relation::TimeIndex::Collect(size_t node, size_t begin, size_t end,
+                                  size_t m, const Bound& from,
+                                  std::vector<uint32_t>* rows) const {
+  if (begin >= m || !internal::BoundsNonEmpty(from, max_hi[node])) return;
+  if (end - begin == 1) {
+    if (!is_stale[begin]) rows->push_back(row[begin]);
+    return;
+  }
+  const size_t mid = begin + (end - begin) / 2;
+  Collect(2 * node, begin, mid, m, from, rows);
+  Collect(2 * node + 1, mid, end, m, from, rows);
+}
+
+void Relation::BuildTimeIndex() const {
+  auto index = std::make_unique<TimeIndex>();
+  const size_t n = rows_.size();
+  std::vector<Interval> hulls;
+  hulls.reserve(n);
+  for (const ScanEntry& r : rows_) hulls.push_back(r.extent->Hull());
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return internal::CompareLower(hulls[a].lo(), hulls[b].lo()) < 0;
+  });
+
+  index->built = n;
+  if (n != 0) index->arity = rows_[0].tuple->size();
+  index->leaves = std::bit_ceil(std::max<size_t>(n, 1));
+  index->lo.reserve(n);
+  index->pos_of.reserve(n);
+  // Padding leaves copy a real end: they lie past every lookup's prefix,
+  // so they only ever loosen their ancestors' maxima.
+  index->max_hi.assign(2 * index->leaves,
+                       n == 0 ? Bound::Infinite() : hulls[order[0]].hi());
+  for (size_t p = 0; p < n; ++p) {
+    const uint32_t r = order[p];
+    index->lo.push_back(hulls[r].lo());
+    index->max_hi[index->leaves + p] = hulls[r].hi();
+    index->pos_of.emplace(rows_[r].tuple, static_cast<uint32_t>(p));
+    if (rows_[r].tuple->size() != index->arity) {
+      index->arity = TimeIndex::kMixedArity;
+    }
+  }
+  for (size_t node = index->leaves - 1; node != 0; --node) {
+    const Bound& a = index->max_hi[2 * node];
+    const Bound& b = index->max_hi[2 * node + 1];
+    index->max_hi[node] = internal::CompareUpper(a, b) >= 0 ? a : b;
+  }
+  index->row = std::move(order);
+  index->is_stale.assign(n, false);
+  time_index_ = std::move(index);
+  ++time_index_builds_;
+}
+
+size_t Relation::RowsMeeting(const Interval& window, size_t arity,
+                             std::vector<uint32_t>* rows) const {
+  rows->clear();
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  const size_t n = rows_.size();
+  if (time_index_ == nullptr ||
+      n - time_index_->built + time_index_->stale.size() >
+          std::max<size_t>(32, time_index_->built / 4)) {
+    BuildTimeIndex();
+  }
+  const TimeIndex& index = *time_index_;
+  size_t skipped = 0;
+  if (index.arity == arity) {
+    // Rows starting no later than the window ends form a prefix of the
+    // sorted order; the tree picks those ending no earlier than it starts.
+    const size_t m = static_cast<size_t>(
+        std::partition_point(index.lo.begin(), index.lo.end(),
+                             [&](const Bound& lo) {
+                               return internal::BoundsNonEmpty(lo,
+                                                               window.hi());
+                             }) -
+        index.lo.begin());
+    index.Collect(1, 0, index.leaves, m, window.lo(), rows);
+    skipped = index.built - index.stale.size() - rows->size();
+    rows->insert(rows->end(), index.stale.begin(), index.stale.end());
+    std::sort(rows->begin(), rows->end());
+  } else if (index.arity == TimeIndex::kMixedArity) {
+    // The skipped rows' arities are unknown: return every indexed row.
+    for (size_t r = 0; r < index.built; ++r) {
+      rows->push_back(static_cast<uint32_t>(r));
+    }
+  }
+  // Otherwise every indexed row has another arity and none is counted.
+  for (size_t r = index.built; r < n; ++r) {
+    rows->push_back(static_cast<uint32_t>(r));
+  }
+  return skipped;
+}
+
+size_t Relation::time_index_builds() const {
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  return time_index_builds_;
+}
+
+void Relation::DropIndexes() {
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  indexes_.clear();
+  time_index_.reset();
+}
+
 Relation::Map::iterator Relation::Slot(const Tuple& tuple, bool* inserted) {
   auto [it, fresh_tuple] = data_.try_emplace(tuple);
   if (fresh_tuple) {
@@ -140,13 +267,15 @@ Relation::Map::iterator Relation::Slot(const Tuple& tuple, bool* inserted) {
 
 void Relation::WidenIndexes(const Map::iterator& it, bool inserted,
                             const Interval& iv) {
-  if (indexes_.empty()) return;
+  if (indexes_.empty() && time_index_ == nullptr) return;
   // Single-writer contract: no reader runs concurrently with a mutator, so
   // the lock is uncontended; it keeps TSan and accidental misuse honest.
   std::lock_guard<std::mutex> lock(index_mutex_);
   for (auto& [sig, index] : indexes_) {
     IndexTuple(index.get(), it->first, it->second, inserted, iv);
   }
+  // A new tuple's row is appended past the indexed rows: nothing to widen.
+  if (time_index_ != nullptr && !inserted) time_index_->Widen(&it->first, iv);
 }
 
 IntervalSet Relation::Insert(const Tuple& tuple, const Interval& iv) {
@@ -204,12 +333,9 @@ void Relation::SubtractCoverage(const Relation& fresh) {
       it->second = std::move(remaining);
     }
   }
-  {
-    // Envelopes never shrink and entries may now reference erased tuples or
-    // replaced sets; drop the indexes and let the next probe rebuild.
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    indexes_.clear();
-  }
+  // Envelopes never shrink and entries may now reference erased tuples or
+  // replaced sets; drop the indexes and let the next probe rebuild.
+  DropIndexes();
   // Surviving extents were assigned in place (addresses unchanged), so the
   // scan slab only goes stale when tuples vanished.
   if (erased_any) RebuildDerived();
@@ -228,10 +354,7 @@ void Relation::SubtractCoverage(const Tuple& tuple, const IntervalSet& set) {
   } else {
     it->second = std::move(remaining);
   }
-  {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    indexes_.clear();
-  }
+  DropIndexes();
   if (erased) RebuildDerived();
 }
 
@@ -250,10 +373,7 @@ IntervalSet Relation::RemoveSet(const Tuple& tuple, const IntervalSet& set) {
   } else {
     it->second = std::move(remaining);
   }
-  {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    indexes_.clear();
-  }
+  DropIndexes();
   if (erased) RebuildDerived();
   return removed;
 }
@@ -285,8 +405,7 @@ size_t Relation::RemoveRegion(const IntervalSet& region) {
     // Entries may reference erased tuples; envelopes stay sound (they only
     // over-cover after removal) but keeping them alive isn't worth special-
     // casing - drop and let the next probe rebuild, like SubtractCoverage.
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    indexes_.clear();
+    DropIndexes();
   }
   if (erased_any) RebuildDerived();
   return removed_pieces;

@@ -1,6 +1,7 @@
 #ifndef DMTL_STORAGE_DATABASE_H_
 #define DMTL_STORAGE_DATABASE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -35,10 +36,10 @@ struct Fact {
 // thread is inside a mutating member (Insert, InsertSet, Clear, assignment).
 // The engine itself evaluates on one thread and fleet sessions share no
 // database, so this is a contract for callers that read one store from
-// several threads. The single exception to "const is a pure
-// read" is GetIndex, which may build a bound-signature index lazily; it is
-// serialized by a dedicated mutex and therefore safe to call from any number
-// of concurrent reader threads.
+// several threads. The exceptions to "const is a pure read" are
+// GetIndex and RowsMeeting, which may build a bound-signature or the
+// time-ordered index lazily; they are serialized by a dedicated mutex and
+// therefore safe to call from any number of concurrent reader threads.
 //
 // The first-argument secondary index is maintained *eagerly* inside Insert
 // (a new tuple appends one entry; new intervals on existing tuples leave it
@@ -149,6 +150,26 @@ class Relation {
   // stats).
   size_t num_indexes() const;
 
+  // --- time-ordered index over the rows' extent hulls ---------------------
+  // Writes to `rows` the positions in Rows(), ascending, of a superset of
+  // the rows of `arity` whose extent hull overlaps `window`, and returns
+  // the number of rows of `arity` it left out (each fails that hull test).
+  // The superset holds every row added, or whose hull start moved earlier,
+  // since the index was built, and may hold rows of other arities, so
+  // callers keep their exact arity and hull tests. This is the one lookup
+  // for scans that bind no argument: time is their only selective part.
+  //
+  // The index is built on first request, like GetIndex, and serialized by
+  // the same mutex. Inserts keep it usable: a later hull end is raised in
+  // place; new rows and earlier starts land in an unsorted tail that
+  // triggers a rebuild once it outgrows a quarter of the indexed rows. It
+  // is dropped wherever the bound-signature indexes are (removals, copy,
+  // Clear).
+  size_t RowsMeeting(const Interval& window, size_t arity,
+                     std::vector<uint32_t>* rows) const;
+  // Number of times the time-ordered index was (re)built (for tests).
+  size_t time_index_builds() const;
+
   // Removes `fresh`'s coverage from this relation: the engine's rollback
   // primitive. `fresh` must hold coverage previously reported as *newly
   // inserted* by Insert/InsertSet (so it is a subset of what is stored);
@@ -199,11 +220,46 @@ class Relation {
     first_arg_index_.clear();
     rows_.clear();
     indexes_.clear();
+    time_index_.reset();
     approx_intervals_ = 0;
     stored_intervals_ = 0;
   }
 
  private:
+  // The time-ordered index (see RowsMeeting). Rows [0, built) of rows_ are
+  // sorted by hull start; a max-end segment tree over that order lets a
+  // lookup descend only into subtrees holding a row that ends inside the
+  // window, as an interval tree would.
+  struct TimeIndex {
+    static constexpr size_t kMixedArity = SIZE_MAX;
+    size_t built = 0;
+    size_t arity = kMixedArity;  // of every indexed row, if they agree
+    size_t leaves = 1;           // tree width: a power of two >= built
+    std::vector<Bound> lo;       // hull starts, ascending
+    std::vector<uint32_t> row;   // sorted position -> row of rows_
+    // Latest hull end under each tree node: node 1 is the root, sorted
+    // position p is leaf leaves + p.
+    std::vector<Bound> max_hi;
+    std::unordered_map<const Tuple*, uint32_t> pos_of;  // -> sorted position
+    // Indexed rows whose hull start moved earlier than `lo` records; they
+    // are returned unconditionally, like rows appended after the build.
+    std::vector<uint32_t> stale;
+    std::vector<bool> is_stale;  // by sorted position
+
+    // Records that the tuple's extent grew by coverage inside `iv`.
+    void Widen(const Tuple* tuple, const Interval& iv);
+    // Appends the rows at sorted positions [begin, end) under `node`, below
+    // `m`, whose hull end is not before `from`.
+    void Collect(size_t node, size_t begin, size_t end, size_t m,
+                 const Bound& from, std::vector<uint32_t>* rows) const;
+  };
+
+  // (Re)builds time_index_ over every current row; index_mutex_ held.
+  void BuildTimeIndex() const;
+  // Drops the bound-signature and time-ordered indexes (their hulls and
+  // positions may be stale after a removal).
+  void DropIndexes();
+
   // Finds or creates the stored extent of `tuple`, registering a new tuple
   // with the first-argument index and the scan slab. Sets `inserted`.
   Map::iterator Slot(const Tuple& tuple, bool* inserted);
@@ -237,6 +293,9 @@ class Relation {
   // lifetime (until Clear/assignment, like all other pointers into it).
   mutable std::mutex index_mutex_;
   mutable std::unordered_map<uint64_t, std::unique_ptr<BoundIndex>> indexes_;
+  // Lazily built time-ordered index; guarded by index_mutex_.
+  mutable std::unique_ptr<TimeIndex> time_index_;
+  mutable size_t time_index_builds_ = 0;
 };
 
 // The temporal database D: all facts, grouped by predicate. Serves as both

@@ -222,7 +222,8 @@ void PrintJoinPlans(const CompiledProgram& program, const Database& db,
   out << "% planner: " << stats.planner_indexes_built << " indexes built, "
       << stats.planner_index_probes << " probes ("
       << stats.planner_probe_hits << " hits), "
-      << stats.planner_pruned_tuples << " tuples pruned\n";
+      << stats.planner_pruned_tuples << " tuples pruned, "
+      << stats.scan_candidates << " scan candidates\n";
 }
 
 // Prints each rule's compiled bytecode program against the materialized

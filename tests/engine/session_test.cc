@@ -325,6 +325,45 @@ TEST(StreamingSessionTest, FailedAdvanceHealsTransparently) {
   ExpectMatchesColdReplay(s, "q", "after heal");
 }
 
+// A heal that fails ahead of an advance stops that advance: its stats
+// report the failed run, as for any other failed run, instead of a
+// completed run over an empty store.
+TEST(StreamingSessionTest, FailedLeadingHealReportsItsStop) {
+  auto unit = Parser::Parse(
+      "q(X) :- diamondminus[0,2] p(X) .\n"
+      "r(X) :- boxminus[1,1] q(X) .\n");
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  auto session = EngineSession::Create(unit->program, Opts(0));
+  ASSERT_TRUE(session.ok()) << session.status();
+  EngineSession& s = **session;
+
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("a")},
+                                Interval::Closed(Rational(1), Rational(3))))
+                  .ok());
+  ASSERT_TRUE(s.Advance(Rational(4)).ok());
+  ASSERT_TRUE(s.Push(Fact::Make("p", {Value::Symbol("b")},
+                                Interval::Point(Rational(6))))
+                  .ok());
+  FaultInjector::Arm("seminaive.round", 1,
+                     Status::Internal("injected round failure"));
+  EXPECT_FALSE(s.Advance(Rational(8)).ok());
+  FaultInjector::Reset();
+
+  // The next advance heals first; its first round is the heal's.
+  FaultInjector::Arm("seminaive.round", 1,
+                     Status::Internal("injected heal failure"));
+  EngineStats stats;
+  Status failed = s.Advance(Rational(8), &stats);
+  FaultInjector::Reset();
+  EXPECT_EQ(failed.code(), StatusCode::kInternal) << failed;
+  EXPECT_EQ(stats.stop_reason, StopReason::kError) << stats.ToString();
+  EXPECT_GT(stats.intervals_at_stop, 0u) << stats.ToString();
+  EXPECT_EQ(s.watermark(), Rational(4));
+
+  ASSERT_TRUE(s.Advance(Rational(8)).ok());
+  ExpectMatchesColdReplay(s, "q", "after the failed heal");
+}
+
 // Interval budget of the contract runs below, in pieces: about 4x the
 // largest passing run (100,596), so a kernel or chain-walk fault that
 // over-derives fails fast on ResourceExhausted instead of growing the store
